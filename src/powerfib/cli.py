@@ -3,7 +3,10 @@
 Subcommands: period, table, oracle, verify, scan, bench.  Exit codes:
 0 success or agreement, 1 usage, 2 mathematical disagreement, 3 resource
 guard.  Output is deterministic byte for byte for identical invocations
-(bench timing values excepted; its shape is still fixed).
+(bench timing values excepted; its shape is still fixed).  A reader that
+closes stdout early (`powerfib table 500 3 | head -1`) ends the run quietly
+with exit code 0: the output it took is complete, and the rest was not
+wanted.
 """
 
 from __future__ import annotations
@@ -484,7 +487,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        # flush here so a closed pipe raises inside this try, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; as the Python docs advise, point stdout at
+        # devnull so the interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except _UsageError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE

@@ -156,12 +156,14 @@ def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
 
 
 def _eval_square_lemma(k: int, alpha: int) -> tuple[int, int]:
-    """(lhs, rhs) of the first failing part, or of part 1 when all hold.
+    """(lhs, rhs) of the first failing part, or (0, 0) when all hold.
 
     Bound parts claim lhs < rhs is witnessed by lhs != rhs after clamping;
     the congruence parts reduce both sides mod the relevant F index.
     """
     verdict = check_square_lemma(k, alpha)
+    if verdict.all_hold():
+        return 0, 0
     fs = fib_prefix(2 * k + 2)
     if not verdict.bound_even_index:
         return fs[k] ** 2, fs[2 * k]
@@ -169,9 +171,7 @@ def _eval_square_lemma(k: int, alpha: int) -> tuple[int, int]:
         return fs[k + alpha] ** 2 % fs[2 * k], fs[k - alpha] ** 2 % fs[2 * k]
     if not verdict.bound_odd_index:
         return fs[k + 1] ** 2, fs[2 * k + 1]
-    if not verdict.congruence_odd_index:
-        return fs[k + 1 + alpha] ** 2 % fs[2 * k + 1], (-(fs[k - alpha] ** 2)) % fs[2 * k + 1]
-    return 0, 0
+    return fs[k + 1 + alpha] ** 2 % fs[2 * k + 1], (-(fs[k - alpha] ** 2)) % fs[2 * k + 1]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Closed-form residue tables covering one full minimal period.
 
-The exponent 1 and exponent 2 builders assemble every entry from exact small
-Fibonacci values F_0 .. F_j, never by iterating the recurrence modulo F_j.
+Every builder assembles its entries from exact small Fibonacci values
+F_0 .. F_j, never by iterating the recurrence modulo F_j: exponents 1 and 2
+by their own closed forms, any other exponent by powering the e = 1 terms.
 That keeps them independent of the modular iteration in `oracle`, which
 certifies them.
 """
@@ -9,10 +10,11 @@ certifies them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .errors import OutOfDomainError
-from .fibcore import fib_exact, fib_mod, fib_prefix, pow_mod
+from .fibcore import fib_exact, fib_prefix
 from .periodicity import period_closed_form
 
 
@@ -45,48 +47,25 @@ def _require_j(j: int) -> None:
         )
 
 
-def _e1_entries(j: int) -> Iterator[tuple[int, str]]:
-    """(residue, formula label) pairs for exponent 1, one full period.
+def _e1_terms(j: int) -> Iterator[tuple[int, bool]]:
+    """The exponent 1 closed form as (k, negated) terms, one full period.
 
-    Even j, period 2j: the first half is F_i itself, then a zero at i = j,
-    then mirrored values F_{2j-i} on odd i and complements F_j - F_{2j-i}
-    on even i.  Odd j, period 4j: the same first half, but the mirror
-    parity flips, and the second 2j-block repeats the first with every
-    nonzero entry complemented.
+    Term i stands for rho_i = -F_k mod F_j when negated, else F_k, with
+    0 <= k <= j; the structural zeros at i = j, 2j, 3j are (j, False),
+    since F_j = 0 mod F_j.  Write i = block * j + r.  Block 0 is F_r
+    itself.  Block 1 mirrors it as F_{j-r}, negated on even i for even j
+    and on odd i for odd j; even j stops there, at period 2j.  Odd j has
+    period 4j: blocks 2 and 3 repeat blocks 0 and 1 with every nonzero
+    entry's sign flipped.
     """
-    fs = fib_prefix(j + 1)
-    m = fs[j]
-    if j % 2 == 0:
-        for i in range(2 * j):
-            if i < j:
-                yield fs[i], f"F[{i}]"
-            elif i == j:
-                yield 0, "0"
-            elif i % 2 == 1:
-                yield fs[2 * j - i], f"F[{2 * j - i}]"
-            else:
-                yield m - fs[2 * j - i], f"Fj-F[{2 * j - i}]"
-    else:
-        for i in range(4 * j):
-            if i < j:
-                yield fs[i], f"F[{i}]"
-            elif i == j:
-                yield 0, "0"
-            elif i < 2 * j:
-                if i % 2 == 0:
-                    yield fs[2 * j - i], f"F[{2 * j - i}]"
-                else:
-                    yield m - fs[2 * j - i], f"Fj-F[{2 * j - i}]"
-            elif i == 2 * j:
-                yield 0, "0"
-            elif i < 3 * j:
-                yield m - fs[i - 2 * j], f"Fj-F[{i - 2 * j}]"
-            elif i == 3 * j:
-                yield 0, "0"
-            elif i % 2 == 0:
-                yield m - fs[4 * j - i], f"Fj-F[{4 * j - i}]"
-            else:
-                yield fs[4 * j - i], f"F[{4 * j - i}]"
+    for i in range(2 * j if j % 2 == 0 else 4 * j):
+        block, r = divmod(i, j)
+        if r == 0 and block:
+            yield j, False
+        elif block % 2 == 0:
+            yield r, block == 2
+        else:
+            yield j - r, (i % 2 == j % 2) != (block == 3)
 
 
 def _e2_entries(j: int) -> Iterator[tuple[int, str]]:
@@ -120,13 +99,25 @@ def _e2_entries(j: int) -> Iterator[tuple[int, str]]:
             yield first[2 * j - i], f"rho[{2 * j - i}]"
 
 
+def _powered_e1_table(j: int, e: int) -> ResidueTable:
+    # rho_i = +-F_k mod F_j at e = 1 gives F_i^e = (+-1)^e F_k^e mod F_j,
+    # so one period needs only the j + 1 powers F_0^e .. F_j^e
+    period = period_closed_form(j, e).period
+    fs = fib_prefix(j + 1)
+    m = fs[j]
+    powers = [pow(f, e, m) for f in fs]
+    negated_powers = [(m - p) % m for p in powers] if e % 2 == 1 else powers
+    res = tuple(
+        negated_powers[k] if negated else powers[k]
+        for k, negated in islice(_e1_terms(j), period)
+    )
+    return ResidueTable(j=j, e=e, modulus=m, period=period, residues=res)
+
+
 def residues_e1(j: int) -> ResidueTable:
     """Exponent 1 table for j >= 4: period 2j for even j, 4j for odd j."""
     _require_j(j)
-    res = tuple(value for value, _ in _e1_entries(j))
-    return ResidueTable(
-        j=j, e=1, modulus=fib_exact(j), period=len(res), residues=res
-    )
+    return _powered_e1_table(j, 1)
 
 
 def residues_e2(j: int) -> ResidueTable:
@@ -139,25 +130,30 @@ def residues_e2(j: int) -> ResidueTable:
 
 
 def residues_general(j: int, e: int) -> ResidueTable:
-    """Any exponent e >= 1: direct powering across the closed-form period.
+    """Any exponent e >= 1, from the exponent 1 closed form.
 
-    The length comes from period_closed_form, not from the oracle, so the
-    oracle's minimality scan stays an independent second route.
+    Every e = 1 entry is +-F_k mod F_j for some k <= j, so each entry here
+    is F_k^e mod F_j, negated when the e = 1 entry is and e is odd: the
+    whole period takes only the j + 1 powers of exact small Fibonacci
+    values.  The length comes from period_closed_form, which divides the
+    e = 1 period; neither the length nor the entries come from the oracle,
+    so its modular iteration and minimality scan stay an independent
+    second route.
     """
     _require_j(j)
     if e < 1:
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-    period = period_closed_form(j, e).period
-    m = fib_exact(j)
-    res = tuple(pow_mod(fib_mod(k, m), e, m) for k in range(period))
-    return ResidueTable(j=j, e=e, modulus=m, period=period, residues=res)
+    return _powered_e1_table(j, e)
 
 
 def case_breakdown(j: int, e: int) -> tuple[str, ...]:
     """The formula label behind each table entry, for e in {1, 2} only."""
     _require_j(j)
     if e == 1:
-        return tuple(label for _, label in _e1_entries(j))
+        return tuple(
+            "0" if k == j else f"Fj-F[{k}]" if negated else f"F[{k}]"
+            for k, negated in _e1_terms(j)
+        )
     if e == 2:
         return tuple(label for _, label in _e2_entries(j))
     raise OutOfDomainError(

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powerfib
 import powerfib.cli as cli
 from powerfib.cli import main
+from powerfib.fibcore import fib_exact
 from powerfib.identities import ALL_PASS, COUNTEREXAMPLE, Counterexample, VerificationReport
 from powerfib.oracle import minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult
@@ -115,6 +121,15 @@ def test_table_annotated(capsys):
     doc = json.loads(out)
     assert doc["case_formulas"][6] == "0"
     assert len(doc["case_formulas"]) == doc["period"]
+    rc, out, _ = run(capsys, "table", "5", "1", "--annotate")
+    assert rc == 0
+    assert out == (
+        "# j=5 e=1 modulus=5 period=20\n"
+        "0 0 F[0]\n1 1 F[1]\n2 1 F[2]\n3 2 F[3]\n4 3 F[4]\n"
+        "5 0 0\n6 3 F[4]\n7 3 Fj-F[3]\n8 1 F[2]\n9 4 Fj-F[1]\n"
+        "10 0 0\n11 4 Fj-F[1]\n12 4 Fj-F[2]\n13 3 Fj-F[3]\n14 2 Fj-F[4]\n"
+        "15 0 0\n16 2 Fj-F[4]\n17 2 F[3]\n18 4 Fj-F[2]\n19 1 F[1]\n"
+    )
 
 
 def test_table_annotate_needs_small_exponent(capsys):
@@ -139,6 +154,25 @@ def test_table_general_exponent(capsys):
     assert rc == 0
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [r[1] for r in rows] == ["0", "1", "1", "0", "3", "5", "0", "5", "5", "0", "7", "1"]
+
+
+def test_table_closed_pipe_exits_quietly():
+    # the 1000 rows (about 110 kB) overfill the pipe, so the child is still
+    # writing when the reader closes it after the header
+    env = dict(os.environ, PYTHONPATH=str(Path(powerfib.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "powerfib", "table", "500", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=60)
+    assert first == f"# j=500 e=3 modulus={fib_exact(500)} period=1000\n".encode()
+    assert err == b""
+    assert rc == 0
 
 
 def test_oracle_json_matches_library(capsys):

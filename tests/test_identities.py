@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import powerfib.identities as identities
 from powerfib.errors import OutOfDomainError, ResourceGuardError
 from powerfib.fibcore import fib_exact
 from powerfib.identities import (
     ALL_PASS,
     COUNTEREXAMPLE,
     NOT_APPLICABLE,
+    Counterexample,
     _is_prime_u64,
     check_addition,
     check_cassini,
@@ -117,6 +119,23 @@ def test_square_lemma_full_grid():
     for k in range(2, 31):
         for alpha in range(0, k + 1):
             assert check_square_lemma(k, alpha).all_hold(), (k, alpha)
+
+
+def test_square_lemma_sweep_reports_first_failing_part(monkeypatch):
+    real = identities.check_square_lemma
+
+    def broken_at_3_0(k, alpha):
+        verdict = real(k, alpha)
+        if (k, alpha) == (3, 0):
+            return verdict._replace(bound_even_index=False)
+        return verdict
+
+    monkeypatch.setattr(identities, "check_square_lemma", broken_at_3_0)
+    report = sweep_square_lemma(5)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.cases_checked == 4
+    # the sides of the failing part: F_3^2 = 4 against F_6 = 8
+    assert report.counterexample == Counterexample({"k": 3, "alpha": 0}, 4, 8)
 
 
 def test_square_lemma_domain():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from powerfib.errors import OutOfDomainError
 from powerfib.fibcore import fib_exact
@@ -111,6 +113,15 @@ def test_general_matches_modular_iteration_on_grid():
             assert list(table.residues) == sequence_prefix(j, e, table.period), (j, e)
 
 
+@given(st.integers(min_value=4, max_value=200), st.integers(min_value=1, max_value=50))
+@example(6, 3)
+@example(6, 4)
+@example(9, 6)
+def test_general_matches_modular_iteration_property(j, e):
+    table = residues_general(j, e)
+    assert table.residues == tuple(sequence_prefix(j, e, table.period))
+
+
 def test_zeros_exactly_at_multiples_of_j():
     for j in range(4, 31):
         if j == 6:
@@ -152,7 +163,13 @@ def test_case_breakdown_aligns_with_tables():
                 assert table.residues[i] == 0, (j, e, i)
     assert case_breakdown(6, 1)[6] == "0"
     assert case_breakdown(7, 2)[7] == "0"
-    assert case_breakdown(7, 1)[3] == "F[3]"
+    # odd j: the zeros at i = j, 2j, 3j are all labelled "0", not F[0]
+    assert case_breakdown(7, 1) == (
+        "F[0]", "F[1]", "F[2]", "F[3]", "F[4]", "F[5]", "F[6]",
+        "0", "F[6]", "Fj-F[5]", "F[4]", "Fj-F[3]", "F[2]", "Fj-F[1]",
+        "0", "Fj-F[1]", "Fj-F[2]", "Fj-F[3]", "Fj-F[4]", "Fj-F[5]", "Fj-F[6]",
+        "0", "Fj-F[6]", "F[5]", "Fj-F[4]", "F[3]", "Fj-F[2]", "F[1]",
+    )
 
 
 def test_to_record_uses_decimal_strings():
