@@ -7,6 +7,17 @@ guard.  Output is deterministic byte for byte for identical invocations
 closes stdout early (`powerfib table 500 3 | head -1`) ends the run quietly
 with exit code 0: the output it took is complete, and the rest was not
 wanted.
+
+Each `cmd_*` function does the work and returns `(exit_code, record)`,
+where the record is the JSON document of its answer, built from the
+library's `to_record()` methods, so big integers are already decimal
+strings.  Only `main` looks at `--format`: json prints the record as one
+line, plain and csv pass it to the subcommand's renderer in `_RENDERERS`,
+which returns the output lines.  Either way `main` writes the whole text
+with a single `sys.stdout.write`; a failure writes nothing to stdout and
+one line to stderr.  Python refuses to print an integer wider than
+`sys.get_int_max_str_digits()` digits, so a request whose modulus F_j is
+that wide trips the resource guard before any work.
 """
 
 from __future__ import annotations
@@ -17,10 +28,9 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
-from .fibcore import fib_mod
+from .fibcore import fib_exact, fib_mod
 from .identities import (
     ALL_PASS,
     NOT_APPLICABLE,
@@ -56,6 +66,8 @@ _IDENTITY_ORDER = (
     "carmichael",
 )
 
+_LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
+
 
 class _UsageError(Exception):
     pass
@@ -66,21 +78,6 @@ class _Parser(argparse.ArgumentParser):
     # mathematical disagreement, so usage problems become exceptions
     def error(self, message):
         raise _UsageError(message)
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _emit_json(doc) -> None:
-    _emit(json.dumps(doc) + "\n")
-
-
-def _reject_csv(args) -> None:
-    if args.format == "csv":
-        raise _UsageError(
-            f"--format csv applies to residue tables only, not '{args.command}'"
-        )
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -98,52 +95,61 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _require_printable_fib(j: int) -> None:
+    """Raise ResourceGuardError if F_j has more decimal digits than Python
+    converts to a string (`sys.get_int_max_str_digits()`; 0 means no limit).
+
+    phi^(j-2) <= F_j <= phi^(j-1), so only j near the limit needs the exact
+    F_j; the margin of one digit absorbs the rounding of the logarithms.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or (j - 1) * _LOG10_PHI < limit - 1:
+        return
+    if (j - 2) * _LOG10_PHI > limit + 1 or fib_exact(j) >= 10**limit:
+        raise ResourceGuardError(
+            f"F_{j} has more than {limit} decimal digits, "
+            "the most this Python prints (sys.set_int_max_str_digits)"
+        )
+
+
 # ------------------------------------------------------------------- period
 
 
-def cmd_period(args) -> int:
-    _reject_csv(args)
+def cmd_period(args) -> tuple[int, dict]:
     result = period_closed_form(args.j, args.e)
-    period_text = "not_periodic" if result.period is None else str(result.period)
-
+    closed = result.to_record()
     if not args.verify:
-        if args.format == "json":
-            _emit_json(result.to_record())
-        else:
-            _emit(f"period(j={args.j}, e={args.e}) = {period_text}  [{result.case_label}]\n")
-        return EXIT_OK
-
+        return EXIT_OK, closed
     if args.j < 3:
-        note = "oracle skipped: modulus F_j is below 2 (base case)"
-        if args.format == "json":
-            _emit_json(
-                {
-                    "closed_form": result.to_record(),
-                    "oracle": None,
-                    "agreement": None,
-                    "note": note,
-                }
-            )
-        else:
-            _emit(f"period(j={args.j}, e={args.e}) = {period_text}  [{result.case_label}]\n")
-            _emit(note + "\n")
-        return EXIT_OK
-
+        return EXIT_OK, {
+            "closed_form": closed,
+            "oracle": None,
+            "agreement": None,
+            "note": "oracle skipped: modulus F_j is below 2 (base case)",
+        }
+    _require_printable_fib(args.j)
     trace = minimal_period_bruteforce(args.j, args.e, j_max=args.j_max)
     agreement = trace.power_period == result.period
-    if args.format == "json":
-        _emit_json(
-            {
-                "closed_form": result.to_record(),
-                "oracle": trace.to_record(),
-                "agreement": agreement,
-            }
-        )
-    else:
-        _emit(f"period(j={args.j}, e={args.e}) = {period_text}  [{result.case_label}]\n")
-        _emit(f"oracle: pisano={trace.pisano} power_period={trace.power_period}\n")
-        _emit(f"agreement: {'yes' if agreement else 'NO'}\n")
-    return EXIT_OK if agreement else EXIT_DISAGREEMENT
+    return EXIT_OK if agreement else EXIT_DISAGREEMENT, {
+        "closed_form": closed,
+        "oracle": trace.to_record(),
+        "agreement": agreement,
+    }
+
+
+def _period_plain(rec: dict) -> list[str]:
+    closed = rec.get("closed_form", rec)
+    lines = [
+        f"period(j={closed['j']}, e={closed['e']}) = {closed['outcome']}  "
+        f"[{closed['case_label']}]"
+    ]
+    if "note" in rec:
+        lines.append(rec["note"])
+    elif "oracle" in rec:
+        oracle = rec["oracle"]
+        lines.append(f"oracle: pisano={oracle['pisano']} power_period={oracle['power_period']}")
+        lines.append(f"agreement: {'yes' if rec['agreement'] else 'NO'}")
+    return lines
 
 
 # -------------------------------------------------------------------- table
@@ -159,15 +165,7 @@ _BASE_CASE_TEXT = {
 _BASE_CASE_ROWS = {1: [0], 2: [0], 3: [0, 1, 1]}
 
 
-def _emit_csv_rows(residues) -> None:
-    # fixed schema: header i,rho then one row per index, LF line endings,
-    # exactly one trailing LF
-    lines = ["i,rho"]
-    lines.extend(f"{i},{r}" for i, r in enumerate(residues))
-    _emit("\n".join(lines) + "\n")
-
-
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple[int, dict]:
     if args.j < 0:
         raise OutOfDomainError(f"j must be nonnegative, got {args.j}")
     if args.e < 1:
@@ -176,21 +174,11 @@ def cmd_table(args) -> int:
     if args.j < 4:
         if args.annotate:
             raise _UsageError("--annotate applies to closed-form tables (j >= 4)")
-        text = _BASE_CASE_TEXT[args.j]
-        if args.format == "json":
-            _emit_json({"j": args.j, "e": args.e, "base_case": text})
-        elif args.format == "csv":
-            if args.j == 0:
-                raise _UsageError(
-                    "j = 0 has no finite residue table; use plain or json"
-                )
-            _emit_csv_rows(_BASE_CASE_ROWS[args.j])
-        else:
-            _emit(f"table(j={args.j}, e={args.e}): {text}\n")
-        return EXIT_OK
+        return EXIT_OK, {"j": args.j, "e": args.e, "base_case": _BASE_CASE_TEXT[args.j]}
 
     if args.annotate and args.e > 2:
         raise _UsageError("--annotate needs e in {1, 2}; no per-entry closed form beyond")
+    _require_printable_fib(args.j)
 
     if args.e == 1:
         table = residues_e1(args.j)
@@ -198,48 +186,50 @@ def cmd_table(args) -> int:
         table = residues_e2(args.j)
     else:
         table = residues_general(args.j, args.e)
+    rec = table.to_record()
+    if args.annotate:
+        rec["case_formulas"] = list(case_breakdown(args.j, args.e))
+    return EXIT_OK, rec
 
-    if args.format == "json":
-        rec = table.to_record()
-        if args.annotate:
-            rec["case_formulas"] = list(case_breakdown(args.j, args.e))
-        _emit_json(rec)
-    elif args.format == "csv":
-        _emit_csv_rows(table.residues)
+
+def _table_plain(rec: dict) -> list[str]:
+    if "base_case" in rec:
+        return [f"table(j={rec['j']}, e={rec['e']}): {rec['base_case']}"]
+    lines = [f"# j={rec['j']} e={rec['e']} modulus={rec['modulus']} period={rec['period']}"]
+    if "case_formulas" in rec:
+        rows = zip(rec["residues"], rec["case_formulas"])
+        lines.extend(f"{i} {r} {label}" for i, (r, label) in enumerate(rows))
     else:
-        _emit(
-            f"# j={table.j} e={table.e} modulus={table.modulus} period={table.period}\n"
-        )
-        if args.annotate:
-            for i, (r, label) in enumerate(
-                zip(table.residues, case_breakdown(args.j, args.e))
-            ):
-                _emit(f"{i} {r} {label}\n")
-        else:
-            for i, r in enumerate(table.residues):
-                _emit(f"{i} {r}\n")
-    return EXIT_OK
+        lines.extend(f"{i} {r}" for i, r in enumerate(rec["residues"]))
+    return lines
+
+
+def _table_csv(rec: dict) -> list[str]:
+    # fixed schema: header i,rho then one row per index
+    if "case_formulas" in rec:
+        raise _UsageError("--annotate applies to plain and json tables, not csv")
+    if rec["j"] == 0:
+        raise _UsageError("j = 0 has no finite residue table; use plain or json")
+    residues = _BASE_CASE_ROWS[rec["j"]] if "base_case" in rec else rec["residues"]
+    return ["i,rho", *(f"{i},{r}" for i, r in enumerate(residues))]
 
 
 # ------------------------------------------------------------------- oracle
 
 
-def cmd_oracle(args) -> int:
-    _reject_csv(args)
-    trace = minimal_period_bruteforce(args.j, args.e, j_max=args.j_max)
-    if args.format == "json":
-        _emit_json(trace.to_record())
-    else:
-        _emit(
-            f"modulus={trace.modulus} pisano={trace.pisano} "
-            f"power_period={trace.power_period}\n"
-        )
-        for check in trace.checked_divisors:
-            if check.witness_index is None:
-                _emit(f"d={check.d} {check.verdict}\n")
-            else:
-                _emit(f"d={check.d} {check.verdict} witness={check.witness_index}\n")
-    return EXIT_OK
+def cmd_oracle(args) -> tuple[int, dict]:
+    _require_printable_fib(args.j)
+    return EXIT_OK, minimal_period_bruteforce(args.j, args.e, j_max=args.j_max).to_record()
+
+
+def _oracle_plain(rec: dict) -> list[str]:
+    lines = [f"modulus={rec['modulus']} pisano={rec['pisano']} power_period={rec['power_period']}"]
+    for check in rec["checked_divisors"]:
+        line = f"d={check['d']} {check['verdict']}"
+        if "witness_index" in check:
+            line += f" witness={check['witness_index']}"
+        lines.append(line)
+    return lines
 
 
 # ------------------------------------------------------------------- verify
@@ -280,8 +270,7 @@ def _run_verify_suite(names: list[str]) -> list[VerificationReport]:
     return reports
 
 
-def cmd_verify(args) -> int:
-    _reject_csv(args)
+def cmd_verify(args) -> tuple[int, dict]:
     selected = list(args.identities) or ["all"]
     known = set(_IDENTITY_ORDER) | {"all"}
     for name in selected:
@@ -298,43 +287,33 @@ def cmd_verify(args) -> int:
         names = [n for n in _IDENTITY_ORDER if n in selected]
     reports = _run_verify_suite(names)
     failed = [r for r in reports if r.verdict not in (ALL_PASS, NOT_APPLICABLE)]
-    if args.format == "json":
-        _emit_json({"reports": [r.to_record() for r in reports], "failures": len(failed)})
-    else:
-        for r in reports:
-            if r.verdict == ALL_PASS:
-                tag = "PASS"
-            elif r.verdict == NOT_APPLICABLE:
-                tag = "N/A "
-            else:
-                tag = "FAIL"
-            line = f"{tag} {r.identity_name}: cases={r.cases_checked} ({r.domain_description})"
-            if r.verdict != ALL_PASS and r.counterexample is not None:
-                ce = r.counterexample
-                at = ", ".join(f"{k}={v}" for k, v in ce.inputs.items())
-                line += f" witness=({at}) lhs={ce.lhs} rhs={ce.rhs}"
-            _emit(line + "\n")
-        _emit(f"failures: {len(failed)}\n")
-    return EXIT_DISAGREEMENT if failed else EXIT_OK
+    return EXIT_DISAGREEMENT if failed else EXIT_OK, {
+        "reports": [r.to_record() for r in reports],
+        "failures": len(failed),
+    }
+
+
+_VERIFY_TAGS = {ALL_PASS: "PASS", NOT_APPLICABLE: "N/A "}
+
+
+def _verify_plain(rec: dict) -> list[str]:
+    lines = []
+    for r in rec["reports"]:
+        tag = _VERIFY_TAGS.get(r["verdict"], "FAIL")
+        line = f"{tag} {r['identity']}: cases={r['cases']} ({r['domain']})"
+        if r["verdict"] != ALL_PASS and "counterexample" in r:
+            ce = r["counterexample"]
+            at = ", ".join(f"{k}={v}" for k, v in ce["inputs"].items())
+            line += f" witness=({at}) lhs={ce['lhs']} rhs={ce['rhs']}"
+        lines.append(line)
+    lines.append(f"failures: {rec['failures']}")
+    return lines
 
 
 # --------------------------------------------------------------------- scan
 
 
-def _scan_cell(j: int, e: int, j_max: int) -> dict:
-    closed = period_closed_form(j, e)
-    trace = minimal_period_bruteforce(j, e, j_max=j_max)
-    return {
-        "j": j,
-        "e": e,
-        "closed_form": closed.period,
-        "oracle": trace.power_period,
-        "agree": closed.period == trace.power_period,
-    }
-
-
-def cmd_scan(args) -> int:
-    _reject_csv(args)
+def cmd_scan(args) -> tuple[int, dict]:
     j_lo, j_hi = _parse_range(args.j_range)
     e_lo, e_hi = _parse_range(args.e_range)
     if j_lo < 3:
@@ -346,24 +325,29 @@ def cmd_scan(args) -> int:
             f"scan range reaches j={j_hi}, beyond the oracle guard "
             f"j_max={args.j_max}; raise --j-max to allow it"
         )
-    cells = [(j, e) for j in range(j_lo, j_hi + 1) for e in range(e_lo, e_hi + 1)]
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda c: _scan_cell(c[0], c[1], args.j_max), cells))
-    else:
-        rows = [_scan_cell(j, e, args.j_max) for j, e in cells]
-    disagreements = sum(1 for row in rows if not row["agree"])
-    if args.format == "json":
-        _emit_json({"cells": rows, "disagreements": disagreements})
-    else:
-        for row in rows:
-            _emit(
-                f"j={row['j']} e={row['e']} closed={row['closed_form']} "
-                f"oracle={row['oracle']} agree={'yes' if row['agree'] else 'NO'}\n"
+    cells = []
+    for j in range(j_lo, j_hi + 1):
+        for e in range(e_lo, e_hi + 1):
+            closed = period_closed_form(j, e).period
+            oracle = minimal_period_bruteforce(j, e, j_max=args.j_max).power_period
+            cells.append(
+                {"j": j, "e": e, "closed_form": closed, "oracle": oracle, "agree": closed == oracle}
             )
-        _emit(f"cells={len(rows)} disagreements={disagreements}\n")
-    return EXIT_DISAGREEMENT if disagreements else EXIT_OK
+    disagreements = sum(1 for cell in cells if not cell["agree"])
+    return EXIT_DISAGREEMENT if disagreements else EXIT_OK, {
+        "cells": cells,
+        "disagreements": disagreements,
+    }
+
+
+def _scan_plain(rec: dict) -> list[str]:
+    lines = [
+        f"j={c['j']} e={c['e']} closed={c['closed_form']} "
+        f"oracle={c['oracle']} agree={'yes' if c['agree'] else 'NO'}"
+        for c in rec["cells"]
+    ]
+    lines.append(f"cells={len(rec['cells'])} disagreements={rec['disagreements']}")
+    return lines
 
 
 # -------------------------------------------------------------------- bench
@@ -378,8 +362,7 @@ def _best_time(fn, repeats: int = 7) -> float:
     return best
 
 
-def cmd_bench(args) -> int:
-    _reject_csv(args)
+def cmd_bench(args) -> tuple[int, dict]:
     m = args.modulus
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
@@ -389,28 +372,39 @@ def cmd_bench(args) -> int:
     for n in _BENCH_INDICES:
         fib_mod(n, m)  # warm-up
         t = _best_time(lambda: fib_mod(n, m))
-        timings.append((n, t))
+        timings.append({"n": str(n), "seconds": t})
         # n grows 1000x per step; logarithmic cost should barely move.
         # The 10x allowance plus a 1 ms noise floor keeps this robust.
         if prev is not None and t >= max(10 * prev, 1e-3):
             sublinear = False
         prev = t
-    if args.format == "json":
-        _emit_json(
-            {
-                "modulus": str(m),
-                "timings": [{"n": str(n), "seconds": t} for n, t in timings],
-                "sublinear": sublinear,
-            }
-        )
-    else:
-        for n, t in timings:
-            _emit(f"n={n} seconds={t:.9f}\n")
-        _emit(f"sublinear={'yes' if sublinear else 'NO'}\n")
-    return EXIT_OK if sublinear else EXIT_DISAGREEMENT
+    return EXIT_OK if sublinear else EXIT_DISAGREEMENT, {
+        "modulus": str(m),
+        "timings": timings,
+        "sublinear": sublinear,
+    }
+
+
+def _bench_plain(rec: dict) -> list[str]:
+    lines = [f"n={t['n']} seconds={t['seconds']:.9f}" for t in rec["timings"]]
+    lines.append(f"sublinear={'yes' if rec['sublinear'] else 'NO'}")
+    return lines
 
 
 # --------------------------------------------------------------------- main
+
+
+_RENDERERS = {
+    "plain": {
+        "period": _period_plain,
+        "table": _table_plain,
+        "oracle": _oracle_plain,
+        "verify": _verify_plain,
+        "scan": _scan_plain,
+        "bench": _bench_plain,
+    },
+    "csv": {"table": _table_csv},
+}
 
 
 def _build_parser() -> _Parser:
@@ -427,12 +421,6 @@ def _build_parser() -> _Parser:
         default=DEFAULT_J_MAX,
         help=f"oracle guard on j (default {DEFAULT_J_MAX})",
     )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        help="worker threads for scans (default: all processors)",
-    )
 
     parser = _Parser(
         prog="powerfib",
@@ -445,7 +433,6 @@ def _build_parser() -> _Parser:
     p.add_argument("j", type=int)
     p.add_argument("e", type=int)
     p.add_argument("--verify", action="store_true", help="certify against the oracle")
-    p.set_defaults(handler=cmd_period)
 
     p = sub.add_parser("table", parents=[common], help="full-period residue table")
     p.add_argument("j", type=int)
@@ -455,12 +442,10 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="label each entry with its closed-form formula (e in {1, 2})",
     )
-    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force period with evidence")
     p.add_argument("j", type=int)
     p.add_argument("e", type=int)
-    p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("verify", parents=[common], help="exact identity sweeps")
     p.add_argument(
@@ -469,25 +454,34 @@ def _build_parser() -> _Parser:
         metavar="identity",
         help="any of: " + ", ".join(_IDENTITY_ORDER) + ", all (default: all)",
     )
-    p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("scan", parents=[common], help="closed form vs oracle over a grid")
     p.add_argument("j_range", help="like 4..22")
     p.add_argument("e_range", help="like 1..8")
-    p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("bench", parents=[common], help="fast-doubling wall times")
     p.add_argument("--modulus", type=int, required=True)
-    p.set_defaults(handler=cmd_bench)
 
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code = args.handler(args)
+        args = _PARSER.parse_args(argv)
+        if args.format == "csv" and args.command not in _RENDERERS["csv"]:
+            raise _UsageError(
+                f"--format csv applies to residue tables only, not '{args.command}'"
+            )
+        # looked up by name on every call, so a rebound cmd_* takes effect
+        code, record = globals()[f"cmd_{args.command}"](args)
+        if args.format == "json":
+            text = json.dumps(record)
+        else:
+            text = "\n".join(_RENDERERS[args.format][args.command](record))
+        sys.stdout.write(text + "\n")
         # flush here so a closed pipe raises inside this try, not at exit
         sys.stdout.flush()
         return code

@@ -52,15 +52,6 @@ class FibPair:
     f_n1: int
     modulus: int
 
-    def step(self) -> FibPair:
-        """The pair one index later; one application of the recurrence."""
-        return FibPair(
-            n=self.n + 1,
-            f_n=self.f_n1,
-            f_n1=(self.f_n + self.f_n1) % self.modulus,
-            modulus=self.modulus,
-        )
-
 
 def fib_pair_mod(n: int, m: int) -> FibPair:
     """(F_n, F_{n+1}) mod m by fast doubling over the bits of n, MSB first.

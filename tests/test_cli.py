@@ -9,7 +9,8 @@ import pytest
 import powerfib
 import powerfib.cli as cli
 from powerfib.cli import main
-from powerfib.fibcore import fib_exact
+from powerfib.errors import ResourceGuardError
+from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import ALL_PASS, COUNTEREXAMPLE, Counterexample, VerificationReport
 from powerfib.oracle import minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult
@@ -19,6 +20,139 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+_ORACLE_9_5 = (
+    '{"modulus": "34", "pisano": 36, "power_period": 36, "checked_divisors": ['
+    '{"d": 1, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 2, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 3, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 4, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 6, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 9, "verdict": "fails", "witness_index": 1}, '
+    '{"d": 12, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 18, "verdict": "fails", "witness_index": 1}, '
+    '{"d": 36, "verdict": "holds"}]}'
+)
+
+_ZERO_POSITIONS_DOMAIN = "j in {4..20} minus 6, e in [1, 5], i <= 5*j"
+
+# exact bytes of one invocation per subcommand and accepted format
+EXACT_OUTPUTS = [
+    ("period 9 5", 0, "period(j=9, e=5) = 36  [ODD_ODD]\n"),
+    (
+        "period 9 5 --format json",
+        0,
+        '{"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}\n',
+    ),
+    (
+        "period 9 5 --verify",
+        0,
+        "period(j=9, e=5) = 36  [ODD_ODD]\n"
+        "oracle: pisano=36 power_period=36\n"
+        "agreement: yes\n",
+    ),
+    (
+        "period 9 5 --verify --format json",
+        0,
+        '{"closed_form": {"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}, '
+        f'"oracle": {_ORACLE_9_5}, "agreement": true}}\n',
+    ),
+    (
+        "period 2 4 --verify",
+        0,
+        "period(j=2, e=4) = 1  [J1_J2]\n"
+        "oracle skipped: modulus F_j is below 2 (base case)\n",
+    ),
+    (
+        "period 2 4 --verify --format json",
+        0,
+        '{"closed_form": {"j": 2, "e": 4, "outcome": 1, "case_label": "J1_J2"}, '
+        '"oracle": null, "agreement": null, '
+        '"note": "oracle skipped: modulus F_j is below 2 (base case)"}\n',
+    ),
+    (
+        "table 3 2",
+        0,
+        "table(j=3, e=2): modulus F_3 = 2: the residues repeat the block [0, 1, 1]; "
+        "the period is 3\n",
+    ),
+    (
+        "table 3 2 --format json",
+        0,
+        '{"j": 3, "e": 2, "base_case": "modulus F_3 = 2: the residues repeat the block '
+        '[0, 1, 1]; the period is 3"}\n',
+    ),
+    ("table 3 2 --format csv", 0, "i,rho\n0,0\n1,1\n2,1\n"),
+    (
+        "table 6 1 --annotate --format json",
+        0,
+        '{"j": 6, "e": 1, "modulus": "8", "period": 12, '
+        '"residues": ["0", "1", "1", "2", "3", "5", "0", "5", "5", "2", "7", "1"], '
+        '"case_formulas": ["F[0]", "F[1]", "F[2]", "F[3]", "F[4]", "F[5]", "0", '
+        '"F[5]", "Fj-F[4]", "F[3]", "Fj-F[2]", "F[1]"]}\n',
+    ),
+    (
+        "oracle 6 2",
+        0,
+        "modulus=8 pisano=12 power_period=6\n"
+        "d=1 fails witness=0\nd=2 fails witness=0\nd=3 fails witness=0\n"
+        "d=4 fails witness=0\nd=6 holds\n",
+    ),
+    (
+        "oracle 6 2 --format json",
+        0,
+        '{"modulus": "8", "pisano": 12, "power_period": 6, "checked_divisors": ['
+        '{"d": 1, "verdict": "fails", "witness_index": 0}, '
+        '{"d": 2, "verdict": "fails", "witness_index": 0}, '
+        '{"d": 3, "verdict": "fails", "witness_index": 0}, '
+        '{"d": 4, "verdict": "fails", "witness_index": 0}, '
+        '{"d": 6, "verdict": "holds"}]}\n',
+    ),
+    (
+        "scan 4..6 1..2",
+        0,
+        "j=4 e=1 closed=8 oracle=8 agree=yes\nj=4 e=2 closed=4 oracle=4 agree=yes\n"
+        "j=5 e=1 closed=20 oracle=20 agree=yes\nj=5 e=2 closed=10 oracle=10 agree=yes\n"
+        "j=6 e=1 closed=12 oracle=12 agree=yes\nj=6 e=2 closed=6 oracle=6 agree=yes\n"
+        "cells=6 disagreements=0\n",
+    ),
+    (
+        "scan 4..6 1..2 --format json",
+        0,
+        '{"cells": ['
+        '{"j": 4, "e": 1, "closed_form": 8, "oracle": 8, "agree": true}, '
+        '{"j": 4, "e": 2, "closed_form": 4, "oracle": 4, "agree": true}, '
+        '{"j": 5, "e": 1, "closed_form": 20, "oracle": 20, "agree": true}, '
+        '{"j": 5, "e": 2, "closed_form": 10, "oracle": 10, "agree": true}, '
+        '{"j": 6, "e": 1, "closed_form": 12, "oracle": 12, "agree": true}, '
+        '{"j": 6, "e": 2, "closed_form": 6, "oracle": 6, "agree": true}], '
+        '"disagreements": 0}\n',
+    ),
+    (
+        "verify zero_positions",
+        0,
+        f"PASS zero_positions: cases=5030 ({_ZERO_POSITIONS_DOMAIN})\n"
+        "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30)"
+        " witness=(j=6, e=3, i=3) lhs=1 rhs=0\n"
+        "failures: 0\n",
+    ),
+    (
+        "verify zero_positions --format json",
+        0,
+        '{"reports": [{"identity": "zero_positions", '
+        f'"domain": "{_ZERO_POSITIONS_DOMAIN}", "cases": 5030, "verdict": "all_pass"}}, '
+        '{"identity": "zero_positions_j6_exclusion", "domain": "j = 6, e = 3, i <= 30", '
+        '"cases": 31, "verdict": "not_applicable", '
+        '"counterexample": {"inputs": {"j": 6, "e": 3, "i": 3}, "lhs": "1", "rhs": "0"}}], '
+        '"failures": 0}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(("command", "code", "stdout"), EXACT_OUTPUTS, ids=[c for c, _, _ in EXACT_OUTPUTS])
+def test_exact_output(capsys, command, code, stdout):
+    assert run(capsys, *command.split()) == (code, stdout, "")
 
 
 def test_period_plain(capsys):
@@ -138,6 +272,15 @@ def test_table_annotate_needs_small_exponent(capsys):
     assert err == "error: --annotate needs e in {1, 2}; no per-entry closed form beyond\n"
 
 
+def test_table_annotate_rejects_csv(capsys):
+    # csv has no column for the labels
+    assert run(capsys, "table", "6", "1", "--annotate", "--format", "csv") == (
+        1,
+        "",
+        "error: --annotate applies to plain and json tables, not csv\n",
+    )
+
+
 def test_table_base_cases(capsys):
     rc, out, _ = run(capsys, "table", "2", "1")
     assert rc == 0
@@ -154,6 +297,77 @@ def test_table_general_exponent(capsys):
     assert rc == 0
     rows = [line.split() for line in out.splitlines()[1:]]
     assert [r[1] for r in rows] == ["0", "1", "1", "0", "3", "5", "0", "5", "5", "0", "7", "1"]
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on printing an integer: 4300 decimal digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on printing an integer")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "table 20578 1",
+        "oracle 20578 1 --j-max 20578",
+        "period 20578 1 --verify --j-max 20578 --format json",
+    ],
+)
+def test_modulus_too_wide_to_print_trips_guard(capsys, digit_limit, command):
+    # F_20578 has 4301 digits
+    rc, out, err = run(capsys, *command.split())
+    assert (rc, out) == (3, "")
+    assert err == (
+        "resource guard: F_20578 has more than 4300 decimal digits, "
+        "the most this Python prints (sys.set_int_max_str_digits)\n"
+    )
+
+
+def test_widest_printable_modulus_runs(capsys, digit_limit):
+    # F_20577 has exactly 4300 digits
+    rc, out, err = run(capsys, "oracle", "20577", "1", "--j-max", "20577")
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"modulus={fib_exact(20577)} pisano=")
+
+
+def test_digit_guard_is_exact_near_the_limit(digit_limit):
+    sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+    for j, f in enumerate(fib_prefix(3100)):
+        if f >= 10**640:
+            with pytest.raises(ResourceGuardError):
+                cli._require_printable_fib(j)
+        else:
+            cli._require_printable_fib(j)
+    sys.set_int_max_str_digits(0)  # no limit
+    cli._require_printable_fib(10**6)
+
+
+class _CountingStdout:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["table 40 3", "table 40 1 --annotate", "table 40 2 --format csv", "scan 4..6 1..2 --format json"],
+)
+def test_success_is_one_write(monkeypatch, command):
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(command.split()) == 0
+    assert len(stdout.writes) == 1
 
 
 def test_table_closed_pipe_exits_quietly():
@@ -208,13 +422,6 @@ def test_scan_json(capsys):
     ]
 
 
-def test_scan_jobs_do_not_change_output(capsys):
-    serial = run(capsys, "scan", "4..10", "1..4", "--jobs", "1")
-    parallel = run(capsys, "scan", "4..10", "1..4", "--jobs", "4")
-    assert serial == parallel
-    assert serial[0] == 0
-
-
 def test_scan_single_point_range(capsys):
     rc, out, _ = run(capsys, "scan", "7", "2")
     assert rc == 0
@@ -236,6 +443,9 @@ def test_scan_usage_errors(capsys):
     rc, _, err = run(capsys, "scan", "4-8", "1..2")
     assert rc == 1
     assert err == "error: range must look like 'a..b' or 'a', got '4-8'\n"
+    rc, _, err = run(capsys, "scan", "4..8", "1..2", "--jobs", "2")
+    assert rc == 1
+    assert err == "error: unrecognized arguments: --jobs 2\n"
 
 
 def test_verify_single_identity(capsys):

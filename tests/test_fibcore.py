@@ -116,16 +116,6 @@ def test_pow_mod_rejects_negative_base_and_exponent():
         pow_mod(2, -3, 7)
 
 
-def test_fibpair_step_preserves_recurrence():
-    p = fib_pair_mod(9, 50)
-    q = p.step()
-    assert q.n == 10
-    assert q.f_n == p.f_n1
-    assert q.f_n1 == (p.f_n + p.f_n1) % 50
-    r = fib_pair_mod(10, 50)
-    assert (q.f_n, q.f_n1) == (r.f_n, r.f_n1)
-
-
 def test_fibpair_residues_normalized():
     for n in (0, 1, 17, 10**9):
         p = fib_pair_mod(n, 97)
