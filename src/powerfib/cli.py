@@ -17,7 +17,8 @@ which returns the output lines.  Either way `main` writes the whole text
 with a single `sys.stdout.write`; a failure writes nothing to stdout and
 one line to stderr.  Python refuses to print an integer wider than
 `sys.get_int_max_str_digits()` digits, so a request whose modulus F_j is
-that wide trips the resource guard before any work.
+that wide trips the resource guard before any work, and so does a `scan`
+over more than `SCAN_MAX_CELLS` (j, e) cells.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ EXIT_DISAGREEMENT = 2
 EXIT_GUARD = 3
 
 _BENCH_INDICES = (10**6, 10**9, 10**12, 10**15, 10**18)
+
+# the most (j, e) cells one scan checks; admits `scan 3..1000 1..8` (7984)
+SCAN_MAX_CELLS = 10_000
 
 _IDENTITY_ORDER = (
     "gcd",
@@ -324,6 +328,13 @@ def cmd_scan(args) -> tuple[int, dict]:
         raise ResourceGuardError(
             f"scan range reaches j={j_hi}, beyond the oracle guard "
             f"j_max={args.j_max}; raise --j-max to allow it"
+        )
+    # the message shows the factors: their product may be too wide to print
+    j_count, e_count = j_hi - j_lo + 1, e_hi - e_lo + 1
+    if j_count * e_count > SCAN_MAX_CELLS:
+        raise ResourceGuardError(
+            f"scan range has {j_count} x {e_count} cells, more than the limit of "
+            f"{SCAN_MAX_CELLS}; narrow the j or e range"
         )
     cells = []
     for j in range(j_lo, j_hi + 1):

@@ -23,6 +23,8 @@ NOT_APPLICABLE = "not_applicable"
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_J_FACT_MAX = 80
+# sweep_gcd reads a prefix up to this index (about 5 MB), F_i one by one beyond
+_GCD_PREFIX_MAX = 10_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -67,16 +69,30 @@ class VerificationReport:
 
 # ---------------------------------------------------------------- identities
 #
-# Each identity has an evaluator returning (lhs, rhs) so that sweeps can
-# record real two-sided counterexamples; the check_* wrappers just compare.
+# Each identity is written once, in an evaluator that checks its domain,
+# reads exact values from fs (fs[i] = F_i) and returns (lhs, rhs), for the
+# square lemma each of its four parts' (lhs, rhs), so that sweeps can record
+# real two-sided counterexamples.  A sweep builds one prefix [F_0, F_1, ...]
+# for its whole domain and hands it to every case; a check_* call hands none,
+# and the evaluator builds what its one case needs.
 
 
-def _eval_gcd(n: int, m: int) -> tuple[int, int]:
+class _ExactValues(dict):
+    """F_i for any index asked for, computed once on first use: what the gcd
+    law reads where a prefix to its largest index would be too big."""
+
+    def __missing__(self, i: int) -> int:
+        self[i] = value = fib_exact(i)
+        return value
+
+
+def _eval_gcd(n: int, m: int, fs: list[int] | dict[int, int] | None = None) -> tuple[int, int]:
     if n < 0 or m < 0:
         raise OutOfDomainError(f"indices must be nonnegative, got ({n}, {m})")
     if n == 0 and m == 0:
         raise OutOfDomainError("gcd(F_0, F_0) = gcd(0, 0) is undefined")
-    return math.gcd(fib_exact(n), fib_exact(m)), fib_exact(math.gcd(n, m))
+    fs = _ExactValues() if fs is None else fs
+    return math.gcd(fs[n], fs[m]), fs[math.gcd(n, m)]
 
 
 def check_gcd_identity(n: int, m: int) -> bool:
@@ -85,12 +101,12 @@ def check_gcd_identity(n: int, m: int) -> bool:
     return lhs == rhs
 
 
-def _eval_addition(n: int, m: int) -> tuple[int, int]:
+def _eval_addition(n: int, m: int, fs: list[int] | None = None) -> tuple[int, int]:
     if n < 1:
         raise OutOfDomainError(f"n must be at least 1 (F_(n-1) is used), got {n}")
     if m < 0:
         raise OutOfDomainError(f"m must be nonnegative, got {m}")
-    fs = fib_prefix(n + m + 2)
+    fs = fib_prefix(n + m + 2) if fs is None else fs
     return fs[n + m], fs[n - 1] * fs[m] + fs[n] * fs[m + 1]
 
 
@@ -100,10 +116,10 @@ def check_addition(n: int, m: int) -> bool:
     return lhs == rhs
 
 
-def _eval_catalan(n: int, r: int) -> tuple[int, int]:
+def _eval_catalan(n: int, r: int, fs: list[int] | None = None) -> tuple[int, int]:
     if r < 0 or n < r:
         raise OutOfDomainError(f"need n >= r >= 0, got (n={n}, r={r})")
-    fs = fib_prefix(n + r + 1)
+    fs = fib_prefix(n + r + 1) if fs is None else fs
     lhs = fs[n] ** 2 - fs[n - r] * fs[n + r]
     rhs = (-1) ** (n - r) * fs[r] ** 2
     return lhs, rhs
@@ -115,10 +131,10 @@ def check_catalan(n: int, r: int) -> bool:
     return lhs == rhs
 
 
-def _eval_cassini(n: int) -> tuple[int, int]:
+def _eval_cassini(n: int, fs: list[int] | None = None) -> tuple[int, int]:
     if n < 1:
         raise OutOfDomainError(f"n must be at least 1, got {n}")
-    fs = fib_prefix(n + 2)
+    fs = fib_prefix(n + 2) if fs is None else fs
     return fs[n] ** 2 - fs[n - 1] * fs[n + 1], (-1) ** (n - 1)
 
 
@@ -140,38 +156,39 @@ class SquareLemmaVerdict(NamedTuple):
         return all(self)
 
 
-def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
-    """Exact check of all four parts, for k >= 2 and 0 <= alpha <= k."""
+def _square_lemma_sides(
+    k: int, alpha: int, fs: list[int] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """Each part's (lhs, rhs) at (k, alpha), in SquareLemmaVerdict's order:
+    a bound holds when lhs < rhs, a congruence when its reduced sides agree."""
     if k < 2:
         raise OutOfDomainError(f"k must be at least 2, got {k}")
     if alpha < 0 or alpha > k:
         raise OutOfDomainError(f"need 0 <= alpha <= k, got alpha={alpha}, k={k}")
-    fs = fib_prefix(2 * k + 2)
-    return SquareLemmaVerdict(
-        bound_even_index=fs[k] ** 2 < fs[2 * k],
-        congruence_even_index=(fs[k + alpha] ** 2 - fs[k - alpha] ** 2) % fs[2 * k] == 0,
-        bound_odd_index=fs[k + 1] ** 2 < fs[2 * k + 1],
-        congruence_odd_index=(fs[k + 1 + alpha] ** 2 + fs[k - alpha] ** 2) % fs[2 * k + 1] == 0,
+    fs = fib_prefix(2 * k + 2) if fs is None else fs
+    f_2k, f_2k1 = fs[2 * k], fs[2 * k + 1]
+    return (
+        (fs[k] ** 2, f_2k),
+        (fs[k + alpha] ** 2 % f_2k, fs[k - alpha] ** 2 % f_2k),
+        (fs[k + 1] ** 2, f_2k1),
+        (fs[k + 1 + alpha] ** 2 % f_2k1, (-(fs[k - alpha] ** 2)) % f_2k1),
     )
 
 
-def _eval_square_lemma(k: int, alpha: int) -> tuple[int, int]:
-    """(lhs, rhs) of the first failing part, or (0, 0) when all hold.
+def check_square_lemma(k: int, alpha: int, fs: list[int] | None = None) -> SquareLemmaVerdict:
+    """Exact check of all four parts, for k >= 2 and 0 <= alpha <= k; a sweep
+    hands in its prefix fs."""
+    (a, b), (c, d), (e, f), (g, h) = _square_lemma_sides(k, alpha, fs)
+    return SquareLemmaVerdict(a < b, c == d, e < f, g == h)
 
-    Bound parts claim lhs < rhs is witnessed by lhs != rhs after clamping;
-    the congruence parts reduce both sides mod the relevant F index.
-    """
-    verdict = check_square_lemma(k, alpha)
+
+def _eval_square_lemma(k: int, alpha: int, fs: list[int] | None = None) -> tuple[int, int]:
+    """(lhs, rhs) of the first part check_square_lemma finds failing, or (0, 0)."""
+    verdict = check_square_lemma(k, alpha, fs)
     if verdict.all_hold():
         return 0, 0
-    fs = fib_prefix(2 * k + 2)
-    if not verdict.bound_even_index:
-        return fs[k] ** 2, fs[2 * k]
-    if not verdict.congruence_even_index:
-        return fs[k + alpha] ** 2 % fs[2 * k], fs[k - alpha] ** 2 % fs[2 * k]
-    if not verdict.bound_odd_index:
-        return fs[k + 1] ** 2, fs[2 * k + 1]
-    return fs[k + 1 + alpha] ** 2 % fs[2 * k + 1], (-(fs[k - alpha] ** 2)) % fs[2 * k + 1]
+    sides = _square_lemma_sides(k, alpha, fs)
+    return next(pair for holds, pair in zip(verdict, sides) if not holds)
 
 
 @dataclass(frozen=True)
@@ -366,11 +383,13 @@ def _equation_sweep(
     domain: str,
     inputs_list: Iterable[dict[str, int]],
     evaluate: Callable[..., tuple[int, int]],
+    fs: list[int] | dict[int, int],
 ) -> VerificationReport:
+    """Evaluate every case on the same exact values fs, where fs[i] = F_i."""
     count = 0
     for inputs in inputs_list:
         count += 1
-        lhs, rhs = evaluate(**inputs)
+        lhs, rhs = evaluate(**inputs, fs=fs)
         if lhs != rhs:
             return VerificationReport(
                 name, domain, count, COUNTEREXAMPLE, Counterexample(inputs, lhs, rhs)
@@ -380,11 +399,13 @@ def _equation_sweep(
 
 def sweep_gcd(pairs: Iterable[tuple[int, int]] | None = None) -> VerificationReport:
     pairs = gcd_sample_pairs() if pairs is None else list(pairs)
+    top = max([0, *(max(pair) for pair in pairs)])
     return _equation_sweep(
         "gcd",
         f"{len(pairs)} sampled index pairs",
         ({"n": n, "m": m} for n, m in pairs),
         _eval_gcd,
+        fib_prefix(top + 1) if top <= _GCD_PREFIX_MAX else _ExactValues(),
     )
 
 
@@ -394,6 +415,7 @@ def sweep_addition(n_max: int = 80, m_max: int = 80) -> VerificationReport:
         f"n in [1, {n_max}], m in [0, {m_max}]",
         ({"n": n, "m": m} for n in range(1, n_max + 1) for m in range(m_max + 1)),
         _eval_addition,
+        fib_prefix(max(n_max + m_max + 2, 0)),
     )
 
 
@@ -403,6 +425,7 @@ def sweep_catalan(n_max: int = 80) -> VerificationReport:
         f"0 <= r <= n <= {n_max}",
         ({"n": n, "r": r} for n in range(n_max + 1) for r in range(n + 1)),
         _eval_catalan,
+        fib_prefix(max(2 * n_max + 1, 0)),
     )
 
 
@@ -412,6 +435,7 @@ def sweep_cassini(n_max: int = 120) -> VerificationReport:
         f"n in [1, {n_max}]",
         ({"n": n} for n in range(1, n_max + 1)),
         _eval_cassini,
+        fib_prefix(max(n_max + 2, 0)),
     )
 
 
@@ -421,6 +445,7 @@ def sweep_square_lemma(k_max: int = 30) -> VerificationReport:
         f"k in [2, {k_max}], alpha in [0, k]",
         ({"k": k, "alpha": a} for k in range(2, k_max + 1) for a in range(k + 1)),
         _eval_square_lemma,
+        fib_prefix(max(2 * k_max + 2, 0)),
     )
 
 

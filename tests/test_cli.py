@@ -12,7 +12,7 @@ from powerfib.cli import main
 from powerfib.errors import ResourceGuardError
 from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import ALL_PASS, COUNTEREXAMPLE, Counterexample, VerificationReport
-from powerfib.oracle import minimal_period_bruteforce
+from powerfib.oracle import OracleTrace, minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult
 
 
@@ -36,6 +36,38 @@ _ORACLE_9_5 = (
 )
 
 _ZERO_POSITIONS_DOMAIN = "j in {4..20} minus 6, e in [1, 5], i <= 5*j"
+
+_VERIFY_DEFAULT_PLAIN = (
+    "PASS gcd: cases=200 (200 sampled index pairs)\n"
+    "PASS addition: cases=6480 (n in [1, 80], m in [0, 80])\n"
+    "PASS catalan: cases=3321 (0 <= r <= n <= 80)\n"
+    "PASS cassini: cases=120 (n in [1, 120])\n"
+    "PASS square_lemma: cases=493 (k in [2, 30], alpha in [0, k])\n"
+    f"PASS zero_positions: cases=5030 ({_ZERO_POSITIONS_DOMAIN})\n"
+    "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30)"
+    " witness=(j=6, e=3, i=3) lhs=1 rhs=0\n"
+    "PASS carmichael: cases=38 (j in [3, 40], expected exceptions [6, 12])\n"
+    "failures: 0\n"
+)
+
+_VERIFY_DEFAULT_JSON = (
+    '{"reports": ['
+    '{"identity": "gcd", "domain": "200 sampled index pairs", "cases": 200, "verdict": "all_pass"}, '
+    '{"identity": "addition", "domain": "n in [1, 80], m in [0, 80]", "cases": 6480, '
+    '"verdict": "all_pass"}, '
+    '{"identity": "catalan", "domain": "0 <= r <= n <= 80", "cases": 3321, "verdict": "all_pass"}, '
+    '{"identity": "cassini", "domain": "n in [1, 120]", "cases": 120, "verdict": "all_pass"}, '
+    '{"identity": "square_lemma", "domain": "k in [2, 30], alpha in [0, k]", "cases": 493, '
+    '"verdict": "all_pass"}, '
+    f'{{"identity": "zero_positions", "domain": "{_ZERO_POSITIONS_DOMAIN}", "cases": 5030, '
+    '"verdict": "all_pass"}, '
+    '{"identity": "zero_positions_j6_exclusion", "domain": "j = 6, e = 3, i <= 30", '
+    '"cases": 31, "verdict": "not_applicable", '
+    '"counterexample": {"inputs": {"j": 6, "e": 3, "i": 3}, "lhs": "1", "rhs": "0"}}, '
+    '{"identity": "carmichael", "domain": "j in [3, 40], expected exceptions [6, 12]", '
+    '"cases": 38, "verdict": "all_pass"}], '
+    '"failures": 0}\n'
+)
 
 # exact bytes of one invocation per subcommand and accepted format
 EXACT_OUTPUTS = [
@@ -147,6 +179,8 @@ EXACT_OUTPUTS = [
         '"counterexample": {"inputs": {"j": 6, "e": 3, "i": 3}, "lhs": "1", "rhs": "0"}}], '
         '"failures": 0}\n',
     ),
+    ("verify", 0, _VERIFY_DEFAULT_PLAIN),
+    ("verify --format json", 0, _VERIFY_DEFAULT_JSON),
 ]
 
 
@@ -434,6 +468,36 @@ def test_scan_guard(capsys):
     assert "j_max=25" in err
     rc, out, _ = run(capsys, "scan", "25..26", "1..1", "--j-max", "26")
     assert rc == 0
+
+
+def _no_oracle(*args, **kwargs):
+    raise AssertionError("the scan guard let the oracle run")
+
+
+def test_scan_cell_guard_rejects_before_any_work(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "minimal_period_bruteforce", _no_oracle)
+    for e_range, e_count in (("1..200000", 200000), ("1..1000000000000", 1000000000000)):
+        assert run(capsys, "scan", "3..3", e_range) == (
+            3,
+            "",
+            f"resource guard: scan range has 1 x {e_count} cells, more than the limit of "
+            f"{cli.SCAN_MAX_CELLS}; narrow the j or e range\n",
+        )
+    assert run(capsys, "scan", "3..12", "1..1001")[0] == 3
+
+
+def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
+    # a stub oracle, so the 7984-cell grid costs nothing
+    monkeypatch.setattr(
+        cli,
+        "minimal_period_bruteforce",
+        lambda j, e, j_max: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
+    )
+    rc, out, _ = run(capsys, "scan", "3..1000", "1..8", "--j-max", "1000")
+    assert (rc, out.splitlines()[-1]) == (0, "cells=7984 disagreements=0")
+    rc, out, _ = run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS}")
+    assert (rc, out.splitlines()[-1]) == (0, f"cells={cli.SCAN_MAX_CELLS} disagreements=0")
+    assert run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS + 1}")[0] == 3
 
 
 def test_scan_usage_errors(capsys):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import contextlib
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import powerfib.identities as identities
@@ -124,8 +125,8 @@ def test_square_lemma_full_grid():
 def test_square_lemma_sweep_reports_first_failing_part(monkeypatch):
     real = identities.check_square_lemma
 
-    def broken_at_3_0(k, alpha):
-        verdict = real(k, alpha)
+    def broken_at_3_0(k, alpha, fs=None):
+        verdict = real(k, alpha, fs)
         if (k, alpha) == (3, 0):
             return verdict._replace(bound_even_index=False)
         return verdict
@@ -136,6 +137,152 @@ def test_square_lemma_sweep_reports_first_failing_part(monkeypatch):
     assert report.cases_checked == 4
     # the sides of the failing part: F_3^2 = 4 against F_6 = 8
     assert report.counterexample == Counterexample({"k": 3, "alpha": 0}, 4, 8)
+
+
+def test_addition_sweep_reports_failing_case(monkeypatch):
+    real = identities._eval_addition
+
+    def broken_at_3_2(n, m, fs=None):
+        lhs, rhs = real(n, m, fs)
+        return (lhs, rhs + 1) if (n, m) == (3, 2) else (lhs, rhs)
+
+    monkeypatch.setattr(identities, "_eval_addition", broken_at_3_2)
+    report = sweep_addition(5, 5)
+    assert report.verdict == COUNTEREXAMPLE
+    # n = 1 and n = 2 give six cases each, then m = 0, 1, 2 at n = 3
+    assert report.cases_checked == 15
+    # F_5 = 5 against F_2 F_2 + F_3 F_3 = 5, pushed to 6
+    assert report.counterexample == Counterexample({"n": 3, "m": 2}, 5, 6)
+
+
+def test_catalan_sweep_reports_failing_case(monkeypatch):
+    real = identities._eval_catalan
+
+    def broken_at_4_2(n, r, fs=None):
+        lhs, rhs = real(n, r, fs)
+        return (lhs, -rhs) if (n, r) == (4, 2) else (lhs, rhs)
+
+    monkeypatch.setattr(identities, "_eval_catalan", broken_at_4_2)
+    report = sweep_catalan(6)
+    assert report.verdict == COUNTEREXAMPLE
+    # 1 + 2 + 3 + 4 cases for n < 4, then r = 0, 1, 2 at n = 4
+    assert report.cases_checked == 13
+    # F_4^2 - F_2 F_6 = 9 - 8 = 1 against (+1) F_2^2 = 1, negated
+    assert report.counterexample == Counterexample({"n": 4, "r": 2}, 1, -1)
+
+
+@contextlib.contextmanager
+def recording_fib_calls():
+    """Count identities' fib_exact calls and keep each prefix fib_prefix builds."""
+    real_prefix, real_exact = identities.fib_prefix, identities.fib_exact
+    calls = {"fib_exact": 0, "prefixes": []}
+
+    def prefix(count):
+        calls["prefixes"].append(real_prefix(count))
+        return calls["prefixes"][-1]
+
+    def exact(n):
+        calls["fib_exact"] += 1
+        return real_exact(n)
+
+    identities.fib_prefix, identities.fib_exact = prefix, exact
+    try:
+        yield calls
+    finally:
+        identities.fib_prefix, identities.fib_exact = real_prefix, real_exact
+
+
+@pytest.mark.parametrize(
+    ("sweep", "args"),
+    [
+        (sweep_addition, (30, 30)),
+        (sweep_catalan, (30,)),
+        (sweep_cassini, (30,)),
+        (sweep_square_lemma, (10,)),
+        (sweep_gcd, ()),
+    ],
+    ids=["addition", "catalan", "cassini", "square_lemma", "gcd"],
+)
+def test_each_sweep_builds_at_most_one_prefix(sweep, args):
+    with recording_fib_calls() as calls:
+        assert sweep(*args).passed
+    assert len(calls["prefixes"]) <= 1
+    if sweep is sweep_gcd:
+        assert calls["fib_exact"] == 0
+
+
+def test_gcd_on_a_large_index_builds_no_prefix():
+    # a prefix to F_50000 would hold about 125 MB; the two values it needs, 9 kB
+    with recording_fib_calls() as calls:
+        assert check_gcd_identity(50_000, 1)
+    assert calls == {"fib_exact": 2, "prefixes": []}
+    top = identities._GCD_PREFIX_MAX
+    with recording_fib_calls() as calls:
+        assert sweep_gcd([(top + 1, 3), (3, top + 1)]).passed
+    assert calls == {"fib_exact": 3, "prefixes": []}
+    with recording_fib_calls() as calls:
+        assert sweep_gcd([(top, 3)]).passed
+    assert calls["fib_exact"] == 0
+    assert [len(fs) for fs in calls["prefixes"]] == [top + 1]
+
+
+def sweep_prefix(sweep, *args) -> list[int]:
+    """The one prefix that sweep(*args) builds and hands to every case."""
+    with recording_fib_calls() as calls:
+        sweep(*args)
+    (fs,) = calls["prefixes"]
+    return fs
+
+
+def pair_below(lo: int, hi: int):
+    """Pairs (x, y) with lo <= x <= hi and 0 <= y <= x."""
+    return st.integers(lo, hi).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x)))
+
+
+# Each evaluator must read the same values from the prefix its sweep builds
+# as from the shortest prefix its own case needs; slack 0 puts the case on
+# the corner of the sweep's domain.
+
+
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10), st.integers(0, 10))
+@example(40, 40, 0, 0)
+def test_addition_reads_sweep_prefix_like_own(n, m, n_slack, m_slack):
+    fs = sweep_prefix(sweep_addition, n + n_slack, m + m_slack)
+    assert identities._eval_addition(n, m, fs) == identities._eval_addition(n, m)
+
+
+@given(pair_below(0, 60), st.integers(0, 10))
+@example((60, 60), 0)
+@example((60, 0), 0)
+def test_catalan_reads_sweep_prefix_like_own(n_r, slack):
+    n, r = n_r
+    fs = sweep_prefix(sweep_catalan, n + slack)
+    assert identities._eval_catalan(n, r, fs) == identities._eval_catalan(n, r)
+
+
+@given(st.integers(1, 120), st.integers(0, 10))
+@example(120, 0)
+def test_cassini_reads_sweep_prefix_like_own(n, slack):
+    fs = sweep_prefix(sweep_cassini, n + slack)
+    assert identities._eval_cassini(n, fs) == identities._eval_cassini(n)
+
+
+@given(pair_below(2, 30), st.integers(0, 10))
+@example((30, 30), 0)
+@example((30, 0), 0)
+def test_square_lemma_reads_sweep_prefix_like_own(k_alpha, slack):
+    k, alpha = k_alpha
+    fs = sweep_prefix(sweep_square_lemma, k + slack)
+    assert identities._square_lemma_sides(k, alpha, fs) == identities._square_lemma_sides(k, alpha)
+
+
+@given(st.lists(st.tuples(st.integers(0, 150), st.integers(1, 150)), min_size=1, max_size=20))
+@example([(150, 150)])
+@example([(0, 150), (150, 1)])
+def test_gcd_reads_sweep_prefix_like_own(pairs):
+    fs = sweep_prefix(sweep_gcd, pairs)
+    for n, m in pairs:
+        assert identities._eval_gcd(n, m, fs) == identities._eval_gcd(n, m)
 
 
 def test_square_lemma_domain():
