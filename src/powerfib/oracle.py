@@ -3,6 +3,12 @@
 Everything here is deliberately plain: single-step pair iteration and explicit
 divisor scans with recorded witnesses, so a disagreement with the closed-form
 route points at a real mathematical problem rather than shared code.
+
+The oracle remembers the window of its last call.  When the next call asks
+for the same j one exponent higher, as a `scan` row does, it steps that
+window up by one multiplication per entry, F_i^e = F_i^(e-1) * F_i mod F_j,
+instead of computing F_j, its Pisano period and every power again.  What it
+retains between calls is that one window: at most 4j residues below F_j.
 """
 
 from __future__ import annotations
@@ -13,6 +19,11 @@ from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
+
+# (j, e, m, p0, window) of the last call.  It is read once and replaced whole,
+# and no stored window is changed, so a caller on another thread can at worst
+# rebuild a window, never read a half-made one.
+_last_window: tuple[int, int, int, int, list[int]] | None = None
 
 
 def pisano_period(m: int) -> int:
@@ -92,6 +103,25 @@ class OracleTrace:
         }
 
 
+def _power_window(j: int, e: int) -> tuple[int, int, list[int]]:
+    """(F_j, its Pisano period p0, [F_i^e mod F_j for i < p0]) for j >= 3, e >= 1."""
+    global _last_window
+    last = _last_window
+    if last is not None and last[0] == j and last[1] == e - 1:
+        _, _, m, p0, prev = last
+        window = []
+        a, b = 0, 1
+        for r in prev:
+            window.append(r * a % m)
+            a, b = b, (a + b) % m
+    else:
+        m = fib_exact(j)
+        p0 = pisano_period(m)
+        window = sequence_prefix(j, e, p0)
+    _last_window = (j, e, m, p0, window)
+    return m, p0, window
+
+
 def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
     """Minimal period of (F_i^e mod F_j) with divisor-by-divisor evidence.
 
@@ -109,9 +139,7 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
     if e < 1:
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-    m = fib_exact(j)
-    p0 = pisano_period(m)
-    window = sequence_prefix(j, e, p0)
+    m, p0, window = _power_window(j, e)
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in _divisors(p0):

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
-import pytest
+import sys
+import threading
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from powerfib import cli, oracle
 from powerfib.errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from powerfib.fibcore import fib_exact, fib_mod, pow_mod
 from powerfib.oracle import (
     DEFAULT_J_MAX,
+    DivisorCheck,
+    OracleTrace,
     minimal_period_bruteforce,
     pisano_period,
     sequence_prefix,
@@ -103,6 +111,17 @@ def test_guard_and_domain():
         minimal_period_bruteforce(6, 0)
 
 
+def test_guard_and_domain_with_that_j_remembered():
+    minimal_period_bruteforce(30, 1, j_max=30)
+    with pytest.raises(ResourceGuardError):
+        minimal_period_bruteforce(30, 2)
+    minimal_period_bruteforce(6, 1)
+    with pytest.raises(OutOfDomainError):
+        minimal_period_bruteforce(6, 0)
+    with pytest.raises(OutOfDomainError):
+        minimal_period_bruteforce(6, -1)
+
+
 def test_guard_is_configurable():
     trace = minimal_period_bruteforce(26, 1, j_max=30)
     assert trace.power_period == 52
@@ -115,3 +134,79 @@ def test_to_record_shape():
     assert rec["power_period"] == 6
     assert rec["checked_divisors"][0] == {"d": 1, "verdict": "fails", "witness_index": 0}
     assert rec["checked_divisors"][-1] == {"d": 6, "verdict": "holds"}
+
+
+def _cold_trace(j: int, e: int) -> OracleTrace:
+    """The oracle's answer from a window built afresh, with the same divisor scan."""
+    m = fib_exact(j)
+    p0 = pisano_period(m)
+    window = sequence_prefix(j, e, p0)
+    checked = []
+    for d in (d for d in range(1, p0 + 1) if p0 % d == 0):
+        witness = next((i for i in range(p0) if window[i] != window[(i + d) % p0]), None)
+        if witness is None:
+            checked.append(DivisorCheck(d=d, verdict="holds"))
+            return OracleTrace(m, p0, d, tuple(checked))
+        checked.append(DivisorCheck(d=d, verdict="fails", witness_index=witness))
+    raise AssertionError(f"p0={p0} is not a period of F_i^{e} mod F_{j}")
+
+
+# runs of consecutive exponents at one j, as a scan row asks for them
+_runs = st.tuples(st.integers(3, 40), st.integers(1, 12), st.integers(0, 4))
+
+
+@given(st.lists(_runs, min_size=1, max_size=6))
+@example([(9, 3, 1)])  # (j, e) then (j, e + 1)
+@example([(9, 4, 0), (9, 3, 0)])  # (j, e + 1) then (j, e)
+@example([(9, 3, 0), (10, 4, 0)])  # (j, e) then (j + 1, e + 1)
+@example([(9, 3, 0), (9, 3, 0)])  # the same cell twice
+def test_remembered_window_gives_the_cold_trace(runs):
+    for j, e0, extra in runs:
+        for e in range(e0, min(e0 + extra, 12) + 1):
+            assert minimal_period_bruteforce(j, e, j_max=40) == _cold_trace(j, e), (j, e)
+
+
+def test_threads_sharing_the_remembered_window_get_cold_traces():
+    cells = [(j, e) for j in range(3, 21) for e in range(1, 9)]
+    want = {cell: _cold_trace(*cell) for cell in cells}
+    wrong = []
+
+    def worker(rows):
+        for j in rows:
+            for e in range(1, 9):
+                if minimal_period_bruteforce(j, e) != want[(j, e)]:
+                    wrong.append((j, e))
+
+    threads = [
+        threading.Thread(target=worker, args=(list(range(3 + k, 21)) * 5,)) for k in range(4)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_scan_builds_one_window_per_row(monkeypatch, capsys):
+    calls = {"pisano_period": 0, "sequence_prefix": 0}
+
+    def counted(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name))
+    assert cli.main(["scan", "20..23", "1..8", "--j-max", "25"]) == 0
+    assert capsys.readouterr().out.endswith("cells=32 disagreements=0\n")
+    assert calls == {"pisano_period": 4, "sequence_prefix": 4}

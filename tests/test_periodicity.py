@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from powerfib.errors import OutOfDomainError
 from powerfib.oracle import minimal_period_bruteforce
@@ -124,6 +126,16 @@ def test_agrees_with_bruteforce_on_small_grid():
             closed = period_closed_form(j, e).period
             brute = minimal_period_bruteforce(j, e).power_period
             assert closed == brute, (j, e, closed, brute)
+
+
+@given(st.integers(3, 200), st.integers(1, 50))
+@example(6, 1)
+@example(6, 2)
+@example(6, 3)
+@example(200, 50)
+def test_agrees_with_bruteforce_on_wide_grid(j, e):
+    brute = minimal_period_bruteforce(j, e, j_max=200).power_period
+    assert period_closed_form(j, e).period == brute
 
 
 def test_to_record_shapes():
