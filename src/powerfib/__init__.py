@@ -2,7 +2,7 @@
 certified against an independent brute-force oracle."""
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
-from .fibcore import FibPair, fib_exact, fib_mod, fib_pair_mod, fib_prefix, pow_mod
+from .fibcore import fib_exact, fib_mod, fib_pair_mod, fib_prefix, pow_mod
 from .identities import (
     Counterexample,
     PrimitiveDivisorResult,
@@ -25,12 +25,7 @@ from .oracle import (
     pisano_period,
     sequence_prefix,
 )
-from .periodicity import (
-    CASE_LABELS,
-    PeriodResult,
-    period_closed_form,
-    period_divisibility_check,
-)
+from .periodicity import CASE_LABELS, PeriodResult, period_closed_form
 from .residue_tables import (
     ResidueTable,
     case_breakdown,
@@ -46,7 +41,6 @@ __all__ = [
     "Counterexample",
     "DEFAULT_J_MAX",
     "DivisorCheck",
-    "FibPair",
     "InvalidModulusError",
     "OracleTrace",
     "OutOfDomainError",
@@ -70,7 +64,6 @@ __all__ = [
     "fib_prefix",
     "minimal_period_bruteforce",
     "period_closed_form",
-    "period_divisibility_check",
     "pisano_period",
     "pow_mod",
     "primitive_prime_divisor",

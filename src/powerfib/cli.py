@@ -60,16 +60,6 @@ _BENCH_INDICES = (10**6, 10**9, 10**12, 10**15, 10**18)
 # the most (j, e) cells one scan checks; admits `scan 3..1000 1..8` (7984)
 SCAN_MAX_CELLS = 10_000
 
-_IDENTITY_ORDER = (
-    "gcd",
-    "addition",
-    "catalan",
-    "cassini",
-    "square_lemma",
-    "zero_positions",
-    "carmichael",
-)
-
 _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 
 
@@ -252,44 +242,38 @@ def _zero_positions_j6_report() -> VerificationReport:
     )
 
 
-def _run_verify_suite(names: list[str]) -> list[VerificationReport]:
-    reports: list[VerificationReport] = []
-    for name in names:
-        if name == "gcd":
-            reports.append(sweep_gcd())
-        elif name == "addition":
-            reports.append(sweep_addition(80, 80))
-        elif name == "catalan":
-            reports.append(sweep_catalan(80))
-        elif name == "cassini":
-            reports.append(sweep_cassini(120))
-        elif name == "square_lemma":
-            reports.append(sweep_square_lemma(30))
-        elif name == "zero_positions":
-            js = [j for j in range(4, 21) if j != 6]
-            reports.append(sweep_zero_positions(js, range(1, 6)))
-            reports.append(_zero_positions_j6_report())
-        elif name == "carmichael":
-            reports.append(sweep_carmichael(3, 40))
-    return reports
+# name -> that identity's reports, in the order `verify` runs them; each
+# entry is a lambda so the sweep is looked up by name when it runs
+_VERIFY_SUITE = {
+    "gcd": lambda: [sweep_gcd()],
+    "addition": lambda: [sweep_addition(80, 80)],
+    "catalan": lambda: [sweep_catalan(80)],
+    "cassini": lambda: [sweep_cassini(120)],
+    "square_lemma": lambda: [sweep_square_lemma(30)],
+    "zero_positions": lambda: [
+        sweep_zero_positions([j for j in range(4, 21) if j != 6], range(1, 6)),
+        _zero_positions_j6_report(),
+    ],
+    "carmichael": lambda: [sweep_carmichael(3, 40)],
+}
 
 
 def cmd_verify(args) -> tuple[int, dict]:
     selected = list(args.identities) or ["all"]
-    known = set(_IDENTITY_ORDER) | {"all"}
     for name in selected:
-        if name not in known:
+        if name not in _VERIFY_SUITE and name != "all":
             raise _UsageError(
                 f"unknown identity {name!r}; choose from "
-                + ", ".join(_IDENTITY_ORDER)
+                + ", ".join(_VERIFY_SUITE)
                 + ", all"
             )
-    if "all" in selected:
-        names = list(_IDENTITY_ORDER)
-    else:
-        # de-duplicate but keep the canonical order
-        names = [n for n in _IDENTITY_ORDER if n in selected]
-    reports = _run_verify_suite(names)
+    # de-duplicated, in the suite's order
+    reports = [
+        report
+        for name, run in _VERIFY_SUITE.items()
+        if name in selected or "all" in selected
+        for report in run()
+    ]
     failed = [r for r in reports if r.verdict not in (ALL_PASS, NOT_APPLICABLE)]
     return EXIT_DISAGREEMENT if failed else EXIT_OK, {
         "reports": [r.to_record() for r in reports],
@@ -463,7 +447,7 @@ def _build_parser() -> _Parser:
         "identities",
         nargs="*",
         metavar="identity",
-        help="any of: " + ", ".join(_IDENTITY_ORDER) + ", all (default: all)",
+        help="any of: " + ", ".join(_VERIFY_SUITE) + ", all (default: all)",
     )
 
     p = sub.add_parser("scan", parents=[common], help="closed form vs oracle over a grid")
@@ -503,10 +487,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_OK
-    except _UsageError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return EXIT_USAGE
-    except (OutOfDomainError, InvalidModulusError) as err:
+    except (_UsageError, OutOfDomainError, InvalidModulusError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
     except ResourceGuardError as err:

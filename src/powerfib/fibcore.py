@@ -7,8 +7,6 @@ Keeping them independent lets each one certify the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidModulusError, OutOfDomainError
 
 
@@ -43,18 +41,8 @@ def fib_prefix(count: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FibPair:
-    """Consecutive residues (F_n mod m, F_{n+1} mod m)."""
-
-    n: int
-    f_n: int
-    f_n1: int
-    modulus: int
-
-
-def fib_pair_mod(n: int, m: int) -> FibPair:
-    """(F_n, F_{n+1}) mod m by fast doubling over the bits of n, MSB first.
+def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
+    """(F_n mod m, F_{n+1} mod m) by fast doubling over the bits of n, MSB first.
 
     Uses F_{2k} = F_k (2 F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2,
     so the cost is O(log n) multiplications however large n is.
@@ -71,12 +59,12 @@ def fib_pair_mod(n: int, m: int) -> FibPair:
                 a, b = d, (c + d) % m
             else:
                 a, b = c, d
-    return FibPair(n=n, f_n=a, f_n1=b, modulus=m)
+    return a, b
 
 
 def fib_mod(n: int, m: int) -> int:
     """F_n mod m, normalized to [0, m - 1]."""
-    return fib_pair_mod(n, m).f_n
+    return fib_pair_mod(n, m)[0]
 
 
 def pow_mod(a: int, e: int, m: int) -> int:

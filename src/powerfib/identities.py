@@ -23,8 +23,6 @@ NOT_APPLICABLE = "not_applicable"
 
 TRIAL_DIVISION_BOUND = 10**6
 DEFAULT_J_FACT_MAX = 80
-# sweep_gcd reads a prefix up to this index (about 5 MB), F_i one by one beyond
-_GCD_PREFIX_MAX = 10_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -72,27 +70,33 @@ class VerificationReport:
 # Each identity is written once, in an evaluator that checks its domain,
 # reads exact values from fs (fs[i] = F_i) and returns (lhs, rhs), for the
 # square lemma each of its four parts' (lhs, rhs), so that sweeps can record
-# real two-sided counterexamples.  A sweep builds one prefix [F_0, F_1, ...]
-# for its whole domain and hands it to every case; a check_* call hands none,
-# and the evaluator builds what its one case needs.
+# real two-sided counterexamples.  A sweep builds its values once for its
+# whole domain and hands them to every case: a prefix [F_0, F_1, ...] for the
+# dense identities, just the indices its pairs read for the gcd law.  A
+# check_* call hands none, and the evaluator builds what its one case needs.
 
 
-class _ExactValues(dict):
-    """F_i for any index asked for, computed once on first use: what the gcd
-    law reads where a prefix to its largest index would be too big."""
+def _fib_values(indices: Iterable[int]) -> dict[int, int]:
+    """{i: F_i} for each index asked for, from one walk of the recurrence up
+    to the largest, keeping only the values asked for."""
+    wanted = set(indices)
+    values = {}
+    a, b = 0, 1
+    for i in range(max(wanted, default=-1) + 1):
+        if i in wanted:
+            values[i] = a
+        a, b = b, a + b
+    return values
 
-    def __missing__(self, i: int) -> int:
-        self[i] = value = fib_exact(i)
-        return value
 
-
-def _eval_gcd(n: int, m: int, fs: list[int] | dict[int, int] | None = None) -> tuple[int, int]:
+def _eval_gcd(n: int, m: int, fs: dict[int, int] | None = None) -> tuple[int, int]:
     if n < 0 or m < 0:
         raise OutOfDomainError(f"indices must be nonnegative, got ({n}, {m})")
     if n == 0 and m == 0:
         raise OutOfDomainError("gcd(F_0, F_0) = gcd(0, 0) is undefined")
-    fs = _ExactValues() if fs is None else fs
-    return math.gcd(fs[n], fs[m]), fs[math.gcd(n, m)]
+    g = math.gcd(n, m)
+    fs = _fib_values((n, m, g)) if fs is None else fs
+    return math.gcd(fs[n], fs[m]), fs[g]
 
 
 def check_gcd_identity(n: int, m: int) -> bool:
@@ -383,9 +387,10 @@ def _equation_sweep(
     domain: str,
     inputs_list: Iterable[dict[str, int]],
     evaluate: Callable[..., tuple[int, int]],
-    fs: list[int] | dict[int, int],
+    fs: list[int] | dict[int, int] | None,
 ) -> VerificationReport:
-    """Evaluate every case on the same exact values fs, where fs[i] = F_i."""
+    """Evaluate every case on the same exact values fs, where fs[i] = F_i
+    (None for a check that reads no Fibonacci values)."""
     count = 0
     for inputs in inputs_list:
         count += 1
@@ -399,13 +404,12 @@ def _equation_sweep(
 
 def sweep_gcd(pairs: Iterable[tuple[int, int]] | None = None) -> VerificationReport:
     pairs = gcd_sample_pairs() if pairs is None else list(pairs)
-    top = max([0, *(max(pair) for pair in pairs)])
     return _equation_sweep(
         "gcd",
         f"{len(pairs)} sampled index pairs",
         ({"n": n, "m": m} for n, m in pairs),
         _eval_gcd,
-        fib_prefix(top + 1) if top <= _GCD_PREFIX_MAX else _ExactValues(),
+        _fib_values(i for n, m in pairs for i in (n, m, math.gcd(n, m))),
     )
 
 
@@ -458,6 +462,8 @@ def sweep_zero_positions(
     """
     js = list(j_values)
     es = list(e_values)
+    if not js or not es:
+        raise OutOfDomainError("the zero-position sweep needs at least one j and one e")
     if 6 in js:
         raise OutOfDomainError("j = 6 is excluded from the biconditional sweep")
     domain = f"j in {{{min(js)}..{max(js)}}} minus 6, e in [{min(es)}, {max(es)}], i <= {i_max_factor}*j"
@@ -492,19 +498,15 @@ def sweep_carmichael(
     and 3 | F_4.  Every other j in range must yield a prime.
     """
     exceptions = set(expected_exceptions)
-    domain = f"j in [{j_lo}, {j_hi}], expected exceptions {sorted(exceptions)}"
-    cases = 0
-    for j in range(j_lo, j_hi + 1):
-        result = primitive_prime_divisor(j)
-        cases += 1
-        found = 1 if result.primitive_prime is not None else 0
-        expected = 0 if j in exceptions else 1
-        if found != expected:
-            return VerificationReport(
-                "carmichael",
-                domain,
-                cases,
-                COUNTEREXAMPLE,
-                Counterexample({"j": j}, found, expected),
-            )
-    return VerificationReport("carmichael", domain, cases, ALL_PASS)
+
+    def found_and_expected(j: int, fs: None) -> tuple[int, int]:
+        found = primitive_prime_divisor(j).primitive_prime is not None
+        return int(found), int(j not in exceptions)
+
+    return _equation_sweep(
+        "carmichael",
+        f"j in [{j_lo}, {j_hi}], expected exceptions {sorted(exceptions)}",
+        ({"j": j} for j in range(j_lo, j_hi + 1)),
+        found_and_expected,
+        None,
+    )

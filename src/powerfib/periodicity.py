@@ -99,17 +99,3 @@ def period_closed_form(j: int, e: int) -> PeriodResult:
         return PeriodResult(j, e, 2 * j, CASE_ODD_E2MOD4)
     return PeriodResult(j, e, 4 * j, CASE_ODD_ODD)
 
-
-def period_divisibility_check(j: int, e: int, q: int) -> bool:
-    """Whether the period at exponent q*e divides the period at exponent e.
-
-    Raising the exponent can only coarsen the sequence, so this should hold
-    for every j >= 1, e >= 1, q >= 1.
-    """
-    if j < 1:
-        raise OutOfDomainError(f"j must be at least 1, got {j}")
-    if q < 1:
-        raise OutOfDomainError(f"multiplier must be at least 1, got {q}")
-    p_e = period_closed_form(j, e).period
-    p_qe = period_closed_form(j, q * e).period
-    return p_e % p_qe == 0

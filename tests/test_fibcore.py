@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from powerfib.errors import InvalidModulusError, OutOfDomainError
 from powerfib.fibcore import (
-    FibPair,
     fib_exact,
     fib_mod,
     fib_pair_mod,
@@ -54,20 +53,15 @@ def test_fib_exact_recurrence(n):
 
 
 def test_fib_pair_mod_examples():
-    p = fib_pair_mod(0, 8)
-    assert (p.f_n, p.f_n1) == (0, 1)
-    p = fib_pair_mod(7, 13)
-    assert (p.f_n, p.f_n1) == (0, 8)
+    assert fib_pair_mod(0, 8) == (0, 1)
+    assert fib_pair_mod(7, 13) == (0, 8)
     # frozen from the linear-iteration reference
-    p = fib_pair_mod(10**6, 144)
-    assert (p.f_n, p.f_n1) == (123, 13)
+    assert fib_pair_mod(10**6, 144) == (123, 13)
 
 
 @given(st.integers(min_value=0, max_value=4000), st.integers(min_value=2, max_value=1000))
 def test_fib_pair_mod_matches_linear_iteration(n, m):
-    p = fib_pair_mod(n, m)
-    assert (p.f_n, p.f_n1) == linear_pair(n, m)
-    assert p.n == n and p.modulus == m
+    assert fib_pair_mod(n, m) == linear_pair(n, m)
 
 
 def test_fib_mod_agrees_with_exact_up_to_2000():
@@ -118,8 +112,8 @@ def test_pow_mod_rejects_negative_base_and_exponent():
 
 def test_fibpair_residues_normalized():
     for n in (0, 1, 17, 10**9):
-        p = fib_pair_mod(n, 97)
-        assert 0 <= p.f_n < 97 and 0 <= p.f_n1 < 97
+        f_n, f_n1 = fib_pair_mod(n, 97)
+        assert 0 <= f_n < 97 and 0 <= f_n1 < 97
 
 
 def _batch_seconds(n: int, m: int, calls: int = 2000) -> float:

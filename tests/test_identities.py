@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import contextlib
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerfib.identities as identities
@@ -212,18 +213,20 @@ def test_each_sweep_builds_at_most_one_prefix(sweep, args):
 
 
 def test_gcd_on_a_large_index_builds_no_prefix():
-    # a prefix to F_50000 would hold about 125 MB; the two values it needs, 9 kB
-    with recording_fib_calls() as calls:
-        assert check_gcd_identity(50_000, 1)
-    assert calls == {"fib_exact": 2, "prefixes": []}
-    top = identities._GCD_PREFIX_MAX
-    with recording_fib_calls() as calls:
-        assert sweep_gcd([(top + 1, 3), (3, top + 1)]).passed
-    assert calls == {"fib_exact": 3, "prefixes": []}
-    with recording_fib_calls() as calls:
-        assert sweep_gcd([(top, 3)]).passed
-    assert calls["fib_exact"] == 0
-    assert [len(fs) for fs in calls["prefixes"]] == [top + 1]
+    # a prefix to F_50000 would hold about 125 MB; the values read, a few kB
+    for run in (
+        lambda: check_gcd_identity(50_000, 1),
+        lambda: sweep_gcd([(50_000, 3), (3, 50_000)]).passed,
+    ):
+        with recording_fib_calls() as calls:
+            tracemalloc.start()
+            try:
+                assert run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert calls["prefixes"] == []
+        assert peak < 1_000_000
 
 
 def sweep_prefix(sweep, *args) -> list[int]:
@@ -276,11 +279,34 @@ def test_square_lemma_reads_sweep_prefix_like_own(k_alpha, slack):
     assert identities._square_lemma_sides(k, alpha, fs) == identities._square_lemma_sides(k, alpha)
 
 
-@given(st.lists(st.tuples(st.integers(0, 150), st.integers(1, 150)), min_size=1, max_size=20))
-@example([(150, 150)])
-@example([(0, 150), (150, 1)])
-def test_gcd_reads_sweep_prefix_like_own(pairs):
-    fs = sweep_prefix(sweep_gcd, pairs)
+@contextlib.contextmanager
+def recording_sweep_values():
+    """Keep the values fs each _equation_sweep call hands to its cases."""
+    real = identities._equation_sweep
+    handed = []
+
+    def sweep(name, domain, inputs_list, evaluate, fs):
+        handed.append(fs)
+        return real(name, domain, inputs_list, evaluate, fs)
+
+    identities._equation_sweep = sweep
+    try:
+        yield handed
+    finally:
+        identities._equation_sweep = real
+
+
+# indices past 10000, where a prefix would be megabytes; few examples, since
+# each one walks the recurrence that far once per pair
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12_000), st.integers(1, 12_000)), min_size=1, max_size=3))
+@example([(12_000, 12_000)])
+@example([(0, 10_001), (10_001, 1)])
+@example([(12_000, 8_000), (9_000, 6_000)])
+def test_gcd_reads_sweep_values_like_own(pairs):
+    with recording_sweep_values() as handed:
+        sweep_gcd(pairs)
+    (fs,) = handed
     for n, m in pairs:
         assert identities._eval_gcd(n, m, fs) == identities._eval_gcd(n, m)
 
@@ -426,6 +452,17 @@ def test_sweep_zero_positions_rejects_j6():
         sweep_zero_positions([4, 5, 6], [1])
 
 
+def test_sweep_zero_positions_rejects_empty_j_values():
+    # the domain description needs the bounds of both ranges
+    with pytest.raises(OutOfDomainError, match="at least one j and one e"):
+        sweep_zero_positions([], range(1, 6))
+
+
+def test_sweep_zero_positions_rejects_empty_e_values():
+    with pytest.raises(OutOfDomainError, match="at least one j and one e"):
+        sweep_zero_positions([4], [])
+
+
 def test_sweep_carmichael_with_true_exception_set():
     report = sweep_carmichael(3, 40)
     assert report.passed
@@ -436,10 +473,24 @@ def test_sweep_carmichael_narrow_exception_set_finds_j6():
     # insisting that 12 is the only exception is refuted at j = 6
     report = sweep_carmichael(3, 40, expected_exceptions=(12,))
     assert report.verdict == COUNTEREXAMPLE
+    assert report.cases_checked == 4  # j = 3, 4, 5, 6
     assert report.counterexample is not None
     assert report.counterexample.inputs == {"j": 6}
     assert report.counterexample.lhs == 0  # no prime found
     assert report.counterexample.rhs == 1  # one was demanded
+
+
+def test_sweep_carmichael_factors_through_primitive_prime_divisor(monkeypatch):
+    # one call per j, looked up in the module, so a rebound name is seen
+    real, asked = identities.primitive_prime_divisor, []
+
+    def recording(j):
+        asked.append(j)
+        return real(j)
+
+    monkeypatch.setattr(identities, "primitive_prime_divisor", recording)
+    assert sweep_carmichael(3, 10).cases_checked == 8
+    assert asked == list(range(3, 11))
 
 
 def test_report_records():

@@ -6,11 +6,7 @@ from hypothesis import strategies as st
 
 from powerfib.errors import OutOfDomainError
 from powerfib.oracle import minimal_period_bruteforce
-from powerfib.periodicity import (
-    CASE_LABELS,
-    period_closed_form,
-    period_divisibility_check,
-)
+from powerfib.periodicity import CASE_LABELS, period_closed_form
 
 # (j, e) -> expected minimal period; the small ones check by hand, the
 # larger ones are frozen from the brute-force scan
@@ -102,22 +98,18 @@ def test_domain_errors():
 
 
 def test_divisibility_check_exhaustive():
+    # raising the exponent can only coarsen the sequence: the period at
+    # exponent q*e divides the period at exponent e
     for j in range(1, 23):
         for e in range(1, 9):
+            p_e = period_closed_form(j, e).period
             for q in range(1, 5):
-                assert period_divisibility_check(j, e, q), (j, e, q)
+                assert p_e % period_closed_form(j, q * e).period == 0, (j, e, q)
 
 
 def test_divisibility_check_examples():
-    assert period_divisibility_check(7, 1, 2)  # 14 divides 28
-    assert period_divisibility_check(6, 1, 4)  # 3 divides 12
-
-
-def test_divisibility_check_domain_errors():
-    with pytest.raises(OutOfDomainError):
-        period_divisibility_check(0, 1, 2)
-    with pytest.raises(OutOfDomainError):
-        period_divisibility_check(5, 1, 0)
+    assert period_closed_form(7, 1).period % period_closed_form(7, 2).period == 0  # 14 divides 28
+    assert period_closed_form(6, 1).period % period_closed_form(6, 4).period == 0  # 3 divides 12
 
 
 def test_agrees_with_bruteforce_on_small_grid():
