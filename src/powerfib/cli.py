@@ -32,20 +32,7 @@ import time
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact, fib_mod
-from .identities import (
-    ALL_PASS,
-    NOT_APPLICABLE,
-    VerificationReport,
-    check_zero_positions,
-    Counterexample,
-    sweep_addition,
-    sweep_carmichael,
-    sweep_cassini,
-    sweep_catalan,
-    sweep_gcd,
-    sweep_square_lemma,
-    sweep_zero_positions,
-)
+from .identities import ALL_PASS, NOT_APPLICABLE, VERIFY_SUITE
 from .oracle import DEFAULT_J_MAX, minimal_period_bruteforce
 from .periodicity import period_closed_form
 from .residue_tables import case_breakdown, residues_e1, residues_e2, residues_general
@@ -200,10 +187,6 @@ def _table_plain(rec: dict) -> list[str]:
 
 def _table_csv(rec: dict) -> list[str]:
     # fixed schema: header i,rho then one row per index
-    if "case_formulas" in rec:
-        raise _UsageError("--annotate applies to plain and json tables, not csv")
-    if rec["j"] == 0:
-        raise _UsageError("j = 0 has no finite residue table; use plain or json")
     residues = _BASE_CASE_ROWS[rec["j"]] if "base_case" in rec else rec["residues"]
     return ["i,rho", *(f"{i},{r}" for i, r in enumerate(residues))]
 
@@ -229,48 +212,16 @@ def _oracle_plain(rec: dict) -> list[str]:
 # ------------------------------------------------------------------- verify
 
 
-def _zero_positions_j6_report() -> VerificationReport:
-    """The j = 6 exclusion, reported as evidence rather than a failure."""
-    outcome = check_zero_positions(6, 3, 30)
-    witness = outcome.witness if outcome.witness is not None else -1
-    return VerificationReport(
-        identity_name="zero_positions_j6_exclusion",
-        domain_description="j = 6, e = 3, i <= 30",
-        cases_checked=outcome.i_max + 1,
-        verdict=outcome.verdict,
-        counterexample=Counterexample({"j": 6, "e": 3, "i": witness}, 1, 0),
-    )
-
-
-# name -> that identity's reports, in the order `verify` runs them; each
-# entry is a lambda so the sweep is looked up by name when it runs
-_VERIFY_SUITE = {
-    "gcd": lambda: [sweep_gcd()],
-    "addition": lambda: [sweep_addition(80, 80)],
-    "catalan": lambda: [sweep_catalan(80)],
-    "cassini": lambda: [sweep_cassini(120)],
-    "square_lemma": lambda: [sweep_square_lemma(30)],
-    "zero_positions": lambda: [
-        sweep_zero_positions([j for j in range(4, 21) if j != 6], range(1, 6)),
-        _zero_positions_j6_report(),
-    ],
-    "carmichael": lambda: [sweep_carmichael(3, 40)],
-}
-
-
 def cmd_verify(args) -> tuple[int, dict]:
-    selected = list(args.identities) or ["all"]
-    for name in selected:
-        if name not in _VERIFY_SUITE and name != "all":
-            raise _UsageError(
-                f"unknown identity {name!r}; choose from "
-                + ", ".join(_VERIFY_SUITE)
-                + ", all"
-            )
+    choices = [*VERIFY_SUITE, "all"]
+    for name in args.identities:
+        if name not in choices:
+            raise _UsageError(f"unknown identity {name!r}; choose from {', '.join(choices)}")
+    selected = args.identities or ["all"]
     # de-duplicated, in the suite's order
     reports = [
         report
-        for name, run in _VERIFY_SUITE.items()
+        for name, run in VERIFY_SUITE.items()
         if name in selected or "all" in selected
         for report in run()
     ]
@@ -293,6 +244,8 @@ def _verify_plain(rec: dict) -> list[str]:
             ce = r["counterexample"]
             at = ", ".join(f"{k}={v}" for k, v in ce["inputs"].items())
             line += f" witness=({at}) lhs={ce['lhs']} rhs={ce['rhs']}"
+            if "part" in ce:
+                line += f" part={ce['part']}"
         lines.append(line)
     lines.append(f"failures: {rec['failures']}")
     return lines
@@ -447,7 +400,7 @@ def _build_parser() -> _Parser:
         "identities",
         nargs="*",
         metavar="identity",
-        help="any of: " + ", ".join(_VERIFY_SUITE) + ", all (default: all)",
+        help="any of: " + ", ".join(VERIFY_SUITE) + ", all (default: all)",
     )
 
     p = sub.add_parser("scan", parents=[common], help="closed form vs oracle over a grid")
@@ -466,10 +419,16 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.format == "csv" and args.command not in _RENDERERS["csv"]:
-            raise _UsageError(
-                f"--format csv applies to residue tables only, not '{args.command}'"
-            )
+        if args.format == "csv":
+            # csv is for tables only, and its usage errors come before any work
+            if args.command not in _RENDERERS["csv"]:
+                raise _UsageError(
+                    f"--format csv applies to residue tables only, not '{args.command}'"
+                )
+            if args.annotate:
+                raise _UsageError("--annotate applies to plain and json tables, not csv")
+            if args.j == 0:
+                raise _UsageError("j = 0 has no finite residue table; use plain or json")
         # looked up by name on every call, so a rebound cmd_* takes effect
         code, record = globals()[f"cmd_{args.command}"](args)
         if args.format == "json":

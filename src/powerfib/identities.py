@@ -29,14 +29,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @dataclass(frozen=True)
 class Counterexample:
-    """Inputs at which a claim failed, with both evaluated sides."""
+    """Inputs at which a claim failed, with both evaluated sides and, for a
+    claim made of parts, the name of the part that failed."""
 
     inputs: dict[str, int]
     lhs: int
     rhs: int
+    part: str | None = None
 
     def to_record(self) -> dict:
-        return {"inputs": dict(self.inputs), "lhs": str(self.lhs), "rhs": str(self.rhs)}
+        rec = {"inputs": dict(self.inputs), "lhs": str(self.lhs), "rhs": str(self.rhs)}
+        return rec if self.part is None else {**rec, "part": self.part}
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,8 @@ class VerificationReport:
 #
 # Each identity is written once, in an evaluator that checks its domain,
 # reads exact values from fs (fs[i] = F_i) and returns (lhs, rhs), for the
-# square lemma each of its four parts' (lhs, rhs), so that sweeps can record
-# real two-sided counterexamples.  A sweep builds its values once for its
+# square lemma each of its four parts' (holds, lhs, rhs), so that sweeps can
+# record real two-sided counterexamples.  A sweep builds its values once for its
 # whole domain and hands them to every case: a prefix [F_0, F_1, ...] for the
 # dense identities, just the indices its pairs read for the gcd law.  A
 # check_* call hands none, and the evaluator builds what its one case needs.
@@ -160,39 +163,27 @@ class SquareLemmaVerdict(NamedTuple):
         return all(self)
 
 
-def _square_lemma_sides(
+def _square_lemma_parts(
     k: int, alpha: int, fs: list[int] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """Each part's (lhs, rhs) at (k, alpha), in SquareLemmaVerdict's order:
-    a bound holds when lhs < rhs, a congruence when its reduced sides agree."""
+) -> tuple[tuple[bool, int, int], ...]:
+    """Each part's (holds, lhs, rhs) at (k, alpha), in SquareLemmaVerdict's
+    order: a bound holds when lhs < rhs, a congruence when its reduced sides agree."""
     if k < 2:
         raise OutOfDomainError(f"k must be at least 2, got {k}")
     if alpha < 0 or alpha > k:
         raise OutOfDomainError(f"need 0 <= alpha <= k, got alpha={alpha}, k={k}")
     fs = fib_prefix(2 * k + 2) if fs is None else fs
     f_2k, f_2k1 = fs[2 * k], fs[2 * k + 1]
-    return (
-        (fs[k] ** 2, f_2k),
-        (fs[k + alpha] ** 2 % f_2k, fs[k - alpha] ** 2 % f_2k),
-        (fs[k + 1] ** 2, f_2k1),
-        (fs[k + 1 + alpha] ** 2 % f_2k1, (-(fs[k - alpha] ** 2)) % f_2k1),
-    )
+    a, b = fs[k] ** 2, f_2k
+    c, d = fs[k + alpha] ** 2 % f_2k, fs[k - alpha] ** 2 % f_2k
+    e, f = fs[k + 1] ** 2, f_2k1
+    g, h = fs[k + 1 + alpha] ** 2 % f_2k1, (-(fs[k - alpha] ** 2)) % f_2k1
+    return (a < b, a, b), (c == d, c, d), (e < f, e, f), (g == h, g, h)
 
 
-def check_square_lemma(k: int, alpha: int, fs: list[int] | None = None) -> SquareLemmaVerdict:
-    """Exact check of all four parts, for k >= 2 and 0 <= alpha <= k; a sweep
-    hands in its prefix fs."""
-    (a, b), (c, d), (e, f), (g, h) = _square_lemma_sides(k, alpha, fs)
-    return SquareLemmaVerdict(a < b, c == d, e < f, g == h)
-
-
-def _eval_square_lemma(k: int, alpha: int, fs: list[int] | None = None) -> tuple[int, int]:
-    """(lhs, rhs) of the first part check_square_lemma finds failing, or (0, 0)."""
-    verdict = check_square_lemma(k, alpha, fs)
-    if verdict.all_hold():
-        return 0, 0
-    sides = _square_lemma_sides(k, alpha, fs)
-    return next(pair for holds, pair in zip(verdict, sides) if not holds)
+def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
+    """Exact check of all four parts, for k >= 2 and 0 <= alpha <= k."""
+    return SquareLemmaVerdict(*(holds for holds, _, _ in _square_lemma_parts(k, alpha)))
 
 
 @dataclass(frozen=True)
@@ -306,16 +297,6 @@ class PrimitiveDivisorResult:
     primitive_prime: int | None
     rank_of_apparition: int | None
     factor_trace: tuple[tuple[int, int], ...]  # (prime, multiplicity), ascending
-
-    def to_record(self) -> dict:
-        return {
-            "j": self.j,
-            "primitive_prime": None
-            if self.primitive_prime is None
-            else str(self.primitive_prime),
-            "rank_of_apparition": self.rank_of_apparition,
-            "factor_trace": [[str(p), mult] for p, mult in self.factor_trace],
-        }
 
 
 def primitive_prime_divisor(j: int, j_fact_max: int = DEFAULT_J_FACT_MAX) -> PrimitiveDivisorResult:
@@ -444,13 +425,37 @@ def sweep_cassini(n_max: int = 120) -> VerificationReport:
 
 
 def sweep_square_lemma(k_max: int = 30) -> VerificationReport:
-    return _equation_sweep(
-        "square_lemma",
-        f"k in [2, {k_max}], alpha in [0, k]",
-        ({"k": k, "alpha": a} for k in range(2, k_max + 1) for a in range(k + 1)),
-        _eval_square_lemma,
-        fib_prefix(max(2 * k_max + 2, 0)),
-    )
+    # its bounds are not equations, so it fails a case on the first part that
+    # does not hold rather than on unequal sides
+    domain = f"k in [2, {k_max}], alpha in [0, k]"
+    fs = fib_prefix(max(2 * k_max + 2, 0))
+    count = 0
+    for k in range(2, k_max + 1):
+        for alpha in range(k + 1):
+            count += 1
+            parts = zip(SquareLemmaVerdict._fields, _square_lemma_parts(k, alpha, fs))
+            for part, (holds, lhs, rhs) in parts:
+                if not holds:
+                    found = Counterexample({"k": k, "alpha": alpha}, lhs, rhs, part)
+                    return VerificationReport("square_lemma", domain, count, COUNTEREXAMPLE, found)
+    return VerificationReport("square_lemma", domain, count, ALL_PASS)
+
+
+def _zero_positions_report(
+    name: str, domain: str, outcome: ZeroPositionsOutcome, cases: int | None = None
+) -> VerificationReport:
+    """A report with outcome's verdict, over cases (by default outcome's own
+    scan).  Its evidence sits at the witness i, where the two sides of the
+    claim differ: lhs is 1 when F_i^e vanished mod F_j, rhs is 1 when j | i.
+    An outcome without a witness carries none."""
+    counterexample = None
+    if outcome.witness is not None:
+        divides = int(outcome.witness % outcome.j == 0)
+        counterexample = Counterexample(
+            {"j": outcome.j, "e": outcome.e, "i": outcome.witness}, 1 - divides, divides
+        )
+    cases = outcome.i_max + 1 if cases is None else cases
+    return VerificationReport(name, domain, cases, outcome.verdict, counterexample)
 
 
 def sweep_zero_positions(
@@ -473,16 +478,7 @@ def sweep_zero_positions(
             outcome = check_zero_positions(j, e, i_max_factor * j)
             cases += outcome.i_max + 1
             if outcome.verdict != ALL_PASS:
-                w = outcome.witness if outcome.witness is not None else -1
-                divisible = 1 if (w >= 0 and w % j == 0) else 0
-                return VerificationReport(
-                    "zero_positions",
-                    domain,
-                    cases,
-                    COUNTEREXAMPLE,
-                    # lhs: residue vanished at the witness, rhs: j | witness
-                    Counterexample({"j": j, "e": e, "i": w}, 1 - divisible, divisible),
-                )
+                return _zero_positions_report("zero_positions", domain, outcome, cases)
     return VerificationReport("zero_positions", domain, cases, ALL_PASS)
 
 
@@ -510,3 +506,23 @@ def sweep_carmichael(
         found_and_expected,
         None,
     )
+
+
+# name -> that identity's reports, in the order `powerfib verify` runs them.
+# Each sweep runs on its own default domain.  Each entry is a lambda, so the
+# sweep is looked up by name when it runs.
+VERIFY_SUITE: dict[str, Callable[[], list[VerificationReport]]] = {
+    "gcd": lambda: [sweep_gcd()],
+    "addition": lambda: [sweep_addition()],
+    "catalan": lambda: [sweep_catalan()],
+    "cassini": lambda: [sweep_cassini()],
+    "square_lemma": lambda: [sweep_square_lemma()],
+    "zero_positions": lambda: [
+        sweep_zero_positions([j for j in range(4, 21) if j != 6], range(1, 6)),
+        # j = 6, outside the claim, reported as evidence rather than a failure
+        _zero_positions_report(
+            "zero_positions_j6_exclusion", "j = 6, e = 3, i <= 30", check_zero_positions(6, 3, 30)
+        ),
+    ],
+    "carmichael": lambda: [sweep_carmichael()],
+}

@@ -8,6 +8,7 @@ import pytest
 
 import powerfib
 import powerfib.cli as cli
+import powerfib.identities as identities
 from powerfib.cli import main
 from powerfib.errors import ResourceGuardError
 from powerfib.fibcore import fib_exact, fib_prefix
@@ -315,6 +316,36 @@ def test_table_annotate_rejects_csv(capsys):
     )
 
 
+def _no_table(*args, **kwargs):
+    raise AssertionError("a table was built for a csv usage error")
+
+
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [
+        ("table 2000 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
+        ("table 2000 2 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
+        ("table 0 1 --format csv", "j = 0 has no finite residue table; use plain or json"),
+    ],
+)
+def test_table_csv_usage_errors_come_before_any_work(capsys, monkeypatch, command, message):
+    for builder in ("residues_e1", "residues_e2", "residues_general", "case_breakdown"):
+        monkeypatch.setattr(cli, builder, _no_table)
+    assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [
+        ("table -1 1", "j must be nonnegative, got -1"),
+        ("table 5 0", "exponent must be at least 1, got 0"),
+        ("table 3 1 --annotate", "--annotate applies to closed-form tables (j >= 4)"),
+    ],
+)
+def test_table_domain_errors(capsys, command, message):
+    assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
+
+
 def test_table_base_cases(capsys):
     rc, out, _ = run(capsys, "table", "2", "1")
     assert rc == 0
@@ -579,6 +610,21 @@ def test_bench_json_shape(capsys):
     ]
 
 
+def test_bench_reports_growth_past_the_allowance(capsys, monkeypatch):
+    # the second step takes more than 10x the first: not sublinear
+    times = iter([0.001, 0.02, 0.02, 0.02, 0.02])
+    monkeypatch.setattr(cli, "_best_time", lambda fn: next(times))
+    rc, out, _ = run(capsys, "bench", "--modulus", "144")
+    assert rc == 2
+    assert out.splitlines()[1:] == [
+        "n=1000000000 seconds=0.020000000",
+        "n=1000000000000 seconds=0.020000000",
+        "n=1000000000000000 seconds=0.020000000",
+        "n=1000000000000000000 seconds=0.020000000",
+        "sublinear=NO",
+    ]
+
+
 def test_bench_rejects_tiny_modulus(capsys):
     rc, _, err = run(capsys, "bench", "--modulus", "1")
     assert rc == 1
@@ -615,6 +661,25 @@ def test_disagreement_exit_code_scan(capsys, monkeypatch):
     assert out.splitlines()[-1] == "cells=6 disagreements=1"
 
 
+def test_verify_names_the_failing_part(capsys, monkeypatch):
+    def failing():
+        return VerificationReport(
+            "square_lemma",
+            "stub",
+            1,
+            COUNTEREXAMPLE,
+            Counterexample({"k": 2, "alpha": 0}, 1, 1, "bound_even_index"),
+        )
+
+    monkeypatch.setattr(identities, "sweep_square_lemma", failing)
+    rc, out, _ = run(capsys, "verify", "square_lemma")
+    assert (rc, out) == (
+        2,
+        "FAIL square_lemma: cases=1 (stub) witness=(k=2, alpha=0) lhs=1 rhs=1"
+        " part=bound_even_index\nfailures: 1\n",
+    )
+
+
 def test_disagreement_exit_code_verify(capsys, monkeypatch):
     def failing():
         return VerificationReport(
@@ -625,7 +690,7 @@ def test_disagreement_exit_code_verify(capsys, monkeypatch):
             counterexample=Counterexample(inputs={"n": 1, "m": 2}, lhs=3, rhs=4),
         )
 
-    monkeypatch.setattr(cli, "sweep_gcd", failing)
+    monkeypatch.setattr(identities, "sweep_gcd", failing)
     rc, out, _ = run(capsys, "verify", "gcd")
     assert rc == 2
     assert out.splitlines()[0].startswith("FAIL gcd:")

@@ -123,21 +123,47 @@ def test_square_lemma_full_grid():
             assert check_square_lemma(k, alpha).all_hold(), (k, alpha)
 
 
+def prefix_with(index: int, value: int):
+    """fib_prefix with F_index replaced by value."""
+    real = identities.fib_prefix
+
+    def broken(count):
+        fs = real(count)
+        if index < count:
+            fs[index] = value
+        return fs
+
+    return broken
+
+
 def test_square_lemma_sweep_reports_first_failing_part(monkeypatch):
-    real = identities.check_square_lemma
-
-    def broken_at_3_0(k, alpha, fs=None):
-        verdict = real(k, alpha, fs)
-        if (k, alpha) == (3, 0):
-            return verdict._replace(bound_even_index=False)
-        return verdict
-
-    monkeypatch.setattr(identities, "check_square_lemma", broken_at_3_0)
+    # F_7 = 14 breaks only the last part at (3, 0): 9 < 14, but
+    # F_4^2 = 9 against -F_3^2 = -4 = 10 mod 14
+    monkeypatch.setattr(identities, "fib_prefix", prefix_with(7, 14))
     report = sweep_square_lemma(5)
     assert report.verdict == COUNTEREXAMPLE
+    # three cases at k = 2, which read no further than F_5, then (3, 0)
     assert report.cases_checked == 4
-    # the sides of the failing part: F_3^2 = 4 against F_6 = 8
-    assert report.counterexample == Counterexample({"k": 3, "alpha": 0}, 4, 8)
+    assert report.counterexample == Counterexample(
+        {"k": 3, "alpha": 0}, 9, 10, "congruence_odd_index"
+    )
+    assert report.to_record()["counterexample"] == {
+        "inputs": {"k": 3, "alpha": 0},
+        "lhs": "9",
+        "rhs": "10",
+        "part": "congruence_odd_index",
+    }
+
+
+def test_square_lemma_sweep_fails_a_bound_with_equal_sides(monkeypatch):
+    # F_4 = 1 breaks the bound F_2^2 < F_4 at k = 2 with both sides 1, which
+    # an equality test would read as a pass
+    monkeypatch.setattr(identities, "fib_prefix", prefix_with(4, 1))
+    assert not check_square_lemma(2, 0).bound_even_index
+    report = sweep_square_lemma(2)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.cases_checked == 1
+    assert report.counterexample == Counterexample({"k": 2, "alpha": 0}, 1, 1, "bound_even_index")
 
 
 def test_addition_sweep_reports_failing_case(monkeypatch):
@@ -276,7 +302,7 @@ def test_cassini_reads_sweep_prefix_like_own(n, slack):
 def test_square_lemma_reads_sweep_prefix_like_own(k_alpha, slack):
     k, alpha = k_alpha
     fs = sweep_prefix(sweep_square_lemma, k + slack)
-    assert identities._square_lemma_sides(k, alpha, fs) == identities._square_lemma_sides(k, alpha)
+    assert identities._square_lemma_parts(k, alpha, fs) == identities._square_lemma_parts(k, alpha)
 
 
 @contextlib.contextmanager
@@ -341,6 +367,24 @@ def test_zero_positions_j6_exclusion():
     outcome = check_zero_positions(6, 2, 100)
     assert outcome.verdict == NOT_APPLICABLE
     assert outcome.witness is None
+
+
+def test_zero_positions_counterexample(monkeypatch):
+    # mod 4 in place of F_4 = 3: F_3 = 2 squares to 0 at i = 3, and at
+    # i = 4 F_4 = 3 does not vanish although 4 | 4
+    monkeypatch.setattr(identities, "fib_exact", lambda n: 4 if n == 4 else fib_exact(n))
+    outcome = check_zero_positions(4, 2, 20)
+    assert (outcome.verdict, outcome.witness) == (COUNTEREXAMPLE, 3)
+    assert check_zero_positions(4, 1, 20).witness == 4
+
+    report = sweep_zero_positions([5, 4, 7], [1, 2])
+    assert report.verdict == COUNTEREXAMPLE
+    # each (j, e) counts its whole scan i <= 5 j: j = 5 twice, then j = 4 once
+    assert report.cases_checked == 26 + 26 + 21
+    # lhs: F_4 vanished mod F_j; rhs: j | i
+    assert report.counterexample == Counterexample({"j": 4, "e": 1, "i": 4}, 0, 1)
+    report = sweep_zero_positions([4], [2])
+    assert report.counterexample == Counterexample({"j": 4, "e": 2, "i": 3}, 1, 0)
 
 
 def test_zero_positions_domain():
@@ -411,6 +455,18 @@ def test_primitive_prime_guards():
         primitive_prime_divisor(81)
     with pytest.raises(OutOfDomainError):
         primitive_prime_divisor(2)
+
+
+def test_primitive_prime_guard_on_a_wide_cofactor():
+    # F_94 has no prime factor below the trial bound, F_113 only 677; what
+    # is left of each is wider than 64 bits
+    for j, partial in ((94, ()), (113, ((677, 1),))):
+        with pytest.raises(ResourceGuardError) as err:
+            primitive_prime_divisor(j, j_fact_max=j)
+        assert str(err.value) == f"cofactor of F_{j} exceeds 64 bits; cannot certify primality"
+        assert err.value.partial == partial
+        cofactor = fib_exact(j) // math.prod(p**mult for p, mult in partial)
+        assert cofactor >= 2**64
 
 
 def test_primitive_prime_guard_is_configurable():
