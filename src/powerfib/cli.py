@@ -44,7 +44,7 @@ EXIT_GUARD = 3
 
 _BENCH_INDICES = (10**6, 10**9, 10**12, 10**15, 10**18)
 
-# the most (j, e) cells one scan checks; admits `scan 3..1000 1..8` (7984)
+# the most (j, e) cells one scan checks; admits `scan 3..1000 1..10` (9980)
 SCAN_MAX_CELLS = 10_000
 
 _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)

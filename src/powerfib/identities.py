@@ -471,12 +471,18 @@ def sweep_zero_positions(
         raise OutOfDomainError("the zero-position sweep needs at least one j and one e")
     if 6 in js:
         raise OutOfDomainError("j = 6 is excluded from the biconditional sweep")
-    domain = f"j in {{{min(js)}..{max(js)}}} minus 6, e in [{min(es)}, {max(es)}], i <= {i_max_factor}*j"
+    lo, hi = min(js), max(js)
+    if sorted(js) == [j for j in range(lo, hi + 1) if j != 6]:
+        j_text = f"{{{lo}..{hi}}} minus 6"
+    else:
+        j_text = "{" + ", ".join(map(str, js)) + "}"
+    domain = f"j in {j_text}, e in [{min(es)}, {max(es)}], i <= {i_max_factor}*j"
     cases = 0
     for j in js:
         for e in es:
             outcome = check_zero_positions(j, e, i_max_factor * j)
-            cases += outcome.i_max + 1
+            # the scan ran up to its witness, or to i_max when it found none
+            cases += (outcome.i_max if outcome.witness is None else outcome.witness) + 1
             if outcome.verdict != ALL_PASS:
                 return _zero_positions_report("zero_positions", domain, outcome, cases)
     return VerificationReport("zero_positions", domain, cases, ALL_PASS)

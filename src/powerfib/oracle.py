@@ -4,26 +4,34 @@ Everything here is deliberately plain: single-step pair iteration and explicit
 divisor scans with recorded witnesses, so a disagreement with the closed-form
 route points at a real mathematical problem rather than shared code.
 
-The oracle remembers the window of its last call.  When the next call asks
-for the same j one exponent higher, as a `scan` row does, it steps that
-window up by one multiplication per entry, F_i^e = F_i^(e-1) * F_i mod F_j,
-instead of computing F_j, its Pisano period and every power again.  What it
-retains between calls is that one window: at most 4j residues below F_j.
+The oracle remembers its last row.  When the next call asks for the same j
+one exponent higher, as a `scan` row does, it steps up by one multiplication
+per residue class instead of computing F_j, its Pisano period and every power
+again.  F_i^e mod F_j depends only on F_i mod F_j, and (F_j - x)^e = (-1)^e x^e,
+so the window entries fall into classes: the distinct c = min(x, F_j - x) over
+the e = 1 window x = F_i mod F_j.  Which index falls in which class, and how
+many classes there are, is found by walking that window, not assumed.  What
+it retains between calls is, for one j and e: the class values, their e-th
+powers mod F_j, and one slot per window entry (at most 4j) naming its class
+and sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
+from operator import mod, mul, ne
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
 
-# (j, e, m, p0, window) of the last call.  It is read once and replaced whole,
-# and no stored window is changed, so a caller on another thread can at worst
-# rebuild a window, never read a half-made one.
-_last_window: tuple[int, int, int, int, list[int]] | None = None
+# (j, e, m, p0, classes) of the last call, where classes is (values, slots,
+# powers) or None for a row that began above e = 1.  It is read once and
+# replaced whole, and nothing stored is changed, so a caller on another thread
+# can at worst rebuild a row, never read a half-made one.
+_last_row: tuple[int, int, int, int, tuple[list[int], list[int], list[int]] | None] | None = None
 
 
 def pisano_period(m: int) -> int:
@@ -103,22 +111,57 @@ class OracleTrace:
         }
 
 
+def _sign_classes(m: int, residues: list[int]) -> tuple[list[int], list[int]]:
+    """(values, slots) of the e = 1 window residues = [F_i mod m].
+
+    values holds the distinct c = min(x, m - x) in first-seen order.  Entry i
+    is x = c of class k = values.index(c) when its slot is k, and x = m - c
+    when its slot is ~k = -1 - k.
+    """
+    seen: dict[int, int] = {}
+    values: list[int] = []
+    slots: list[int] = []
+    for x in residues:
+        c = min(x, m - x)
+        k = seen.get(c)
+        if k is None:
+            k = seen[c] = len(values)
+            values.append(c)
+        slots.append(k if x == c else ~k)
+    return values, slots
+
+
 def _power_window(j: int, e: int) -> tuple[int, int, list[int]]:
     """(F_j, its Pisano period p0, [F_i^e mod F_j for i < p0]) for j >= 3, e >= 1."""
-    global _last_window
-    last = _last_window
+    global _last_row
+    last = _last_row
     if last is not None and last[0] == j and last[1] == e - 1:
-        _, _, m, p0, prev = last
-        window = []
-        a, b = 0, 1
-        for r in prev:
-            window.append(r * a % m)
-            a, b = b, (a + b) % m
+        _, _, m, p0, classes = last
+        if classes is None:
+            # the row began above e = 1: find its classes by one pair walk
+            residues = []
+            a, b = 0, 1
+            for _ in range(p0):
+                residues.append(a)
+                a, b = b, (a + b) % m
+            values, slots = _sign_classes(m, residues)
+            powers = list(map(pow, values, repeat(e), repeat(m)))
+        else:
+            values, slots, powers = classes
+            powers = list(map(mod, map(mul, powers, values), repeat(m)))
+        # slot ~k reads from the end: the powers, then their signed copies reversed
+        signed = [(m - p) % m for p in reversed(powers)] if e % 2 else powers[::-1]
+        window = list(map((powers + signed).__getitem__, slots))
+        classes = values, slots, powers
     else:
         m = fib_exact(j)
         p0 = pisano_period(m)
         window = sequence_prefix(j, e, p0)
-    _last_window = (j, e, m, p0, window)
+        classes = None
+        if e == 1:
+            values, slots = _sign_classes(m, window)
+            classes = values, slots, values
+    _last_row = (j, e, m, p0, classes)
     return m, p0, window
 
 
@@ -143,9 +186,9 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in _divisors(p0):
-        witness = next(
-            (i for i in range(p0) if window[i] != window[(i + d) % p0]), None
-        )
+        # the first i with window[i] != window[(i + d) % p0]
+        shifted = chain(islice(window, d, None), window)
+        witness = next(compress(count(), map(ne, window, shifted)), None)
         if witness is None:
             checked.append(DivisorCheck(d=d, verdict="holds"))
             power_period = d

@@ -460,6 +460,24 @@ def test_oracle_json_matches_library(capsys):
     assert json.loads(out) == minimal_period_bruteforce(6, 2).to_record()
 
 
+@pytest.mark.parametrize(("j", "e"), [(1000, 3), (1500, 2)])
+def test_json_carries_several_hundred_digit_integers_exactly(capsys, j, e):
+    m = fib_exact(j)
+    assert len(str(m)) >= 209
+    rc, out, _ = run(capsys, "oracle", str(j), str(e), "--j-max", str(j), "--format", "json")
+    assert rc == 0
+    assert int(json.loads(out)["modulus"]) == m
+    rc, out, _ = run(capsys, "table", str(j), str(e), "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert int(doc["modulus"]) == m
+    want, a, b = [], 0, 1
+    for _ in range(doc["period"]):
+        want.append(pow(a, e, m))
+        a, b = b, (a + b) % m
+    assert [int(r) for r in doc["residues"]] == want
+
+
 def test_oracle_plain_reports_divisors(capsys):
     rc, out, _ = run(capsys, "oracle", "6", "2")
     assert rc == 0
@@ -518,14 +536,14 @@ def test_scan_cell_guard_rejects_before_any_work(capsys, monkeypatch):
 
 
 def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
-    # a stub oracle, so the 7984-cell grid costs nothing
+    # a stub oracle, so the 9980-cell grid costs nothing
     monkeypatch.setattr(
         cli,
         "minimal_period_bruteforce",
         lambda j, e, j_max: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
     )
-    rc, out, _ = run(capsys, "scan", "3..1000", "1..8", "--j-max", "1000")
-    assert (rc, out.splitlines()[-1]) == (0, "cells=7984 disagreements=0")
+    rc, out, _ = run(capsys, "scan", "3..1000", "1..10", "--j-max", "1000")
+    assert (rc, out.splitlines()[-1]) == (0, "cells=9980 disagreements=0")
     rc, out, _ = run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS}")
     assert (rc, out.splitlines()[-1]) == (0, f"cells={cli.SCAN_MAX_CELLS} disagreements=0")
     assert run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS + 1}")[0] == 3

@@ -3,7 +3,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerfib.errors import InvalidModulusError, OutOfDomainError
@@ -70,6 +70,13 @@ def test_fib_mod_agrees_with_exact_up_to_2000():
         for n in range(2001):
             assert fib_mod(n, m) == a % m, (n, m)
             a, b = b, a + b
+
+
+@given(st.integers(min_value=0, max_value=5000), st.integers(min_value=2, max_value=2**256))
+@example(5000, 2**256)
+@example(4999, fib_exact(300))
+def test_fib_mod_matches_exact_for_wide_moduli(n, m):
+    assert fib_mod(n, m) == fib_exact(n) % m
 
 
 def test_fib_mod_examples():

@@ -379,8 +379,9 @@ def test_zero_positions_counterexample(monkeypatch):
 
     report = sweep_zero_positions([5, 4, 7], [1, 2])
     assert report.verdict == COUNTEREXAMPLE
-    # each (j, e) counts its whole scan i <= 5 j: j = 5 twice, then j = 4 once
-    assert report.cases_checked == 26 + 26 + 21
+    # each (j, e) counts the indices its scan ran: i <= 5 j for j = 5 at
+    # e = 1 and 2, then i <= 4 for j = 4, whose scan stopped at its witness
+    assert report.cases_checked == 26 + 26 + 5
     # lhs: F_4 vanished mod F_j; rhs: j | i
     assert report.counterexample == Counterexample({"j": 4, "e": 1, "i": 4}, 0, 1)
     report = sweep_zero_positions([4], [2])
@@ -501,6 +502,15 @@ def test_sweeps_all_pass():
     assert sweep_square_lemma(15).passed
     js = [j for j in range(4, 21) if j != 6]
     assert sweep_zero_positions(js, range(1, 6)).passed
+
+
+def test_sweep_zero_positions_domain_names_the_j_it_ran():
+    report = sweep_zero_positions([4, 10], [1])
+    assert report.domain_description == "j in {4, 10}, e in [1, 1], i <= 5*j"
+    assert report.cases_checked == 21 + 51
+    js = [j for j in range(4, 11) if j != 6]
+    report = sweep_zero_positions(js, [1])
+    assert report.domain_description == "j in {4..10} minus 6, e in [1, 1], i <= 5*j"
 
 
 def test_sweep_zero_positions_rejects_j6():

@@ -166,6 +166,24 @@ def test_remembered_window_gives_the_cold_trace(runs):
             assert minimal_period_bruteforce(j, e, j_max=40) == _cold_trace(j, e), (j, e)
 
 
+@pytest.mark.parametrize("j", [297, 299, 300])  # F_297 and F_300 are even, F_299 odd
+def test_scan_row_steps_sign_classes_to_cold_windows(j):
+    for e in range(1, 11):
+        m, p0, window = oracle._power_window(j, e)
+        assert window == sequence_prefix(j, e, p0), (j, e)
+    for e in range(1, 11):
+        assert minimal_period_bruteforce(j, e, j_max=j) == _cold_trace(j, e), (j, e)
+
+
+def test_row_starting_above_e1_builds_its_classes_on_its_first_step(monkeypatch):
+    monkeypatch.setattr(oracle, "_last_row", None)
+    for e in range(5, 11):
+        m, p0, window = oracle._power_window(299, e)
+        assert window == sequence_prefix(299, e, p0), e
+    for e in range(5, 11):
+        assert minimal_period_bruteforce(300, e, j_max=300) == _cold_trace(300, e), e
+
+
 def test_threads_sharing_the_remembered_window_get_cold_traces():
     cells = [(j, e) for j in range(3, 21) for e in range(1, 9)]
     want = {cell: _cold_trace(*cell) for cell in cells}
