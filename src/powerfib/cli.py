@@ -1,12 +1,11 @@
 """Command line surface.
 
-Subcommands: period, table, oracle, verify, scan, bench.  Exit codes:
-0 success or agreement, 1 usage, 2 mathematical disagreement, 3 resource
-guard.  Output is deterministic byte for byte for identical invocations
-(bench timing values excepted; its shape is still fixed).  A reader that
-closes stdout early (`powerfib table 500 3 | head -1`) ends the run quietly
-with exit code 0: the output it took is complete, and the rest was not
-wanted.
+Subcommands: period, table, oracle, verify, scan.  Exit codes: 0 success
+or agreement, 1 usage, 2 mathematical disagreement, 3 resource guard.
+Output is deterministic byte for byte for identical invocations.  A reader
+that closes stdout early (`powerfib table 500 3 | head -1`) ends the run
+quietly with exit code 0: the output it took is complete, and the rest was
+not wanted.
 
 Each `cmd_*` function does the work and returns `(exit_code, record)`,
 where the record is the JSON document of its answer, built from the
@@ -28,10 +27,9 @@ import json
 import math
 import os
 import sys
-import time
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
-from .fibcore import fib_exact, fib_mod
+from .fibcore import fib_exact
 from .identities import ALL_PASS, NOT_APPLICABLE, VERIFY_SUITE
 from .oracle import DEFAULT_J_MAX, minimal_period_bruteforce
 from .periodicity import period_closed_form
@@ -41,8 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_GUARD = 3
-
-_BENCH_INDICES = (10**6, 10**9, 10**12, 10**15, 10**18)
 
 # the most (j, e) cells one scan checks; admits `scan 3..1000 1..10` (9980)
 SCAN_MAX_CELLS = 10_000
@@ -298,47 +294,6 @@ def _scan_plain(rec: dict) -> list[str]:
     return lines
 
 
-# -------------------------------------------------------------------- bench
-
-
-def _best_time(fn, repeats: int = 7) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def cmd_bench(args) -> tuple[int, dict]:
-    m = args.modulus
-    if m < 2:
-        raise InvalidModulusError(f"modulus must be at least 2, got {m}")
-    timings = []
-    sublinear = True
-    prev = None
-    for n in _BENCH_INDICES:
-        fib_mod(n, m)  # warm-up
-        t = _best_time(lambda: fib_mod(n, m))
-        timings.append({"n": str(n), "seconds": t})
-        # n grows 1000x per step; logarithmic cost should barely move.
-        # The 10x allowance plus a 1 ms noise floor keeps this robust.
-        if prev is not None and t >= max(10 * prev, 1e-3):
-            sublinear = False
-        prev = t
-    return EXIT_OK if sublinear else EXIT_DISAGREEMENT, {
-        "modulus": str(m),
-        "timings": timings,
-        "sublinear": sublinear,
-    }
-
-
-def _bench_plain(rec: dict) -> list[str]:
-    lines = [f"n={t['n']} seconds={t['seconds']:.9f}" for t in rec["timings"]]
-    lines.append(f"sublinear={'yes' if rec['sublinear'] else 'NO'}")
-    return lines
-
-
 # --------------------------------------------------------------------- main
 
 
@@ -349,7 +304,6 @@ _RENDERERS = {
         "oracle": _oracle_plain,
         "verify": _verify_plain,
         "scan": _scan_plain,
-        "bench": _bench_plain,
     },
     "csv": {"table": _table_csv},
 }
@@ -406,9 +360,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("scan", parents=[common], help="closed form vs oracle over a grid")
     p.add_argument("j_range", help="like 4..22")
     p.add_argument("e_range", help="like 1..8")
-
-    p = sub.add_parser("bench", parents=[common], help="fast-doubling wall times")
-    p.add_argument("--modulus", type=int, required=True)
 
     return parser
 

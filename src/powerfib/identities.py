@@ -476,7 +476,11 @@ def sweep_zero_positions(
         j_text = f"{{{lo}..{hi}}} minus 6"
     else:
         j_text = "{" + ", ".join(map(str, js)) + "}"
-    domain = f"j in {j_text}, e in [{min(es)}, {max(es)}], i <= {i_max_factor}*j"
+    if sorted(es) == list(range(min(es), max(es) + 1)):
+        e_text = f"[{min(es)}, {max(es)}]"
+    else:
+        e_text = "{" + ", ".join(map(str, es)) + "}"
+    domain = f"j in {j_text}, e in {e_text}, i <= {i_max_factor}*j"
     cases = 0
     for j in js:
         for e in es:

@@ -4,16 +4,16 @@ Everything here is deliberately plain: single-step pair iteration and explicit
 divisor scans with recorded witnesses, so a disagreement with the closed-form
 route points at a real mathematical problem rather than shared code.
 
-The oracle remembers its last row.  When the next call asks for the same j
-one exponent higher, as a `scan` row does, it steps up by one multiplication
-per residue class instead of computing F_j, its Pisano period and every power
-again.  F_i^e mod F_j depends only on F_i mod F_j, and (F_j - x)^e = (-1)^e x^e,
-so the window entries fall into classes: the distinct c = min(x, F_j - x) over
+F_i^e mod F_j depends only on F_i mod F_j, and (F_j - x)^e = (-1)^e x^e, so
+the window entries fall into classes: the distinct c = min(x, F_j - x) over
 the e = 1 window x = F_i mod F_j.  Which index falls in which class, and how
-many classes there are, is found by walking that window, not assumed.  What
-it retains between calls is, for one j and e: the class values, their e-th
-powers mod F_j, and one slot per window entry (at most 4j) naming its class
-and sign.
+many classes there are, is found by walking that window, not assumed.  A row's
+first call, at any e, computes F_j, its Pisano period and the e = 1 window,
+finds the classes, and powers each class once.  The oracle remembers its last
+row: when the next call asks for the same j one exponent higher, as a `scan`
+row does, it steps up by one multiplication per class.  What it retains
+between calls is, for one j and e: the class values, their e-th powers mod
+F_j, and one slot per window entry (at most 4j) naming its class and sign.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
 
-# (j, e, m, p0, classes) of the last call, where classes is (values, slots,
-# powers) or None for a row that began above e = 1.  It is read once and
-# replaced whole, and nothing stored is changed, so a caller on another thread
-# can at worst rebuild a row, never read a half-made one.
-_last_row: tuple[int, int, int, int, tuple[list[int], list[int], list[int]] | None] | None = None
+# (j, e, m, p0, values, slots, powers) of the last call; every row builds its
+# classes on its first call, whatever its e.  It is read once and replaced
+# whole, and nothing stored is changed, so a caller on another thread can at
+# worst rebuild a row, never read a half-made one.
+_last_row: tuple[int, int, int, int, list[int], list[int], list[int]] | None = None
 
 
 def pisano_period(m: int) -> int:
@@ -136,32 +136,19 @@ def _power_window(j: int, e: int) -> tuple[int, int, list[int]]:
     global _last_row
     last = _last_row
     if last is not None and last[0] == j and last[1] == e - 1:
-        _, _, m, p0, classes = last
-        if classes is None:
-            # the row began above e = 1: find its classes by one pair walk
-            residues = []
-            a, b = 0, 1
-            for _ in range(p0):
-                residues.append(a)
-                a, b = b, (a + b) % m
-            values, slots = _sign_classes(m, residues)
-            powers = list(map(pow, values, repeat(e), repeat(m)))
-        else:
-            values, slots, powers = classes
-            powers = list(map(mod, map(mul, powers, values), repeat(m)))
-        # slot ~k reads from the end: the powers, then their signed copies reversed
-        signed = [(m - p) % m for p in reversed(powers)] if e % 2 else powers[::-1]
-        window = list(map((powers + signed).__getitem__, slots))
-        classes = values, slots, powers
+        _, _, m, p0, values, slots, powers = last
+        powers = list(map(mod, map(mul, powers, values), repeat(m)))
     else:
         m = fib_exact(j)
         p0 = pisano_period(m)
-        window = sequence_prefix(j, e, p0)
-        classes = None
-        if e == 1:
-            values, slots = _sign_classes(m, window)
-            classes = values, slots, values
-    _last_row = (j, e, m, p0, classes)
+        window = sequence_prefix(j, 1, p0)
+        values, slots = _sign_classes(m, window)
+        powers = list(map(pow, values, repeat(e), repeat(m)))
+    if e > 1:
+        # slot ~k reads from the end: the powers, then their signed copies reversed
+        signed = [(m - p) % m for p in reversed(powers)] if e % 2 else powers[::-1]
+        window = list(map((powers + signed).__getitem__, slots))
+    _last_row = (j, e, m, p0, values, slots, powers)
     return m, p0, window
 
 

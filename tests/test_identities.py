@@ -513,6 +513,14 @@ def test_sweep_zero_positions_domain_names_the_j_it_ran():
     assert report.domain_description == "j in {4..10} minus 6, e in [1, 1], i <= 5*j"
 
 
+def test_sweep_zero_positions_domain_names_the_e_it_ran():
+    report = sweep_zero_positions([4], [1, 5])
+    assert report.domain_description == "j in {4..4} minus 6, e in {1, 5}, i <= 5*j"
+    assert report.cases_checked == 21 + 21
+    report = sweep_zero_positions([4], [3, 1, 2])
+    assert report.domain_description == "j in {4..4} minus 6, e in [1, 3], i <= 5*j"
+
+
 def test_sweep_zero_positions_rejects_j6():
     with pytest.raises(OutOfDomainError):
         sweep_zero_positions([4, 5, 6], [1])

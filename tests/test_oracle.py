@@ -175,7 +175,9 @@ def test_scan_row_steps_sign_classes_to_cold_windows(j):
         assert minimal_period_bruteforce(j, e, j_max=j) == _cold_trace(j, e), (j, e)
 
 
-def test_row_starting_above_e1_builds_its_classes_on_its_first_step(monkeypatch):
+def test_row_starting_above_e1_takes_the_one_cold_path(monkeypatch):
+    # a row's first call finds its classes from the e = 1 walk and powers
+    # each class once, at e = 5 as at e = 1; later calls step from there
     monkeypatch.setattr(oracle, "_last_row", None)
     for e in range(5, 11):
         m, p0, window = oracle._power_window(299, e)
@@ -212,19 +214,26 @@ def test_threads_sharing_the_remembered_window_get_cold_traces():
 
 
 def test_scan_builds_one_window_per_row(monkeypatch, capsys):
-    calls = {"pisano_period": 0, "sequence_prefix": 0}
+    calls = {"pisano_period": [], "sequence_prefix": []}
 
     def counted(name):
         original = getattr(oracle, name)
 
         def wrapper(*args):
-            calls[name] += 1
+            calls[name].append(args)
             return original(*args)
 
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(oracle, name, counted(name))
-    assert cli.main(["scan", "20..23", "1..8", "--j-max", "25"]) == 0
-    assert capsys.readouterr().out.endswith("cells=32 disagreements=0\n")
-    assert calls == {"pisano_period": 4, "sequence_prefix": 4}
+    # a row starting at e = 1 and a row starting above it
+    for e_range, cells in (("1..8", 32), ("5..8", 16)):
+        for name in calls:
+            calls[name].clear()
+        assert cli.main(["scan", "20..23", e_range, "--j-max", "25"]) == 0
+        assert capsys.readouterr().out.endswith(f"cells={cells} disagreements=0\n")
+        assert len(calls["pisano_period"]) == 4, e_range
+        # one e = 1 walk per row, whatever exponent the row starts at
+        walks = [(j, e) for j, e, _ in calls["sequence_prefix"]]
+        assert walks == [(j, 1) for j in range(20, 24)], e_range

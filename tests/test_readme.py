@@ -3,7 +3,7 @@
 Each ```python block runs as a doctest.  Each ```text block that starts with
 a `$ powerfib ...` line runs that command through `cli.main`, and what it
 writes must equal the rest of the block, where a line `...` stands for any
-run of lines.  `bench` is left out: its output is measured times.
+run of lines.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _commands() -> list[tuple[int, str]]:
     return [
         (lineno, body)
         for lineno, body in readme_blocks("text")
-        if body.startswith("$ powerfib ") and not body.startswith("$ powerfib bench")
+        if body.startswith("$ powerfib ")
     ]
 
 

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powerfib.errors import OutOfDomainError
-from powerfib.fibcore import fib_exact
+from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.oracle import sequence_prefix
 from powerfib.residue_tables import (
     case_breakdown,
@@ -169,6 +171,42 @@ def test_case_breakdown_aligns_with_tables():
         "0", "F[6]", "Fj-F[5]", "F[4]", "Fj-F[3]", "F[2]", "Fj-F[1]",
         "0", "Fj-F[1]", "Fj-F[2]", "Fj-F[3]", "Fj-F[4]", "Fj-F[5]", "Fj-F[6]",
         "0", "Fj-F[6]", "F[5]", "Fj-F[4]", "F[3]", "Fj-F[2]", "F[1]",
+    )
+
+
+_LABEL = re.compile(r"(Fj-)?F\[(\d+)\](\^2)?|rho\[(\d+)\]|0")
+
+
+def _label_value(label: str, fs: list[int], residues: tuple[int, ...]) -> int:
+    """The exact value a case_breakdown label names, read from F_0..F_j."""
+    match = _LABEL.fullmatch(label)
+    assert match, label
+    complement, k, squared, rho = match.groups()
+    if rho is not None:
+        return residues[int(rho)]
+    if k is None:
+        return 0
+    value = fs[int(k)] ** (2 if squared else 1)
+    return fs[-1] - value if complement else value
+
+
+def test_case_breakdown_labels_evaluate_to_their_entries():
+    for j in range(4, 61):
+        fs = fib_prefix(j + 1)
+        for e, table in ((1, residues_e1(j)), (2, residues_e2(j))):
+            for i, label in enumerate(case_breakdown(j, e)):
+                value = _label_value(label, fs, table.residues)
+                assert value == table.residues[i], (j, e, i, label)
+
+
+def test_case_breakdown_j9_e2():
+    # odd j = 2t + 1 = 9: squares up to i = t + 1 = 5 (F_5^2 = 25 equals
+    # F_9 - F_4^2 too, so only the text pins that label), complements up to
+    # i = 8, the zero at i = j, then the first half mirrored
+    assert case_breakdown(9, 2) == (
+        "F[0]^2", "F[1]^2", "F[2]^2", "F[3]^2", "F[4]^2", "F[5]^2",
+        "Fj-F[3]^2", "Fj-F[2]^2", "Fj-F[1]^2",
+        "0", "rho[8]", "rho[7]", "rho[6]", "rho[5]", "rho[4]", "rho[3]", "rho[2]", "rho[1]",
     )
 
 
