@@ -17,7 +17,8 @@ with a single `sys.stdout.write`; a failure writes nothing to stdout and
 one line to stderr.  Python refuses to print an integer wider than
 `sys.get_int_max_str_digits()` digits, so a request whose modulus F_j is
 that wide trips the resource guard before any work, and so does a `scan`
-over more than `SCAN_MAX_CELLS` (j, e) cells.
+over more than `SCAN_MAX_CELLS` (j, e) cells or a `table` estimated at more
+than `TABLE_MAX_DIGITS` digits.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ EXIT_GUARD = 3
 
 # the most (j, e) cells one scan checks; admits `scan 3..1000 1..10` (9980)
 SCAN_MAX_CELLS = 10_000
+# the most residue digits one table holds, estimated as its period times the
+# digits of F_j; admits every table up to j = 2000 (at most 7996 x 418)
+TABLE_MAX_DIGITS = 2 * 10**7
 
 _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 
@@ -156,6 +160,15 @@ def cmd_table(args) -> tuple[int, dict]:
     if args.annotate and args.e > 2:
         raise _UsageError("--annotate needs e in {1, 2}; no per-entry closed form beyond")
     _require_printable_fib(args.j)
+    # every residue is below F_j <= phi^(j-1), so it has at most `digits` digits;
+    # the message shows the factors, as the scan guard does
+    period = period_closed_form(args.j, args.e).period
+    digits = math.floor((args.j - 1) * _LOG10_PHI) + 1
+    if period * digits > TABLE_MAX_DIGITS:
+        raise ResourceGuardError(
+            f"table has {period} residues x {digits} digits, more than the limit of "
+            f"{TABLE_MAX_DIGITS} digits; choose a smaller j"
+        )
 
     if args.e == 1:
         table = residues_e1(args.j)

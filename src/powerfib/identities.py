@@ -9,6 +9,7 @@ results into reports that carry a genuine counterexample when one exists.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -257,7 +258,10 @@ def _is_prime_u64(n: int) -> bool:
 
 
 def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
-    """Factors found below TRIAL_DIVISION_BOUND plus the remaining cofactor."""
+    """Factors found below TRIAL_DIVISION_BOUND plus the remaining cofactor.
+
+    Division ends early once the cofactor is a prime below 2^64: no divisor
+    is left for it to find, so the result is what a walk to the bound gives."""
     factors: list[tuple[int, int]] = []
     for p in (2, 3):
         if n % p == 0:
@@ -266,8 +270,9 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
                 n //= p
                 mult += 1
             factors.append((p, mult))
+    prime = n < 2**64 and _is_prime_u64(n)
     d = 5
-    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
+    while not prime and d <= TRIAL_DIVISION_BOUND and d * d <= n:
         for p in (d, d + 2):
             if n % p == 0:
                 mult = 0
@@ -275,6 +280,7 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
                     n //= p
                     mult += 1
                 factors.append((p, mult))
+                prime = n < 2**64 and _is_prime_u64(n)
         d += 6
     return factors, n
 
@@ -366,20 +372,21 @@ def gcd_sample_pairs(
 def _equation_sweep(
     name: str,
     domain: str,
-    inputs_list: Iterable[dict[str, int]],
+    names: tuple[str, ...],
+    cases: Iterable[tuple[int, ...]],
     evaluate: Callable[..., tuple[int, int]],
     fs: list[int] | dict[int, int] | None,
 ) -> VerificationReport:
-    """Evaluate every case on the same exact values fs, where fs[i] = F_i
-    (None for a check that reads no Fibonacci values)."""
+    """Evaluate every case, a tuple of the parameters called names, on the
+    same exact values fs, where fs[i] = F_i (None for a check that reads no
+    Fibonacci values).  Only a failing case is named, in its counterexample."""
     count = 0
-    for inputs in inputs_list:
+    for case in cases:
         count += 1
-        lhs, rhs = evaluate(**inputs, fs=fs)
+        lhs, rhs = evaluate(*case, fs)
         if lhs != rhs:
-            return VerificationReport(
-                name, domain, count, COUNTEREXAMPLE, Counterexample(inputs, lhs, rhs)
-            )
+            found = Counterexample(dict(zip(names, case)), lhs, rhs)
+            return VerificationReport(name, domain, count, COUNTEREXAMPLE, found)
     return VerificationReport(name, domain, count, ALL_PASS)
 
 
@@ -388,7 +395,8 @@ def sweep_gcd(pairs: Iterable[tuple[int, int]] | None = None) -> VerificationRep
     return _equation_sweep(
         "gcd",
         f"{len(pairs)} sampled index pairs",
-        ({"n": n, "m": m} for n, m in pairs),
+        ("n", "m"),
+        pairs,
         _eval_gcd,
         _fib_values(i for n, m in pairs for i in (n, m, math.gcd(n, m))),
     )
@@ -398,7 +406,8 @@ def sweep_addition(n_max: int = 80, m_max: int = 80) -> VerificationReport:
     return _equation_sweep(
         "addition",
         f"n in [1, {n_max}], m in [0, {m_max}]",
-        ({"n": n, "m": m} for n in range(1, n_max + 1) for m in range(m_max + 1)),
+        ("n", "m"),
+        itertools.product(range(1, n_max + 1), range(m_max + 1)),
         _eval_addition,
         fib_prefix(max(n_max + m_max + 2, 0)),
     )
@@ -408,7 +417,8 @@ def sweep_catalan(n_max: int = 80) -> VerificationReport:
     return _equation_sweep(
         "catalan",
         f"0 <= r <= n <= {n_max}",
-        ({"n": n, "r": r} for n in range(n_max + 1) for r in range(n + 1)),
+        ("n", "r"),
+        ((n, r) for n in range(n_max + 1) for r in range(n + 1)),
         _eval_catalan,
         fib_prefix(max(2 * n_max + 1, 0)),
     )
@@ -418,7 +428,8 @@ def sweep_cassini(n_max: int = 120) -> VerificationReport:
     return _equation_sweep(
         "cassini",
         f"n in [1, {n_max}]",
-        ({"n": n} for n in range(1, n_max + 1)),
+        ("n",),
+        zip(range(1, n_max + 1)),
         _eval_cassini,
         fib_prefix(max(n_max + 2, 0)),
     )
@@ -512,7 +523,8 @@ def sweep_carmichael(
     return _equation_sweep(
         "carmichael",
         f"j in [{j_lo}, {j_hi}], expected exceptions {sorted(exceptions)}",
-        ({"j": j} for j in range(j_lo, j_hi + 1)),
+        ("j",),
+        zip(range(j_lo, j_hi + 1)),
         found_and_expected,
         None,
     )

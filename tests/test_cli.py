@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -547,6 +548,58 @@ def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
     rc, out, _ = run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS}")
     assert (rc, out.splitlines()[-1]) == (0, f"cells={cli.SCAN_MAX_CELLS} disagreements=0")
     assert run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS + 1}")[0] == 3
+
+
+_TABLE_BUILDERS = ("residues_e1", "residues_e2", "residues_general", "case_breakdown")
+
+
+def _table_guard_message(period, digits):
+    return (
+        f"resource guard: table has {period} residues x {digits} digits, more than the "
+        f"limit of {cli.TABLE_MAX_DIGITS} digits; choose a smaller j\n"
+    )
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("the table guard let a table be built")
+
+
+def test_table_size_guard_rejects_before_any_work(capsys, monkeypatch):
+    for name in _TABLE_BUILDERS:
+        monkeypatch.setattr(cli, name, _no_table)
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        # with no digit limit, only this guard bounds the output
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(0)
+        for command, period, digits in (
+            ("table 8001 1 --format csv", 32004, 1672),
+            ("table 8001 2 --annotate", 16002, 1672),
+            ("table 20001 3 --format json", 80004, 4180),
+            ("table 1000000 4", 1000000, 208988),
+        ):
+            assert run(capsys, *command.split()) == (3, "", _table_guard_message(period, digits))
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(saved)
+
+
+def test_table_size_guard_admits_its_limit(capsys, monkeypatch):
+    # stub builders, so a table at the limit costs nothing
+    def empty_table(*args):
+        return SimpleNamespace(to_record=lambda: {"residues": []})
+
+    for name in _TABLE_BUILDERS[:3]:
+        monkeypatch.setattr(cli, name, empty_table)
+    # 7996 x 418, the widest table up to j = 2000; 13828 x 1445, just under
+    # the limit; 13832 x 1446, just over it
+    assert run(capsys, "table", "1999", "1", "--format", "csv") == (0, "i,rho\n", "")
+    assert run(capsys, "table", "6914", "1", "--format", "csv") == (0, "i,rho\n", "")
+    assert run(capsys, "table", "6916", "1", "--format", "csv") == (
+        3,
+        "",
+        _table_guard_message(13832, 1446),
+    )
 
 
 def test_scan_usage_errors(capsys):

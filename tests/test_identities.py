@@ -180,6 +180,7 @@ def test_addition_sweep_reports_failing_case(monkeypatch):
     assert report.cases_checked == 15
     # F_5 = 5 against F_2 F_2 + F_3 F_3 = 5, pushed to 6
     assert report.counterexample == Counterexample({"n": 3, "m": 2}, 5, 6)
+    assert list(report.counterexample.inputs) == ["n", "m"]
 
 
 def test_catalan_sweep_reports_failing_case(monkeypatch):
@@ -196,6 +197,56 @@ def test_catalan_sweep_reports_failing_case(monkeypatch):
     assert report.cases_checked == 13
     # F_4^2 - F_2 F_6 = 9 - 8 = 1 against (+1) F_2^2 = 1, negated
     assert report.counterexample == Counterexample({"n": 4, "r": 2}, 1, -1)
+    assert list(report.counterexample.inputs) == ["n", "r"]
+
+
+def test_gcd_sweep_reports_failing_case(monkeypatch):
+    real = identities._eval_gcd
+
+    def broken_at_9_6(n, m, fs=None):
+        lhs, rhs = real(n, m, fs)
+        return (lhs, rhs + 1) if (n, m) == (9, 6) else (lhs, rhs)
+
+    monkeypatch.setattr(identities, "_eval_gcd", broken_at_9_6)
+    # a pair may come as any two-item sequence; its case keeps both names
+    report = sweep_gcd([(4, 6), [0, 5], (9, 6), (12, 8)])
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.cases_checked == 3
+    # gcd(F_9, F_6) = gcd(34, 8) = 2 against F_3 = 2, pushed to 3
+    assert report.counterexample == Counterexample({"n": 9, "m": 6}, 2, 3)
+    assert list(report.counterexample.inputs) == ["n", "m"]
+
+
+def test_cassini_sweep_reports_failing_case(monkeypatch):
+    real = identities._eval_cassini
+
+    def broken_at_6(n, fs=None):
+        lhs, rhs = real(n, fs)
+        return (lhs, -rhs) if n == 6 else (lhs, rhs)
+
+    monkeypatch.setattr(identities, "_eval_cassini", broken_at_6)
+    report = sweep_cassini(10)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.cases_checked == 6
+    # F_6^2 - F_5 F_7 = 64 - 65 = -1 against (-1)^5 = -1, negated
+    assert report.counterexample == Counterexample({"n": 6}, -1, 1)
+    assert report.to_record()["counterexample"] == {"inputs": {"n": 6}, "lhs": "-1", "rhs": "1"}
+
+
+def test_carmichael_sweep_reports_failing_case(monkeypatch):
+    real = identities.primitive_prime_divisor
+
+    def none_at_9(j):
+        result = real(j)
+        return identities.PrimitiveDivisorResult(j, None, None, ()) if j == 9 else result
+
+    monkeypatch.setattr(identities, "primitive_prime_divisor", none_at_9)
+    report = sweep_carmichael(5, 20)
+    assert report.verdict == COUNTEREXAMPLE
+    assert report.cases_checked == 5  # j = 5 .. 9
+    # no prime found at j = 9, where one was demanded
+    assert report.counterexample == Counterexample({"j": 9}, 0, 1)
+    assert list(report.counterexample.inputs) == ["j"]
 
 
 @contextlib.contextmanager
@@ -311,9 +362,9 @@ def recording_sweep_values():
     real = identities._equation_sweep
     handed = []
 
-    def sweep(name, domain, inputs_list, evaluate, fs):
+    def sweep(name, domain, names, cases, evaluate, fs):
         handed.append(fs)
-        return real(name, domain, inputs_list, evaluate, fs)
+        return real(name, domain, names, cases, evaluate, fs)
 
     identities._equation_sweep = sweep
     try:
@@ -483,6 +534,52 @@ def test_is_prime_u64():
     assert not _is_prime_u64(561)  # Carmichael number
     assert not _is_prime_u64(3825123056546413051)  # strong pseudoprime to many bases
     assert not _is_prime_u64(2**61 + 1)
+
+
+def _primes_to(bound: int) -> list[int]:
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return [p for p in range(bound + 1) if sieve[p]]
+
+
+def _plain_trial_factor(n: int, primes: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """Divide out 2 and 3, then every prime up to the trial division bound
+    while p^2 <= n, with no primality test and no early end."""
+    factors = []
+    for p in primes:
+        if p > 3 and p * p > n:
+            break
+        if n % p == 0:
+            mult = 0
+            while n % p == 0:
+                n //= p
+                mult += 1
+            factors.append((p, mult))
+    return factors, n
+
+
+def _as_product(factors: list[tuple[int, int]], cofactor: int) -> list[tuple[int, int]]:
+    return sorted(factors + [(cofactor, 1)] * (cofactor > 1))
+
+
+def test_trial_factor_matches_plain_trial_division():
+    # compared as products: after dividing by d, the factoring also tries d + 2
+    # and may take it as a factor where plain division leaves it as the
+    # cofactor (F_18 = 2^3 * 17 * 19)
+    primes = _primes_to(identities.TRIAL_DIVISION_BOUND)
+    for n in [fib_exact(j) for j in range(1, 81)] + [157 * 92180471494753]:
+        got = _as_product(*identities._trial_factor(n))
+        assert got == _as_product(*_plain_trial_factor(n, primes)), n
+    # the split as it was before division could end early
+    assert identities._trial_factor(fib_exact(18)) == ([(2, 3), (17, 1), (19, 1)], 1)
+    # F_77: the cofactor after 13 and 89 is 988681 x 4832521, composite and
+    # below 2^64, so an end that skips the primality test stops too soon
+    assert identities._trial_factor(fib_exact(77)) == ([(13, 1), (89, 1), (988681, 1)], 4832521)
+    # the prime cofactor of F_79 ends the division right after 157
+    assert identities._trial_factor(fib_exact(79)) == ([(157, 1)], 92180471494753)
 
 
 def test_gcd_sample_is_reproducible():
