@@ -10,22 +10,22 @@ not wanted.
 Each `cmd_*` function does the work and returns `(exit_code, record)`,
 where the record is the JSON document of its answer, built from the
 library's `to_record()` methods, so big integers are already decimal
-strings.  Only `main` looks at `--format`: json prints the record as one
-line, plain and csv pass it to the subcommand's renderer in `_RENDERERS`,
-which returns the output lines.  Either way `main` writes the whole text
+strings.  Only `main` renders, by `--format` (`cmd_table` reads it only
+for csv's usage errors): json prints the record as one line, plain and csv
+pass it to the subcommand's renderer in `_RENDERERS`, which returns the
+output lines.  Either way `main` writes the whole text
 with a single `sys.stdout.write`; a failure writes nothing to stdout and
 one line to stderr.  Python refuses to print an integer wider than
 `sys.get_int_max_str_digits()` digits, so a request whose modulus F_j is
-that wide trips the resource guard before any work, and so does a `scan`
-over more than `SCAN_MAX_CELLS` (j, e) cells or a `table` estimated at more
-than `TABLE_MAX_DIGITS` digits.
+that wide trips the resource guard before any work, whatever the size of
+j, and so does a `scan` over more than `SCAN_MAX_CELLS` (j, e) cells or a
+`table` estimated at more than `TABLE_MAX_DIGITS` digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -47,7 +47,8 @@ SCAN_MAX_CELLS = 10_000
 # digits of F_j; admits every table up to j = 2000 (at most 7996 x 418)
 TABLE_MAX_DIGITS = 2 * 10**7
 
-_LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
+# log10(phi) = 0.208987640249978733769..., times 10^20 and rounded up
+_DIGITS_PER_INDEX = 20898764024997873377
 
 
 class _UsageError(Exception):
@@ -76,17 +77,25 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _fib_digit_bound(j: int) -> int:
+    """The decimal digits of F_j (j >= 1) or, for j below 10^20, one more:
+    phi^(j-2) <= F_j <= phi^(j-1), and log10 phi is rounded up by < 10^-21.
+    """
+    return (j - 1) * _DIGITS_PER_INDEX // 10**20 + 1
+
+
 def _require_printable_fib(j: int) -> None:
     """Raise ResourceGuardError if F_j has more decimal digits than Python
     converts to a string (`sys.get_int_max_str_digits()`; 0 means no limit).
 
-    phi^(j-2) <= F_j <= phi^(j-1), so only j near the limit needs the exact
-    F_j; the margin of one digit absorbs the rounding of the logarithms.
+    Only a digit bound of limit + 1 needs the exact F_j; from j = 10^20 on,
+    F_j has over 10^19 digits, beyond any limit Python accepts.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or (j - 1) * _LOG10_PHI < limit - 1:
+    digits = _fib_digit_bound(j)
+    if not limit or digits <= limit:
         return
-    if (j - 2) * _LOG10_PHI > limit + 1 or fib_exact(j) >= 10**limit:
+    if digits > limit + 1 or fib_exact(j) >= 10**limit:
         raise ResourceGuardError(
             f"F_{j} has more than {limit} decimal digits, "
             "the most this Python prints (sys.set_int_max_str_digits)"
@@ -147,10 +156,13 @@ _BASE_CASE_ROWS = {1: [0], 2: [0], 3: [0, 1, 1]}
 
 
 def cmd_table(args) -> tuple[int, dict]:
-    if args.j < 0:
-        raise OutOfDomainError(f"j must be nonnegative, got {args.j}")
-    if args.e < 1:
-        raise OutOfDomainError(f"exponent must be at least 1, got {args.e}")
+    if args.format == "csv":
+        # csv's usage errors come before the domain checks and any work
+        if args.annotate:
+            raise _UsageError("--annotate applies to plain and json tables, not csv")
+        if args.j == 0:
+            raise _UsageError("j = 0 has no finite residue table; use plain or json")
+    period = period_closed_form(args.j, args.e).period
 
     if args.j < 4:
         if args.annotate:
@@ -160,10 +172,9 @@ def cmd_table(args) -> tuple[int, dict]:
     if args.annotate and args.e > 2:
         raise _UsageError("--annotate needs e in {1, 2}; no per-entry closed form beyond")
     _require_printable_fib(args.j)
-    # every residue is below F_j <= phi^(j-1), so it has at most `digits` digits;
-    # the message shows the factors, as the scan guard does
-    period = period_closed_form(args.j, args.e).period
-    digits = math.floor((args.j - 1) * _LOG10_PHI) + 1
+    # every residue is below F_j, so it has at most `digits` digits; the
+    # message shows the factors, as the scan guard does
+    digits = _fib_digit_bound(args.j)
     if period * digits > TABLE_MAX_DIGITS:
         raise ResourceGuardError(
             f"table has {period} residues x {digits} digits, more than the limit of "
@@ -383,16 +394,8 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.format == "csv":
-            # csv is for tables only, and its usage errors come before any work
-            if args.command not in _RENDERERS["csv"]:
-                raise _UsageError(
-                    f"--format csv applies to residue tables only, not '{args.command}'"
-                )
-            if args.annotate:
-                raise _UsageError("--annotate applies to plain and json tables, not csv")
-            if args.j == 0:
-                raise _UsageError("j = 0 has no finite residue table; use plain or json")
+        if args.format == "csv" and args.command not in _RENDERERS["csv"]:
+            raise _UsageError(f"--format csv applies to residue tables only, not '{args.command}'")
         # looked up by name on every call, so a rebound cmd_* takes effect
         code, record = globals()[f"cmd_{args.command}"](args)
         if args.format == "json":

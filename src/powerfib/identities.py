@@ -257,10 +257,9 @@ def _is_prime_u64(n: int) -> bool:
     return True
 
 
-def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
-    """Factors found below TRIAL_DIVISION_BOUND plus the remaining cofactor.
-
-    Division ends early once the cofactor is a prime below 2^64: no divisor
+def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int, bool]:
+    """Factors found below TRIAL_DIVISION_BOUND, the remaining cofactor, and
+    whether it is a prime below 2^64, which ends division early: no divisor
     is left for it to find, so the result is what a walk to the bound gives."""
     factors: list[tuple[int, int]] = []
     for p in (2, 3):
@@ -282,7 +281,7 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int]:
                 factors.append((p, mult))
                 prime = n < 2**64 and _is_prime_u64(n)
         d += 6
-    return factors, n
+    return factors, n, prime
 
 
 def _rank_of_apparition(q: int, stop: int) -> int | None:
@@ -321,20 +320,20 @@ def primitive_prime_divisor(j: int, j_fact_max: int = DEFAULT_J_FACT_MAX) -> Pri
             f"j={j} exceeds the factorization guard j_fact_max={j_fact_max}"
         )
     n = fib_exact(j)
-    factors, cofactor = _trial_factor(n)
-    if cofactor > 1:
-        if cofactor >= 2**64:
-            raise ResourceGuardError(
-                f"cofactor of F_{j} exceeds 64 bits; cannot certify primality",
-                partial=tuple(factors),
-            )
-        if not _is_prime_u64(cofactor):
-            raise ResourceGuardError(
-                f"cofactor {cofactor} of F_{j} is composite and beyond the "
-                f"trial division bound {TRIAL_DIVISION_BOUND}",
-                partial=tuple(factors),
-            )
+    factors, cofactor, prime = _trial_factor(n)
+    if prime:
         factors.append((cofactor, 1))
+    elif cofactor >= 2**64:
+        raise ResourceGuardError(
+            f"cofactor of F_{j} exceeds 64 bits; cannot certify primality",
+            partial=tuple(factors),
+        )
+    elif cofactor > 1:
+        raise ResourceGuardError(
+            f"cofactor {cofactor} of F_{j} is composite and beyond the "
+            f"trial division bound {TRIAL_DIVISION_BOUND}",
+            partial=tuple(factors),
+        )
     factors.sort()
     for q, _ in factors:
         rank = _rank_of_apparition(q, j)

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import OutOfDomainError
-from .fibcore import fib_exact, fib_prefix
+from .fibcore import fib_prefix
 from .periodicity import period_closed_form
 
 
@@ -68,15 +68,15 @@ def _e1_terms(j: int) -> Iterator[tuple[int, bool]]:
             yield j - r, (i % 2 == j % 2) != (block == 3)
 
 
-def _e2_entries(j: int) -> Iterator[tuple[int, str]]:
-    """(residue, formula label) pairs for exponent 2, one full period.
+def _e2_entries(fs: list[int]) -> Iterator[tuple[int, str]]:
+    """(residue, formula label) pairs for exponent 2 from fs = [F_0 .. F_j].
 
     Even j = 2t, period j: plain squares F_i^2 up to the midpoint, then the
     reflected squares F_{j-i}^2.  Odd j = 2t+1, period 2j: squares up to
     i = t+1, complements F_j - F_{j-i}^2 up to i = j-1, a zero at i = j,
     then the first half mirrored (rho_i = rho_{2j-i}).
     """
-    fs = fib_prefix(j + 1)
+    j = len(fs) - 1
     m = fs[j]
     t = j // 2
     if j % 2 == 0:
@@ -102,6 +102,7 @@ def _e2_entries(j: int) -> Iterator[tuple[int, str]]:
 def _powered_e1_table(j: int, e: int) -> ResidueTable:
     # rho_i = +-F_k mod F_j at e = 1 gives F_i^e = (+-1)^e F_k^e mod F_j,
     # so one period needs only the j + 1 powers F_0^e .. F_j^e
+    _require_j(j)
     period = period_closed_form(j, e).period
     fs = fib_prefix(j + 1)
     m = fs[j]
@@ -116,17 +117,15 @@ def _powered_e1_table(j: int, e: int) -> ResidueTable:
 
 def residues_e1(j: int) -> ResidueTable:
     """Exponent 1 table for j >= 4: period 2j for even j, 4j for odd j."""
-    _require_j(j)
     return _powered_e1_table(j, 1)
 
 
 def residues_e2(j: int) -> ResidueTable:
     """Exponent 2 table for j >= 4: period j for even j, 2j for odd j."""
     _require_j(j)
-    res = tuple(value for value, _ in _e2_entries(j))
-    return ResidueTable(
-        j=j, e=2, modulus=fib_exact(j), period=len(res), residues=res
-    )
+    fs = fib_prefix(j + 1)
+    res = tuple(value for value, _ in _e2_entries(fs))
+    return ResidueTable(j=j, e=2, modulus=fs[j], period=len(res), residues=res)
 
 
 def residues_general(j: int, e: int) -> ResidueTable:
@@ -140,9 +139,6 @@ def residues_general(j: int, e: int) -> ResidueTable:
     so its modular iteration and minimality scan stay an independent
     second route.
     """
-    _require_j(j)
-    if e < 1:
-        raise OutOfDomainError(f"exponent must be at least 1, got {e}")
     return _powered_e1_table(j, e)
 
 
@@ -155,7 +151,7 @@ def case_breakdown(j: int, e: int) -> tuple[str, ...]:
             for k, negated in _e1_terms(j)
         )
     if e == 2:
-        return tuple(label for _, label in _e2_entries(j))
+        return tuple(label for _, label in _e2_entries(fib_prefix(j + 1)))
     raise OutOfDomainError(
         f"per-entry formulas exist for exponents 1 and 2 only, got e={e}"
     )

@@ -327,6 +327,10 @@ def _no_table(*args, **kwargs):
         ("table 2000 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
         ("table 2000 2 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
         ("table 0 1 --format csv", "j = 0 has no finite residue table; use plain or json"),
+        # before the domain checks too, and --annotate before j = 0
+        ("table -1 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
+        ("table 0 0 --format csv", "j = 0 has no finite residue table; use plain or json"),
+        ("table 0 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
     ],
 )
 def test_table_csv_usage_errors_come_before_any_work(capsys, monkeypatch, command, message):
@@ -411,6 +415,11 @@ def test_digit_guard_is_exact_near_the_limit(digit_limit):
             cli._require_printable_fib(j)
     sys.set_int_max_str_digits(0)  # no limit
     cli._require_printable_fib(10**6)
+
+
+def test_digit_bound_is_the_digits_or_one_more():
+    for j, f in enumerate(fib_prefix(3001)[2:], start=2):
+        assert len(str(f)) <= cli._fib_digit_bound(j) <= len(str(f)) + 1, j
 
 
 class _CountingStdout:
@@ -599,6 +608,41 @@ def test_table_size_guard_admits_its_limit(capsys, monkeypatch):
         3,
         "",
         _table_guard_message(13832, 1446),
+    )
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a request for a huge j did work")
+
+
+_HUGE_J = 10**400
+
+
+@pytest.mark.parametrize(
+    "command",
+    [f"oracle {_HUGE_J} 1", f"table {_HUGE_J} 1", f"period {_HUGE_J} 1 --verify"],
+    ids=["oracle", "table", "period"],
+)
+def test_huge_j_trips_digit_guard(capsys, monkeypatch, digit_limit, command):
+    # refused from the digit bound alone: neither F_j nor the answer is built
+    for name in ("fib_exact", "minimal_period_bruteforce", *_TABLE_BUILDERS):
+        monkeypatch.setattr(cli, name, _no_work)
+    assert run(capsys, *command.split()) == (
+        3,
+        "",
+        f"resource guard: F_{_HUGE_J} has more than 4300 decimal digits, "
+        "the most this Python prints (sys.set_int_max_str_digits)\n",
+    )
+
+
+def test_huge_j_trips_table_guard_with_no_digit_limit(capsys, monkeypatch, digit_limit):
+    for name in ("fib_exact", *_TABLE_BUILDERS):
+        monkeypatch.setattr(cli, name, _no_work)
+    sys.set_int_max_str_digits(0)  # no limit: only the table guard bounds the output
+    assert run(capsys, "table", str(_HUGE_J), "1") == (
+        3,
+        "",
+        _table_guard_message(2 * _HUGE_J, cli._fib_digit_bound(_HUGE_J)),
     )
 
 

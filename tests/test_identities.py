@@ -571,15 +571,20 @@ def test_trial_factor_matches_plain_trial_division():
     # cofactor (F_18 = 2^3 * 17 * 19)
     primes = _primes_to(identities.TRIAL_DIVISION_BOUND)
     for n in [fib_exact(j) for j in range(1, 81)] + [157 * 92180471494753]:
-        got = _as_product(*identities._trial_factor(n))
-        assert got == _as_product(*_plain_trial_factor(n, primes)), n
+        factors, cofactor, prime = identities._trial_factor(n)
+        assert _as_product(factors, cofactor) == _as_product(*_plain_trial_factor(n, primes)), n
+        assert prime == (1 < cofactor < 2**64 and _is_prime_u64(cofactor)), n
     # the split as it was before division could end early
-    assert identities._trial_factor(fib_exact(18)) == ([(2, 3), (17, 1), (19, 1)], 1)
+    assert identities._trial_factor(fib_exact(18)) == ([(2, 3), (17, 1), (19, 1)], 1, False)
     # F_77: the cofactor after 13 and 89 is 988681 x 4832521, composite and
     # below 2^64, so an end that skips the primality test stops too soon
-    assert identities._trial_factor(fib_exact(77)) == ([(13, 1), (89, 1), (988681, 1)], 4832521)
+    assert identities._trial_factor(fib_exact(77)) == (
+        [(13, 1), (89, 1), (988681, 1)],
+        4832521,
+        True,
+    )
     # the prime cofactor of F_79 ends the division right after 157
-    assert identities._trial_factor(fib_exact(79)) == ([(157, 1)], 92180471494753)
+    assert identities._trial_factor(fib_exact(79)) == ([(157, 1)], 92180471494753, True)
 
 
 def test_gcd_sample_is_reproducible():
