@@ -19,7 +19,11 @@ one line to stderr.  Python refuses to print an integer wider than
 `sys.get_int_max_str_digits()` digits, so a request whose modulus F_j is
 that wide trips the resource guard before any work, whatever the size of
 j, and so does a `scan` over more than `SCAN_MAX_CELLS` (j, e) cells or a
-`table` estimated at more than `TABLE_MAX_DIGITS` digits.
+`table` estimated at more than `TABLE_MAX_DIGITS` digits.  An oracle row,
+in `oracle`, `period --verify` or `scan`, also trips it when F_j surely
+has more digits than that limit, or, where printing has no limit, than
+Python's default one: nothing else bounds the oracle's work, since
+`--j-max` takes any value.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ TABLE_MAX_DIGITS = 2 * 10**7
 
 # log10(phi) = 0.208987640249978733769..., times 10^20 and rounded up
 _DIGITS_PER_INDEX = 20898764024997873377
+# the oracle's digit limit where printing has none; Python 3.10 has no limit
+_DEFAULT_MAX_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 
 class _UsageError(Exception):
@@ -84,14 +90,19 @@ def _fib_digit_bound(j: int) -> int:
     return (j - 1) * _DIGITS_PER_INDEX // 10**20 + 1
 
 
+def _max_str_digits() -> int:
+    """The widest integer Python converts to a string; 0 means no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _require_printable_fib(j: int) -> None:
     """Raise ResourceGuardError if F_j has more decimal digits than Python
-    converts to a string (`sys.get_int_max_str_digits()`; 0 means no limit).
+    converts to a string (`_max_str_digits()`).
 
     Only a digit bound of limit + 1 needs the exact F_j; from j = 10^20 on,
     F_j has over 10^19 digits, beyond any limit Python accepts.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _max_str_digits()
     digits = _fib_digit_bound(j)
     if not limit or digits <= limit:
         return
@@ -99,6 +110,19 @@ def _require_printable_fib(j: int) -> None:
         raise ResourceGuardError(
             f"F_{j} has more than {limit} decimal digits, "
             "the most this Python prints (sys.set_int_max_str_digits)"
+        )
+
+
+def _require_oracle_row(j: int) -> None:
+    """Raise ResourceGuardError if the digit bound alone shows that F_j has
+    more digits than the printing limit, or than Python's default limit
+    where printing has none.  Under a limit, every F_j that prints passes.
+    """
+    limit = _max_str_digits() or _DEFAULT_MAX_STR_DIGITS
+    if _fib_digit_bound(j) > limit + 1:
+        raise ResourceGuardError(
+            f"F_{j} has more than {limit} decimal digits, the widest modulus the "
+            "oracle takes; raise PYTHONINTMAXSTRDIGITS to allow it"
         )
 
 
@@ -118,6 +142,7 @@ def cmd_period(args) -> tuple[int, dict]:
             "note": "oracle skipped: modulus F_j is below 2 (base case)",
         }
     _require_printable_fib(args.j)
+    _require_oracle_row(args.j)
     trace = minimal_period_bruteforce(args.j, args.e, j_max=args.j_max)
     agreement = trace.power_period == result.period
     return EXIT_OK if agreement else EXIT_DISAGREEMENT, {
@@ -216,6 +241,7 @@ def _table_csv(rec: dict) -> list[str]:
 
 def cmd_oracle(args) -> tuple[int, dict]:
     _require_printable_fib(args.j)
+    _require_oracle_row(args.j)
     return EXIT_OK, minimal_period_bruteforce(args.j, args.e, j_max=args.j_max).to_record()
 
 
@@ -286,6 +312,7 @@ def cmd_scan(args) -> tuple[int, dict]:
             f"scan range reaches j={j_hi}, beyond the oracle guard "
             f"j_max={args.j_max}; raise --j-max to allow it"
         )
+    _require_oracle_row(j_hi)
     # the message shows the factors: their product may be too wide to print
     j_count, e_count = j_hi - j_lo + 1, e_hi - e_lo + 1
     if j_count * e_count > SCAN_MAX_CELLS:

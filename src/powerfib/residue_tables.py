@@ -10,7 +10,6 @@ certifies them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 from .errors import OutOfDomainError
@@ -29,13 +28,15 @@ class ResidueTable:
     residues: tuple[int, ...]
 
     def to_record(self) -> dict:
-        # big integers cross the wire as decimal strings
+        # big integers cross the wire as decimal strings, each distinct one
+        # converted once
+        decimal = {r: str(r) for r in set(self.residues)}
         return {
             "j": self.j,
             "e": self.e,
             "modulus": str(self.modulus),
             "period": self.period,
-            "residues": [str(r) for r in self.residues],
+            "residues": list(map(decimal.__getitem__, self.residues)),
         }
 
 
@@ -47,25 +48,27 @@ def _require_j(j: int) -> None:
         )
 
 
-def _e1_terms(j: int) -> Iterator[tuple[int, bool]]:
-    """The exponent 1 closed form as (k, negated) terms, one full period.
+def _e1_slots(j: int) -> list[int]:
+    """The exponent 1 closed form as slots, one full period.
 
-    Term i stands for rho_i = -F_k mod F_j when negated, else F_k, with
-    0 <= k <= j; the structural zeros at i = j, 2j, 3j are (j, False),
-    since F_j = 0 mod F_j.  Write i = block * j + r.  Block 0 is F_r
-    itself.  Block 1 mirrors it as F_{j-r}, negated on even i for even j
-    and on odd i for odd j; even j stops there, at period 2j.  Odd j has
-    period 4j: blocks 2 and 3 repeat blocks 0 and 1 with every nonzero
+    Slot k stands for F_k and slot j + 1 + k for -F_k mod F_j, 0 <= k <= j;
+    the structural zeros at i = j, 2j, 3j read slot j, since F_j = 0 mod
+    F_j.  Write i = block * j + r.  Block 0 is F_r itself.  Block 1 mirrors
+    it as F_{j-r}, negated on even r; even j stops there, at period 2j.  Odd
+    j has period 4j: blocks 2 and 3 repeat blocks 0 and 1 with every nonzero
     entry's sign flipped.
     """
-    for i in range(2 * j if j % 2 == 0 else 4 * j):
-        block, r = divmod(i, j)
-        if r == 0 and block:
-            yield j, False
-        elif block % 2 == 0:
-            yield r, block == 2
-        else:
-            yield j - r, (i % 2 == j % 2) != (block == 3)
+    n = j + 1  # slot k + n is -F_k
+    # r = 0 .. j - 1 of F_r, -F_r, F_{j-r} and -F_{j-r}; each starts at a zero
+    plain = list(range(j))
+    negated = [j, *range(n + 1, n + j)]
+    mirror = list(range(j, 0, -1))
+    negated_mirror = [j, *range(n + j - 1, n, -1)]
+    # block 1 is negated on even r > 0, and block 3 then not
+    mirror[2::2], negated_mirror[2::2] = negated_mirror[2::2], mirror[2::2]
+    if j % 2 == 0:
+        return plain + mirror
+    return plain + mirror + negated + negated_mirror
 
 
 def _e2_entries(fs: list[int]) -> Iterator[tuple[int, str]]:
@@ -106,12 +109,18 @@ def _powered_e1_table(j: int, e: int) -> ResidueTable:
     period = period_closed_form(j, e).period
     fs = fib_prefix(j + 1)
     m = fs[j]
-    powers = [pow(f, e, m) for f in fs]
-    negated_powers = [(m - p) % m for p in powers] if e % 2 == 1 else powers
-    res = tuple(
-        negated_powers[k] if negated else powers[k]
-        for k, negated in islice(_e1_terms(j), period)
-    )
+    if e == 1:
+        powers = [*fs[:j], 0]
+    else:
+        # d'Ocagne: F_{j-k} = (-1)^(k+1) F_{j-1} F_k mod F_j, so the powers
+        # past the midpoint are the first ones times ((-1)^(k+1) F_{j-1})^e
+        lower = [pow(f, e, m) for f in fs[: j // 2 + 1]]
+        factor = (pow(m - fs[j - 1], e, m), pow(fs[j - 1], e, m))
+        # upper[k] = F_{j-k}^e for k = 0 .. j - j // 2 - 1
+        upper = [factor[k % 2] * p % m for k, p in enumerate(lower[: j - j // 2])]
+        powers = lower + upper[::-1]
+    negated = [(m - p) % m for p in powers] if e % 2 == 1 else powers
+    res = tuple(map((powers + negated).__getitem__, _e1_slots(j)[:period]))
     return ResidueTable(j=j, e=e, modulus=m, period=period, residues=res)
 
 
@@ -134,10 +143,11 @@ def residues_general(j: int, e: int) -> ResidueTable:
     Every e = 1 entry is +-F_k mod F_j for some k <= j, so each entry here
     is F_k^e mod F_j, negated when the e = 1 entry is and e is odd: the
     whole period takes only the j + 1 powers of exact small Fibonacci
-    values.  The length comes from period_closed_form, which divides the
-    e = 1 period; neither the length nor the entries come from the oracle,
-    so its modular iteration and minimality scan stay an independent
-    second route.
+    values, and only those up to k = j // 2 are powered; d'Ocagne's
+    identity gives the rest by one multiplication each.  The length comes
+    from period_closed_form, which divides the e = 1 period; neither the
+    length nor the entries come from the oracle, so its modular iteration
+    and minimality scan stay an independent second route.
     """
     return _powered_e1_table(j, e)
 
@@ -146,10 +156,8 @@ def case_breakdown(j: int, e: int) -> tuple[str, ...]:
     """The formula label behind each table entry, for e in {1, 2} only."""
     _require_j(j)
     if e == 1:
-        return tuple(
-            "0" if k == j else f"Fj-F[{k}]" if negated else f"F[{k}]"
-            for k, negated in _e1_terms(j)
-        )
+        labels = [*(f"F[{k}]" for k in range(j)), "0", *(f"Fj-F[{k}]" for k in range(j + 1))]
+        return tuple(map(labels.__getitem__, _e1_slots(j)))
     if e == 2:
         return tuple(label for _, label in _e2_entries(fib_prefix(j + 1)))
     raise OutOfDomainError(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -644,6 +645,102 @@ def test_huge_j_trips_table_guard_with_no_digit_limit(capsys, monkeypatch, digit
         "",
         _table_guard_message(2 * _HUGE_J, cli._fib_digit_bound(_HUGE_J)),
     )
+
+
+_ORACLE_ROWS = {
+    "scan": f"scan {_HUGE_J}..{_HUGE_J} 1..1 --j-max {_HUGE_J}",
+    "oracle": f"oracle {_HUGE_J} 1 --j-max {_HUGE_J}",
+    "period": f"period {_HUGE_J} 1 --verify --j-max {_HUGE_J}",
+}
+
+
+def _oracle_row_message(j, limit):
+    return (
+        f"resource guard: F_{j} has more than {limit} decimal digits, the widest modulus "
+        "the oracle takes; raise PYTHONINTMAXSTRDIGITS to allow it\n"
+    )
+
+
+@pytest.mark.parametrize("command", list(_ORACLE_ROWS))
+@pytest.mark.parametrize("max_str_digits", [4300, 0], ids=["limit", "no-limit"])
+def test_huge_j_oracle_row_is_refused_before_any_work(
+    capsys, monkeypatch, digit_limit, command, max_str_digits
+):
+    # --j-max admits the row; the digit bound alone refuses it
+    for name in ("fib_exact", "minimal_period_bruteforce"):
+        monkeypatch.setattr(cli, name, _no_work)
+    sys.set_int_max_str_digits(max_str_digits)
+    rc, out, err = run(capsys, *_ORACLE_ROWS[command].split())
+    assert (rc, out) == (3, "")
+    if max_str_digits and command != "scan":
+        # the printing guard comes first where F_j would be printed
+        assert err.startswith(f"resource guard: F_{_HUGE_J} has more than 4300 decimal digits, ")
+    else:
+        assert err == _oracle_row_message(_HUGE_J, 4300)
+
+
+def test_oracle_row_guard_admits_every_printable_modulus(capsys, monkeypatch, digit_limit):
+    # F_20577 has 4300 digits and a bound of 4301; F_20581 has 4301 digits
+    # and the same bound, the first to exceed it is F_20582's, 4302
+    monkeypatch.setattr(
+        cli,
+        "minimal_period_bruteforce",
+        lambda j, e, j_max: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
+    )
+    for limit in (4300, 0):
+        sys.set_int_max_str_digits(limit)
+        assert run(capsys, "scan", "20577..20581", "1", "--j-max", "20581")[0] == 0
+        assert run(capsys, "scan", "20582", "1", "--j-max", "20582") == (
+            3,
+            "",
+            _oracle_row_message(20582, 4300),
+        )
+    sys.set_int_max_str_digits(0)
+    assert run(capsys, "oracle", "20581", "1", "--j-max", "20581")[0] == 0
+    assert run(capsys, "period", "20582", "1", "--verify", "--j-max", "20582") == (
+        3,
+        "",
+        _oracle_row_message(20582, 4300),
+    )
+
+
+# sha256 of the stdout of the largest tables the benchmark builds, in each
+# format: a change to any residue, its place or its rendering shows here
+_TABLE_DIGESTS = {
+    "table 1999 1": "40746cc2df9f68c569ff18d4007007a281f01bdea2f16cb23800675503596d32",
+    "table 1999 1 --format json": "68ea834fe9d47836f99812d3759b40fccf0dbde267a0db2a5f3294e6b35ee391",
+    "table 1999 1 --format csv": "71d54a3c3d318ecb70e3e59bfbb8ae98f49d335abf04cfafe9c67ea13dc7811a",
+    "table 1999 3": "8109acda8d430a365cf728d34729a004a809dd5bcf508c8fecd7de2725cb938d",
+    "table 1999 3 --format json": "88416979e7e4b5eb842a3b41c38e27b7974bbf95ef364d8654104755fec9c084",
+    "table 1999 3 --format csv": "7dff9b3017edba1b475dcf78f1185cbf0938dbdaa51cad31d41a406b0ab912a3",
+    "table 1999 4": "e7c1bfd9650bb9512b3aaeed39da6d34e4ad37678b45a910b3853df3775eba07",
+    "table 1999 4 --format json": "a960344115423bd8e7300d94a7b3dbc1117b50f53bb71a4d79821d0c3e09018c",
+    "table 1999 4 --format csv": "8716d0f3b5a4782732b2cc27880c2f524f662ff7e224883776f5fc1ce13605a4",
+    "table 1999 8": "031895e2dc8f83541c4f891af4e4b751ca92b83e457ef5cbb67c78b6c94ae665",
+    "table 1999 8 --format json": "689e8cd83b763666c91d529f789a9d23b73b31d734a5bb78df5d0462ac7bec19",
+    "table 1999 8 --format csv": "7cfcd52c6b0d8b1fdf7c3d26be2d83e71e2f5ae852ef982200da30cb1af97d5b",
+    "table 2000 1": "169fd64806857aeb8ae959392c52933523ac6fed9fa90af94d7e86eb237731d5",
+    "table 2000 1 --format json": "5cf33db0b473241b8047ec2dcc126c84bd077b1251590df87811f18267541dad",
+    "table 2000 1 --format csv": "ab2bad33619e2423f7b0f7b650fc27eca60e1e57ce5ff44c92964e26e4f8930c",
+    "table 2000 3": "54e98d57fb303014d4bd1410f5e475b60ab858168f69bdbd331022524faaa221",
+    "table 2000 3 --format json": "a458f66bfdcabd120c90cba62cca9ab9b24db2a4ea288d3d7e1c1444afb2650f",
+    "table 2000 3 --format csv": "ae1d6e28ad5a7d9babf167dc96747c03fd100bec310e5b0825a5387584072a09",
+    "table 2000 4": "b2379107d683c709f81fbb9a6f711b6148e50674bbc157e58c15251a8c873db0",
+    "table 2000 4 --format json": "94e51c4d3b0662fc61781d9e1d5a55908b0c17bd94e1ddb4d48ac7766ecb74de",
+    "table 2000 4 --format csv": "176b06998db5548fa44e2d40f5c3645adc056a7afb2eeada70e91fdcec784e51",
+    "table 2000 8": "264d7319412fe080805e46c96a352d93dbe49e7d758c107f12ad66b8d38963f5",
+    "table 2000 8 --format json": "7c115b99dbf287b805e2ed4c008f95ff1aa0877dee59e3ba6c6adc8bc1769f92",
+    "table 2000 8 --format csv": "d8d3d327f2c51806e50166047f768ce63a7a1dbf0d8d05269b11ce7875df4aa7",
+    "table 1999 1 --annotate": "594944ed2a2d23a31dbca971a73d4c24817156d948b373bea537354efc50dc63",
+    "table 2000 1 --annotate --format json": "ed69bac0c72ea7418523c7be1f65585e59ce1150a3555ddff988e59dda08a967",
+}
+
+
+@pytest.mark.parametrize("command", list(_TABLE_DIGESTS))
+def test_benchmark_sized_table_bytes(capsys, command):
+    rc, out, err = run(capsys, *command.split())
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[command]
 
 
 def test_scan_usage_errors(capsys):

@@ -119,9 +119,24 @@ def test_general_matches_modular_iteration_on_grid():
 @example(6, 3)
 @example(6, 4)
 @example(9, 6)
+# past j // 2 the powers come from d'Ocagne's identity, signed by the parity
+# of j - i at odd e: both parities of j, odd and even e
+@example(5, 3)
+@example(400, 3)
+@example(401, 3)
+@example(400, 8)
+@example(401, 8)
 def test_general_matches_modular_iteration_property(j, e):
     table = residues_general(j, e)
     assert table.residues == tuple(sequence_prefix(j, e, table.period))
+
+
+@given(st.integers(min_value=4, max_value=200), st.integers(min_value=1, max_value=50))
+@example(4, 1)
+@example(7, 2)
+def test_to_record_residues_are_each_entry_in_decimal(j, e):
+    table = residues_general(j, e)
+    assert table.to_record()["residues"] == [str(r) for r in table.residues]
 
 
 def test_zeros_exactly_at_multiples_of_j():
