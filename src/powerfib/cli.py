@@ -38,7 +38,7 @@ from .fibcore import fib_exact
 from .identities import ALL_PASS, NOT_APPLICABLE, VERIFY_SUITE
 from .oracle import DEFAULT_J_MAX, minimal_period_bruteforce
 from .periodicity import period_closed_form
-from .residue_tables import case_breakdown, residues_e1, residues_e2, residues_general
+from .residue_tables import case_breakdown, residues_general
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,13 +206,7 @@ def cmd_table(args) -> tuple[int, dict]:
             f"{TABLE_MAX_DIGITS} digits; choose a smaller j"
         )
 
-    if args.e == 1:
-        table = residues_e1(args.j)
-    elif args.e == 2:
-        table = residues_e2(args.j)
-    else:
-        table = residues_general(args.j, args.e)
-    rec = table.to_record()
+    rec = residues_general(args.j, args.e).to_record()
     if args.annotate:
         rec["case_formulas"] = list(case_breakdown(args.j, args.e))
     return EXIT_OK, rec

@@ -1,10 +1,11 @@
 """Closed-form residue tables covering one full minimal period.
 
-Every builder assembles its entries from exact small Fibonacci values
-F_0 .. F_j, never by iterating the recurrence modulo F_j: exponents 1 and 2
-by their own closed forms, any other exponent by powering the e = 1 terms.
-That keeps them independent of the modular iteration in `oracle`, which
-certifies them.
+Every table, whatever its exponent, is gathered from the exponent 1 slot
+list and the powers of exact small Fibonacci values F_0 .. F_{j//2}, never
+by iterating the recurrence modulo F_j.  That keeps it independent of the
+modular iteration in `oracle`, which certifies it.  The paper's closed
+forms for e = 1 and e = 2 survive as the formula labels of
+`case_breakdown`.
 """
 
 from __future__ import annotations
@@ -71,35 +72,24 @@ def _e1_slots(j: int) -> list[int]:
     return plain + mirror + negated + negated_mirror
 
 
-def _e2_entries(fs: list[int]) -> Iterator[tuple[int, str]]:
-    """(residue, formula label) pairs for exponent 2 from fs = [F_0 .. F_j].
+def _e2_labels(j: int) -> Iterator[str]:
+    """The formula label of each exponent 2 entry.
 
     Even j = 2t, period j: plain squares F_i^2 up to the midpoint, then the
     reflected squares F_{j-i}^2.  Odd j = 2t+1, period 2j: squares up to
     i = t+1, complements F_j - F_{j-i}^2 up to i = j-1, a zero at i = j,
     then the first half mirrored (rho_i = rho_{2j-i}).
     """
-    j = len(fs) - 1
-    m = fs[j]
     t = j // 2
     if j % 2 == 0:
         for i in range(j):
-            if i <= t:
-                yield fs[i] ** 2, f"F[{i}]^2"
-            else:
-                yield fs[j - i] ** 2, f"F[{j - i}]^2"
+            yield f"F[{i}]^2" if i <= t else f"F[{j - i}]^2"
     else:
-        first: list[int] = []
         for i in range(j):
-            if i <= t + 1:
-                first.append(fs[i] ** 2)
-                yield first[-1], f"F[{i}]^2"
-            else:
-                first.append(m - fs[j - i] ** 2)
-                yield first[-1], f"Fj-F[{j - i}]^2"
-        yield 0, "0"
+            yield f"F[{i}]^2" if i <= t + 1 else f"Fj-F[{j - i}]^2"
+        yield "0"
         for i in range(j + 1, 2 * j):
-            yield first[2 * j - i], f"rho[{2 * j - i}]"
+            yield f"rho[{2 * j - i}]"
 
 
 def _powered_e1_table(j: int, e: int) -> ResidueTable:
@@ -115,9 +105,15 @@ def _powered_e1_table(j: int, e: int) -> ResidueTable:
         # d'Ocagne: F_{j-k} = (-1)^(k+1) F_{j-1} F_k mod F_j, so the powers
         # past the midpoint are the first ones times ((-1)^(k+1) F_{j-1})^e
         lower = [pow(f, e, m) for f in fs[: j // 2 + 1]]
-        factor = (pow(m - fs[j - 1], e, m), pow(fs[j - 1], e, m))
         # upper[k] = F_{j-k}^e for k = 0 .. j - j // 2 - 1
-        upper = [factor[k % 2] * p % m for k, p in enumerate(lower[: j - j // 2])]
+        upper = lower[: j - j // 2]
+        if e % 2 == 1:
+            factor = (pow(m - fs[j - 1], e, m), pow(fs[j - 1], e, m))
+            upper = [factor[k % 2] * p % m for k, p in enumerate(upper)]
+        elif j % 2 == 1 and e % 4 == 2:
+            # Cassini: F_{j-1}^2 = (-1)^j mod F_j, so at even e the factor
+            # is ((-1)^j)^(e/2), which is -1 here and 1 otherwise
+            upper = [-p % m for p in upper]
         powers = lower + upper[::-1]
     negated = [(m - p) % m for p in powers] if e % 2 == 1 else powers
     res = tuple(map((powers + negated).__getitem__, _e1_slots(j)[:period]))
@@ -131,10 +127,7 @@ def residues_e1(j: int) -> ResidueTable:
 
 def residues_e2(j: int) -> ResidueTable:
     """Exponent 2 table for j >= 4: period j for even j, 2j for odd j."""
-    _require_j(j)
-    fs = fib_prefix(j + 1)
-    res = tuple(value for value, _ in _e2_entries(fs))
-    return ResidueTable(j=j, e=2, modulus=fs[j], period=len(res), residues=res)
+    return _powered_e1_table(j, 2)
 
 
 def residues_general(j: int, e: int) -> ResidueTable:
@@ -143,8 +136,11 @@ def residues_general(j: int, e: int) -> ResidueTable:
     Every e = 1 entry is +-F_k mod F_j for some k <= j, so each entry here
     is F_k^e mod F_j, negated when the e = 1 entry is and e is odd: the
     whole period takes only the j + 1 powers of exact small Fibonacci
-    values, and only those up to k = j // 2 are powered; d'Ocagne's
-    identity gives the rest by one multiplication each.  The length comes
+    values, and only those up to k = j // 2 are powered.  d'Ocagne's
+    identity gives the rest by one multiplication each at odd e; at even e,
+    Cassini's identity turns that factor into a sign, so they are the first
+    powers or their negations.  Exponent 2 is no special case: the paper's
+    formulas for it are only the labels of case_breakdown.  The length comes
     from period_closed_form, which divides the e = 1 period; neither the
     length nor the entries come from the oracle, so its modular iteration
     and minimality scan stay an independent second route.
@@ -159,7 +155,7 @@ def case_breakdown(j: int, e: int) -> tuple[str, ...]:
         labels = [*(f"F[{k}]" for k in range(j)), "0", *(f"Fj-F[{k}]" for k in range(j + 1))]
         return tuple(map(labels.__getitem__, _e1_slots(j)))
     if e == 2:
-        return tuple(label for _, label in _e2_entries(fib_prefix(j + 1)))
+        return tuple(_e2_labels(j))
     raise OutOfDomainError(
         f"per-entry formulas exist for exponents 1 and 2 only, got e={e}"
     )

@@ -17,6 +17,7 @@ from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import ALL_PASS, COUNTEREXAMPLE, Counterexample, VerificationReport
 from powerfib.oracle import OracleTrace, minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult
+from powerfib.residue_tables import residues_general
 
 
 def run(capsys, *argv):
@@ -335,7 +336,7 @@ def _no_table(*args, **kwargs):
     ],
 )
 def test_table_csv_usage_errors_come_before_any_work(capsys, monkeypatch, command, message):
-    for builder in ("residues_e1", "residues_e2", "residues_general", "case_breakdown"):
+    for builder in _TABLE_BUILDERS:
         monkeypatch.setattr(cli, builder, _no_table)
     assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
 
@@ -560,7 +561,8 @@ def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
     assert run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS + 1}")[0] == 3
 
 
-_TABLE_BUILDERS = ("residues_e1", "residues_e2", "residues_general", "case_breakdown")
+# every table builder cmd_table can reach
+_TABLE_BUILDERS = ("residues_general", "case_breakdown")
 
 
 def _table_guard_message(period, digits):
@@ -599,8 +601,7 @@ def test_table_size_guard_admits_its_limit(capsys, monkeypatch):
     def empty_table(*args):
         return SimpleNamespace(to_record=lambda: {"residues": []})
 
-    for name in _TABLE_BUILDERS[:3]:
-        monkeypatch.setattr(cli, name, empty_table)
+    monkeypatch.setattr(cli, "residues_general", empty_table)
     # 7996 x 418, the widest table up to j = 2000; 13828 x 1445, just under
     # the limit; 13832 x 1446, just over it
     assert run(capsys, "table", "1999", "1", "--format", "csv") == (0, "i,rho\n", "")
@@ -610,6 +611,20 @@ def test_table_size_guard_admits_its_limit(capsys, monkeypatch):
         "",
         _table_guard_message(13832, 1446),
     )
+
+
+@pytest.mark.parametrize("e", [1, 2, 5])
+def test_table_builds_one_table_whatever_the_exponent(capsys, monkeypatch, e):
+    calls = []
+
+    def counted(j, e):
+        calls.append((j, e))
+        return residues_general(j, e)
+
+    monkeypatch.setattr(cli, "residues_general", counted)
+    rc, out, err = run(capsys, "table", "9", str(e))
+    assert (rc, err, calls) == (0, "", [(9, e)])
+    assert out.startswith(f"# j=9 e={e} modulus=34 ")
 
 
 def _no_work(*args, **kwargs):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import powerfib.residue_tables as residue_tables
 from powerfib.errors import OutOfDomainError
 from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.oracle import sequence_prefix
@@ -126,6 +127,12 @@ def test_general_matches_modular_iteration_on_grid():
 @example(401, 3)
 @example(400, 8)
 @example(401, 8)
+# at even e, Cassini's identity makes d'Ocagne's factor ((-1)^j)^(e/2): -1
+# only at odd j and e = 2 (mod 4)
+@example(401, 2)
+@example(401, 6)
+@example(400, 2)
+@example(5, 2)
 def test_general_matches_modular_iteration_property(j, e):
     table = residues_general(j, e)
     assert table.residues == tuple(sequence_prefix(j, e, table.period))
@@ -206,12 +213,23 @@ def _label_value(label: str, fs: list[int], residues: tuple[int, ...]) -> int:
 
 
 def test_case_breakdown_labels_evaluate_to_their_entries():
-    for j in range(4, 61):
+    # the e = 2 labels are the paper's own formulas, checked here against
+    # the powered table
+    for j in (*range(4, 61), 399, 400, 401):
         fs = fib_prefix(j + 1)
         for e, table in ((1, residues_e1(j)), (2, residues_e2(j))):
             for i, label in enumerate(case_breakdown(j, e)):
                 value = _label_value(label, fs, table.residues)
                 assert value == table.residues[i], (j, e, i, label)
+
+
+def test_case_breakdown_e2_builds_no_prefix(monkeypatch):
+    def no_prefix(n):
+        raise AssertionError("case_breakdown(j, 2) built a Fibonacci prefix")
+
+    monkeypatch.setattr(residue_tables, "fib_prefix", no_prefix)
+    assert len(case_breakdown(400, 2)) == 400
+    assert len(case_breakdown(401, 2)) == 802
 
 
 def test_case_breakdown_j9_e2():
