@@ -262,25 +262,21 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int, bool]:
     whether it is a prime below 2^64, which ends division early: no divisor
     is left for it to find, so the result is what a walk to the bound gives."""
     factors: list[tuple[int, int]] = []
-    for p in (2, 3):
+    prime = n < 2**64 and _is_prime_u64(n)
+    limit = min(TRIAL_DIVISION_BOUND, math.isqrt(n))
+    # 2, 3, then 6k - 1 and 6k + 1
+    wheel = zip(range(5, limit + 1, 6), range(7, limit + 3, 6))
+    for p in itertools.chain((2, 3), itertools.chain.from_iterable(wheel)):
+        if prime or p > limit:
+            break
         if n % p == 0:
             mult = 0
             while n % p == 0:
                 n //= p
                 mult += 1
             factors.append((p, mult))
-    prime = n < 2**64 and _is_prime_u64(n)
-    d = 5
-    while not prime and d <= TRIAL_DIVISION_BOUND and d * d <= n:
-        for p in (d, d + 2):
-            if n % p == 0:
-                mult = 0
-                while n % p == 0:
-                    n //= p
-                    mult += 1
-                factors.append((p, mult))
-                prime = n < 2**64 and _is_prime_u64(n)
-        d += 6
+            prime = n < 2**64 and _is_prime_u64(n)
+            limit = min(limit, math.isqrt(n))
     return factors, n, prime
 
 

@@ -319,8 +319,12 @@ def test_table_annotate_rejects_csv(capsys):
     )
 
 
-def _no_table(*args, **kwargs):
-    raise AssertionError("a table was built for a csv usage error")
+# every table builder cmd_table can reach
+_TABLE_BUILDERS = ("residues_general", "case_breakdown")
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work was done for a request that should be refused first")
 
 
 @pytest.mark.parametrize(
@@ -337,7 +341,7 @@ def _no_table(*args, **kwargs):
 )
 def test_table_csv_usage_errors_come_before_any_work(capsys, monkeypatch, command, message):
     for builder in _TABLE_BUILDERS:
-        monkeypatch.setattr(cli, builder, _no_table)
+        monkeypatch.setattr(cli, builder, _no_work)
     assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
 
 
@@ -531,12 +535,8 @@ def test_scan_guard(capsys):
     assert rc == 0
 
 
-def _no_oracle(*args, **kwargs):
-    raise AssertionError("the scan guard let the oracle run")
-
-
 def test_scan_cell_guard_rejects_before_any_work(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "minimal_period_bruteforce", _no_oracle)
+    monkeypatch.setattr(cli, "minimal_period_bruteforce", _no_work)
     for e_range, e_count in (("1..200000", 200000), ("1..1000000000000", 1000000000000)):
         assert run(capsys, "scan", "3..3", e_range) == (
             3,
@@ -561,10 +561,6 @@ def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
     assert run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS + 1}")[0] == 3
 
 
-# every table builder cmd_table can reach
-_TABLE_BUILDERS = ("residues_general", "case_breakdown")
-
-
 def _table_guard_message(period, digits):
     return (
         f"resource guard: table has {period} residues x {digits} digits, more than the "
@@ -572,13 +568,9 @@ def _table_guard_message(period, digits):
     )
 
 
-def _no_table(*args, **kwargs):
-    raise AssertionError("the table guard let a table be built")
-
-
 def test_table_size_guard_rejects_before_any_work(capsys, monkeypatch):
     for name in _TABLE_BUILDERS:
-        monkeypatch.setattr(cli, name, _no_table)
+        monkeypatch.setattr(cli, name, _no_work)
     saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         # with no digit limit, only this guard bounds the output
@@ -625,10 +617,6 @@ def test_table_builds_one_table_whatever_the_exponent(capsys, monkeypatch, e):
     rc, out, err = run(capsys, "table", "9", str(e))
     assert (rc, err, calls) == (0, "", [(9, e)])
     assert out.startswith(f"# j=9 e={e} modulus=34 ")
-
-
-def _no_work(*args, **kwargs):
-    raise AssertionError("a request for a huge j did work")
 
 
 _HUGE_J = 10**400

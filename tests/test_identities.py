@@ -566,16 +566,15 @@ def _as_product(factors: list[tuple[int, int]], cofactor: int) -> list[tuple[int
 
 
 def test_trial_factor_matches_plain_trial_division():
-    # compared as products: after dividing by d, the factoring also tries d + 2
-    # and may take it as a factor where plain division leaves it as the
-    # cofactor (F_18 = 2^3 * 17 * 19)
+    # compared as products: a prime cofactor ends the factoring, so F_3 = 2
+    # and F_4 = 3 stay the cofactor where plain division takes them as factors
     primes = _primes_to(identities.TRIAL_DIVISION_BOUND)
     for n in [fib_exact(j) for j in range(1, 81)] + [157 * 92180471494753]:
         factors, cofactor, prime = identities._trial_factor(n)
         assert _as_product(factors, cofactor) == _as_product(*_plain_trial_factor(n, primes)), n
         assert prime == (1 < cofactor < 2**64 and _is_prime_u64(cofactor)), n
-    # the split as it was before division could end early
-    assert identities._trial_factor(fib_exact(18)) == ([(2, 3), (17, 1), (19, 1)], 1, False)
+    # F_18 = 2^3 * 17 * 19: the prime 19 left after 17 ends the division
+    assert identities._trial_factor(fib_exact(18)) == ([(2, 3), (17, 1)], 19, True)
     # F_77: the cofactor after 13 and 89 is 988681 x 4832521, composite and
     # below 2^64, so an end that skips the primality test stops too soon
     assert identities._trial_factor(fib_exact(77)) == (
@@ -597,13 +596,15 @@ def test_gcd_sample_is_reproducible():
 
 
 def test_sweeps_all_pass():
+    # the largest domains the sweeps benchmark runs
     assert sweep_gcd().passed
-    assert sweep_addition(40, 40).passed
-    assert sweep_catalan(40).passed
-    assert sweep_cassini(60).passed
-    assert sweep_square_lemma(15).passed
-    js = [j for j in range(4, 21) if j != 6]
-    assert sweep_zero_positions(js, range(1, 6)).passed
+    assert sweep_addition(200, 200).passed
+    assert sweep_catalan(240).passed
+    assert sweep_cassini(600).passed
+    assert sweep_square_lemma(100).passed
+    js = [j for j in range(4, 61) if j != 6]
+    assert sweep_zero_positions(js, range(1, 11)).passed
+    assert sweep_carmichael(3, 72, expected_exceptions=(6, 12)).passed
 
 
 def test_sweep_zero_positions_domain_names_the_j_it_ran():

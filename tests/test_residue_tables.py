@@ -90,12 +90,6 @@ def test_e2_mirror_symmetry_for_odd_j():
             assert res[i] == res[2 * j - i], (j, i)
 
 
-def test_general_matches_dedicated_builders():
-    for j in range(4, 23):
-        assert residues_general(j, 1).residues == residues_e1(j).residues, j
-        assert residues_general(j, 2).residues == residues_e2(j).residues, j
-
-
 def test_general_cube_and_fourth_power_at_j6():
     assert residues_general(6, 3).residues == (0, 1, 1, 0, 3, 5, 0, 5, 5, 0, 7, 1)
     assert residues_general(6, 4).residues == (0, 1, 1)
@@ -110,10 +104,12 @@ def test_general_j9_e5():
 
 
 def test_general_matches_modular_iteration_on_grid():
-    for j in range(4, 23):
-        for e in range(1, 7):
-            table = residues_general(j, e)
-            assert list(table.residues) == sequence_prefix(j, e, table.period), (j, e)
+    # the second grid is the largest moduli the tables benchmark builds
+    cells = [(j, e) for j in range(4, 23) for e in range(1, 7)]
+    cells += [(j, e) for j in (1999, 2000) for e in range(1, 9)]
+    for j, e in cells:
+        table = residues_general(j, e)
+        assert list(table.residues) == sequence_prefix(j, e, table.period), (j, e)
 
 
 @given(st.integers(min_value=4, max_value=200), st.integers(min_value=1, max_value=50))
@@ -214,11 +210,13 @@ def _label_value(label: str, fs: list[int], residues: tuple[int, ...]) -> int:
 
 def test_case_breakdown_labels_evaluate_to_their_entries():
     # the e = 2 labels are the paper's own formulas, checked here against
-    # the powered table
-    for j in (*range(4, 61), 399, 400, 401):
+    # the powered table, up to the largest moduli the tables benchmark builds
+    for j in (*range(4, 61), 399, 400, 401, 1999, 2000):
         fs = fib_prefix(j + 1)
         for e, table in ((1, residues_e1(j)), (2, residues_e2(j))):
-            for i, label in enumerate(case_breakdown(j, e)):
+            labels = case_breakdown(j, e)
+            assert len(labels) == table.period, (j, e)
+            for i, label in enumerate(labels):
                 value = _label_value(label, fs, table.residues)
                 assert value == table.residues[i], (j, e, i, label)
 
