@@ -13,7 +13,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from operator import mod, mul, ne, not_
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact, fib_prefix
@@ -198,6 +199,44 @@ class ZeroPositionsOutcome:
     witness: int | None = None  # smallest index where the two sides differ
 
 
+def _zero_witnesses(j: int, es: Sequence[int], i_max: int) -> list[int | None]:
+    """For each e of es, the smallest i <= i_max at which F_i^e = 0 mod F_j
+    and j | i disagree, or None.
+
+    F_i mod F_j is walked once for all of es.  An e one above the e before
+    it takes its powers from that e's by one multiplication per index; any
+    other e powers each residue afresh, so one large e costs what it alone
+    needs.
+    """
+    if j < 4:
+        raise OutOfDomainError(f"zero positions need j >= 4, got {j}")
+    # i_max is checked after the first e, as a single check always did
+    for e in es:
+        if e < 1:
+            raise OutOfDomainError(f"exponent must be at least 1, got {e}")
+        if i_max < 0:
+            raise OutOfDomainError(f"i_max must be nonnegative, got {i_max}")
+    m = fib_exact(j)
+    residues = []
+    a, b = 0, 1
+    for _ in range(i_max + 1):
+        residues.append(a)
+        a, b = b, (a + b) % m
+    witnesses = []
+    prev, powers = 1, residues
+    for e in es:
+        if e == prev + 1:
+            powers = list(map(mod, map(mul, powers, residues), itertools.repeat(m)))
+        elif e != prev:
+            powers = list(map(pow, residues, itertools.repeat(e), itertools.repeat(m)))
+        prev = e
+        # not_(x) is True where x = 0; the claim puts those exactly where j | i
+        divides = itertools.cycle((True,) + (False,) * (j - 1))
+        mismatch = map(ne, map(not_, powers), divides)
+        witnesses.append(next(itertools.compress(itertools.count(), mismatch), None))
+    return witnesses
+
+
 def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
     """Scan i in [0, i_max] for the zero-position biconditional.
 
@@ -206,22 +245,7 @@ def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
     carrying the smallest in-range witness (None if i_max is too small to
     show one).
     """
-    if j < 4:
-        raise OutOfDomainError(f"zero positions need j >= 4, got {j}")
-    if e < 1:
-        raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-    if i_max < 0:
-        raise OutOfDomainError(f"i_max must be nonnegative, got {i_max}")
-    m = fib_exact(j)
-    witness = None
-    a, b = 0, 1
-    for i in range(i_max + 1):
-        vanishes = pow(a, e, m) == 0
-        expected = i % j == 0
-        if vanishes != expected:
-            witness = i
-            break
-        a, b = b, (a + b) % m
+    (witness,) = _zero_witnesses(j, (e,), i_max)
     if j == 6:
         return ZeroPositionsOutcome(j, e, i_max, NOT_APPLICABLE, witness)
     if witness is None:
@@ -348,6 +372,35 @@ def primitive_prime_divisor(j: int, j_fact_max: int = DEFAULT_J_FACT_MAX) -> Pri
     )
 
 
+def _has_primitive_prime(j: int, fs: list[int]) -> bool:
+    """Whether F_j has a prime divisor that divides no F_i with 0 < i < j,
+    from fs[i] = F_i, without factoring F_j.
+
+    A prime of F_j that is not primitive has a rank of apparition d < j that
+    divides j, so by the gcd law it divides F_{j/q} for some prime q | j.
+    Stripping from F_j every prime it shares with each such F_{j/q} leaves
+    a part greater than 1 exactly when a primitive prime is left.
+    """
+    if j < 3:
+        raise OutOfDomainError(f"primitive divisors need j >= 3, got {j}")
+    g, n, q = fs[j], j, 2
+    # q walks the primes of j by trial division; once q * q > n, n is prime
+    while n > 1:
+        if q * q > n:
+            q = n
+        if n % q == 0:
+            while n % q == 0:
+                n //= q
+            # d holds every prime g still shares with F_{j/q}, so dividing it
+            # out until gcd(g, d) = 1 strips those primes to every power
+            d = math.gcd(g, fs[j // q])
+            while d > 1:
+                g //= d
+                d = math.gcd(g, d)
+        q += 1
+    return g > 1
+
+
 # -------------------------------------------------------------------- sweeps
 
 
@@ -370,11 +423,11 @@ def _equation_sweep(
     names: tuple[str, ...],
     cases: Iterable[tuple[int, ...]],
     evaluate: Callable[..., tuple[int, int]],
-    fs: list[int] | dict[int, int] | None,
+    fs: list[int] | dict[int, int],
 ) -> VerificationReport:
     """Evaluate every case, a tuple of the parameters called names, on the
-    same exact values fs, where fs[i] = F_i (None for a check that reads no
-    Fibonacci values).  Only a failing case is named, in its counterexample."""
+    same exact values fs, where fs[i] = F_i.  Only a failing case is named,
+    in its counterexample."""
     count = 0
     for case in cases:
         count += 1
@@ -489,11 +542,12 @@ def sweep_zero_positions(
     domain = f"j in {j_text}, e in {e_text}, i <= {i_max_factor}*j"
     cases = 0
     for j in js:
-        for e in es:
-            outcome = check_zero_positions(j, e, i_max_factor * j)
+        i_max = i_max_factor * j
+        for e, witness in zip(es, _zero_witnesses(j, es, i_max)):
             # the scan ran up to its witness, or to i_max when it found none
-            cases += (outcome.i_max if outcome.witness is None else outcome.witness) + 1
-            if outcome.verdict != ALL_PASS:
+            cases += (i_max if witness is None else witness) + 1
+            if witness is not None:
+                outcome = ZeroPositionsOutcome(j, e, i_max, COUNTEREXAMPLE, witness)
                 return _zero_positions_report("zero_positions", domain, outcome, cases)
     return VerificationReport("zero_positions", domain, cases, ALL_PASS)
 
@@ -507,13 +561,14 @@ def sweep_carmichael(
 
     The classical exception set for Fibonacci primitive divisors at j >= 3
     is {6, 12}: F_6 = 2^3 with 2 | F_3, and F_12 = 2^4 * 3^2 with 2 | F_3
-    and 3 | F_4.  Every other j in range must yield a prime.
+    and 3 | F_4.  Every other j in range must yield a prime.  Existence is
+    decided by gcds alone (_has_primitive_prime), so no F_j is factored and
+    no j is out of reach.
     """
     exceptions = set(expected_exceptions)
 
-    def found_and_expected(j: int, fs: None) -> tuple[int, int]:
-        found = primitive_prime_divisor(j).primitive_prime is not None
-        return int(found), int(j not in exceptions)
+    def found_and_expected(j: int, fs: list[int]) -> tuple[int, int]:
+        return int(_has_primitive_prime(j, fs)), int(j not in exceptions)
 
     return _equation_sweep(
         "carmichael",
@@ -521,7 +576,7 @@ def sweep_carmichael(
         ("j",),
         zip(range(j_lo, j_hi + 1)),
         found_and_expected,
-        None,
+        fib_prefix(max(j_hi + 1, 0)),
     )
 
 

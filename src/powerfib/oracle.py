@@ -61,9 +61,10 @@ def sequence_prefix(j: int, e: int, n: int) -> list[int]:
     out = []
     a, b = 0, 1
     for _ in range(n):
-        out.append(pow(a, e, m))
+        out.append(a)
         a, b = b, (a + b) % m
-    return out
+    # F_i mod F_j is already its own first power
+    return out if e == 1 else list(map(pow, out, repeat(e), repeat(m)))
 
 
 def _divisors(n: int) -> list[int]:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import powerfib.identities as identities
 from powerfib.errors import OutOfDomainError, ResourceGuardError
-from powerfib.fibcore import fib_exact
+from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import (
     ALL_PASS,
     COUNTEREXAMPLE,
@@ -234,13 +234,12 @@ def test_cassini_sweep_reports_failing_case(monkeypatch):
 
 
 def test_carmichael_sweep_reports_failing_case(monkeypatch):
-    real = identities.primitive_prime_divisor
+    real = identities._has_primitive_prime
 
-    def none_at_9(j):
-        result = real(j)
-        return identities.PrimitiveDivisorResult(j, None, None, ()) if j == 9 else result
+    def none_at_9(j, fs):
+        return False if j == 9 else real(j, fs)
 
-    monkeypatch.setattr(identities, "primitive_prime_divisor", none_at_9)
+    monkeypatch.setattr(identities, "_has_primitive_prime", none_at_9)
     report = sweep_carmichael(5, 20)
     assert report.verdict == COUNTEREXAMPLE
     assert report.cases_checked == 5  # j = 5 .. 9
@@ -407,6 +406,8 @@ def test_zero_positions_pass_cases():
             outcome = check_zero_positions(j, e, 5 * j)
             assert outcome.verdict == ALL_PASS, (j, e)
             assert outcome.witness is None
+    # powered directly: a walk that stepped up from e = 1 would not return
+    assert check_zero_positions(7, 10**18, 35).verdict == ALL_PASS
 
 
 def test_zero_positions_j6_exclusion():
@@ -418,6 +419,7 @@ def test_zero_positions_j6_exclusion():
     outcome = check_zero_positions(6, 2, 100)
     assert outcome.verdict == NOT_APPLICABLE
     assert outcome.witness is None
+    assert check_zero_positions(6, 10**18 + 1, 30).witness == 3
 
 
 def test_zero_positions_counterexample(monkeypatch):
@@ -446,6 +448,53 @@ def test_zero_positions_domain():
         check_zero_positions(7, 0, 10)
     with pytest.raises(OutOfDomainError):
         check_zero_positions(7, 1, -1)
+    # checked in this order: j, then each e followed by i_max
+    with pytest.raises(OutOfDomainError, match="need j >= 4, got 3"):
+        check_zero_positions(3, 0, -1)
+    with pytest.raises(OutOfDomainError, match="at least 1, got 0"):
+        check_zero_positions(7, 0, -1)
+    with pytest.raises(OutOfDomainError, match="nonnegative, got -5"):
+        sweep_zero_positions([5, 4], [1, 0], -1)
+    with pytest.raises(OutOfDomainError, match="at least 1, got 0"):
+        sweep_zero_positions([5, 4], [1, 0])
+
+
+def _plain_zero_witness(m: int, j: int, e: int, i_max: int) -> int | None:
+    """The first i <= i_max where F_i^e = 0 mod m and j | i disagree, by one
+    pow per index."""
+    a, b = 0, 1
+    for i in range(i_max + 1):
+        if (pow(a, e, m) == 0) != (i % j == 0):
+            return i
+        a, b = b, (a + b) % m
+    return None
+
+
+def test_zero_witnesses_stepped_match_plain():
+    for j in [*range(4, 61), 6]:
+        m = fib_exact(j)
+        plain = [_plain_zero_witness(m, j, e, 5 * j) for e in range(1, 11)]
+        assert identities._zero_witnesses(j, range(1, 11), 5 * j) == plain, j
+    # j = 6: F_3 = 2 cubed vanishes mod 8 from e = 3 on, squared never
+    assert identities._zero_witnesses(6, range(1, 5), 30) == [None, None, 3, 3]
+
+
+@pytest.mark.parametrize("es", [[2, 5], [3, 1, 2], [5, 2], [1, 2, 3, 5, 6], [4, 4, 5], [6, 5]])
+def test_zero_witnesses_with_gaps_and_out_of_order(monkeypatch, es):
+    # mod 32 in place of F_8 = 21: F_3 = 2 vanishes from e = 5, F_6 = 8 from
+    # e = 2, so the witness at i <= 40 is 8 at e = 1, 6 at e = 2..4, 3 after
+    monkeypatch.setattr(identities, "fib_exact", lambda n: 32 if n == 8 else fib_exact(n))
+    plain = [_plain_zero_witness(32, 8, e, 40) for e in es]
+    assert identities._zero_witnesses(8, es, 40) == plain
+    assert plain == [{1: 8, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
+
+
+def test_sweep_zero_positions_computes_each_modulus_once():
+    js = [j for j in range(4, 21) if j != 6]
+    with recording_fib_calls() as calls:
+        assert sweep_zero_positions(js, range(1, 6)).passed
+    assert calls["fib_exact"] == len(js)
+    assert calls["prefixes"] == []
 
 
 def test_primitive_prime_small_cases():
@@ -657,17 +706,44 @@ def test_sweep_carmichael_narrow_exception_set_finds_j6():
     assert report.counterexample.rhs == 1  # one was demanded
 
 
-def test_sweep_carmichael_factors_through_primitive_prime_divisor(monkeypatch):
-    # one call per j, looked up in the module, so a rebound name is seen
-    real, asked = identities.primitive_prime_divisor, []
+def test_sweep_carmichael_never_factors(monkeypatch):
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("the Carmichael sweep factored an F_j")
 
-    def recording(j):
-        asked.append(j)
-        return real(j)
+    monkeypatch.setattr(identities, "_trial_factor", no_factoring)
+    monkeypatch.setattr(identities, "primitive_prime_divisor", no_factoring)
+    report = sweep_carmichael(3, 72)
+    assert report.passed
+    assert report.cases_checked == 70
 
-    monkeypatch.setattr(identities, "primitive_prime_divisor", recording)
-    assert sweep_carmichael(3, 10).cases_checked == 8
-    assert asked == list(range(3, 11))
+
+def test_sweep_carmichael_domain():
+    with pytest.raises(OutOfDomainError, match=r"^primitive divisors need j >= 3, got 2$"):
+        sweep_carmichael(2, 10)
+
+
+def test_primitive_prime_test_agrees_with_factoring():
+    # the gcd route answers wherever factoring does, and at j = 73 too, where
+    # F_73 = 9375829 * 86020717 is beyond trial division
+    fs = fib_prefix(81)
+    out_of_reach = []
+    for j in range(3, 81):
+        try:
+            factored = primitive_prime_divisor(j).primitive_prime is not None
+        except ResourceGuardError:
+            out_of_reach.append(j)
+            continue
+        assert identities._has_primitive_prime(j, fs) == factored, j
+    assert out_of_reach == [73]
+    assert identities._has_primitive_prime(73, fs)
+
+
+def test_carmichael_exceptions_to_5000():
+    # F_12 = 2^4 * 3^2 needs both q = 2 (F_6 = 2^3) and q = 3 (F_4 = 3),
+    # and each stripped to every power, to come out with no primitive prime
+    fs = fib_prefix(5001)
+    lacking = [j for j in range(3, 5001) if not identities._has_primitive_prime(j, fs)]
+    assert lacking == [6, 12]
 
 
 def test_report_records():
