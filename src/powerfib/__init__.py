@@ -25,7 +25,7 @@ from .oracle import (
     pisano_period,
     sequence_prefix,
 )
-from .periodicity import CASE_LABELS, PeriodResult, period_closed_form
+from .periodicity import PeriodResult, period_closed_form
 from .residue_tables import (
     ResidueTable,
     case_breakdown,
@@ -37,7 +37,6 @@ from .residue_tables import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CASE_LABELS",
     "Counterexample",
     "DEFAULT_J_MAX",
     "DivisorCheck",

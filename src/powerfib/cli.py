@@ -170,14 +170,14 @@ def _period_plain(rec: dict) -> list[str]:
 # -------------------------------------------------------------------- table
 
 
-_BASE_CASE_TEXT = {
+_SMALL_J_TEXT = {
     0: "modulus F_0 = 0: residues F_i^e grow without bound; the sequence is not periodic",
     1: "modulus F_1 = 1: every residue is 0; the period is 1",
     2: "modulus F_2 = 1: every residue is 0; the period is 1",
     3: "modulus F_3 = 2: the residues repeat the block [0, 1, 1]; the period is 3",
 }
 
-_BASE_CASE_ROWS = {1: [0], 2: [0], 3: [0, 1, 1]}
+_SMALL_J_ROWS = {1: [0], 2: [0], 3: [0, 1, 1]}
 
 
 def cmd_table(args) -> tuple[int, dict]:
@@ -192,7 +192,7 @@ def cmd_table(args) -> tuple[int, dict]:
     if args.j < 4:
         if args.annotate:
             raise _UsageError("--annotate applies to closed-form tables (j >= 4)")
-        return EXIT_OK, {"j": args.j, "e": args.e, "base_case": _BASE_CASE_TEXT[args.j]}
+        return EXIT_OK, {"j": args.j, "e": args.e, "base_case": _SMALL_J_TEXT[args.j]}
 
     if args.annotate and args.e > 2:
         raise _UsageError("--annotate needs e in {1, 2}; no per-entry closed form beyond")
@@ -226,7 +226,7 @@ def _table_plain(rec: dict) -> list[str]:
 
 def _table_csv(rec: dict) -> list[str]:
     # fixed schema: header i,rho then one row per index
-    residues = _BASE_CASE_ROWS[rec["j"]] if "base_case" in rec else rec["residues"]
+    residues = _SMALL_J_ROWS[rec["j"]] if "base_case" in rec else rec["residues"]
     return ["i,rho", *(f"{i},{r}" for i, r in enumerate(residues))]
 
 

@@ -24,7 +24,7 @@ COUNTEREXAMPLE = "counterexample"
 NOT_APPLICABLE = "not_applicable"
 
 TRIAL_DIVISION_BOUND = 10**6
-DEFAULT_J_FACT_MAX = 80
+J_FACT_MAX = 80
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -324,7 +324,7 @@ class PrimitiveDivisorResult:
     factor_trace: tuple[tuple[int, int], ...]  # (prime, multiplicity), ascending
 
 
-def primitive_prime_divisor(j: int, j_fact_max: int = DEFAULT_J_FACT_MAX) -> PrimitiveDivisorResult:
+def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     """Find the smallest primitive prime divisor of F_j, or report none.
 
     F_j is factored by trial division; a leftover cofactor is accepted if a
@@ -335,10 +335,8 @@ def primitive_prime_divisor(j: int, j_fact_max: int = DEFAULT_J_FACT_MAX) -> Pri
     """
     if j < 3:
         raise OutOfDomainError(f"primitive divisors need j >= 3, got {j}")
-    if j > j_fact_max:
-        raise ResourceGuardError(
-            f"j={j} exceeds the factorization guard j_fact_max={j_fact_max}"
-        )
+    if j > J_FACT_MAX:
+        raise ResourceGuardError(f"j={j} exceeds the factorization guard j_fact_max={J_FACT_MAX}")
     n = fib_exact(j)
     factors, cofactor, prime = _trial_factor(n)
     if prime:
@@ -354,20 +352,13 @@ def primitive_prime_divisor(j: int, j_fact_max: int = DEFAULT_J_FACT_MAX) -> Pri
             f"trial division bound {TRIAL_DIVISION_BOUND}",
             partial=tuple(factors),
         )
-    factors.sort()
-    for q, _ in factors:
-        rank = _rank_of_apparition(q, j)
-        if rank == j:
-            return PrimitiveDivisorResult(
-                j=j,
-                primitive_prime=q,
-                rank_of_apparition=rank,
-                factor_trace=tuple(factors),
-            )
+    # already ascending: trial division finds primes in order, and a prime
+    # cofactor is larger than every prime tried
+    q = next((q for q, _ in factors if _rank_of_apparition(q, j) == j), None)
     return PrimitiveDivisorResult(
         j=j,
-        primitive_prime=None,
-        rank_of_apparition=None,
+        primitive_prime=q,
+        rank_of_apparition=None if q is None else j,
         factor_trace=tuple(factors),
     )
 
@@ -404,14 +395,12 @@ def _has_primitive_prime(j: int, fs: list[int]) -> bool:
 # -------------------------------------------------------------------- sweeps
 
 
-def gcd_sample_pairs(
-    count: int = 200, index_max: int = 60, seed: int = 1729
-) -> list[tuple[int, int]]:
-    """A reproducible sample of index pairs for the gcd sweep, (0,0) excluded."""
-    rng = random.Random(seed)
+def gcd_sample_pairs() -> list[tuple[int, int]]:
+    """200 reproducible index pairs in [0, 60]^2 for the gcd sweep, (0, 0) excluded."""
+    rng = random.Random(1729)
     pairs: list[tuple[int, int]] = []
-    while len(pairs) < count:
-        n, m = rng.randint(0, index_max), rng.randint(0, index_max)
+    while len(pairs) < 200:
+        n, m = rng.randint(0, 60), rng.randint(0, 60)
         if (n, m) != (0, 0):
             pairs.append((n, m))
     return pairs

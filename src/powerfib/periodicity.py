@@ -6,35 +6,6 @@ from dataclasses import dataclass
 
 from .errors import OutOfDomainError
 
-# One tag per dispatch clause, so callers can see which rule fired.
-CASE_J0 = "J0"
-CASE_J1_J2 = "J1_J2"
-CASE_J3 = "J3"
-CASE_J6_ODD = "J6_ODD"
-CASE_J6_E2 = "J6_E2"
-CASE_J6_EVEN_GE4 = "J6_EVEN_GE4"
-CASE_EVEN_EVEN = "EVEN_EVEN"
-CASE_EVEN_ODD = "EVEN_ODD"
-CASE_ODD_E0MOD4 = "ODD_E0MOD4"
-CASE_ODD_E2MOD4 = "ODD_E2MOD4"
-CASE_ODD_ODD = "ODD_ODD"
-
-CASE_LABELS = frozenset(
-    {
-        CASE_J0,
-        CASE_J1_J2,
-        CASE_J3,
-        CASE_J6_ODD,
-        CASE_J6_E2,
-        CASE_J6_EVEN_GE4,
-        CASE_EVEN_EVEN,
-        CASE_EVEN_ODD,
-        CASE_ODD_E0MOD4,
-        CASE_ODD_E2MOD4,
-        CASE_ODD_ODD,
-    }
-)
-
 
 @dataclass(frozen=True)
 class PeriodResult:
@@ -43,7 +14,7 @@ class PeriodResult:
     j: int
     e: int
     period: int | None  # None exactly when the sequence is not periodic
-    case_label: str
+    case_label: str  # the dispatch clause that fired
 
     @property
     def is_periodic(self) -> bool:
@@ -78,24 +49,24 @@ def period_closed_form(j: int, e: int) -> PeriodResult:
     """
     _require_args(j, e)
     if j == 0:
-        return PeriodResult(j, e, None, CASE_J0)
+        return PeriodResult(j, e, None, "J0")
     if j in (1, 2):
-        return PeriodResult(j, e, 1, CASE_J1_J2)
+        return PeriodResult(j, e, 1, "J1_J2")
     if j == 3:
-        return PeriodResult(j, e, 3, CASE_J3)
+        return PeriodResult(j, e, 3, "J3")
     if j == 6:
         if e % 2 == 1:
-            return PeriodResult(j, e, 12, CASE_J6_ODD)
+            return PeriodResult(j, e, 12, "J6_ODD")
         if e == 2:
-            return PeriodResult(j, e, 6, CASE_J6_E2)
-        return PeriodResult(j, e, 3, CASE_J6_EVEN_GE4)
+            return PeriodResult(j, e, 6, "J6_E2")
+        return PeriodResult(j, e, 3, "J6_EVEN_GE4")
     if j % 2 == 0:
         if e % 2 == 0:
-            return PeriodResult(j, e, j, CASE_EVEN_EVEN)
-        return PeriodResult(j, e, 2 * j, CASE_EVEN_ODD)
+            return PeriodResult(j, e, j, "EVEN_EVEN")
+        return PeriodResult(j, e, 2 * j, "EVEN_ODD")
     if e % 4 == 0:
-        return PeriodResult(j, e, j, CASE_ODD_E0MOD4)
+        return PeriodResult(j, e, j, "ODD_E0MOD4")
     if e % 4 == 2:
-        return PeriodResult(j, e, 2 * j, CASE_ODD_E2MOD4)
-    return PeriodResult(j, e, 4 * j, CASE_ODD_ODD)
+        return PeriodResult(j, e, 2 * j, "ODD_E2MOD4")
+    return PeriodResult(j, e, 4 * j, "ODD_ODD")
 

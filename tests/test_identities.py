@@ -531,7 +531,10 @@ def test_primitive_prime_sweep_truth():
 
 
 def test_factor_trace_multiplies_back():
-    for j in range(3, 41):
+    # up to the guard, so the trace of a prime cofactor that ends the
+    # division early is checked too (F_79 = 157 * 92180471494753); F_73 is
+    # beyond the trial bound
+    for j in [*range(3, 73), *range(74, 81)]:
         r = primitive_prime_divisor(j)
         assert math.prod(p**mult for p, mult in r.factor_trace) == fib_exact(j), j
         assert list(r.factor_trace) == sorted(r.factor_trace)
@@ -552,26 +555,29 @@ def test_primitive_prime_guards():
     with pytest.raises(ResourceGuardError) as err:
         primitive_prime_divisor(73)
     assert err.value.partial == ()
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError) as err:
         primitive_prime_divisor(81)
+    assert str(err.value) == "j=81 exceeds the factorization guard j_fact_max=80"
     with pytest.raises(OutOfDomainError):
         primitive_prime_divisor(2)
 
 
-def test_primitive_prime_guard_on_a_wide_cofactor():
+def test_primitive_prime_guard_on_a_wide_cofactor(monkeypatch):
     # F_94 has no prime factor below the trial bound, F_113 only 677; what
     # is left of each is wider than 64 bits
+    monkeypatch.setattr(identities, "J_FACT_MAX", 113)
     for j, partial in ((94, ()), (113, ((677, 1),))):
         with pytest.raises(ResourceGuardError) as err:
-            primitive_prime_divisor(j, j_fact_max=j)
+            primitive_prime_divisor(j)
         assert str(err.value) == f"cofactor of F_{j} exceeds 64 bits; cannot certify primality"
         assert err.value.partial == partial
         cofactor = fib_exact(j) // math.prod(p**mult for p, mult in partial)
         assert cofactor >= 2**64
 
 
-def test_primitive_prime_guard_is_configurable():
-    r = primitive_prime_divisor(85, j_fact_max=90)
+def test_primitive_prime_guard_is_configurable(monkeypatch):
+    monkeypatch.setattr(identities, "J_FACT_MAX", 90)
+    r = primitive_prime_divisor(85)
     assert r.primitive_prime is not None
     assert r.rank_of_apparition == 85
 

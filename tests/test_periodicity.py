@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from powerfib.errors import OutOfDomainError
 from powerfib.oracle import minimal_period_bruteforce
-from powerfib.periodicity import CASE_LABELS, period_closed_form
+from powerfib.periodicity import period_closed_form
 
 # (j, e) -> expected minimal period; the small ones check by hand, the
 # larger ones are frozen from the brute-force scan
@@ -63,10 +63,23 @@ def test_case_labels():
 
 
 def test_dispatch_is_total_and_labeled():
+    labels = {
+        "J0",
+        "J1_J2",
+        "J3",
+        "J6_ODD",
+        "J6_E2",
+        "J6_EVEN_GE4",
+        "EVEN_EVEN",
+        "EVEN_ODD",
+        "ODD_E0MOD4",
+        "ODD_E2MOD4",
+        "ODD_ODD",
+    }
     for j in range(0, 61):
         for e in range(1, 10):
             result = period_closed_form(j, e)
-            assert result.case_label in CASE_LABELS
+            assert result.case_label in labels
             if j == 0:
                 assert result.period is None
             else:
