@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import mod, mul, ne, not_
+from operator import add, ge, mod, mul, ne, neg, not_, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError, ResourceGuardError
@@ -72,13 +72,45 @@ class VerificationReport:
 
 # ---------------------------------------------------------------- identities
 #
-# Each identity is written once, in an evaluator that checks its domain,
-# reads exact values from fs (fs[i] = F_i) and returns (lhs, rhs), for the
-# square lemma each of its four parts' (holds, lhs, rhs), so that sweeps can
-# record real two-sided counterexamples.  A sweep builds its values once for its
-# whole domain and hands them to every case: a prefix [F_0, F_1, ...] for the
-# dense identities, just the indices its pairs read for the gcd law.  A
-# check_* call hands none, and the evaluator builds what its one case needs.
+# Each identity is written once, in a row evaluator.  A row is a run of
+# cases that differ only in their last index: m at one n for addition, r at
+# one n for Catalan, alpha at one k for the square lemma.  Cassini's sides
+# are 1 and -1, and the gcd law's pairs come as a list, so each of those
+# sweeps is a single row; Carmichael's rows hold one j each.  The evaluator
+# reads exact values from fs (fs[i] = F_i) and returns the row's parts: each
+# is the row's lhs and rhs as lists, one entry per case, built with map over
+# slices of fs.  An equation has one part; the square lemma has four, two of
+# them bounds.  A sweep checks that its domain is not empty, builds its
+# values once for the whole domain and hands _equation_sweep one row at a
+# time, which compares each part with one list comparison and looks at
+# single cases only in a row that fails.  A check_* call checks its one
+# case's domain and evaluates a row of that case alone, on a prefix just
+# long enough for it.
+
+
+class _Part(NamedTuple):
+    """One claim's two sides over a row of cases: it holds at case i when
+    lhs[i] == rhs[i], or for a bound when lhs[i] < rhs[i]."""
+
+    lhs: list[int]
+    rhs: list[int]
+    name: str | None = None
+    bound: bool = False
+
+
+def _first_failure(part: _Part) -> int | None:
+    """The index of the first case at which part does not hold, or None."""
+    if part.bound:
+        fails = map(ge, part.lhs, part.rhs)
+    elif part.lhs == part.rhs:
+        return None
+    else:
+        fails = map(ne, part.lhs, part.rhs)
+    return next(itertools.compress(itertools.count(), fails), None)
+
+
+def _holds(parts: Sequence[_Part]) -> bool:
+    return all(_first_failure(part) is None for part in parts)
 
 
 def _fib_values(indices: Iterable[int]) -> dict[int, int]:
@@ -94,63 +126,78 @@ def _fib_values(indices: Iterable[int]) -> dict[int, int]:
     return values
 
 
-def _eval_gcd(n: int, m: int, fs: dict[int, int] | None = None) -> tuple[int, int]:
-    if n < 0 or m < 0:
-        raise OutOfDomainError(f"indices must be nonnegative, got ({n}, {m})")
-    if n == 0 and m == 0:
-        raise OutOfDomainError("gcd(F_0, F_0) = gcd(0, 0) is undefined")
-    g = math.gcd(n, m)
-    fs = _fib_values((n, m, g)) if fs is None else fs
-    return math.gcd(fs[n], fs[m]), fs[g]
+def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
+    """gcd(F_n, F_m) against F_gcd(n, m) at each pair (n, m).  The law reads
+    a few sparse indices, so the row walks the recurrence for just those."""
+    for n, m in pairs:
+        if n < 0 or m < 0:
+            raise OutOfDomainError(f"indices must be nonnegative, got ({n}, {m})")
+        if n == 0 and m == 0:
+            raise OutOfDomainError("gcd(F_0, F_0) = gcd(0, 0) is undefined")
+    ns, ms = zip(*pairs)
+    gs = list(map(math.gcd, ns, ms))
+    fs = _fib_values(itertools.chain(ns, ms, gs))
+    lhs = list(map(math.gcd, map(fs.__getitem__, ns), map(fs.__getitem__, ms)))
+    return (_Part(lhs, list(map(fs.__getitem__, gs))),)
 
 
 def check_gcd_identity(n: int, m: int) -> bool:
     """gcd(F_n, F_m) == F_gcd(n, m); the (0, 0) corner is excluded."""
-    lhs, rhs = _eval_gcd(n, m)
-    return lhs == rhs
+    return _holds(_gcd_row([(n, m)]))
 
 
-def _eval_addition(n: int, m: int, fs: list[int] | None = None) -> tuple[int, int]:
-    if n < 1:
-        raise OutOfDomainError(f"n must be at least 1 (F_(n-1) is used), got {n}")
-    if m < 0:
-        raise OutOfDomainError(f"m must be nonnegative, got {m}")
-    fs = fib_prefix(n + m + 2) if fs is None else fs
-    return fs[n + m], fs[n - 1] * fs[m] + fs[n] * fs[m + 1]
+def _addition_row(n: int, ms: range, fs: list[int]) -> tuple[_Part]:
+    """F_{n+m} against F_{n-1} F_m + F_n F_{m+1} for m in ms."""
+    lo, hi = ms[0], ms[-1] + 1
+    rhs = map(add, map(fs[n - 1].__mul__, fs[lo:hi]), map(fs[n].__mul__, fs[lo + 1 : hi + 1]))
+    return (_Part(fs[n + lo : n + hi], list(rhs)),)
 
 
 def check_addition(n: int, m: int) -> bool:
     """F_{n+m} == F_{n-1} F_m + F_n F_{m+1} for n >= 1, m >= 0."""
-    lhs, rhs = _eval_addition(n, m)
-    return lhs == rhs
+    if n < 1:
+        raise OutOfDomainError(f"n must be at least 1 (F_(n-1) is used), got {n}")
+    if m < 0:
+        raise OutOfDomainError(f"m must be nonnegative, got {m}")
+    return _holds(_addition_row(n, range(m, m + 1), fib_prefix(n + m + 2)))
 
 
-def _eval_catalan(n: int, r: int, fs: list[int] | None = None) -> tuple[int, int]:
-    if r < 0 or n < r:
-        raise OutOfDomainError(f"need n >= r >= 0, got (n={n}, r={r})")
-    fs = fib_prefix(n + r + 1) if fs is None else fs
-    lhs = fs[n] ** 2 - fs[n - r] * fs[n + r]
-    rhs = (-1) ** (n - r) * fs[r] ** 2
-    return lhs, rhs
+def _signed_squares(fs: list[int]) -> list[int]:
+    """(-1)^r F_r^2 for each F_r of fs."""
+    return list(map(mul, itertools.cycle((1, -1)), map(mul, fs, fs)))
+
+
+def _catalan_row(n: int, rs: range, fs: list[int], signed_squares: list[int]) -> tuple[_Part]:
+    """F_n^2 - F_{n-r} F_{n+r} against (-1)^(n-r) F_r^2 for r in rs, with
+    signed_squares from _signed_squares."""
+    lo, hi = rs[0], rs[-1] + 1
+    # F_{n-r} for r = lo, lo + 1, ... runs down the prefix
+    products = map(mul, reversed(fs[n - hi + 1 : n - lo + 1]), fs[n + lo : n + hi])
+    rhs = signed_squares[lo:hi] if n % 2 == 0 else list(map(neg, signed_squares[lo:hi]))
+    return (_Part(list(map((fs[n] * fs[n]).__sub__, products)), rhs),)
 
 
 def check_catalan(n: int, r: int) -> bool:
     """F_n^2 - F_{n-r} F_{n+r} == (-1)^(n-r) F_r^2 for n >= r >= 0."""
-    lhs, rhs = _eval_catalan(n, r)
-    return lhs == rhs
+    if r < 0 or n < r:
+        raise OutOfDomainError(f"need n >= r >= 0, got (n={n}, r={r})")
+    fs = fib_prefix(n + r + 1)
+    return _holds(_catalan_row(n, range(r, r + 1), fs, _signed_squares(fs[: r + 1])))
 
 
-def _eval_cassini(n: int, fs: list[int] | None = None) -> tuple[int, int]:
-    if n < 1:
-        raise OutOfDomainError(f"n must be at least 1, got {n}")
-    fs = fib_prefix(n + 2) if fs is None else fs
-    return fs[n] ** 2 - fs[n - 1] * fs[n + 1], (-1) ** (n - 1)
+def _cassini_row(ns: range, fs: list[int]) -> tuple[_Part]:
+    """F_n^2 - F_{n-1} F_{n+1} against (-1)^(n-1) for n in ns."""
+    lo, hi = ns[0], ns[-1] + 1
+    mid = fs[lo:hi]
+    lhs = map(sub, map(mul, mid, mid), map(mul, fs[lo - 1 : hi - 1], fs[lo + 1 : hi + 1]))
+    return (_Part(list(lhs), list(map(pow, itertools.repeat(-1), range(lo - 1, hi - 1)))),)
 
 
 def check_cassini(n: int) -> bool:
     """F_n^2 - F_{n-1} F_{n+1} == (-1)^(n-1) for n >= 1."""
-    lhs, rhs = _eval_cassini(n)
-    return lhs == rhs
+    if n < 1:
+        raise OutOfDomainError(f"n must be at least 1, got {n}")
+    return _holds(_cassini_row(range(n, n + 1), fib_prefix(n + 2)))
 
 
 class SquareLemmaVerdict(NamedTuple):
@@ -165,27 +212,44 @@ class SquareLemmaVerdict(NamedTuple):
         return all(self)
 
 
-def _square_lemma_parts(
-    k: int, alpha: int, fs: list[int] | None = None
-) -> tuple[tuple[bool, int, int], ...]:
-    """Each part's (holds, lhs, rhs) at (k, alpha), in SquareLemmaVerdict's
-    order: a bound holds when lhs < rhs, a congruence when its reduced sides agree."""
-    if k < 2:
-        raise OutOfDomainError(f"k must be at least 2, got {k}")
-    if alpha < 0 or alpha > k:
-        raise OutOfDomainError(f"need 0 <= alpha <= k, got alpha={alpha}, k={k}")
-    fs = fib_prefix(2 * k + 2) if fs is None else fs
+def _square_lemma_row(
+    k: int, alphas: range, fs: list[int], squares: list[int]
+) -> tuple[_Part, ...]:
+    """The four parts at (k, alpha) for alpha in alphas, in
+    SquareLemmaVerdict's order, with squares[i] = F_i^2; each congruence's
+    sides are reduced."""
+    lo, hi = alphas[0], alphas[-1] + 1
     f_2k, f_2k1 = fs[2 * k], fs[2 * k + 1]
-    a, b = fs[k] ** 2, f_2k
-    c, d = fs[k + alpha] ** 2 % f_2k, fs[k - alpha] ** 2 % f_2k
-    e, f = fs[k + 1] ** 2, f_2k1
-    g, h = fs[k + 1 + alpha] ** 2 % f_2k1, (-(fs[k - alpha] ** 2)) % f_2k1
-    return (a < b, a, b), (c == d, c, d), (e < f, e, f), (g == h, g, h)
+    # F_{k-alpha}^2 for alpha = lo, lo + 1, ...
+    down = squares[k - hi + 1 : k - lo + 1][::-1]
+    # F_{k+alpha}^2 for the same alphas, then one more
+    up = squares[k + lo : k + hi + 1]
+    names = SquareLemmaVerdict._fields
+    return (
+        _Part([squares[k]] * (hi - lo), [f_2k] * (hi - lo), names[0], bound=True),
+        _Part(
+            list(map(mod, up[:-1], itertools.repeat(f_2k))),
+            list(map(mod, down, itertools.repeat(f_2k))),
+            names[1],
+        ),
+        _Part([squares[k + 1]] * (hi - lo), [f_2k1] * (hi - lo), names[2], bound=True),
+        _Part(
+            list(map(mod, up[1:], itertools.repeat(f_2k1))),
+            list(map(mod, map(neg, down), itertools.repeat(f_2k1))),
+            names[3],
+        ),
+    )
 
 
 def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
     """Exact check of all four parts, for k >= 2 and 0 <= alpha <= k."""
-    return SquareLemmaVerdict(*(holds for holds, _, _ in _square_lemma_parts(k, alpha)))
+    if k < 2:
+        raise OutOfDomainError(f"k must be at least 2, got {k}")
+    if alpha < 0 or alpha > k:
+        raise OutOfDomainError(f"need 0 <= alpha <= k, got alpha={alpha}, k={k}")
+    fs = fib_prefix(2 * k + 2)
+    parts = _square_lemma_row(k, range(alpha, alpha + 1), fs, list(map(mul, fs, fs)))
+    return SquareLemmaVerdict(*(_first_failure(part) is None for part in parts))
 
 
 @dataclass(frozen=True)
@@ -363,18 +427,16 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     )
 
 
-def _has_primitive_prime(j: int, fs: list[int]) -> bool:
-    """Whether F_j has a prime divisor that divides no F_i with 0 < i < j,
-    from fs[i] = F_i, without factoring F_j.
+def _has_primitive_prime(j: int, f_j: int, fs: list[int]) -> bool:
+    """Whether F_j = f_j has a prime divisor that divides no F_i with
+    0 < i < j, from fs[i] = F_i for i <= j // 2, without factoring F_j.
 
     A prime of F_j that is not primitive has a rank of apparition d < j that
     divides j, so by the gcd law it divides F_{j/q} for some prime q | j.
     Stripping from F_j every prime it shares with each such F_{j/q} leaves
     a part greater than 1 exactly when a primitive prime is left.
     """
-    if j < 3:
-        raise OutOfDomainError(f"primitive divisors need j >= 3, got {j}")
-    g, n, q = fs[j], j, 2
+    g, n, q = f_j, j, 2
     # q walks the primes of j by trial division; once q * q > n, n is prime
     while n > 1:
         if q * q > n:
@@ -410,83 +472,76 @@ def _equation_sweep(
     name: str,
     domain: str,
     names: tuple[str, ...],
-    cases: Iterable[tuple[int, ...]],
-    evaluate: Callable[..., tuple[int, int]],
-    fs: list[int] | dict[int, int],
+    rows: Iterable[tuple[Iterable[Sequence[int]], Sequence[_Part]]],
 ) -> VerificationReport:
-    """Evaluate every case, a tuple of the parameters called names, on the
-    same exact values fs, where fs[i] = F_i.  Only a failing case is named,
-    in its counterexample."""
+    """Check rows in order, each given as its cases (tuples of the
+    parameters called names) and its parts.  An equation that holds over a
+    row costs one list comparison; only a failing case is named, in its
+    counterexample, with the first of its parts that fails."""
     count = 0
-    for case in cases:
-        count += 1
-        lhs, rhs = evaluate(*case, fs)
-        if lhs != rhs:
-            found = Counterexample(dict(zip(names, case)), lhs, rhs)
-            return VerificationReport(name, domain, count, COUNTEREXAMPLE, found)
+    for cases, parts in rows:
+        failures = [(i, part) for part in parts if (i := _first_failure(part)) is not None]
+        if failures:
+            i, part = min(failures, key=lambda failure: failure[0])
+            case = next(itertools.islice(cases, i, None))
+            found = Counterexample(dict(zip(names, case)), part.lhs[i], part.rhs[i], part.name)
+            return VerificationReport(name, domain, count + i + 1, COUNTEREXAMPLE, found)
+        count += len(parts[0].lhs)
     return VerificationReport(name, domain, count, ALL_PASS)
 
 
-def sweep_gcd(pairs: Iterable[tuple[int, int]] | None = None) -> VerificationReport:
+def _require_cases(name: str, domain: str, nonempty: bool) -> None:
+    if not nonempty:
+        raise OutOfDomainError(f"the {name} sweep needs at least one case, got {domain}")
+
+
+def sweep_gcd(pairs: Iterable[Sequence[int]] | None = None) -> VerificationReport:
     pairs = gcd_sample_pairs() if pairs is None else list(pairs)
-    return _equation_sweep(
-        "gcd",
-        f"{len(pairs)} sampled index pairs",
-        ("n", "m"),
-        pairs,
-        _eval_gcd,
-        _fib_values(i for n, m in pairs for i in (n, m, math.gcd(n, m))),
-    )
+    domain = f"{len(pairs)} sampled index pairs"
+    _require_cases("gcd", domain, bool(pairs))
+    return _equation_sweep("gcd", domain, ("n", "m"), [(pairs, _gcd_row(pairs))])
 
 
 def sweep_addition(n_max: int = 80, m_max: int = 80) -> VerificationReport:
-    return _equation_sweep(
-        "addition",
-        f"n in [1, {n_max}], m in [0, {m_max}]",
-        ("n", "m"),
-        itertools.product(range(1, n_max + 1), range(m_max + 1)),
-        _eval_addition,
-        fib_prefix(max(n_max + m_max + 2, 0)),
-    )
+    domain = f"n in [1, {n_max}], m in [0, {m_max}]"
+    _require_cases("addition", domain, n_max >= 1 and m_max >= 0)
+    fs = fib_prefix(n_max + m_max + 2)
+    ms = range(m_max + 1)
+    rows = ((zip(itertools.repeat(n), ms), _addition_row(n, ms, fs)) for n in range(1, n_max + 1))
+    return _equation_sweep("addition", domain, ("n", "m"), rows)
 
 
 def sweep_catalan(n_max: int = 80) -> VerificationReport:
-    return _equation_sweep(
-        "catalan",
-        f"0 <= r <= n <= {n_max}",
-        ("n", "r"),
-        ((n, r) for n in range(n_max + 1) for r in range(n + 1)),
-        _eval_catalan,
-        fib_prefix(max(2 * n_max + 1, 0)),
+    domain = f"0 <= r <= n <= {n_max}"
+    _require_cases("catalan", domain, n_max >= 0)
+    fs = fib_prefix(2 * n_max + 1)
+    signed_squares = _signed_squares(fs[: n_max + 1])
+    rows = (
+        (zip(itertools.repeat(n), range(n + 1)), _catalan_row(n, range(n + 1), fs, signed_squares))
+        for n in range(n_max + 1)
     )
+    return _equation_sweep("catalan", domain, ("n", "r"), rows)
 
 
 def sweep_cassini(n_max: int = 120) -> VerificationReport:
-    return _equation_sweep(
-        "cassini",
-        f"n in [1, {n_max}]",
-        ("n",),
-        zip(range(1, n_max + 1)),
-        _eval_cassini,
-        fib_prefix(max(n_max + 2, 0)),
-    )
+    # one row: every case's sides are 1 and -1
+    domain = f"n in [1, {n_max}]"
+    _require_cases("cassini", domain, n_max >= 1)
+    ns = range(1, n_max + 1)
+    rows = [(zip(ns), _cassini_row(ns, fib_prefix(n_max + 2)))]
+    return _equation_sweep("cassini", domain, ("n",), rows)
 
 
 def sweep_square_lemma(k_max: int = 30) -> VerificationReport:
-    # its bounds are not equations, so it fails a case on the first part that
-    # does not hold rather than on unequal sides
     domain = f"k in [2, {k_max}], alpha in [0, k]"
-    fs = fib_prefix(max(2 * k_max + 2, 0))
-    count = 0
-    for k in range(2, k_max + 1):
-        for alpha in range(k + 1):
-            count += 1
-            parts = zip(SquareLemmaVerdict._fields, _square_lemma_parts(k, alpha, fs))
-            for part, (holds, lhs, rhs) in parts:
-                if not holds:
-                    found = Counterexample({"k": k, "alpha": alpha}, lhs, rhs, part)
-                    return VerificationReport("square_lemma", domain, count, COUNTEREXAMPLE, found)
-    return VerificationReport("square_lemma", domain, count, ALL_PASS)
+    _require_cases("square_lemma", domain, k_max >= 2)
+    fs = fib_prefix(2 * k_max + 2)
+    squares = list(map(mul, fs, fs))
+    rows = (
+        (zip(itertools.repeat(k), range(k + 1)), _square_lemma_row(k, range(k + 1), fs, squares))
+        for k in range(2, k_max + 1)
+    )
+    return _equation_sweep("square_lemma", domain, ("k", "alpha"), rows)
 
 
 def _zero_positions_report(
@@ -552,21 +607,32 @@ def sweep_carmichael(
     is {6, 12}: F_6 = 2^3 with 2 | F_3, and F_12 = 2^4 * 3^2 with 2 | F_3
     and 3 | F_4.  Every other j in range must yield a prime.  Existence is
     decided by gcds alone (_has_primitive_prime), so no F_j is factored and
-    no j is out of reach.
+    no j is out of reach.  Each j is a row of its own, so the sweep stops
+    at the first j that fails.
     """
     exceptions = set(expected_exceptions)
+    domain = f"j in [{j_lo}, {j_hi}], expected exceptions {sorted(exceptions)}"
+    _require_cases("carmichael", domain, j_lo <= j_hi)
+    if j_lo < 3:
+        raise OutOfDomainError(f"primitive divisors need j >= 3, got {j_lo}")
+    return _equation_sweep("carmichael", domain, ("j",), _carmichael_rows(j_lo, j_hi, exceptions))
 
-    def found_and_expected(j: int, fs: list[int]) -> tuple[int, int]:
-        return int(_has_primitive_prime(j, fs)), int(j not in exceptions)
 
-    return _equation_sweep(
-        "carmichael",
-        f"j in [{j_lo}, {j_hi}], expected exceptions {sorted(exceptions)}",
-        ("j",),
-        zip(range(j_lo, j_hi + 1)),
-        found_and_expected,
-        fib_prefix(max(j_hi + 1, 0)),
-    )
+def _carmichael_rows(
+    j_lo: int, j_hi: int, exceptions: set[int]
+) -> Iterable[tuple[tuple[tuple[int]], tuple[_Part]]]:
+    """One row per j in [j_lo, j_hi]: whether F_j has a primitive prime (1
+    or 0) against whether j is outside exceptions.  A case reads F_j and
+    F_{j/q} for the primes q | j, so the prefix stops at F_{j_hi // 2} and
+    F_j itself is walked once, from the prefix's end or from F_{j_lo}."""
+    fs = fib_prefix(j_hi // 2 + 1)
+    j = min(j_lo, len(fs) - 1)
+    f_j, f_next = fs[j], fs[j] + fs[j - 1]
+    for j in range(j, j_hi + 1):
+        if j >= j_lo:
+            found = int(_has_primitive_prime(j, f_j, fs))
+            yield ((j,),), (_Part([found], [int(j not in exceptions)]),)
+        f_j, f_next = f_next, f_j + f_next
 
 
 # name -> that identity's reports, in the order `powerfib verify` runs them.

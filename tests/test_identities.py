@@ -166,14 +166,26 @@ def test_square_lemma_sweep_fails_a_bound_with_equal_sides(monkeypatch):
     assert report.counterexample == Counterexample({"k": 2, "alpha": 0}, 1, 1, "bound_even_index")
 
 
+def test_square_lemma_sweep_reports_the_first_failing_case_then_part(monkeypatch):
+    # F_3 = 3 breaks two parts at k = 2: congruence_even_index at alpha = 1
+    # (F_3^2 = 0 against F_1^2 = 1 mod 3), and bound_odd_index, a later part,
+    # at every alpha (F_3^2 = 9 against F_5 = 5); the first case wins
+    monkeypatch.setattr(identities, "fib_prefix", prefix_with(3, 3))
+    report = sweep_square_lemma(2)
+    assert report.cases_checked == 1
+    assert report.counterexample == Counterexample({"k": 2, "alpha": 0}, 9, 5, "bound_odd_index")
+
+
 def test_addition_sweep_reports_failing_case(monkeypatch):
-    real = identities._eval_addition
+    real = identities._addition_row
 
-    def broken_at_3_2(n, m, fs=None):
-        lhs, rhs = real(n, m, fs)
-        return (lhs, rhs + 1) if (n, m) == (3, 2) else (lhs, rhs)
+    def broken_at_3_2(n, ms, fs):
+        (part,) = real(n, ms, fs)
+        if n == 3 and 2 in ms:
+            part.rhs[ms.index(2)] += 1
+        return (part,)
 
-    monkeypatch.setattr(identities, "_eval_addition", broken_at_3_2)
+    monkeypatch.setattr(identities, "_addition_row", broken_at_3_2)
     report = sweep_addition(5, 5)
     assert report.verdict == COUNTEREXAMPLE
     # n = 1 and n = 2 give six cases each, then m = 0, 1, 2 at n = 3
@@ -184,13 +196,15 @@ def test_addition_sweep_reports_failing_case(monkeypatch):
 
 
 def test_catalan_sweep_reports_failing_case(monkeypatch):
-    real = identities._eval_catalan
+    real = identities._catalan_row
 
-    def broken_at_4_2(n, r, fs=None):
-        lhs, rhs = real(n, r, fs)
-        return (lhs, -rhs) if (n, r) == (4, 2) else (lhs, rhs)
+    def broken_at_4_2(n, rs, fs, signed_squares):
+        (part,) = real(n, rs, fs, signed_squares)
+        if n == 4 and 2 in rs:
+            part.rhs[rs.index(2)] *= -1
+        return (part,)
 
-    monkeypatch.setattr(identities, "_eval_catalan", broken_at_4_2)
+    monkeypatch.setattr(identities, "_catalan_row", broken_at_4_2)
     report = sweep_catalan(6)
     assert report.verdict == COUNTEREXAMPLE
     # 1 + 2 + 3 + 4 cases for n < 4, then r = 0, 1, 2 at n = 4
@@ -201,13 +215,16 @@ def test_catalan_sweep_reports_failing_case(monkeypatch):
 
 
 def test_gcd_sweep_reports_failing_case(monkeypatch):
-    real = identities._eval_gcd
+    real = identities._gcd_row
 
-    def broken_at_9_6(n, m, fs=None):
-        lhs, rhs = real(n, m, fs)
-        return (lhs, rhs + 1) if (n, m) == (9, 6) else (lhs, rhs)
+    def broken_at_9_6(pairs):
+        (part,) = real(pairs)
+        for i, pair in enumerate(pairs):
+            if tuple(pair) == (9, 6):
+                part.rhs[i] += 1
+        return (part,)
 
-    monkeypatch.setattr(identities, "_eval_gcd", broken_at_9_6)
+    monkeypatch.setattr(identities, "_gcd_row", broken_at_9_6)
     # a pair may come as any two-item sequence; its case keeps both names
     report = sweep_gcd([(4, 6), [0, 5], (9, 6), (12, 8)])
     assert report.verdict == COUNTEREXAMPLE
@@ -218,13 +235,15 @@ def test_gcd_sweep_reports_failing_case(monkeypatch):
 
 
 def test_cassini_sweep_reports_failing_case(monkeypatch):
-    real = identities._eval_cassini
+    real = identities._cassini_row
 
-    def broken_at_6(n, fs=None):
-        lhs, rhs = real(n, fs)
-        return (lhs, -rhs) if n == 6 else (lhs, rhs)
+    def broken_at_6(ns, fs):
+        (part,) = real(ns, fs)
+        if 6 in ns:
+            part.rhs[ns.index(6)] *= -1
+        return (part,)
 
-    monkeypatch.setattr(identities, "_eval_cassini", broken_at_6)
+    monkeypatch.setattr(identities, "_cassini_row", broken_at_6)
     report = sweep_cassini(10)
     assert report.verdict == COUNTEREXAMPLE
     assert report.cases_checked == 6
@@ -234,12 +253,15 @@ def test_cassini_sweep_reports_failing_case(monkeypatch):
 
 
 def test_carmichael_sweep_reports_failing_case(monkeypatch):
-    real = identities._has_primitive_prime
+    real = identities._carmichael_rows
 
-    def none_at_9(j, fs):
-        return False if j == 9 else real(j, fs)
+    def none_at_9(j_lo, j_hi, exceptions):
+        for cases, (part,) in real(j_lo, j_hi, exceptions):
+            if cases == ((9,),):
+                part.lhs[0] = 0
+            yield cases, (part,)
 
-    monkeypatch.setattr(identities, "_has_primitive_prime", none_at_9)
+    monkeypatch.setattr(identities, "_carmichael_rows", none_at_9)
     report = sweep_carmichael(5, 20)
     assert report.verdict == COUNTEREXAMPLE
     assert report.cases_checked == 5  # j = 5 .. 9
@@ -305,12 +327,26 @@ def test_gcd_on_a_large_index_builds_no_prefix():
         assert peak < 1_000_000
 
 
-def sweep_prefix(sweep, *args) -> list[int]:
-    """The one prefix that sweep(*args) builds and hands to every case."""
-    with recording_fib_calls() as calls:
+def sweep_rows(row_name: str, sweep, *args) -> list[tuple[tuple, tuple]]:
+    """The arguments and result of each call sweep(*args) makes to
+    identities.<row_name>, in order: for a row evaluator, each row's parts."""
+    real = getattr(identities, row_name)
+    rows = []
+
+    def recording(*row_args):
+        rows.append((row_args, real(*row_args)))
+        return rows[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, row_name, recording)
         sweep(*args)
-    (fs,) = calls["prefixes"]
-    return fs
+    return rows
+
+
+def case_sides(parts, i: int, length: int) -> list[tuple]:
+    """Each part's name and sides at case i of a row of length cases."""
+    assert all(len(part.lhs) == len(part.rhs) == length for part in parts)
+    return [(part.name, part.lhs[i], part.rhs[i]) for part in parts]
 
 
 def pair_below(lo: int, hi: int):
@@ -318,16 +354,19 @@ def pair_below(lo: int, hi: int):
     return st.integers(lo, hi).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x)))
 
 
-# Each evaluator must read the same values from the prefix its sweep builds
-# as from the shortest prefix its own case needs; slack 0 puts the case on
-# the corner of the sweep's domain.
+# Each row evaluator must give a case the same sides in its sweep's row, read
+# from the sweep's prefix, as in a row of that case alone, read from the
+# shortest prefix the case needs; slack 0 puts the case on the corner of the
+# sweep's domain.
 
 
 @given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10), st.integers(0, 10))
 @example(40, 40, 0, 0)
 def test_addition_reads_sweep_prefix_like_own(n, m, n_slack, m_slack):
-    fs = sweep_prefix(sweep_addition, n + n_slack, m + m_slack)
-    assert identities._eval_addition(n, m, fs) == identities._eval_addition(n, m)
+    rows = sweep_rows("_addition_row", sweep_addition, n + n_slack, m + m_slack)
+    ((_, ms, _), parts) = rows[n - 1]
+    own = identities._addition_row(n, range(m, m + 1), fib_prefix(n + m + 2))
+    assert case_sides(parts, m, len(ms)) == case_sides(own, 0, 1)
 
 
 @given(pair_below(0, 60), st.integers(0, 10))
@@ -335,15 +374,19 @@ def test_addition_reads_sweep_prefix_like_own(n, m, n_slack, m_slack):
 @example((60, 0), 0)
 def test_catalan_reads_sweep_prefix_like_own(n_r, slack):
     n, r = n_r
-    fs = sweep_prefix(sweep_catalan, n + slack)
-    assert identities._eval_catalan(n, r, fs) == identities._eval_catalan(n, r)
+    rows = sweep_rows("_catalan_row", sweep_catalan, n + slack)
+    ((_, rs, _, _), parts) = rows[n]
+    fs = fib_prefix(n + r + 1)
+    own = identities._catalan_row(n, range(r, r + 1), fs, identities._signed_squares(fs))
+    assert case_sides(parts, r, len(rs)) == case_sides(own, 0, 1)
 
 
 @given(st.integers(1, 120), st.integers(0, 10))
 @example(120, 0)
 def test_cassini_reads_sweep_prefix_like_own(n, slack):
-    fs = sweep_prefix(sweep_cassini, n + slack)
-    assert identities._eval_cassini(n, fs) == identities._eval_cassini(n)
+    (((ns, _), parts),) = sweep_rows("_cassini_row", sweep_cassini, n + slack)
+    own = identities._cassini_row(range(n, n + 1), fib_prefix(n + 2))
+    assert case_sides(parts, n - 1, len(ns)) == case_sides(own, 0, 1)
 
 
 @given(pair_below(2, 30), st.integers(0, 10))
@@ -351,25 +394,11 @@ def test_cassini_reads_sweep_prefix_like_own(n, slack):
 @example((30, 0), 0)
 def test_square_lemma_reads_sweep_prefix_like_own(k_alpha, slack):
     k, alpha = k_alpha
-    fs = sweep_prefix(sweep_square_lemma, k + slack)
-    assert identities._square_lemma_parts(k, alpha, fs) == identities._square_lemma_parts(k, alpha)
-
-
-@contextlib.contextmanager
-def recording_sweep_values():
-    """Keep the values fs each _equation_sweep call hands to its cases."""
-    real = identities._equation_sweep
-    handed = []
-
-    def sweep(name, domain, names, cases, evaluate, fs):
-        handed.append(fs)
-        return real(name, domain, names, cases, evaluate, fs)
-
-    identities._equation_sweep = sweep
-    try:
-        yield handed
-    finally:
-        identities._equation_sweep = real
+    rows = sweep_rows("_square_lemma_row", sweep_square_lemma, k + slack)
+    ((_, alphas, _, _), parts) = rows[k - 2]
+    fs = fib_prefix(2 * k + 2)
+    own = identities._square_lemma_row(k, range(alpha, alpha + 1), fs, [f * f for f in fs])
+    assert case_sides(parts, alpha, len(alphas)) == case_sides(own, 0, 1)
 
 
 # indices past 10000, where a prefix would be megabytes; few examples, since
@@ -380,11 +409,142 @@ def recording_sweep_values():
 @example([(0, 10_001), (10_001, 1)])
 @example([(12_000, 8_000), (9_000, 6_000)])
 def test_gcd_reads_sweep_values_like_own(pairs):
-    with recording_sweep_values() as handed:
-        sweep_gcd(pairs)
-    (fs,) = handed
+    (((row_pairs,), parts),) = sweep_rows("_gcd_row", sweep_gcd, pairs)
+    for i, pair in enumerate(pairs):
+        assert case_sides(parts, i, len(row_pairs)) == case_sides(identities._gcd_row([pair]), 0, 1)
+
+
+@given(st.integers(3, 90), st.integers(0, 90))
+@example(3, 0)
+@example(46, 0)
+@example(47, 0)
+@example(3, 87)
+def test_carmichael_reads_half_prefix_like_own(j_lo, width):
+    # F_j is walked from the end of the half prefix, or from F_{j_lo}
+    j_hi = j_lo + width
+    calls = sweep_rows("_has_primitive_prime", sweep_carmichael, j_lo, j_hi)
+    assert [args[0] for args, _ in calls] == list(range(j_lo, j_hi + 1))
+    for (j, f_j, fs), found in calls:
+        assert f_j == fib_exact(j)
+        assert fs == fib_prefix(j_hi // 2 + 1)
+        assert found == identities._has_primitive_prime(j, f_j, fib_prefix(j // 2 + 1))
+
+
+# Every row sweep, with one prefix value corrupted, must report what a plain
+# loop over its cases reports; the loops below read the same corrupted
+# values, one case at a time, in the sweep's order.
+
+
+def plain_report(cases) -> tuple:
+    """Verdict, cases checked and counterexample of a loop over cases, each
+    its inputs and parts (name, lhs, rhs, whether a bound)."""
+    count = 0
+    for inputs, parts in cases:
+        count += 1
+        for name, lhs, rhs, bound in parts:
+            if not (lhs < rhs if bound else lhs == rhs):
+                return COUNTEREXAMPLE, count, Counterexample(inputs, lhs, rhs, name)
+    return ALL_PASS, count, None
+
+
+def plain_addition(fs, n_max):
+    m_max = len(fs) - n_max - 2
+    for n in range(1, n_max + 1):
+        for m in range(m_max + 1):
+            rhs = fs[n - 1] * fs[m] + fs[n] * fs[m + 1]
+            yield {"n": n, "m": m}, [(None, fs[n + m], rhs, False)]
+
+
+def plain_catalan(fs, n_max):
+    for n in range(n_max + 1):
+        for r in range(n + 1):
+            lhs = fs[n] ** 2 - fs[n - r] * fs[n + r]
+            yield {"n": n, "r": r}, [(None, lhs, (-1) ** (n - r) * fs[r] ** 2, False)]
+
+
+def plain_cassini(fs, n_max):
+    for n in range(1, n_max + 1):
+        yield {"n": n}, [(None, fs[n] ** 2 - fs[n - 1] * fs[n + 1], (-1) ** (n - 1), False)]
+
+
+def plain_square_lemma(fs, k_max):
+    for k in range(2, k_max + 1):
+        for alpha in range(k + 1):
+            f_2k, f_2k1 = fs[2 * k], fs[2 * k + 1]
+            yield {"k": k, "alpha": alpha}, [
+                ("bound_even_index", fs[k] ** 2, f_2k, True),
+                (
+                    "congruence_even_index",
+                    fs[k + alpha] ** 2 % f_2k,
+                    fs[k - alpha] ** 2 % f_2k,
+                    False,
+                ),
+                ("bound_odd_index", fs[k + 1] ** 2, f_2k1, True),
+                (
+                    "congruence_odd_index",
+                    fs[k + 1 + alpha] ** 2 % f_2k1,
+                    -(fs[k - alpha] ** 2) % f_2k1,
+                    False,
+                ),
+            ]
+
+
+PLAIN_SWEEPS = {
+    # sweep, plain loop, smallest and largest size, prefix length at size
+    "addition": (lambda n: sweep_addition(n, n + 1), plain_addition, 1, 8, lambda n: 2 * n + 3),
+    "catalan": (sweep_catalan, plain_catalan, 0, 10, lambda n: 2 * n + 1),
+    "cassini": (sweep_cassini, plain_cassini, 1, 16, lambda n: n + 2),
+    "square_lemma": (sweep_square_lemma, plain_square_lemma, 2, 8, lambda k: 2 * k + 2),
+}
+
+
+def report_fields(report) -> tuple:
+    return report.verdict, report.cases_checked, report.counterexample
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(PLAIN_SWEEPS)), st.data())
+def test_row_sweeps_match_plain_loops_on_corrupted_prefixes(kind, data):
+    sweep, plain, lo, hi, length = PLAIN_SWEEPS[kind]
+    size = data.draw(st.integers(lo, hi), label="size")
+    # index length(size) lies past the prefix and corrupts nothing
+    index = data.draw(st.integers(0, length(size)), label="index")
+    delta = data.draw(st.integers(-2, 3) | st.integers(-1000, 1000), label="delta")
+    value = max(1, fib_exact(index) + delta)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "fib_prefix", prefix_with(index, value))
+        report = sweep(size)
+        fs = identities.fib_prefix(length(size))
+    expected = plain_report(plain(fs, size))
+    assert report_fields(report) == expected
+    if expected[2] is not None:
+        assert list(report.counterexample.inputs) == list(expected[2].inputs)
+
+
+def plain_gcd(fs, pairs):
     for n, m in pairs:
-        assert identities._eval_gcd(n, m, fs) == identities._eval_gcd(n, m)
+        yield {"n": n, "m": m}, [(None, math.gcd(fs[n], fs[m]), fs[math.gcd(n, m)], False)]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)).filter(any), min_size=1, max_size=8),
+    st.integers(0, 15),
+    st.integers(-2, 3),
+)
+def test_gcd_row_sweep_matches_plain_loop_on_corrupted_values(pairs, index, delta):
+    real = identities._fib_values
+
+    def corrupted(indices):
+        values = real(indices)
+        if index in values:
+            values[index] = max(1, values[index] + delta)
+        return values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "_fib_values", corrupted)
+        report = sweep_gcd(pairs)
+        fs = corrupted(range(16))
+    assert report_fields(report) == plain_report(plain_gcd(fs, pairs))
 
 
 def test_square_lemma_domain():
@@ -651,15 +811,39 @@ def test_gcd_sample_is_reproducible():
 
 
 def test_sweeps_all_pass():
-    # the largest domains the sweeps benchmark runs
-    assert sweep_gcd().passed
-    assert sweep_addition(200, 200).passed
-    assert sweep_catalan(240).passed
-    assert sweep_cassini(600).passed
-    assert sweep_square_lemma(100).passed
+    # twice the largest domains the sweeps benchmark runs for addition,
+    # Catalan and the square lemma, the largest for the others; each report
+    # covers its domain's closed count of cases
     js = [j for j in range(4, 61) if j != 6]
-    assert sweep_zero_positions(js, range(1, 11)).passed
-    assert sweep_carmichael(3, 72, expected_exceptions=(6, 12)).passed
+    for report, cases in [
+        (sweep_gcd(), 200),
+        (sweep_addition(400, 400), 400 * 401),
+        (sweep_catalan(480), 481 * 482 // 2),
+        (sweep_cassini(600), 600),
+        (sweep_square_lemma(200), 201 * 202 // 2 - 3),
+        (sweep_zero_positions(js, range(1, 11)), sum(10 * (5 * j + 1) for j in js)),
+        (sweep_carmichael(3, 72, expected_exceptions=(6, 12)), 70),
+    ]:
+        assert report.passed, report
+        assert report.cases_checked == cases, report
+
+
+@pytest.mark.parametrize(
+    ("sweep", "args"),
+    [
+        (sweep_addition, (0, 0)),
+        (sweep_addition, (5, -1)),
+        (sweep_catalan, (-1,)),
+        (sweep_cassini, (0,)),
+        (sweep_square_lemma, (1,)),
+        (sweep_gcd, ([],)),
+        (sweep_carmichael, (10, 5)),
+    ],
+    ids=["addition", "addition_no_m", "catalan", "cassini", "square_lemma", "gcd", "carmichael"],
+)
+def test_sweep_rejects_an_empty_domain(sweep, args):
+    with pytest.raises(OutOfDomainError, match="sweep needs at least one case, got "):
+        sweep(*args)
 
 
 def test_sweep_zero_positions_domain_names_the_j_it_ran():
@@ -739,16 +923,16 @@ def test_primitive_prime_test_agrees_with_factoring():
         except ResourceGuardError:
             out_of_reach.append(j)
             continue
-        assert identities._has_primitive_prime(j, fs) == factored, j
+        assert identities._has_primitive_prime(j, fs[j], fs) == factored, j
     assert out_of_reach == [73]
-    assert identities._has_primitive_prime(73, fs)
+    assert identities._has_primitive_prime(73, fs[73], fs)
 
 
 def test_carmichael_exceptions_to_5000():
     # F_12 = 2^4 * 3^2 needs both q = 2 (F_6 = 2^3) and q = 3 (F_4 = 3),
     # and each stripped to every power, to come out with no primitive prime
     fs = fib_prefix(5001)
-    lacking = [j for j in range(3, 5001) if not identities._has_primitive_prime(j, fs)]
+    lacking = [j for j in range(3, 5001) if not identities._has_primitive_prime(j, fs[j], fs)]
     assert lacking == [6, 12]
 
 
