@@ -234,8 +234,11 @@ def _table_csv(rec: dict) -> list[str]:
 
 
 def cmd_oracle(args) -> tuple[int, dict]:
-    _require_printable_fib(args.j)
-    _require_oracle_row(args.j)
+    # the oracle itself rejects a j or e outside its domain before any work,
+    # so a bad request is a domain error whatever the size of F_j
+    if args.j >= 3 and args.e >= 1:
+        _require_printable_fib(args.j)
+        _require_oracle_row(args.j)
     return EXIT_OK, minimal_period_bruteforce(args.j, args.e, j_max=args.j_max).to_record()
 
 

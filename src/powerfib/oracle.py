@@ -13,25 +13,28 @@ finds the classes, and powers each class once.  The oracle remembers its last
 row: when the next call asks for the same j one exponent higher, as a `scan`
 row does, it steps up by one multiplication per class.  What it retains
 between calls is, for one j and e: the class values, their e-th powers mod
-F_j, and one slot per window entry (at most 4j) naming its class and sign.
+F_j, and one `operator.itemgetter` over the window's slots (at most 4j, each
+naming its entry's class and sign) that gathers the window from the powers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
-from operator import mod, mul, ne
+from itertools import compress, count, islice, repeat
+from math import isqrt
+from operator import itemgetter, mod, mul, ne
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
 
-# (j, e, m, p0, values, slots, powers) of the last call; every row builds its
+# (j, e, m, p0, values, gather, powers) of the last call, where gather picks
+# the window out of the powers and their signed copies; every row builds its
 # classes on its first call, whatever its e.  It is read once and replaced
 # whole, and nothing stored is changed, so a caller on another thread can at
 # worst rebuild a row, never read a half-made one.
-_last_row: tuple[int, int, int, int, list[int], list[int], list[int]] | None = None
+_last_row: tuple[int, int, int, int, list[int], itemgetter, list[int]] | None = None
 
 
 def pisano_period(m: int) -> int:
@@ -39,10 +42,11 @@ def pisano_period(m: int) -> int:
     if m < 2:
         raise InvalidModulusError(f"modulus must be at least 2, got {m}")
     a, b = 0, 1
-    k = 0
-    while True:
-        a, b = b, (a + b) % m
-        k += 1
+    for k in count(1):
+        # a + b < 2m, so one subtraction reduces it
+        a, b = b, a + b
+        if b >= m:
+            b -= m
         if a == 0 and b == 1:
             return k
 
@@ -62,21 +66,16 @@ def sequence_prefix(j: int, e: int, n: int) -> list[int]:
     a, b = 0, 1
     for _ in range(n):
         out.append(a)
-        a, b = b, (a + b) % m
+        a, b = b, a + b
+        if b >= m:
+            b -= m
     # F_i mod F_j is already its own first power
     return out if e == 1 else list(map(pow, out, repeat(e), repeat(m)))
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 @dataclass(frozen=True)
@@ -117,19 +116,16 @@ def _sign_classes(m: int, residues: list[int]) -> tuple[list[int], list[int]]:
 
     values holds the distinct c = min(x, m - x) in first-seen order.  Entry i
     is x = c of class k = values.index(c) when its slot is k, and x = m - c
-    when its slot is ~k = -1 - k.
+    when its slot is ~k = -1 - k.  c = x exactly when x <= m // 2.
     """
-    seen: dict[int, int] = {}
-    values: list[int] = []
-    slots: list[int] = []
-    for x in residues:
-        c = min(x, m - x)
-        k = seen.get(c)
-        if k is None:
-            k = seen[c] = len(values)
-            values.append(c)
-        slots.append(k if x == c else ~k)
-    return values, slots
+    h = m // 2
+    classes: dict[int, int] = {}
+    # len(classes) is read before setdefault adds c, so a new c gets the next number
+    slots = [
+        classes.setdefault(x, len(classes)) if x <= h else ~classes.setdefault(m - x, len(classes))
+        for x in residues
+    ]
+    return list(classes), slots
 
 
 def _power_window(j: int, e: int) -> tuple[int, int, list[int]]:
@@ -137,19 +133,20 @@ def _power_window(j: int, e: int) -> tuple[int, int, list[int]]:
     global _last_row
     last = _last_row
     if last is not None and last[0] == j and last[1] == e - 1:
-        _, _, m, p0, values, slots, powers = last
+        _, _, m, p0, values, gather, powers = last
         powers = list(map(mod, map(mul, powers, values), repeat(m)))
     else:
         m = fib_exact(j)
         p0 = pisano_period(m)
         window = sequence_prefix(j, 1, p0)
         values, slots = _sign_classes(m, window)
+        gather = itemgetter(*slots)  # p0 >= 3 slots, so it returns a tuple
         powers = list(map(pow, values, repeat(e), repeat(m)))
     if e > 1:
         # slot ~k reads from the end: the powers, then their signed copies reversed
         signed = [(m - p) % m for p in reversed(powers)] if e % 2 else powers[::-1]
-        window = list(map((powers + signed).__getitem__, slots))
-    _last_row = (j, e, m, p0, values, slots, powers)
+        window = list(gather(powers + signed))
+    _last_row = (j, e, m, p0, values, gather, powers)
     return m, p0, window
 
 
@@ -159,24 +156,25 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
     The Pisano period p0 of F_j is always a period of the power sequence,
     and the minimal period divides every period, so scanning the divisors
     of p0 in increasing order is exhaustive.  The sequence starts at the
-    recurring state (0, 1), hence is purely periodic from index 0 and the
-    shift test may wrap indices mod p0.
+    recurring state (0, 1), hence is purely periodic from index 0.  A shift
+    d is tested only on i < p0 - d: as d divides p0, each wrapped pair
+    (i, i + d - p0) is joined by a chain of unwrapped ones, so the first
+    unequal pair, if any, is unwrapped.
     """
     if j < 3:
         raise OutOfDomainError(
             f"the oracle needs j >= 3 (modulus at least 2), got j={j}"
         )
-    if j > j_max:
-        raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
     if e < 1:
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
+    if j > j_max:
+        raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
     m, p0, window = _power_window(j, e)
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in _divisors(p0):
-        # the first i with window[i] != window[(i + d) % p0]
-        shifted = chain(islice(window, d, None), window)
-        witness = next(compress(count(), map(ne, window, shifted)), None)
+        # the first i with window[i] != window[i + d]
+        witness = next(compress(count(), map(ne, window, islice(window, d, None))), None)
         if witness is None:
             checked.append(DivisorCheck(d=d, verdict="holds"))
             power_period = d

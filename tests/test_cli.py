@@ -650,6 +650,24 @@ def test_huge_j_trips_table_guard_with_no_digit_limit(capsys, monkeypatch, digit
     )
 
 
+@pytest.mark.parametrize(
+    ("command", "message"),
+    [
+        ("oracle 30 0", "exponent must be at least 1, got 0"),
+        (f"oracle {_HUGE_J} 0", "exponent must be at least 1, got 0"),
+        (f"oracle {_HUGE_J} -2 --j-max {_HUGE_J}", "exponent must be at least 1, got -2"),
+        (f"oracle 2 0 --j-max {_HUGE_J}", "the oracle needs j >= 3 (modulus at least 2), got j=2"),
+        ("period 30 0 --verify", "exponent must be at least 1, got 0"),
+        (f"period {_HUGE_J} 0 --verify", "exponent must be at least 1, got 0"),
+    ],
+    ids=["oracle-over-j-max", "oracle-huge-j", "oracle-huge-j-max", "oracle-small-j", "period", "period-huge-j"],
+)
+def test_bad_exponent_is_a_domain_error_before_any_guard(capsys, monkeypatch, command, message):
+    # as `table` and `scan` do, the oracle refuses e < 1 with exit 1 whatever j is
+    monkeypatch.setattr(cli, "fib_exact", _no_work)
+    assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
+
+
 _ORACLE_ROWS = {
     "scan": f"scan {_HUGE_J}..{_HUGE_J} 1..1 --j-max {_HUGE_J}",
     "oracle": f"oracle {_HUGE_J} 1 --j-max {_HUGE_J}",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -109,6 +111,11 @@ def test_guard_and_domain():
         minimal_period_bruteforce(2, 1)
     with pytest.raises(OutOfDomainError):
         minimal_period_bruteforce(6, 0)
+    # a bad exponent is a domain error before the guard looks at j
+    for j in (DEFAULT_J_MAX + 1, 10**400):
+        for e in (0, -1):
+            with pytest.raises(OutOfDomainError, match=f"exponent must be at least 1, got {e}"):
+                minimal_period_bruteforce(j, e)
 
 
 def test_guard_and_domain_with_that_j_remembered():
@@ -166,7 +173,32 @@ def test_remembered_window_gives_the_cold_trace(runs):
             assert minimal_period_bruteforce(j, e, j_max=40) == _cold_trace(j, e), (j, e)
 
 
-@pytest.mark.parametrize("j", [297, 299, 300])  # F_297 and F_300 are even, F_299 odd
+def _sign_classes_per_entry(m: int, residues: list[int]) -> tuple[list[int], list[int]]:
+    """The classes found one entry at a time: c = min(x, m - x), numbered first-seen."""
+    seen: dict[int, int] = {}
+    values: list[int] = []
+    slots: list[int] = []
+    for x in residues:
+        c = min(x, m - x)
+        k = seen.get(c)
+        if k is None:
+            k = seen[c] = len(values)
+            values.append(c)
+        slots.append(k if x == c else ~k)
+    return values, slots
+
+
+def test_sign_classes_match_the_per_entry_fold():
+    # every third F_j is even, where x = F_j / 2 is its own negation
+    for j in range(3, 301):
+        m = fib_exact(j)
+        window = sequence_prefix(j, 1, pisano_period(m))
+        assert oracle._sign_classes(m, window) == _sign_classes_per_entry(m, window), j
+
+
+# F_297 and F_300 are even, F_299 odd; j = 6 and 12 have no primitive prime,
+# and 799, 800 are the `certify` workload's largest rows
+@pytest.mark.parametrize("j", [4, 5, 6, 12, 297, 299, 300, 799, 800])
 def test_scan_row_steps_sign_classes_to_cold_windows(j):
     for e in range(1, 11):
         m, p0, window = oracle._power_window(j, e)
@@ -237,3 +269,29 @@ def test_scan_builds_one_window_per_row(monkeypatch, capsys):
         # one e = 1 walk per row, whatever exponent the row starts at
         walks = [(j, e) for j, e, _ in calls["sequence_prefix"]]
         assert walks == [(j, 1) for j in range(20, 24)], e_range
+
+
+def _powerfib_imports(source: str) -> set[str]:
+    """The powerfib modules a source imports, named within the package."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "powerfib." * (node.level > 0) + (node.module or "")
+            if module.rstrip(".") == "powerfib":
+                # `from . import x` and `from powerfib import x` name modules
+                found.update(f"powerfib.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
+    return {name.removeprefix("powerfib.") for name in found if name.startswith("powerfib.")}
+
+
+def test_oracle_borrows_no_closed_form_logic():
+    # the certification rests on the oracle sharing nothing with the closed
+    # forms: no periodicity, residue_tables or identities
+    assert _powerfib_imports("from . import periodicity\nimport powerfib.identities") == {
+        "periodicity",
+        "identities",
+    }
+    assert _powerfib_imports(Path(oracle.__file__).read_text()) == {"errors", "fibcore"}
