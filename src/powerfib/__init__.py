@@ -9,10 +9,6 @@ from .identities import (
     SquareLemmaVerdict,
     VerificationReport,
     ZeroPositionsOutcome,
-    check_addition,
-    check_cassini,
-    check_catalan,
-    check_gcd_identity,
     check_square_lemma,
     check_zero_positions,
     primitive_prime_divisor,
@@ -51,10 +47,6 @@ __all__ = [
     "VerificationReport",
     "ZeroPositionsOutcome",
     "case_breakdown",
-    "check_addition",
-    "check_cassini",
-    "check_catalan",
-    "check_gcd_identity",
     "check_square_lemma",
     "check_zero_positions",
     "fib_exact",

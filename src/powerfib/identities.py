@@ -83,9 +83,9 @@ class VerificationReport:
 # them bounds.  A sweep checks that its domain is not empty, builds its
 # values once for the whole domain and hands _equation_sweep one row at a
 # time, which compares each part with one list comparison and looks at
-# single cases only in a row that fails.  A check_* call checks its one
-# case's domain and evaluates a row of that case alone, on a prefix just
-# long enough for it.
+# single cases only in a row that fails.  check_square_lemma, the one
+# single-case check over an equation, checks its case's domain and
+# evaluates a row of that case alone, on a prefix just long enough for it.
 
 
 class _Part(NamedTuple):
@@ -107,10 +107,6 @@ def _first_failure(part: _Part) -> int | None:
     else:
         fails = map(ne, part.lhs, part.rhs)
     return next(itertools.compress(itertools.count(), fails), None)
-
-
-def _holds(parts: Sequence[_Part]) -> bool:
-    return all(_first_failure(part) is None for part in parts)
 
 
 def _fib_values(indices: Iterable[int]) -> dict[int, int]:
@@ -141,25 +137,11 @@ def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
     return (_Part(lhs, list(map(fs.__getitem__, gs))),)
 
 
-def check_gcd_identity(n: int, m: int) -> bool:
-    """gcd(F_n, F_m) == F_gcd(n, m); the (0, 0) corner is excluded."""
-    return _holds(_gcd_row([(n, m)]))
-
-
 def _addition_row(n: int, ms: range, fs: list[int]) -> tuple[_Part]:
     """F_{n+m} against F_{n-1} F_m + F_n F_{m+1} for m in ms."""
     lo, hi = ms[0], ms[-1] + 1
     rhs = map(add, map(fs[n - 1].__mul__, fs[lo:hi]), map(fs[n].__mul__, fs[lo + 1 : hi + 1]))
     return (_Part(fs[n + lo : n + hi], list(rhs)),)
-
-
-def check_addition(n: int, m: int) -> bool:
-    """F_{n+m} == F_{n-1} F_m + F_n F_{m+1} for n >= 1, m >= 0."""
-    if n < 1:
-        raise OutOfDomainError(f"n must be at least 1 (F_(n-1) is used), got {n}")
-    if m < 0:
-        raise OutOfDomainError(f"m must be nonnegative, got {m}")
-    return _holds(_addition_row(n, range(m, m + 1), fib_prefix(n + m + 2)))
 
 
 def _signed_squares(fs: list[int]) -> list[int]:
@@ -177,27 +159,12 @@ def _catalan_row(n: int, rs: range, fs: list[int], signed_squares: list[int]) ->
     return (_Part(list(map((fs[n] * fs[n]).__sub__, products)), rhs),)
 
 
-def check_catalan(n: int, r: int) -> bool:
-    """F_n^2 - F_{n-r} F_{n+r} == (-1)^(n-r) F_r^2 for n >= r >= 0."""
-    if r < 0 or n < r:
-        raise OutOfDomainError(f"need n >= r >= 0, got (n={n}, r={r})")
-    fs = fib_prefix(n + r + 1)
-    return _holds(_catalan_row(n, range(r, r + 1), fs, _signed_squares(fs[: r + 1])))
-
-
 def _cassini_row(ns: range, fs: list[int]) -> tuple[_Part]:
     """F_n^2 - F_{n-1} F_{n+1} against (-1)^(n-1) for n in ns."""
     lo, hi = ns[0], ns[-1] + 1
     mid = fs[lo:hi]
     lhs = map(sub, map(mul, mid, mid), map(mul, fs[lo - 1 : hi - 1], fs[lo + 1 : hi + 1]))
     return (_Part(list(lhs), list(map(pow, itertools.repeat(-1), range(lo - 1, hi - 1)))),)
-
-
-def check_cassini(n: int) -> bool:
-    """F_n^2 - F_{n-1} F_{n+1} == (-1)^(n-1) for n >= 1."""
-    if n < 1:
-        raise OutOfDomainError(f"n must be at least 1, got {n}")
-    return _holds(_cassini_row(range(n, n + 1), fib_prefix(n + 2)))
 
 
 class SquareLemmaVerdict(NamedTuple):
@@ -207,9 +174,6 @@ class SquareLemmaVerdict(NamedTuple):
     congruence_even_index: bool  # F_{k+a}^2 = F_{k-a}^2 mod F_2k
     bound_odd_index: bool  # F_{k+1}^2 < F_{2k+1}
     congruence_odd_index: bool  # F_{k+1+a}^2 = -F_{k-a}^2 mod F_{2k+1}
-
-    def all_hold(self) -> bool:
-        return all(self)
 
 
 def _square_lemma_row(

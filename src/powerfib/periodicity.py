@@ -16,10 +16,6 @@ class PeriodResult:
     period: int | None  # None exactly when the sequence is not periodic
     case_label: str  # the dispatch clause that fired
 
-    @property
-    def is_periodic(self) -> bool:
-        return self.period is not None
-
     def to_record(self) -> dict:
         return {
             "j": self.j,

@@ -17,10 +17,6 @@ from powerfib.identities import (
     NOT_APPLICABLE,
     Counterexample,
     _is_prime_u64,
-    check_addition,
-    check_cassini,
-    check_catalan,
-    check_gcd_identity,
     check_square_lemma,
     check_zero_positions,
     gcd_sample_pairs,
@@ -35,92 +31,97 @@ from powerfib.identities import (
 )
 
 
+def one_case_holds(parts) -> bool:
+    """Whether each part of a one-case equation row has equal sides."""
+    assert all(len(part.lhs) == len(part.rhs) == 1 for part in parts)
+    return all(part.lhs == part.rhs for part in parts)
+
+
+def gcd_holds(n: int, m: int) -> bool:
+    return one_case_holds(identities._gcd_row([(n, m)]))
+
+
+def addition_holds(n: int, m: int) -> bool:
+    return one_case_holds(identities._addition_row(n, range(m, m + 1), fib_prefix(n + m + 2)))
+
+
+def catalan_holds(n: int, r: int) -> bool:
+    fs = fib_prefix(n + r + 1)
+    signed_squares = identities._signed_squares(fs[: r + 1])
+    return one_case_holds(identities._catalan_row(n, range(r, r + 1), fs, signed_squares))
+
+
 def test_gcd_identity_examples():
-    assert check_gcd_identity(10, 15)  # gcd(55, 610) = 5 = F_5
-    assert check_gcd_identity(12, 8)
-    assert check_gcd_identity(0, 9)
-    assert check_gcd_identity(7, 7)
+    assert gcd_holds(10, 15)  # gcd(55, 610) = 5 = F_5
+    assert gcd_holds(12, 8)
+    assert gcd_holds(0, 9)
+    assert gcd_holds(7, 7)
 
 
 def test_gcd_identity_small_grid():
-    for n in range(21):
-        for m in range(21):
-            if (n, m) != (0, 0):
-                assert check_gcd_identity(n, m), (n, m)
+    pairs = [(n, m) for n in range(21) for m in range(21) if (n, m) != (0, 0)]
+    report = sweep_gcd(pairs)
+    assert report.verdict == ALL_PASS
+    assert report.cases_checked == 21 * 21 - 1
 
 
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=300))
 def test_gcd_identity_sampled(n, m):
-    assert check_gcd_identity(n, m)
+    assert gcd_holds(n, m)
 
 
 def test_gcd_identity_rejects_zero_pair():
     with pytest.raises(OutOfDomainError):
-        check_gcd_identity(0, 0)
+        sweep_gcd([(0, 0)])
     with pytest.raises(OutOfDomainError):
-        check_gcd_identity(-1, 5)
+        sweep_gcd([(-1, 5)])
 
 
 def test_addition_examples():
-    assert check_addition(7, 5)  # 144 = 8*5 + 13*8
-    assert check_addition(1, 0)
+    assert addition_holds(7, 5)  # 144 = 8*5 + 13*8
+    assert addition_holds(1, 0)
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=200))
 def test_addition_sampled(n, m):
-    assert check_addition(n, m)
-
-
-def test_addition_rejects_n_zero():
-    with pytest.raises(OutOfDomainError):
-        check_addition(0, 5)
-    with pytest.raises(OutOfDomainError):
-        check_addition(3, -1)
+    assert addition_holds(n, m)
 
 
 def test_catalan_examples():
-    assert check_catalan(6, 2)  # 64 - 3*21 = 1 = (+1) * F_2^2
-    assert check_catalan(5, 5)
-    assert check_catalan(9, 0)
+    assert catalan_holds(6, 2)  # 64 - 3*21 = 1 = (+1) * F_2^2
+    assert catalan_holds(5, 5)
+    assert catalan_holds(9, 0)
 
 
 def test_catalan_full_small_domain():
-    for n in range(0, 81):
-        for r in range(0, n + 1):
-            assert check_catalan(n, r), (n, r)
-
-
-def test_catalan_rejects_bad_ranges():
-    with pytest.raises(OutOfDomainError):
-        check_catalan(3, 4)
-    with pytest.raises(OutOfDomainError):
-        check_catalan(5, -1)
+    report = sweep_catalan(80)
+    assert report.verdict == ALL_PASS
+    assert report.cases_checked == 81 * 82 // 2
 
 
 def test_cassini_full_range():
-    for n in range(1, 121):
-        assert check_cassini(n), n
-    with pytest.raises(OutOfDomainError):
-        check_cassini(0)
+    report = sweep_cassini(120)
+    assert report.verdict == ALL_PASS
+    assert report.cases_checked == 120
 
 
 def test_square_lemma_hand_checked_case():
     # k=3, alpha=2: 4 < 8; 25 = 1 mod 8; 9 < 13; 64 = -1 mod 13
     verdict = check_square_lemma(3, 2)
-    assert verdict.all_hold()
+    assert all(verdict)
     assert verdict == (True, True, True, True)
 
 
 def test_square_lemma_boundary_alpha():
     # alpha = k touches F_0 = 0 and F_{2k+1} itself
-    assert check_square_lemma(5, 5).all_hold()
-    assert check_square_lemma(2, 0).all_hold()
+    assert all(check_square_lemma(5, 5))
+    assert all(check_square_lemma(2, 0))
 
 
 def test_square_lemma_full_grid():
     for k in range(2, 31):
         for alpha in range(0, k + 1):
-            assert check_square_lemma(k, alpha).all_hold(), (k, alpha)
+            assert all(check_square_lemma(k, alpha)), (k, alpha)
 
 
 def prefix_with(index: int, value: int):
@@ -313,7 +314,7 @@ def test_each_sweep_builds_at_most_one_prefix(sweep, args):
 def test_gcd_on_a_large_index_builds_no_prefix():
     # a prefix to F_50000 would hold about 125 MB; the values read, a few kB
     for run in (
-        lambda: check_gcd_identity(50_000, 1),
+        lambda: sweep_gcd([(50_000, 1)]).passed,
         lambda: sweep_gcd([(50_000, 3), (3, 50_000)]).passed,
     ):
         with recording_fib_calls() as calls:

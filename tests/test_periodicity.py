@@ -42,9 +42,8 @@ def test_known_periods():
 
 def test_not_periodic_only_at_j_zero():
     assert period_closed_form(0, 2).period is None
-    assert not period_closed_form(0, 2).is_periodic
     for j in range(1, 60):
-        assert period_closed_form(j, 3).is_periodic
+        assert period_closed_form(j, 3).period is not None
 
 
 def test_case_labels():
