@@ -18,8 +18,9 @@ with a single `sys.stdout.write`; a failure writes nothing to stdout and
 one line to stderr.  Python refuses to print an integer wider than
 `sys.get_int_max_str_digits()` digits, so a request whose modulus F_j is
 that wide trips the resource guard before any work, whatever the size of
-j, and so does a `scan` over more than `SCAN_MAX_CELLS` (j, e) cells or a
-`table` estimated at more than `TABLE_MAX_DIGITS` digits.  An oracle row,
+j, and so does a `period` answer that wide, a `scan` over more than
+`SCAN_MAX_CELLS` (j, e) cells or a `table` estimated at more than
+`TABLE_MAX_DIGITS` digits.  An oracle row,
 in `oracle`, `period --verify` or `scan`, also trips it when F_j surely
 has more digits than that limit, or, where printing has no limit, than
 Python's default one: nothing else bounds the oracle's work, since
@@ -133,6 +134,14 @@ def cmd_period(args) -> tuple[int, dict]:
     result = period_closed_form(args.j, args.e)
     closed = result.to_record()
     if not args.verify:
+        # a period of 4j may be one digit wider than j; under --verify F_j
+        # must print, so j and its period are far narrower than the limit
+        limit = _max_str_digits()
+        if limit and result.period is not None and result.period >= 10**limit:
+            raise ResourceGuardError(
+                f"the period has more than {limit} decimal digits, "
+                "the most this Python prints (sys.set_int_max_str_digits)"
+            )
         return EXIT_OK, closed
     if args.j < 3:
         return EXIT_OK, {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, ge, mod, mul, ne, neg, not_, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -74,26 +74,27 @@ class VerificationReport:
 #
 # Each identity is written once, in a row evaluator.  A row is a run of
 # cases that differ only in their last index: m at one n for addition, r at
-# one n for Catalan, alpha at one k for the square lemma.  Cassini's sides
-# are 1 and -1, and the gcd law's pairs come as a list, so each of those
-# sweeps is a single row; Carmichael's rows hold one j each.  The evaluator
-# reads exact values from fs (fs[i] = F_i) and returns the row's parts: each
-# is the row's lhs and rhs as lists, one entry per case, built with map over
-# slices of fs.  An equation has one part; the square lemma has four, two of
-# them bounds.  A sweep checks that its domain is not empty, builds its
-# values once for the whole domain and hands _equation_sweep one row at a
-# time, which compares each part with one list comparison and looks at
-# single cases only in a row that fails.  check_square_lemma, the one
-# single-case check over an equation, checks its case's domain and
-# evaluates a row of that case alone, on a prefix just long enough for it.
+# one n for Catalan, alpha at one k for the square lemma, i at one (j, e)
+# for zero positions.  Cassini's sides are 1 and -1, and the gcd law's
+# pairs come as a list, so each of those sweeps is a single row;
+# Carmichael's rows hold one j each.  The evaluator reads exact values from
+# fs (fs[i] = F_i) and returns the row's parts: each is the row's lhs and
+# rhs, one entry per case, as lists built with map over slices of fs, or
+# for zero positions, which walk F_i mod F_j, as bytes of 0s and 1s.  An
+# equation has one part; the square lemma has four, two of them bounds.  A
+# sweep checks that its domain is not empty, builds its values once for the
+# whole domain and hands _equation_sweep one row at a time, which compares
+# each part with one sequence comparison and looks at single cases only in
+# a row that fails.  check_square_lemma and check_zero_positions check their
+# domain and read a row of their own with _first_failure.
 
 
 class _Part(NamedTuple):
     """One claim's two sides over a row of cases: it holds at case i when
     lhs[i] == rhs[i], or for a bound when lhs[i] < rhs[i]."""
 
-    lhs: list[int]
-    rhs: list[int]
+    lhs: Sequence[int]
+    rhs: Sequence[int]
     name: str | None = None
     bound: bool = False
 
@@ -227,9 +228,9 @@ class ZeroPositionsOutcome:
     witness: int | None = None  # smallest index where the two sides differ
 
 
-def _zero_witnesses(j: int, es: Sequence[int], i_max: int) -> list[int | None]:
-    """For each e of es, the smallest i <= i_max at which F_i^e = 0 mod F_j
-    and j | i disagree, or None.
+def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable, tuple[_Part]]]:
+    """One row per e of es, with cases (j, e, i) for i in [0, i_max]: bytes
+    holding 1 where F_i^e = 0 mod F_j, against bytes holding 1 where j | i.
 
     F_i mod F_j is walked once for all of es.  An e one above the e before
     it takes its powers from that e's by one multiplication per index; any
@@ -250,7 +251,9 @@ def _zero_witnesses(j: int, es: Sequence[int], i_max: int) -> list[int | None]:
     for _ in range(i_max + 1):
         residues.append(a)
         a, b = b, (a + b) % m
-    witnesses = []
+    divides = bytearray(i_max + 1)
+    divides[::j] = b"\1" * (i_max // j + 1)
+    divides = bytes(divides)
     prev, powers = 1, residues
     for e in es:
         if e == prev + 1:
@@ -258,11 +261,9 @@ def _zero_witnesses(j: int, es: Sequence[int], i_max: int) -> list[int | None]:
         elif e != prev:
             powers = list(map(pow, residues, itertools.repeat(e), itertools.repeat(m)))
         prev = e
-        # not_(x) is True where x = 0; the claim puts those exactly where j | i
-        divides = itertools.cycle((True,) + (False,) * (j - 1))
-        mismatch = map(ne, map(not_, powers), divides)
-        witnesses.append(next(itertools.compress(itertools.count(), mismatch), None))
-    return witnesses
+        # not_(x) is True where x = 0
+        cases = zip(itertools.repeat(j), itertools.repeat(e), range(i_max + 1))
+        yield cases, (_Part(bytes(map(not_, powers)), divides),)
 
 
 def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
@@ -273,12 +274,10 @@ def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
     carrying the smallest in-range witness (None if i_max is too small to
     show one).
     """
-    (witness,) = _zero_witnesses(j, (e,), i_max)
-    if j == 6:
-        return ZeroPositionsOutcome(j, e, i_max, NOT_APPLICABLE, witness)
-    if witness is None:
-        return ZeroPositionsOutcome(j, e, i_max, ALL_PASS)
-    return ZeroPositionsOutcome(j, e, i_max, COUNTEREXAMPLE, witness)
+    ((_, (part,)),) = _zero_rows(j, (e,), i_max)
+    witness = _first_failure(part)
+    verdict = ALL_PASS if witness is None else COUNTEREXAMPLE
+    return ZeroPositionsOutcome(j, e, i_max, NOT_APPLICABLE if j == 6 else verdict, witness)
 
 
 # ------------------------------------------------- primitive prime divisors
@@ -332,16 +331,6 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int, bool]:
     return factors, n, prime
 
 
-def _rank_of_apparition(q: int, stop: int) -> int | None:
-    """min{i >= 1 : q | F_i}, scanning no further than i = stop."""
-    a, b = 0, 1
-    for i in range(1, stop + 1):
-        a, b = b, (a + b) % q
-        if a == 0:
-            return i
-    return None
-
-
 @dataclass(frozen=True)
 class PrimitiveDivisorResult:
     """Smallest prime dividing F_j but no earlier F_i, with factor evidence."""
@@ -358,15 +347,16 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     F_j is factored by trial division; a leftover cofactor is accepted if a
     deterministic 64-bit primality test confirms it prime, otherwise the
     factorization is out of reach and a resource guard fires carrying the
-    partial trace.  Each prime's rank of apparition is found by scanning
-    F_i mod q, which stops by i = j because q divides F_j.
+    partial trace.  The primitive primes are those of F_j's primitive part
+    (_primitive_part), so the first traced prime that divides it is the
+    answer, with rank of apparition j.
     """
     if j < 3:
         raise OutOfDomainError(f"primitive divisors need j >= 3, got {j}")
     if j > J_FACT_MAX:
         raise ResourceGuardError(f"j={j} exceeds the factorization guard j_fact_max={J_FACT_MAX}")
-    n = fib_exact(j)
-    factors, cofactor, prime = _trial_factor(n)
+    fs = fib_prefix(j + 1)
+    factors, cofactor, prime = _trial_factor(fs[j])
     if prime:
         factors.append((cofactor, 1))
     elif cofactor >= 2**64:
@@ -382,7 +372,8 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
         )
     # already ascending: trial division finds primes in order, and a prime
     # cofactor is larger than every prime tried
-    q = next((q for q, _ in factors if _rank_of_apparition(q, j) == j), None)
+    g = _primitive_part(j, fs[j], fs)
+    q = next((q for q, _ in factors if g % q == 0), None)
     return PrimitiveDivisorResult(
         j=j,
         primitive_prime=q,
@@ -391,14 +382,14 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     )
 
 
-def _has_primitive_prime(j: int, f_j: int, fs: list[int]) -> bool:
-    """Whether F_j = f_j has a prime divisor that divides no F_i with
-    0 < i < j, from fs[i] = F_i for i <= j // 2, without factoring F_j.
+def _primitive_part(j: int, f_j: int, fs: list[int]) -> int:
+    """The part of F_j = f_j made of its primitive primes, those dividing no
+    F_i with 0 < i < j, from fs[i] = F_i for i <= j // 2, without factoring.
 
     A prime of F_j that is not primitive has a rank of apparition d < j that
     divides j, so by the gcd law it divides F_{j/q} for some prime q | j.
     Stripping from F_j every prime it shares with each such F_{j/q} leaves
-    a part greater than 1 exactly when a primitive prime is left.
+    the primitive primes, to their full powers; 1 when there are none.
     """
     g, n, q = f_j, j, 2
     # q walks the primes of j by trial division; once q * q > n, n is prime
@@ -415,7 +406,7 @@ def _has_primitive_prime(j: int, f_j: int, fs: list[int]) -> bool:
                 g //= d
                 d = math.gcd(g, d)
         q += 1
-    return g > 1
+    return g
 
 
 # -------------------------------------------------------------------- sweeps
@@ -508,23 +499,6 @@ def sweep_square_lemma(k_max: int = 30) -> VerificationReport:
     return _equation_sweep("square_lemma", domain, ("k", "alpha"), rows)
 
 
-def _zero_positions_report(
-    name: str, domain: str, outcome: ZeroPositionsOutcome, cases: int | None = None
-) -> VerificationReport:
-    """A report with outcome's verdict, over cases (by default outcome's own
-    scan).  Its evidence sits at the witness i, where the two sides of the
-    claim differ: lhs is 1 when F_i^e vanished mod F_j, rhs is 1 when j | i.
-    An outcome without a witness carries none."""
-    counterexample = None
-    if outcome.witness is not None:
-        divides = int(outcome.witness % outcome.j == 0)
-        counterexample = Counterexample(
-            {"j": outcome.j, "e": outcome.e, "i": outcome.witness}, 1 - divides, divides
-        )
-    cases = outcome.i_max + 1 if cases is None else cases
-    return VerificationReport(name, domain, cases, outcome.verdict, counterexample)
-
-
 def sweep_zero_positions(
     j_values: Iterable[int], e_values: Iterable[int], i_max_factor: int = 5
 ) -> VerificationReport:
@@ -548,16 +522,8 @@ def sweep_zero_positions(
     else:
         e_text = "{" + ", ".join(map(str, es)) + "}"
     domain = f"j in {j_text}, e in {e_text}, i <= {i_max_factor}*j"
-    cases = 0
-    for j in js:
-        i_max = i_max_factor * j
-        for e, witness in zip(es, _zero_witnesses(j, es, i_max)):
-            # the scan ran up to its witness, or to i_max when it found none
-            cases += (i_max if witness is None else witness) + 1
-            if witness is not None:
-                outcome = ZeroPositionsOutcome(j, e, i_max, COUNTEREXAMPLE, witness)
-                return _zero_positions_report("zero_positions", domain, outcome, cases)
-    return VerificationReport("zero_positions", domain, cases, ALL_PASS)
+    rows = itertools.chain.from_iterable(_zero_rows(j, es, i_max_factor * j) for j in js)
+    return _equation_sweep("zero_positions", domain, ("j", "e", "i"), rows)
 
 
 def sweep_carmichael(
@@ -570,7 +536,7 @@ def sweep_carmichael(
     The classical exception set for Fibonacci primitive divisors at j >= 3
     is {6, 12}: F_6 = 2^3 with 2 | F_3, and F_12 = 2^4 * 3^2 with 2 | F_3
     and 3 | F_4.  Every other j in range must yield a prime.  Existence is
-    decided by gcds alone (_has_primitive_prime), so no F_j is factored and
+    decided by gcds alone (_primitive_part), so no F_j is factored and
     no j is out of reach.  Each j is a row of its own, so the sweep stops
     at the first j that fails.
     """
@@ -594,7 +560,7 @@ def _carmichael_rows(
     f_j, f_next = fs[j], fs[j] + fs[j - 1]
     for j in range(j, j_hi + 1):
         if j >= j_lo:
-            found = int(_has_primitive_prime(j, f_j, fs))
+            found = int(_primitive_part(j, f_j, fs) > 1)
             yield ((j,),), (_Part([found], [int(j not in exceptions)]),)
         f_j, f_next = f_next, f_j + f_next
 
@@ -610,9 +576,16 @@ VERIFY_SUITE: dict[str, Callable[[], list[VerificationReport]]] = {
     "square_lemma": lambda: [sweep_square_lemma()],
     "zero_positions": lambda: [
         sweep_zero_positions([j for j in range(4, 21) if j != 6], range(1, 6)),
-        # j = 6, outside the claim, reported as evidence rather than a failure
-        _zero_positions_report(
-            "zero_positions_j6_exclusion", "j = 6, e = 3, i <= 30", check_zero_positions(6, 3, 30)
+        # j = 6, outside the claim: evidence rather than a failure, all 31 cases counted
+        replace(
+            _equation_sweep(
+                "zero_positions_j6_exclusion",
+                "j = 6, e = 3, i <= 30",
+                ("j", "e", "i"),
+                _zero_rows(6, (3,), 30),
+            ),
+            verdict=NOT_APPLICABLE,
+            cases_checked=31,
         ),
     ],
     "carmichael": lambda: [sweep_carmichael()],

@@ -411,6 +411,25 @@ def test_widest_printable_modulus_runs(capsys, digit_limit):
     assert out.startswith(f"modulus={fib_exact(20577)} pisano=")
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_period_too_wide_to_print_trips_guard(capsys, digit_limit, fmt):
+    # j = 99...9 has 4300 digits and parses; its period 4j has 4301
+    assert run(capsys, "period", "9" * 4300, "1", "--format", fmt) == (
+        3,
+        "",
+        "resource guard: the period has more than 4300 decimal digits, "
+        "the most this Python prints (sys.set_int_max_str_digits)\n",
+    )
+    # j = 22...2 is even, so its period 2j = 44...4 keeps 4300 digits
+    j, period = "2" * 4300, "4" * 4300
+    rc, out, err = run(capsys, "period", j, "1", "--format", fmt)
+    assert (rc, err) == (0, "")
+    if fmt == "plain":
+        assert out == f"period(j={j}, e=1) = {period}  [EVEN_ODD]\n"
+    else:
+        assert json.loads(out) == {"j": int(j), "e": 1, "outcome": int(period), "case_label": "EVEN_ODD"}
+
+
 def test_digit_guard_is_exact_near_the_limit(digit_limit):
     sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
     for j, f in enumerate(fib_prefix(3100)):

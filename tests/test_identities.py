@@ -423,12 +423,12 @@ def test_gcd_reads_sweep_values_like_own(pairs):
 def test_carmichael_reads_half_prefix_like_own(j_lo, width):
     # F_j is walked from the end of the half prefix, or from F_{j_lo}
     j_hi = j_lo + width
-    calls = sweep_rows("_has_primitive_prime", sweep_carmichael, j_lo, j_hi)
+    calls = sweep_rows("_primitive_part", sweep_carmichael, j_lo, j_hi)
     assert [args[0] for args, _ in calls] == list(range(j_lo, j_hi + 1))
     for (j, f_j, fs), found in calls:
         assert f_j == fib_exact(j)
         assert fs == fib_prefix(j_hi // 2 + 1)
-        assert found == identities._has_primitive_prime(j, f_j, fib_prefix(j // 2 + 1))
+        assert found == identities._primitive_part(j, f_j, fib_prefix(j // 2 + 1))
 
 
 # Every row sweep, with one prefix value corrupted, must report what a plain
@@ -631,13 +631,18 @@ def _plain_zero_witness(m: int, j: int, e: int, i_max: int) -> int | None:
     return None
 
 
+def zero_witnesses(j: int, es, i_max: int) -> list[int | None]:
+    """The first failing i of each of _zero_rows' rows, one row per e."""
+    return [identities._first_failure(part) for _, (part,) in identities._zero_rows(j, es, i_max)]
+
+
 def test_zero_witnesses_stepped_match_plain():
     for j in [*range(4, 61), 6]:
         m = fib_exact(j)
         plain = [_plain_zero_witness(m, j, e, 5 * j) for e in range(1, 11)]
-        assert identities._zero_witnesses(j, range(1, 11), 5 * j) == plain, j
+        assert zero_witnesses(j, range(1, 11), 5 * j) == plain, j
     # j = 6: F_3 = 2 cubed vanishes mod 8 from e = 3 on, squared never
-    assert identities._zero_witnesses(6, range(1, 5), 30) == [None, None, 3, 3]
+    assert zero_witnesses(6, range(1, 5), 30) == [None, None, 3, 3]
 
 
 @pytest.mark.parametrize("es", [[2, 5], [3, 1, 2], [5, 2], [1, 2, 3, 5, 6], [4, 4, 5], [6, 5]])
@@ -646,7 +651,7 @@ def test_zero_witnesses_with_gaps_and_out_of_order(monkeypatch, es):
     # e = 2, so the witness at i <= 40 is 8 at e = 1, 6 at e = 2..4, 3 after
     monkeypatch.setattr(identities, "fib_exact", lambda n: 32 if n == 8 else fib_exact(n))
     plain = [_plain_zero_witness(32, 8, e, 40) for e in es]
-    assert identities._zero_witnesses(8, es, 40) == plain
+    assert zero_witnesses(8, es, 40) == plain
     assert plain == [{1: 8, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
 
 
@@ -913,27 +918,42 @@ def test_sweep_carmichael_domain():
         sweep_carmichael(2, 10)
 
 
+def _rank_of_apparition(q: int) -> int:
+    """min{i >= 1 : q | F_i}, by walking F_i mod q."""
+    a, b, i = 1, 1, 1
+    while a % q:
+        a, b, i = b, (a + b) % q, i + 1
+    return i
+
+
 def test_primitive_prime_test_agrees_with_factoring():
-    # the gcd route answers wherever factoring does, and at j = 73 too, where
-    # F_73 = 9375829 * 86020717 is beyond trial division
+    # the reported prime has rank of apparition j and every smaller traced
+    # prime a lower one, by a rank scan independent of the gcd stripping;
+    # the gcd route answers wherever factoring does, and at j = 73 too,
+    # where F_73 = 9375829 * 86020717 is beyond trial division
     fs = fib_prefix(81)
     out_of_reach = []
     for j in range(3, 81):
         try:
-            factored = primitive_prime_divisor(j).primitive_prime is not None
+            r = primitive_prime_divisor(j)
         except ResourceGuardError:
             out_of_reach.append(j)
             continue
-        assert identities._has_primitive_prime(j, fs[j], fs) == factored, j
+        found = r.primitive_prime
+        ranks = {q: _rank_of_apparition(q) for q, _ in r.factor_trace}
+        if found is not None:
+            assert ranks[found] == j, j
+        assert all(rank < j for q, rank in ranks.items() if found is None or q < found), j
+        assert (identities._primitive_part(j, fs[j], fs) > 1) == (found is not None), j
     assert out_of_reach == [73]
-    assert identities._has_primitive_prime(73, fs[73], fs)
+    assert identities._primitive_part(73, fs[73], fs) > 1
 
 
 def test_carmichael_exceptions_to_5000():
     # F_12 = 2^4 * 3^2 needs both q = 2 (F_6 = 2^3) and q = 3 (F_4 = 3),
     # and each stripped to every power, to come out with no primitive prime
     fs = fib_prefix(5001)
-    lacking = [j for j in range(3, 5001) if not identities._has_primitive_prime(j, fs[j], fs)]
+    lacking = [j for j in range(3, 5001) if identities._primitive_part(j, fs[j], fs) == 1]
     assert lacking == [6, 12]
 
 
