@@ -30,7 +30,6 @@ Python's default one: nothing else bounds the oracle's work, since
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -432,6 +431,8 @@ def main(argv: list[str] | None = None) -> int:
         # looked up by name on every call, so a rebound cmd_* takes effect
         code, record = globals()[f"cmd_{args.command}"](args)
         if args.format == "json":
+            import json  # only json output needs it
+
             text = json.dumps(record)
         else:
             text = "\n".join(_RENDERERS[args.format][args.command](record))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add, ge, mod, mul, ne, neg, not_, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -29,8 +29,7 @@ J_FACT_MAX = 80
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Inputs at which a claim failed, with both evaluated sides and, for a
     claim made of parts, the name of the part that failed."""
 
@@ -44,8 +43,7 @@ class Counterexample:
         return rec if self.part is None else {**rec, "part": self.part}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of sweeping one identity over a stated domain."""
 
     identity_name: str
@@ -217,8 +215,7 @@ def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
     return SquareLemmaVerdict(*(_first_failure(part) is None for part in parts))
 
 
-@dataclass(frozen=True)
-class ZeroPositionsOutcome:
+class ZeroPositionsOutcome(NamedTuple):
     """Result of testing F_i^e = 0 mod F_j exactly when j divides i."""
 
     j: int
@@ -331,6 +328,7 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int, bool]:
     return factors, n, prime
 
 
+# a dataclass, not a NamedTuple: a benchmark test alters one with dataclasses.replace
 @dataclass(frozen=True)
 class PrimitiveDivisorResult:
     """Smallest prime dividing F_j but no earlier F_i, with factor evidence."""
@@ -577,16 +575,12 @@ VERIFY_SUITE: dict[str, Callable[[], list[VerificationReport]]] = {
     "zero_positions": lambda: [
         sweep_zero_positions([j for j in range(4, 21) if j != 6], range(1, 6)),
         # j = 6, outside the claim: evidence rather than a failure, all 31 cases counted
-        replace(
-            _equation_sweep(
-                "zero_positions_j6_exclusion",
-                "j = 6, e = 3, i <= 30",
-                ("j", "e", "i"),
-                _zero_rows(6, (3,), 30),
-            ),
-            verdict=NOT_APPLICABLE,
-            cases_checked=31,
-        ),
+        _equation_sweep(
+            "zero_positions_j6_exclusion",
+            "j = 6, e = 3, i <= 30",
+            ("j", "e", "i"),
+            _zero_rows(6, (3,), 30),
+        )._replace(verdict=NOT_APPLICABLE, cases_checked=31),
     ],
     "carmichael": lambda: [sweep_carmichael()],
 }

@@ -19,10 +19,10 @@ naming its entry's class and sign) that gathers the window from the powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, islice, repeat
 from math import isqrt
 from operator import itemgetter, mod, mul, ne
+from typing import NamedTuple
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact
@@ -78,8 +78,7 @@ def _divisors(n: int) -> list[int]:
     return small + [n // d for d in reversed(small) if d * d != n]
 
 
-@dataclass(frozen=True)
-class DivisorCheck:
+class DivisorCheck(NamedTuple):
     """Outcome of testing one candidate period d against the window."""
 
     d: int
@@ -87,8 +86,7 @@ class DivisorCheck:
     witness_index: int | None = None  # an i with window[i] != window[i + d]
 
 
-@dataclass(frozen=True)
-class OracleTrace:
+class OracleTrace(NamedTuple):
     """A minimal period together with the evidence that found it."""
 
     modulus: int

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OutOfDomainError
 
 
-@dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(NamedTuple):
     """Minimal period of (F_i^e mod F_j), or the j = 0 non-periodic verdict."""
 
     j: int

@@ -10,16 +10,14 @@ forms for e = 1 and e = 2 survive as the formula labels of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import OutOfDomainError
 from .fibcore import fib_prefix
 from .periodicity import period_closed_form
 
 
-@dataclass(frozen=True)
-class ResidueTable:
+class ResidueTable(NamedTuple):
     """One minimal period of rho_i = F_i^e mod F_j, entries in [0, F_j - 1]."""
 
     j: int

@@ -1,50 +1,155 @@
-"""The package's public names, written out so that a change to them is
-deliberate, and the names the benchmark's tracer binds."""
+"""The package's public names, written out with their home modules so that a
+change to them is deliberate; what each import loads; that the result types
+are immutable; and the names the benchmark's tracer binds."""
 
+import ast
+import dataclasses
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import powerfib
+import pytest
 
-PUBLIC_NAMES = [
-    "Counterexample",
-    "DEFAULT_J_MAX",
-    "DivisorCheck",
-    "InvalidModulusError",
-    "OracleTrace",
-    "OutOfDomainError",
-    "PeriodResult",
-    "PrimitiveDivisorResult",
-    "ResidueTable",
-    "ResourceGuardError",
-    "SquareLemmaVerdict",
-    "VerificationReport",
-    "ZeroPositionsOutcome",
-    "case_breakdown",
-    "check_square_lemma",
-    "check_zero_positions",
-    "fib_exact",
-    "fib_mod",
-    "fib_pair_mod",
-    "fib_prefix",
-    "minimal_period_bruteforce",
-    "period_closed_form",
-    "pisano_period",
-    "pow_mod",
-    "primitive_prime_divisor",
-    "residues_e1",
-    "residues_e2",
-    "residues_general",
-    "sequence_prefix",
-]
+import powerfib
+from powerfib.identities import (
+    NOT_APPLICABLE,
+    VERIFY_SUITE,
+    Counterexample,
+    VerificationReport,
+    check_square_lemma,
+    check_zero_positions,
+    primitive_prime_divisor,
+)
+from powerfib.oracle import minimal_period_bruteforce
+from powerfib.periodicity import period_closed_form
+from powerfib.residue_tables import residues_general
+
+PUBLIC_NAMES = {
+    "errors": ["InvalidModulusError", "OutOfDomainError", "ResourceGuardError"],
+    "fibcore": ["fib_exact", "fib_mod", "fib_pair_mod", "fib_prefix", "pow_mod"],
+    "identities": [
+        "Counterexample",
+        "PrimitiveDivisorResult",
+        "SquareLemmaVerdict",
+        "VerificationReport",
+        "ZeroPositionsOutcome",
+        "check_square_lemma",
+        "check_zero_positions",
+        "primitive_prime_divisor",
+    ],
+    "oracle": [
+        "DEFAULT_J_MAX",
+        "DivisorCheck",
+        "OracleTrace",
+        "minimal_period_bruteforce",
+        "pisano_period",
+        "sequence_prefix",
+    ],
+    "periodicity": ["PeriodResult", "period_closed_form"],
+    "residue_tables": [
+        "ResidueTable",
+        "case_breakdown",
+        "residues_e1",
+        "residues_e2",
+        "residues_general",
+    ],
+}
+# every module the CLI runs on; the tracer reads each from sys.modules
+LIBRARY_MODULES = {f"powerfib.{module}" for module in PUBLIC_NAMES}
 
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+SRC = Path(powerfib.__file__).resolve().parents[1]
+
+
+def _fresh(code: str):
+    """The Python literal that `code` prints, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
+    )
+    return ast.literal_eval(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def loaded_by():
+    """statement -> the modules a fresh interpreter loads for it beyond its own start."""
+    at_start = set(_fresh("import sys; print(sorted(sys.modules))"))
+    return lambda statement: set(_fresh(f"import sys\n{statement}\nprint(sorted(sys.modules))")) - at_start
 
 
 def test_all_lists_exactly_the_public_names():
-    assert sorted(powerfib.__all__) == PUBLIC_NAMES
+    assert sorted(powerfib.__all__) == sorted(name for names in PUBLIC_NAMES.values() for name in names)
     for name in powerfib.__all__:
         assert getattr(powerfib, name) is not None, name
+
+
+def test_import_powerfib_loads_only_errors(loaded_by):
+    assert {m for m in loaded_by("import powerfib") if m.startswith("powerfib")} == {
+        "powerfib",
+        "powerfib.errors",
+    }
+
+
+def test_import_identities_loads_no_other_layer(loaded_by):
+    loaded = loaded_by("import powerfib.identities")
+    assert "powerfib.identities" in loaded
+    assert not loaded & {"powerfib.oracle", "powerfib.periodicity", "powerfib.residue_tables", "powerfib.cli"}
+
+
+def test_import_cli_loads_every_module_and_not_json(loaded_by):
+    # the tracer imports powerfib.cli and then reads every module from sys.modules
+    loaded = loaded_by("import powerfib.cli")
+    assert LIBRARY_MODULES <= loaded
+    assert "json" not in loaded
+
+
+def test_every_public_name_is_its_home_modules_object():
+    # a fresh interpreter, so that each name is read through the package's
+    # lazy lookup first, and its home module is imported only then
+    homes = {name: module for module, names in PUBLIC_NAMES.items() for name in names}
+    mismatched = _fresh(
+        "import importlib, powerfib\n"
+        f"homes = {homes!r}\n"
+        "print([name for name in powerfib.__all__ if getattr(powerfib, name) is not\n"
+        "    getattr(importlib.import_module('powerfib.' + homes[name]), name)])"
+    )
+    assert mismatched == []
+
+
+RESULTS = {
+    "PeriodResult": period_closed_form(4, 1),
+    "ResidueTable": residues_general(4, 1),
+    "DivisorCheck": minimal_period_bruteforce(5, 1).checked_divisors[0],
+    "OracleTrace": minimal_period_bruteforce(5, 1),
+    "Counterexample": Counterexample(inputs={"n": 1}, lhs=1, rhs=2),
+    "VerificationReport": VERIFY_SUITE["cassini"]()[0],
+    "ZeroPositionsOutcome": check_zero_positions(5, 1, 10),
+    "PrimitiveDivisorResult": primitive_prime_divisor(5),
+    "SquareLemmaVerdict": check_square_lemma(2, 1),
+}
+
+
+@pytest.mark.parametrize("type_name", RESULTS)
+def test_result_types_refuse_field_assignment(type_name):
+    result = RESULTS[type_name]
+    assert type(result) is getattr(powerfib, type_name)
+    if dataclasses.is_dataclass(result):
+        fields = [field.name for field in dataclasses.fields(result)]
+    else:
+        fields = result._fields
+    assert fields
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(result, field, None)
+
+
+def test_verify_j6_exclusion_is_still_a_report():
+    plain, excluded = VERIFY_SUITE["zero_positions"]()
+    assert type(plain) is type(excluded) is VerificationReport
+    assert excluded.identity_name == "zero_positions_j6_exclusion"
+    assert (excluded.verdict, excluded.cases_checked) == (NOT_APPLICABLE, 31)
 
 
 def test_every_name_the_tracer_binds_exists():
