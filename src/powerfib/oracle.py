@@ -7,21 +7,24 @@ route points at a real mathematical problem rather than shared code.
 F_i^e mod F_j depends only on F_i mod F_j, and (F_j - x)^e = (-1)^e x^e, so
 the window entries fall into classes: the distinct c = min(x, F_j - x) over
 the e = 1 window x = F_i mod F_j.  Which index falls in which class, and how
-many classes there are, is found by walking that window, not assumed.  A row's
-first call, at any e, computes F_j, its Pisano period and the e = 1 window,
-finds the classes, and powers each class once.  The oracle remembers its last
-row: when the next call asks for the same j one exponent higher, as a `scan`
-row does, it steps up by one multiplication per class.  What it retains
-between calls is, for one j and e: the class values, their e-th powers mod
-F_j, and one `operator.itemgetter` over the window's slots (at most 4j, each
-naming its entry's class and sign) that gathers the window from the powers.
+many classes there are, is found by walking that window, not assumed.  Each
+entry has a slot, its class and sign.  Entries with equal slots are equal at
+every e, and entries with equal classes at every even e, so a divisor d is
+compared on these keys first: slots at odd e, classes at even e.  Only the
+first pair whose keys differ is powered; if its two values differ, that index
+is the witness, and only if they are equal is the vector [c^e mod F_j] built
+and compared from there on.  The oracle remembers the row of its last j for a
+call at any e: F_j, the Pisano period p0, the class values, each entry's slot
+and class, the divisors of p0, and the power vectors of e = 1, of the first e
+built and of the last.  A vector is one multiplication per class from two held
+vectors whose exponents sum to e, else one pow per class.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, islice, repeat
 from math import isqrt
-from operator import itemgetter, mod, mul, ne
+from operator import invert, mod, mul, ne
 from typing import NamedTuple
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
@@ -29,12 +32,11 @@ from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
 
-# (j, e, m, p0, values, gather, powers) of the last call, where gather picks
-# the window out of the powers and their signed copies; every row builds its
-# classes on its first call, whatever its e.  It is read once and replaced
-# whole, and nothing stored is changed, so a caller on another thread can at
-# worst rebuild a row, never read a half-made one.
-_last_row: tuple[int, int, int, int, list[int], itemgetter, list[int]] | None = None
+# (j, m, p0, values, slots, classes, divisors, vectors) of the last row, with
+# (e, [c^e mod m for c in values]) in vectors for e = 1, the first e built and
+# the last.  Read once and replaced whole, never changed, so another thread can
+# at worst rebuild a row or a vector, never read a half-made one.
+_last_row: tuple[int, int, int, list[int], list[int], list[int], list[int], tuple] | None = None
 
 
 def pisano_period(m: int) -> int:
@@ -126,26 +128,18 @@ def _sign_classes(m: int, residues: list[int]) -> tuple[list[int], list[int]]:
     return list(classes), slots
 
 
-def _power_window(j: int, e: int) -> tuple[int, int, list[int]]:
-    """(F_j, its Pisano period p0, [F_i^e mod F_j for i < p0]) for j >= 3, e >= 1."""
-    global _last_row
-    last = _last_row
-    if last is not None and last[0] == j and last[1] == e - 1:
-        _, _, m, p0, values, gather, powers = last
-        powers = list(map(mod, map(mul, powers, values), repeat(m)))
-    else:
-        m = fib_exact(j)
-        p0 = pisano_period(m)
-        window = sequence_prefix(j, 1, p0)
-        values, slots = _sign_classes(m, window)
-        gather = itemgetter(*slots)  # p0 >= 3 slots, so it returns a tuple
-        powers = list(map(pow, values, repeat(e), repeat(m)))
-    if e > 1:
-        # slot ~k reads from the end: the powers, then their signed copies reversed
-        signed = [(m - p) % m for p in reversed(powers)] if e % 2 else powers[::-1]
-        window = list(gather(powers + signed))
-    _last_row = (j, e, m, p0, values, gather, powers)
-    return m, p0, window
+def _signed(m: int, powers: list[int]) -> list[int]:
+    """powers, then their negations mod m reversed: slot ~k reads -powers[k] from the end."""
+    return powers + [(m - p) % m for p in reversed(powers)]
+
+
+def _power_vector(m: int, vectors: tuple, e: int) -> list[int]:
+    """[c^e mod m] over the classes, from two held vectors whose exponents sum to e."""
+    held = dict(vectors)
+    for a, powers in vectors:
+        if e - a in held:
+            return list(map(mod, map(mul, powers, held[e - a]), repeat(m)))
+    return list(map(pow, held[1], repeat(e), repeat(m)))
 
 
 def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
@@ -167,17 +161,42 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
     if j > j_max:
         raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
-    m, p0, window = _power_window(j, e)
+    global _last_row
+    row = _last_row
+    if row is None or row[0] != j:
+        m = fib_exact(j)
+        p0 = pisano_period(m)
+        values, slots = _sign_classes(m, sequence_prefix(j, 1, p0))
+        # max(k, ~k) is the class of slot k and of slot ~k
+        classes = list(map(max, slots, map(invert, slots)))
+        row = (j, m, p0, _signed(m, values), slots, classes, _divisors(p0), ((1, values),))
+    # bases[key] is the e = 1 entry of a slot, or the value of a class
+    _, m, p0, bases, slots, classes, divisors, vectors = row
+    keys = slots if e % 2 else classes
+    read = None  # an entry's e-th power by its key, once the vector for e is held
     checked: list[DivisorCheck] = []
     power_period = p0
-    for d in _divisors(p0):
-        # the first i with window[i] != window[i + d]
-        witness = next(compress(count(), map(ne, window, islice(window, d, None))), None)
-        if witness is None:
-            checked.append(DivisorCheck(d=d, verdict="holds"))
+    for d in divisors:
+        # every pair before the first whose keys differ is equal at e
+        i = next(compress(count(), map(ne, keys, islice(keys, d, None))), None)
+        if i is not None:
+            if read is None and pow(bases[keys[i]], e, m) == pow(bases[keys[i + d]], e, m):
+                powers = dict(vectors).get(e)
+                if powers is None:
+                    powers = _power_vector(m, vectors, e)
+                    vectors = vectors[:2] + ((e, powers),)
+                read = (_signed(m, powers) if e % 2 else powers).__getitem__
+            if read is not None:
+                pairs = map(ne, map(read, keys[i:]), map(read, keys[i + d :]))
+                i = next(compress(count(i), pairs), None)
+        if i is None:
+            checked.append(DivisorCheck(d, "holds"))
             power_period = d
             break
-        checked.append(DivisorCheck(d=d, verdict="fails", witness_index=witness))
+        checked.append(DivisorCheck(d, "fails", i))
+    if vectors is not row[7]:
+        row = row[:7] + (vectors,)
+    _last_row = row
     return OracleTrace(
         modulus=m,
         pisano=p0,

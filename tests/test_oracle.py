@@ -158,19 +158,22 @@ def _cold_trace(j: int, e: int) -> OracleTrace:
     raise AssertionError(f"p0={p0} is not a period of F_i^{e} mod F_{j}")
 
 
-# runs of consecutive exponents at one j, as a scan row asks for them
-_runs = st.tuples(st.integers(3, 40), st.integers(1, 12), st.integers(0, 4))
+# calls at one j in any order: ascending, descending, repeated or with gaps
+_runs = st.tuples(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, max_size=6))
 
 
-@given(st.lists(_runs, min_size=1, max_size=6))
-@example([(9, 3, 1)])  # (j, e) then (j, e + 1)
-@example([(9, 4, 0), (9, 3, 0)])  # (j, e + 1) then (j, e)
-@example([(9, 3, 0), (10, 4, 0)])  # (j, e) then (j + 1, e + 1)
-@example([(9, 3, 0), (9, 3, 0)])  # the same cell twice
+@given(st.lists(_runs, min_size=1, max_size=4))
+@example([(9, [3, 4])])  # (j, e) then (j, e + 1)
+@example([(9, [4, 3])])  # (j, e + 1) then (j, e)
+@example([(9, [3]), (10, [4])])  # (j, e) then (j + 1, e + 1)
+@example([(9, [3, 3])])  # the same cell twice
+# the first pair whose slots differ is equal in value: 2^3 = 0 mod F_6 = 8
+@example([(6, [3, 5])])
+@example([(299, [4, 8]), (300, [4, 8])])  # a held vector squared, at odd and even j
 def test_remembered_window_gives_the_cold_trace(runs):
-    for j, e0, extra in runs:
-        for e in range(e0, min(e0 + extra, 12) + 1):
-            assert minimal_period_bruteforce(j, e, j_max=40) == _cold_trace(j, e), (j, e)
+    for j, es in runs:
+        for e in es:
+            assert minimal_period_bruteforce(j, e, j_max=j) == _cold_trace(j, e), (j, e)
 
 
 def _sign_classes_per_entry(m: int, residues: list[int]) -> tuple[list[int], list[int]]:
@@ -199,23 +202,45 @@ def test_sign_classes_match_the_per_entry_fold():
 # F_297 and F_300 are even, F_299 odd; j = 6 and 12 have no primitive prime,
 # and 799, 800 are the `certify` workload's largest rows
 @pytest.mark.parametrize("j", [4, 5, 6, 12, 297, 299, 300, 799, 800])
-def test_scan_row_steps_sign_classes_to_cold_windows(j):
-    for e in range(1, 11):
-        m, p0, window = oracle._power_window(j, e)
-        assert window == sequence_prefix(j, e, p0), (j, e)
-    for e in range(1, 11):
-        assert minimal_period_bruteforce(j, e, j_max=j) == _cold_trace(j, e), (j, e)
+def test_scan_row_steps_sign_classes_to_cold_windows(j, monkeypatch):
+    want = {e: _cold_trace(j, e) for e in range(1, 11)}
+    monkeypatch.setattr(oracle, "_last_row", None)
+    # the second pass finds the row's vectors of e = 1, the first e and the last held
+    for _ in range(2):
+        for e in range(1, 11):
+            assert minimal_period_bruteforce(j, e, j_max=j) == want[e], (j, e)
 
 
 def test_row_starting_above_e1_takes_the_one_cold_path(monkeypatch):
-    # a row's first call finds its classes from the e = 1 walk and powers
-    # each class once, at e = 5 as at e = 1; later calls step from there
+    # a row's first call finds its classes from the e = 1 walk, at e = 5 as
+    # at e = 1; later calls reuse them
     monkeypatch.setattr(oracle, "_last_row", None)
     for e in range(5, 11):
-        m, p0, window = oracle._power_window(299, e)
-        assert window == sequence_prefix(299, e, p0), e
+        assert minimal_period_bruteforce(299, e, j_max=299) == _cold_trace(299, e), e
     for e in range(5, 11):
         assert minimal_period_bruteforce(300, e, j_max=300) == _cold_trace(300, e), e
+
+
+def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypatch):
+    built = []
+    power_vector = oracle._power_vector
+
+    def counted(m, vectors, e):
+        built.append(e)
+        return power_vector(m, vectors, e)
+
+    monkeypatch.setattr(oracle, "_power_vector", counted)
+    monkeypatch.setattr(oracle, "_last_row", None)
+    for j in range(7, 41):
+        built.clear()
+        for e in range(1, 9):
+            minimal_period_bruteforce(j, e, j_max=40)
+        # slots settle every odd e; classes settle e = 2 (mod 4) when j is odd
+        assert built == ([4, 8] if j % 2 else [2, 4, 6, 8]), j
+        m, vectors = oracle._last_row[1], oracle._last_row[7]
+        values = vectors[0][1]
+        for e, powers in vectors:
+            assert powers == [pow(c, e, m) for c in values], (j, e)
 
 
 def test_threads_sharing_the_remembered_window_get_cold_traces():
@@ -259,6 +284,8 @@ def test_scan_builds_one_window_per_row(monkeypatch, capsys):
 
     for name in calls:
         monkeypatch.setattr(oracle, name, counted(name))
+    # a remembered row serves any exponent, so start with none
+    monkeypatch.setattr(oracle, "_last_row", None)
     # a row starting at e = 1 and a row starting above it
     for e_range, cells in (("1..8", 32), ("5..8", 16)):
         for name in calls:
