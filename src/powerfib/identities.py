@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, ge, mod, mul, ne, neg, not_, sub
+from operator import add, ge, mod, mul, ne, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError, ResourceGuardError
@@ -85,6 +85,11 @@ class VerificationReport(NamedTuple):
 # each part with one sequence comparison and looks at single cases only in
 # a row that fails.  check_square_lemma and check_zero_positions check their
 # domain and read a row of their own with _first_failure.
+#
+# Every divisibility fact is decided by _strip(n, x), which divides n by
+# gcd(n, x) until it is 1.  Where p^a || n and p^b || x, k rounds leave
+# p^max(0, a - kb): n | x^k exactly when the rest is 1 and k >= rounds, and
+# for a prime x the rounds are its multiplicity.
 
 
 class _Part(NamedTuple):
@@ -119,6 +124,17 @@ def _fib_values(indices: Iterable[int]) -> dict[int, int]:
             values[i] = a
         a, b = b, a + b
     return values
+
+
+def _strip(n: int, x: int) -> tuple[int, int]:
+    """(rest, rounds): n | x^k exactly when rest == 1 and k >= rounds."""
+    rounds, g = 0, math.gcd(n, x)
+    while g > 1:
+        n //= g
+        # the same as gcd(n, x), since n keeps a prime of x only if g took all x has
+        g = math.gcd(n, g)
+        rounds += 1
+    return n, rounds
 
 
 def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
@@ -229,10 +245,10 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
     """One row per e of es, with cases (j, e, i) for i in [0, i_max]: bytes
     holding 1 where F_i^e = 0 mod F_j, against bytes holding 1 where j | i.
 
-    F_i mod F_j is walked once for all of es.  An e one above the e before
-    it takes its powers from that e's by one multiplication per index; any
-    other e powers each residue afresh, so one large e costs what it alone
-    needs.
+    F_i mod F_j is walked once, and F_j stripped once by each distinct
+    residue x (_strip): x^e vanishes exactly when e >= rounds and the rest
+    is 1; a rest above 1 holds a prime no power of x has.  So any e costs
+    one comparison per index.
     """
     if j < 4:
         raise OutOfDomainError(f"zero positions need j >= 4, got {j}")
@@ -248,19 +264,15 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
     for _ in range(i_max + 1):
         residues.append(a)
         a, b = b, (a + b) % m
+    # the least e at which F_i^e vanishes, inf where none does
+    strips = {x: _strip(m, x) for x in set(residues)}
+    vanish = [rounds if rest == 1 else math.inf for rest, rounds in map(strips.get, residues)]
     divides = bytearray(i_max + 1)
     divides[::j] = b"\1" * (i_max // j + 1)
     divides = bytes(divides)
-    prev, powers = 1, residues
     for e in es:
-        if e == prev + 1:
-            powers = list(map(mod, map(mul, powers, residues), itertools.repeat(m)))
-        elif e != prev:
-            powers = list(map(pow, residues, itertools.repeat(e), itertools.repeat(m)))
-        prev = e
-        # not_(x) is True where x = 0
         cases = zip(itertools.repeat(j), itertools.repeat(e), range(i_max + 1))
-        yield cases, (_Part(bytes(map(not_, powers)), divides),)
+        yield cases, (_Part(bytes(map(ge, itertools.repeat(e), vanish)), divides),)
 
 
 def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
@@ -287,11 +299,7 @@ def _is_prime_u64(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _strip(n - 1, 2)
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -318,10 +326,7 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int, bool]:
         if prime or p > limit:
             break
         if n % p == 0:
-            mult = 0
-            while n % p == 0:
-                n //= p
-                mult += 1
+            n, mult = _strip(n, p)
             factors.append((p, mult))
             prime = n < 2**64 and _is_prime_u64(n)
             limit = min(limit, math.isqrt(n))
@@ -395,14 +400,8 @@ def _primitive_part(j: int, f_j: int, fs: list[int]) -> int:
         if q * q > n:
             q = n
         if n % q == 0:
-            while n % q == 0:
-                n //= q
-            # d holds every prime g still shares with F_{j/q}, so dividing it
-            # out until gcd(g, d) = 1 strips those primes to every power
-            d = math.gcd(g, fs[j // q])
-            while d > 1:
-                g //= d
-                d = math.gcd(g, d)
+            n, _ = _strip(n, q)
+            g, _ = _strip(g, fs[j // q])
         q += 1
     return g
 
@@ -511,11 +510,11 @@ def sweep_zero_positions(
     if 6 in js:
         raise OutOfDomainError("j = 6 is excluded from the biconditional sweep")
     lo, hi = min(js), max(js)
-    if sorted(js) == [j for j in range(lo, hi + 1) if j != 6]:
+    if len(set(js)) == len(js) == hi - lo + 1 - (lo <= 6 <= hi):
         j_text = f"{{{lo}..{hi}}} minus 6"
     else:
         j_text = "{" + ", ".join(map(str, js)) + "}"
-    if sorted(es) == list(range(min(es), max(es) + 1)):
+    if len(set(es)) == len(es) == max(es) - min(es) + 1:
         e_text = f"[{min(es)}, {max(es)}]"
     else:
         e_text = "{" + ", ".join(map(str, es)) + "}"

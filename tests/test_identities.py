@@ -567,7 +567,8 @@ def test_zero_positions_pass_cases():
             outcome = check_zero_positions(j, e, 5 * j)
             assert outcome.verdict == ALL_PASS, (j, e)
             assert outcome.witness is None
-    # powered directly: a walk that stepped up from e = 1 would not return
+    # any e costs one comparison per index: a walk stepping up from e = 1
+    # would not return
     assert check_zero_positions(7, 10**18, 35).verdict == ALL_PASS
 
 
@@ -636,7 +637,7 @@ def zero_witnesses(j: int, es, i_max: int) -> list[int | None]:
     return [identities._first_failure(part) for _, (part,) in identities._zero_rows(j, es, i_max)]
 
 
-def test_zero_witnesses_stepped_match_plain():
+def test_zero_witnesses_match_plain():
     for j in [*range(4, 61), 6]:
         m = fib_exact(j)
         plain = [_plain_zero_witness(m, j, e, 5 * j) for e in range(1, 11)]
@@ -645,7 +646,20 @@ def test_zero_witnesses_stepped_match_plain():
     assert zero_witnesses(6, range(1, 5), 30) == [None, None, 3, 3]
 
 
-@pytest.mark.parametrize("es", [[2, 5], [3, 1, 2], [5, 2], [1, 2, 3, 5, 6], [4, 4, 5], [6, 5]])
+@pytest.mark.parametrize(
+    "es",
+    [
+        [2, 5],
+        [3, 1, 2],
+        [5, 2],
+        [1, 2, 3, 5, 6],
+        [4, 4, 5],
+        [6, 5],
+        [10**18, 2],
+        [10**18 + 1, 5, 5],
+        [6, 5, 4, 3, 2, 1],
+    ],
+)
 def test_zero_witnesses_with_gaps_and_out_of_order(monkeypatch, es):
     # mod 32 in place of F_8 = 21: F_3 = 2 vanishes from e = 5, F_6 = 8 from
     # e = 2, so the witness at i <= 40 is 8 at e = 1, 6 at e = 2..4, 3 after
@@ -748,6 +762,27 @@ def test_primitive_prime_guard_is_configurable(monkeypatch):
     assert r.rank_of_apparition == 85
 
 
+# each pair of examples at k = rounds and k = rounds - 1 pins rounds
+@given(st.integers(1, 10**6), st.integers(0, 10**4), st.integers(0, 40))
+@example(12, 0, 1)  # x = 0: one round divides all of n out
+@example(12, 0, 0)
+@example(12, 1, 5)
+@example(1, 7, 0)
+@example(8, 2, 3)  # (1, 3)
+@example(8, 2, 2)
+@example(144, 6, 4)  # 2^4 * 3^2 by 2 * 3: (1, 4)
+@example(144, 6, 3)
+def test_strip_decides_divisibility_of_powers(n, x, k):
+    rest, rounds = identities._strip(n, x)
+    assert (x**k % n == 0) == (rest == 1 and k >= rounds)
+    assert math.gcd(rest, x) == 1 and n % rest == 0
+    if x > 1 and all(x % p for p in range(2, math.isqrt(x) + 1)):
+        mult = 0
+        while n % x ** (mult + 1) == 0:
+            mult += 1
+        assert rounds == mult
+
+
 def test_is_prime_u64():
     assert _is_prime_u64(2) and _is_prime_u64(3) and _is_prime_u64(97)
     assert _is_prime_u64(2**61 - 1)
@@ -821,6 +856,7 @@ def test_sweeps_all_pass():
     # Catalan and the square lemma, the largest for the others; each report
     # covers its domain's closed count of cases
     js = [j for j in range(4, 61) if j != 6]
+    wide_js = [j for j in range(4, 121) if j != 6]
     for report, cases in [
         (sweep_gcd(), 200),
         (sweep_addition(400, 400), 400 * 401),
@@ -828,6 +864,8 @@ def test_sweeps_all_pass():
         (sweep_cassini(600), 600),
         (sweep_square_lemma(200), 201 * 202 // 2 - 3),
         (sweep_zero_positions(js, range(1, 11)), sum(10 * (5 * j + 1) for j in js)),
+        # every exponent to 60 on twice the j range: 2181360 cases
+        (sweep_zero_positions(wide_js, range(1, 61)), sum(60 * (5 * j + 1) for j in wide_js)),
         (sweep_carmichael(3, 72, expected_exceptions=(6, 12)), 70),
     ]:
         assert report.passed, report
@@ -867,6 +905,39 @@ def test_sweep_zero_positions_domain_names_the_e_it_ran():
     assert report.cases_checked == 21 + 21
     report = sweep_zero_positions([4], [3, 1, 2])
     assert report.domain_description == "j in {4..4} minus 6, e in [1, 3], i <= 5*j"
+    # the text is decided from counts, so a wide gap takes no memory, and the
+    # row at e = 10**18 costs what the row at e = 1 does
+    report = sweep_zero_positions([5], [1, 10**18])
+    assert report.domain_description == f"j in {{5..5}} minus 6, e in {{1, {10**18}}}, i <= 5*j"
+    assert report.passed and report.cases_checked == 26 + 26
+
+
+def _listed_domain_text(js, es) -> str:
+    """The domain text built by listing each consecutive range in full."""
+    lo, hi = min(js), max(js)
+    if sorted(js) == [j for j in range(lo, hi + 1) if j != 6]:
+        j_text = f"{{{lo}..{hi}}} minus 6"
+    else:
+        j_text = "{" + ", ".join(map(str, js)) + "}"
+    if sorted(es) == list(range(min(es), max(es) + 1)):
+        e_text = f"[{min(es)}, {max(es)}]"
+    else:
+        e_text = "{" + ", ".join(map(str, es)) + "}"
+    return f"j in {j_text}, e in {e_text}, i <= 1*j"
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.integers(4, 14).filter(lambda j: j != 6), min_size=1, max_size=8),
+    st.lists(st.integers(1, 8), min_size=1, max_size=8),
+)
+@example([4, 5, 7], [2, 1])
+@example([5, 7, 8], [1, 1, 2])
+@example([4, 4, 5], [3])
+@example([7, 8], [1, 3])
+def test_sweep_zero_positions_domain_text_matches_listing_the_range(js, es):
+    report = sweep_zero_positions(js, es, 1)
+    assert report.domain_description == _listed_domain_text(js, es)
 
 
 def test_sweep_zero_positions_rejects_j6():
