@@ -15,16 +15,20 @@ first pair whose keys differ is powered; if its two values differ, that index
 is the witness, and only if they are equal is the vector [c^e mod F_j] built
 and compared from there on.  The oracle remembers the row of its last j for a
 call at any e: F_j, the Pisano period p0, the class values, each entry's slot
-and class, the divisors of p0, and the power vectors of e = 1, of the first e
-built and of the last.  A vector is one multiplication per class from two held
-vectors whose exponents sum to e, else one pow per class.
+and class, the divisors of p0, the power vectors of e = 1, of the first e
+built and of the last, and one held pair (e', P): the smallest minimal period
+P found so far, at e'.  A vector is one multiplication per class from two held
+vectors whose exponents sum to e, else one pow per class.  For any sequence,
+x_{i+P}^e' = x_i^e' raised to the power e / e' gives period P at every
+multiple e of e', so there the scan takes d = P as holding without comparing:
+every smaller divisor is still compared, and the trace is the cold one.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, islice, repeat
 from math import isqrt
-from operator import invert, mod, mul, ne
+from operator import mod, mul, ne
 from typing import NamedTuple
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
@@ -32,11 +36,15 @@ from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
 
-# (j, m, p0, values, slots, classes, divisors, vectors) of the last row, with
-# (e, [c^e mod m for c in values]) in vectors for e = 1, the first e built and
-# the last.  Read once and replaced whole, never changed, so another thread can
-# at worst rebuild a row or a vector, never read a half-made one.
-_last_row: tuple[int, int, int, list[int], list[int], list[int], list[int], tuple] | None = None
+# (j, m, p0, values, slots, classes, divisors, vectors, held) of the last row,
+# with (e, [c^e mod m for c in values]) in vectors for e = 1, the first e built
+# and the last, and held = (e', P): P is a period at every multiple of e'.  held
+# starts as (1, p0) and is replaced only by a strictly smaller minimal period.
+# Read once and replaced whole, never changed, so another thread can at worst
+# rebuild a row or a vector or hold a larger period, never read a half-made one.
+_last_row: (
+    tuple[int, int, int, list[int], list[int], list[int], list[int], tuple, tuple[int, int]] | None
+) = None
 
 
 def pisano_period(m: int) -> int:
@@ -84,7 +92,7 @@ class DivisorCheck(NamedTuple):
     """Outcome of testing one candidate period d against the window."""
 
     d: int
-    verdict: str  # "holds" or "fails"
+    verdict: str  # "holds" (compared, or a period carried from a divisor of e) or "fails"
     witness_index: int | None = None  # an i with window[i] != window[i + d]
 
 
@@ -111,26 +119,24 @@ class OracleTrace(NamedTuple):
         }
 
 
-def _sign_classes(m: int, residues: list[int]) -> tuple[list[int], list[int]]:
-    """(values, slots) of the e = 1 window residues = [F_i mod m].
+def _sign_classes(m: int, residues: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(values, slots, classes) of the e = 1 window residues = [F_i mod m].
 
     values holds the distinct c = min(x, m - x) in first-seen order.  Entry i
-    is x = c of class k = values.index(c) when its slot is k, and x = m - c
-    when its slot is ~k = -1 - k.  c = x exactly when x <= m // 2.
+    is in class k = values.index(c); its slot is k when x = c, and ~k = -1 - k
+    when x = m - c.  c = x exactly when x <= m // 2.
     """
     h = m // 2
-    classes: dict[int, int] = {}
-    # len(classes) is read before setdefault adds c, so a new c gets the next number
-    slots = [
-        classes.setdefault(x, len(classes)) if x <= h else ~classes.setdefault(m - x, len(classes))
-        for x in residues
-    ]
-    return list(classes), slots
+    seen: dict[int, int] = {}
+    # len(seen) is read before setdefault adds c, so a new c gets the next number
+    classes = [seen.setdefault(x if x <= h else m - x, len(seen)) for x in residues]
+    slots = [k if x <= h else ~k for x, k in zip(residues, classes)]
+    return list(seen), slots, classes
 
 
 def _signed(m: int, powers: list[int]) -> list[int]:
     """powers, then their negations mod m reversed: slot ~k reads -powers[k] from the end."""
-    return powers + [(m - p) % m for p in reversed(powers)]
+    return powers + [m - p if p else 0 for p in reversed(powers)]
 
 
 def _power_vector(m: int, vectors: tuple, e: int) -> list[int]:
@@ -151,7 +157,9 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
     recurring state (0, 1), hence is purely periodic from index 0.  A shift
     d is tested only on i < p0 - d: as d divides p0, each wrapped pair
     (i, i + d - p0) is joined by a chain of unwrapped ones, so the first
-    unequal pair, if any, is unwrapped.
+    unequal pair, if any, is unwrapped.  The row's held period P at e' holds
+    at every multiple e of e', so there d = P gets a "holds" verdict without
+    comparing; each smaller divisor is compared as always.
     """
     if j < 3:
         raise OutOfDomainError(
@@ -166,19 +174,21 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
     if row is None or row[0] != j:
         m = fib_exact(j)
         p0 = pisano_period(m)
-        values, slots = _sign_classes(m, sequence_prefix(j, 1, p0))
-        # max(k, ~k) is the class of slot k and of slot ~k
-        classes = list(map(max, slots, map(invert, slots)))
-        row = (j, m, p0, _signed(m, values), slots, classes, _divisors(p0), ((1, values),))
+        values, slots, classes = _sign_classes(m, sequence_prefix(j, 1, p0))
+        row = (j, m, p0, _signed(m, values), slots, classes, _divisors(p0), ((1, values),), (1, p0))
     # bases[key] is the e = 1 entry of a slot, or the value of a class
-    _, m, p0, bases, slots, classes, divisors, vectors = row
+    _, m, p0, bases, slots, classes, divisors, vectors, held = row
     keys = slots if e % 2 else classes
+    # raising x_{i+P}^e' = x_i^e' to the power e / e' gives period P at e
+    carried = held[1] if e % held[0] == 0 else p0
     read = None  # an entry's e-th power by its key, once the vector for e is held
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in divisors:
         # every pair before the first whose keys differ is equal at e
-        i = next(compress(count(), map(ne, keys, islice(keys, d, None))), None)
+        i = None if d == carried else next(
+            compress(count(), map(ne, keys, islice(keys, d, None))), None
+        )
         if i is not None:
             if read is None and pow(bases[keys[i]], e, m) == pow(bases[keys[i + d]], e, m):
                 powers = dict(vectors).get(e)
@@ -194,8 +204,10 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
             power_period = d
             break
         checked.append(DivisorCheck(d, "fails", i))
-    if vectors is not row[7]:
-        row = row[:7] + (vectors,)
+    if power_period < held[1]:
+        held = (e, power_period)
+    if vectors is not row[7] or held is not row[8]:
+        row = row[:7] + (vectors, held)
     _last_row = row
     return OracleTrace(
         modulus=m,

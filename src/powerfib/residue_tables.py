@@ -113,7 +113,7 @@ def _powered_e1_table(j: int, e: int) -> ResidueTable:
             # is ((-1)^j)^(e/2), which is -1 here and 1 otherwise
             upper = [-p % m for p in upper]
         powers = lower + upper[::-1]
-    negated = [(m - p) % m for p in powers] if e % 2 == 1 else powers
+    negated = [m - p if p else 0 for p in powers] if e % 2 == 1 else powers
     res = tuple(map((powers + negated).__getitem__, _e1_slots(j)[:period]))
     return ResidueTable(j=j, e=e, modulus=m, period=period, residues=res)
 

@@ -170,17 +170,27 @@ _runs = st.tuples(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, m
 # the first pair whose slots differ is equal in value: 2^3 = 0 mod F_6 = 8
 @example([(6, [3, 5])])
 @example([(299, [4, 8]), (300, [4, 8])])  # a held vector squared, at odd and even j
+# a period carried to its multiples: from e = 2 at even j, from e = 2 then e = 4 at odd j
+@example([(300, [2, 4, 6, 8])])
+@example([(299, [2, 4, 6, 8])])
+@example([(299, [4, 2])])  # a period carried to a multiple is not carried back down
+# F_6 = 8: period 6 at e = 2 and 3 at e = 4; 12 is a multiple of the held 4, 6 is not
+@example([(6, [2, 4, 12, 6])])
+@example([(300, [4, 2, 8])])  # e = 2 finds no smaller period than the one held from e = 4
 def test_remembered_window_gives_the_cold_trace(runs):
     for j, es in runs:
         for e in es:
             assert minimal_period_bruteforce(j, e, j_max=j) == _cold_trace(j, e), (j, e)
 
 
-def _sign_classes_per_entry(m: int, residues: list[int]) -> tuple[list[int], list[int]]:
+def _sign_classes_per_entry(
+    m: int, residues: list[int]
+) -> tuple[list[int], list[int], list[int]]:
     """The classes found one entry at a time: c = min(x, m - x), numbered first-seen."""
     seen: dict[int, int] = {}
     values: list[int] = []
     slots: list[int] = []
+    classes: list[int] = []
     for x in residues:
         c = min(x, m - x)
         k = seen.get(c)
@@ -188,7 +198,8 @@ def _sign_classes_per_entry(m: int, residues: list[int]) -> tuple[list[int], lis
             k = seen[c] = len(values)
             values.append(c)
         slots.append(k if x == c else ~k)
-    return values, slots
+        classes.append(k)
+    return values, slots, classes
 
 
 def test_sign_classes_match_the_per_entry_fold():
@@ -235,12 +246,28 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
         built.clear()
         for e in range(1, 9):
             minimal_period_bruteforce(j, e, j_max=40)
-        # slots settle every odd e; classes settle e = 2 (mod 4) when j is odd
-        assert built == ([4, 8] if j % 2 else [2, 4, 6, 8]), j
+        # slots settle every odd e; classes settle e = 2 (mod 4) when j is odd;
+        # the period of e = 4 (odd j) or e = 2 (even j) holds at its multiples
+        assert built == ([4] if j % 2 else [2]), j
         m, vectors = oracle._last_row[1], oracle._last_row[7]
         values = vectors[0][1]
         for e, powers in vectors:
             assert powers == [pow(c, e, m) for c in values], (j, e)
+
+
+@given(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, max_size=8))
+@example(300, [4, 2, 8])  # an equal period leaves the pair alone
+@example(299, [8, 4, 2, 1])  # descending: nothing carries down, and the pair never grows
+@example(6, [2, 4, 12, 6])
+def test_row_holds_one_pair_replaced_only_by_a_smaller_period(j, es):
+    oracle._last_row = None
+    held = (1, pisano_period(fib_exact(j)))
+    for e in es:
+        period = _cold_trace(j, e).power_period
+        assert minimal_period_bruteforce(j, e, j_max=j).power_period == period, (j, e)
+        if period < held[1]:
+            held = (e, period)
+        assert oracle._last_row[8] == held, (j, es, e)
 
 
 def test_threads_sharing_the_remembered_window_get_cold_traces():
