@@ -9,11 +9,12 @@ results into reports that carry a genuine counterexample when one exists.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import add, ge, mod, mul, ne, neg, sub
+from operator import ge, mul, ne, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError, ResourceGuardError
@@ -77,8 +78,8 @@ class VerificationReport(NamedTuple):
 # pairs come as a list, so each of those sweeps is a single row;
 # Carmichael's rows hold one j each.  The evaluator reads exact values from
 # fs (fs[i] = F_i) and returns the row's parts: each is the row's lhs and
-# rhs, one entry per case, as lists built with map over slices of fs, or
-# for zero positions, which walk F_i mod F_j, as bytes of 0s and 1s.  An
+# rhs, one entry per case, as lists built in one pass over slices of fs,
+# or for zero positions, which walk F_i mod F_j, as bytes of 0s and 1s.  An
 # equation has one part; the square lemma has four, two of them bounds.  A
 # sweep checks that its domain is not empty, builds its values once for the
 # whole domain and hands _equation_sweep one row at a time, which compares
@@ -155,8 +156,9 @@ def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
 def _addition_row(n: int, ms: range, fs: list[int]) -> tuple[_Part]:
     """F_{n+m} against F_{n-1} F_m + F_n F_{m+1} for m in ms."""
     lo, hi = ms[0], ms[-1] + 1
-    rhs = map(add, map(fs[n - 1].__mul__, fs[lo:hi]), map(fs[n].__mul__, fs[lo + 1 : hi + 1]))
-    return (_Part(fs[n + lo : n + hi], list(rhs)),)
+    a, b = fs[n - 1], fs[n]
+    rhs = [a * x + b * y for x, y in zip(fs[lo:hi], fs[lo + 1 : hi + 1])]
+    return (_Part(fs[n + lo : n + hi], rhs),)
 
 
 def _signed_squares(fs: list[int]) -> list[int]:
@@ -168,10 +170,11 @@ def _catalan_row(n: int, rs: range, fs: list[int], signed_squares: list[int]) ->
     """F_n^2 - F_{n-r} F_{n+r} against (-1)^(n-r) F_r^2 for r in rs, with
     signed_squares from _signed_squares."""
     lo, hi = rs[0], rs[-1] + 1
+    square = fs[n] * fs[n]
     # F_{n-r} for r = lo, lo + 1, ... runs down the prefix
-    products = map(mul, reversed(fs[n - hi + 1 : n - lo + 1]), fs[n + lo : n + hi])
+    pairs = zip(reversed(fs[n - hi + 1 : n - lo + 1]), fs[n + lo : n + hi])
     rhs = signed_squares[lo:hi] if n % 2 == 0 else list(map(neg, signed_squares[lo:hi]))
-    return (_Part(list(map((fs[n] * fs[n]).__sub__, products)), rhs),)
+    return (_Part([square - x * y for x, y in pairs], rhs),)
 
 
 def _cassini_row(ns: range, fs: list[int]) -> tuple[_Part]:
@@ -206,17 +209,9 @@ def _square_lemma_row(
     names = SquareLemmaVerdict._fields
     return (
         _Part([squares[k]] * (hi - lo), [f_2k] * (hi - lo), names[0], bound=True),
-        _Part(
-            list(map(mod, up[:-1], itertools.repeat(f_2k))),
-            list(map(mod, down, itertools.repeat(f_2k))),
-            names[1],
-        ),
+        _Part([x % f_2k for x in up[:-1]], [x % f_2k for x in down], names[1]),
         _Part([squares[k + 1]] * (hi - lo), [f_2k1] * (hi - lo), names[2], bound=True),
-        _Part(
-            list(map(mod, up[1:], itertools.repeat(f_2k1))),
-            list(map(mod, map(neg, down), itertools.repeat(f_2k1))),
-            names[3],
-        ),
+        _Part([x % f_2k1 for x in up[1:]], [-x % f_2k1 for x in down], names[3]),
     )
 
 
@@ -247,8 +242,10 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
 
     F_i mod F_j is walked once, and F_j stripped once by each distinct
     residue x (_strip): x^e vanishes exactly when e >= rounds and the rest
-    is 1; a rest above 1 holds a prime no power of x has.  So any e costs
-    one comparison per index.
+    is 1; a rest above 1 holds a prime no power of x has.  So a row depends
+    on e only through which of the finite rounds are at most e, and is
+    built once per distinct set of them: every other e, of any size,
+    reuses it.
     """
     if j < 4:
         raise OutOfDomainError(f"zero positions need j >= 4, got {j}")
@@ -264,15 +261,20 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
     for _ in range(i_max + 1):
         residues.append(a)
         a, b = b, (a + b) % m
-    # the least e at which F_i^e vanishes, inf where none does
+    # the least e at which x^e vanishes, for each residue x with one
     strips = {x: _strip(m, x) for x in set(residues)}
-    vanish = [rounds if rest == 1 else math.inf for rest, rounds in map(strips.get, residues)]
+    vanish = {x: rounds for x, (rest, rounds) in strips.items() if rest == 1}
+    rounds = sorted(set(vanish.values()))
     divides = bytearray(i_max + 1)
     divides[::j] = b"\1" * (i_max // j + 1)
     divides = bytes(divides)
+    rows = {}  # how many of rounds are <= e -> that e's parts
     for e in es:
-        cases = zip(itertools.repeat(j), itertools.repeat(e), range(i_max + 1))
-        yield cases, (_Part(bytes(map(ge, itertools.repeat(e), vanish)), divides),)
+        key = bisect.bisect_right(rounds, e)
+        if key not in rows:
+            zeros = {x for x, least in vanish.items() if least <= e}
+            rows[key] = (_Part(bytes(map(zeros.__contains__, residues)), divides),)
+        yield zip(itertools.repeat(j), itertools.repeat(e), range(i_max + 1)), rows[key]
 
 
 def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
@@ -509,6 +511,8 @@ def sweep_zero_positions(
         raise OutOfDomainError("the zero-position sweep needs at least one j and one e")
     if 6 in js:
         raise OutOfDomainError("j = 6 is excluded from the biconditional sweep")
+    if i_max_factor < 0:
+        raise OutOfDomainError(f"i_max_factor must be nonnegative, got {i_max_factor}")
     lo, hi = min(js), max(js)
     if len(set(js)) == len(js) == hi - lo + 1 - (lo <= 6 <= hi):
         j_text = f"{{{lo}..{hi}}} minus 6"

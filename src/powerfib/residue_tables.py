@@ -100,18 +100,19 @@ def _powered_e1_table(j: int, e: int) -> ResidueTable:
     if e == 1:
         powers = [*fs[:j], 0]
     else:
-        # d'Ocagne: F_{j-k} = (-1)^(k+1) F_{j-1} F_k mod F_j, so the powers
-        # past the midpoint are the first ones times ((-1)^(k+1) F_{j-1})^e
-        lower = [pow(f, e, m) for f in fs[: j // 2 + 1]]
-        # upper[k] = F_{j-k}^e for k = 0 .. j - j // 2 - 1
-        upper = lower[: j - j // 2]
-        if e % 2 == 1:
-            factor = (pow(m - fs[j - 1], e, m), pow(fs[j - 1], e, m))
-            upper = [factor[k % 2] * p % m for k, p in enumerate(upper)]
-        elif j % 2 == 1 and e % 4 == 2:
-            # Cassini: F_{j-1}^2 = (-1)^j mod F_j, so at even e the factor
-            # is ((-1)^j)^(e/2), which is -1 here and 1 otherwise
-            upper = [-p % m for p in upper]
+        # F_{j-k}^2 = (-1)^j F_k^2 mod F_j (d'Ocagne's F_{j-k} = +-F_{j-1} F_k
+        # squared, and Cassini's F_{j-1}^2 = (-1)^j), so F_k^e and F_{j-k}^e
+        # share the even power F_k^(e - e % 2), up to the sign ((-1)^j)^(e // 2)
+        half = j // 2
+        even = [pow(f, e - e % 2, m) for f in fs[: half + 1]]
+        # lower[k] = F_k^e for k <= half, upper[k] = F_{j-k}^e for k < j - half
+        if e % 2 == 0:
+            lower, upper = even, even[: j - half]
+        else:
+            lower = [p * f % m for p, f in zip(even, fs)]
+            upper = [p * f % m for p, f in zip(even, fs[j:half:-1])]
+        if j % 2 == 1 and e % 4 >= 2:
+            upper = [m - p if p else 0 for p in upper]
         powers = lower + upper[::-1]
     negated = [m - p if p else 0 for p in powers] if e % 2 == 1 else powers
     res = tuple(map((powers + negated).__getitem__, _e1_slots(j)[:period]))
@@ -134,14 +135,15 @@ def residues_general(j: int, e: int) -> ResidueTable:
     Every e = 1 entry is +-F_k mod F_j for some k <= j, so each entry here
     is F_k^e mod F_j, negated when the e = 1 entry is and e is odd: the
     whole period takes only the j + 1 powers of exact small Fibonacci
-    values, and only those up to k = j // 2 are powered.  d'Ocagne's
-    identity gives the rest by one multiplication each at odd e; at even e,
-    Cassini's identity turns that factor into a sign, so they are the first
-    powers or their negations.  Exponent 2 is no special case: the paper's
-    formulas for it are only the labels of case_breakdown.  The length comes
-    from period_closed_form, which divides the e = 1 period; neither the
-    length nor the entries come from the oracle, so its modular iteration
-    and minimality scan stay an independent second route.
+    values.  Only the even powers F_k^(e - e % 2) for k <= j // 2 are taken:
+    d'Ocagne's and Cassini's identities give F_{j-k}^2 = (-1)^j F_k^2 mod
+    F_j, so F_{j-k}^e is that even power up to a sign, times the exact
+    F_{j-k} at odd e, as F_k^e is it times F_k.  Exponent 2 is no special
+    case: the paper's formulas for it are only the labels of
+    case_breakdown.  The length comes from period_closed_form, which
+    divides the e = 1 period; neither the length nor the entries come from
+    the oracle, so its modular iteration and minimality scan stay an
+    independent second route.
     """
     return _powered_e1_table(j, e)
 

@@ -608,15 +608,18 @@ def test_zero_positions_domain():
         check_zero_positions(3, 1, 10)
     with pytest.raises(OutOfDomainError):
         check_zero_positions(7, 0, 10)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(OutOfDomainError, match="i_max must be nonnegative, got -1"):
         check_zero_positions(7, 1, -1)
     # checked in this order: j, then each e followed by i_max
     with pytest.raises(OutOfDomainError, match="need j >= 4, got 3"):
         check_zero_positions(3, 0, -1)
     with pytest.raises(OutOfDomainError, match="at least 1, got 0"):
         check_zero_positions(7, 0, -1)
-    with pytest.raises(OutOfDomainError, match="nonnegative, got -5"):
+    # a sweep names its own argument, before any j or e is checked
+    with pytest.raises(OutOfDomainError, match="i_max_factor must be nonnegative, got -1"):
         sweep_zero_positions([5, 4], [1, 0], -1)
+    with pytest.raises(OutOfDomainError, match="i_max_factor must be nonnegative, got -1"):
+        sweep_zero_positions([3], [0], -1)
     with pytest.raises(OutOfDomainError, match="at least 1, got 0"):
         sweep_zero_positions([5, 4], [1, 0])
 
@@ -667,6 +670,29 @@ def test_zero_witnesses_with_gaps_and_out_of_order(monkeypatch, es):
     plain = [_plain_zero_witness(32, 8, e, 40) for e in es]
     assert zero_witnesses(8, es, 40) == plain
     assert plain == [{1: 8, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(4, 40),
+    st.lists(st.integers(1, 12) | st.integers(10**18 - 2, 10**18 + 2), min_size=1, max_size=12),
+    st.integers(0, 200),
+    st.sampled_from([None, 32]),
+)
+@example(6, [3, 2, 1, 3, 4], 30, None)
+# mod 32 in place of F_j has finite rounds {1, 2, 5}, so three distinct rows,
+# at e = 1, at e in 2..4 and from e = 5 on; each order meets a row's key first
+# at an e next to another row's
+@example(8, [1, 2, 3, 4, 5, 6], 40, 32)
+@example(8, [6, 5, 4, 3, 2, 1], 40, 32)
+@example(8, [5, 2, 1, 5, 2], 40, 32)
+@example(8, [4, 10**18, 2, 1, 4], 40, 32)
+def test_zero_rows_built_once_per_key_match_plain(j, es, i_max, modulus):
+    m = fib_exact(j) if modulus is None else modulus
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "fib_exact", lambda n: m)
+        witnesses = zero_witnesses(j, es, i_max)
+    assert witnesses == [_plain_zero_witness(m, j, e, i_max) for e in es]
 
 
 def test_sweep_zero_positions_computes_each_modulus_once():
