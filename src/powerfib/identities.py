@@ -53,10 +53,6 @@ class VerificationReport(NamedTuple):
     verdict: str  # all_pass, counterexample, or not_applicable
     counterexample: Counterexample | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == ALL_PASS
-
     def to_record(self) -> dict:
         rec = {
             "identity": self.identity_name,

@@ -1,7 +1,8 @@
 """Brute-force certification of periods, sharing no logic with the closed forms.
 
-Everything here is deliberately plain: single-step pair iteration and explicit
-divisor scans with recorded witnesses, so a disagreement with the closed-form
+The window comes from single-step pair iteration and every divisor of the
+Pisano period is scanned in turn, with a witness recorded for each that
+fails; no step reads a closed form, so a disagreement with the closed-form
 route points at a real mathematical problem rather than shared code.
 
 F_i^e mod F_j depends only on F_i mod F_j, and (F_j - x)^e = (-1)^e x^e, so
@@ -12,23 +13,22 @@ entry has a slot, its class and sign.  Entries with equal slots are equal at
 every e, and entries with equal classes at every even e, so a divisor d is
 compared on these keys first: slots at odd e, classes at even e.  Only the
 first pair whose keys differ is powered; if its two values differ, that index
-is the witness, and only if they are equal is the vector [c^e mod F_j] built
-and compared from there on.  The oracle remembers the row of its last j for a
-call at any e: F_j, the Pisano period p0, the class values, each entry's slot
-and class, the divisors of p0, the power vectors of e = 1, of the first e
-built and of the last, and one held pair (e', P): the smallest minimal period
-P found so far, at e'.  A vector is one multiplication per class from two held
-vectors whose exponents sum to e, else one pow per class.  For any sequence,
-x_{i+P}^e' = x_i^e' raised to the power e / e' gives period P at every
-multiple e of e', so there the scan takes d = P as holding without comparing:
-every smaller divisor is still compared, and the trace is the cold one.
+is the witness, and only if they are equal is the vector [c^e mod F_j] built,
+one pow per class, and compared from there on; the vector serves that call
+alone.  The oracle remembers the row of its last j for a call at any e: F_j,
+the Pisano period p0, the class values, each entry's slot and class, the
+divisors of p0 and one held pair (e', P): the smallest minimal period P found
+so far, at e'.  For any sequence, x_{i+P}^e' = x_i^e' raised to the power
+e / e' gives period P at every multiple e of e', so there the scan takes
+d = P as holding without comparing: every smaller divisor is still compared,
+and the trace is the cold one.
 """
 
 from __future__ import annotations
 
 from itertools import compress, count, islice, repeat
 from math import isqrt
-from operator import mod, mul, ne
+from operator import ne
 from typing import NamedTuple
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
@@ -36,14 +36,14 @@ from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
 
-# (j, m, p0, values, slots, classes, divisors, vectors, held) of the last row,
-# with (e, [c^e mod m for c in values]) in vectors for e = 1, the first e built
-# and the last, and held = (e', P): P is a period at every multiple of e'.  held
-# starts as (1, p0) and is replaced only by a strictly smaller minimal period.
-# Read once and replaced whole, never changed, so another thread can at worst
-# rebuild a row or a vector or hold a larger period, never read a half-made one.
+# (j, m, p0, values, bases, slots, classes, divisors, held) of the last row,
+# with bases = _signed(m, values) and held = (e', P): P is a period at every
+# multiple of e'.  held starts as (1, p0) and is replaced only by a strictly
+# smaller minimal period.  Read once and replaced whole, never changed, so
+# another thread can at worst rebuild a row or hold a larger period, never
+# read a half-made one.
 _last_row: (
-    tuple[int, int, int, list[int], list[int], list[int], list[int], tuple, tuple[int, int]] | None
+    tuple[int, int, int, list[int], list[int], list[int], list[int], list[int], tuple[int, int]] | None
 ) = None
 
 
@@ -139,13 +139,8 @@ def _signed(m: int, powers: list[int]) -> list[int]:
     return powers + [m - p if p else 0 for p in reversed(powers)]
 
 
-def _power_vector(m: int, vectors: tuple, e: int) -> list[int]:
-    """[c^e mod m] over the classes, from two held vectors whose exponents sum to e."""
-    held = dict(vectors)
-    for a, powers in vectors:
-        if e - a in held:
-            return list(map(mod, map(mul, powers, held[e - a]), repeat(m)))
-    return list(map(pow, held[1], repeat(e), repeat(m)))
+def _class_powers(m: int, values: list[int], e: int) -> list[int]:
+    return list(map(pow, values, repeat(e), repeat(m)))
 
 
 def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
@@ -175,13 +170,13 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         m = fib_exact(j)
         p0 = pisano_period(m)
         values, slots, classes = _sign_classes(m, sequence_prefix(j, 1, p0))
-        row = (j, m, p0, _signed(m, values), slots, classes, _divisors(p0), ((1, values),), (1, p0))
+        row = (j, m, p0, values, _signed(m, values), slots, classes, _divisors(p0), (1, p0))
     # bases[key] is the e = 1 entry of a slot, or the value of a class
-    _, m, p0, bases, slots, classes, divisors, vectors, held = row
+    _, m, p0, values, bases, slots, classes, divisors, held = row
     keys = slots if e % 2 else classes
     # raising x_{i+P}^e' = x_i^e' to the power e / e' gives period P at e
     carried = held[1] if e % held[0] == 0 else p0
-    read = None  # an entry's e-th power by its key, once the vector for e is held
+    read = None  # an entry's e-th power by its key, once the vector for e is built
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in divisors:
@@ -191,10 +186,7 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         )
         if i is not None:
             if read is None and pow(bases[keys[i]], e, m) == pow(bases[keys[i + d]], e, m):
-                powers = dict(vectors).get(e)
-                if powers is None:
-                    powers = _power_vector(m, vectors, e)
-                    vectors = vectors[:2] + ((e, powers),)
+                powers = _class_powers(m, values, e)
                 read = (_signed(m, powers) if e % 2 else powers).__getitem__
             if read is not None:
                 pairs = map(ne, map(read, keys[i:]), map(read, keys[i + d :]))
@@ -205,9 +197,7 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
             break
         checked.append(DivisorCheck(d, "fails", i))
     if power_period < held[1]:
-        held = (e, power_period)
-    if vectors is not row[7] or held is not row[8]:
-        row = row[:7] + (vectors, held)
+        row = row[:8] + ((e, power_period),)
     _last_row = row
     return OracleTrace(
         modulus=m,

@@ -305,7 +305,7 @@ def recording_fib_calls():
 )
 def test_each_sweep_builds_at_most_one_prefix(sweep, args):
     with recording_fib_calls() as calls:
-        assert sweep(*args).passed
+        assert sweep(*args).verdict == ALL_PASS
     assert len(calls["prefixes"]) <= 1
     if sweep is sweep_gcd:
         assert calls["fib_exact"] == 0
@@ -314,8 +314,8 @@ def test_each_sweep_builds_at_most_one_prefix(sweep, args):
 def test_gcd_on_a_large_index_builds_no_prefix():
     # a prefix to F_50000 would hold about 125 MB; the values read, a few kB
     for run in (
-        lambda: sweep_gcd([(50_000, 1)]).passed,
-        lambda: sweep_gcd([(50_000, 3), (3, 50_000)]).passed,
+        lambda: sweep_gcd([(50_000, 1)]).verdict == ALL_PASS,
+        lambda: sweep_gcd([(50_000, 3), (3, 50_000)]).verdict == ALL_PASS,
     ):
         with recording_fib_calls() as calls:
             tracemalloc.start()
@@ -698,7 +698,7 @@ def test_zero_rows_built_once_per_key_match_plain(j, es, i_max, modulus):
 def test_sweep_zero_positions_computes_each_modulus_once():
     js = [j for j in range(4, 21) if j != 6]
     with recording_fib_calls() as calls:
-        assert sweep_zero_positions(js, range(1, 6)).passed
+        assert sweep_zero_positions(js, range(1, 6)).verdict == ALL_PASS
     assert calls["fib_exact"] == len(js)
     assert calls["prefixes"] == []
 
@@ -894,7 +894,7 @@ def test_sweeps_all_pass():
         (sweep_zero_positions(wide_js, range(1, 61)), sum(60 * (5 * j + 1) for j in wide_js)),
         (sweep_carmichael(3, 72, expected_exceptions=(6, 12)), 70),
     ]:
-        assert report.passed, report
+        assert report.verdict == ALL_PASS, report
         assert report.cases_checked == cases, report
 
 
@@ -935,7 +935,7 @@ def test_sweep_zero_positions_domain_names_the_e_it_ran():
     # row at e = 10**18 costs what the row at e = 1 does
     report = sweep_zero_positions([5], [1, 10**18])
     assert report.domain_description == f"j in {{5..5}} minus 6, e in {{1, {10**18}}}, i <= 5*j"
-    assert report.passed and report.cases_checked == 26 + 26
+    assert report.verdict == ALL_PASS and report.cases_checked == 26 + 26
 
 
 def _listed_domain_text(js, es) -> str:
@@ -984,7 +984,7 @@ def test_sweep_zero_positions_rejects_empty_e_values():
 
 def test_sweep_carmichael_with_true_exception_set():
     report = sweep_carmichael(3, 40)
-    assert report.passed
+    assert report.verdict == ALL_PASS
     assert report.cases_checked == 38
 
 
@@ -1006,7 +1006,7 @@ def test_sweep_carmichael_never_factors(monkeypatch):
     monkeypatch.setattr(identities, "_trial_factor", no_factoring)
     monkeypatch.setattr(identities, "primitive_prime_divisor", no_factoring)
     report = sweep_carmichael(3, 72)
-    assert report.passed
+    assert report.verdict == ALL_PASS
     assert report.cases_checked == 70
 
 

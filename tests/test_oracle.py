@@ -169,7 +169,7 @@ _runs = st.tuples(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, m
 @example([(9, [3, 3])])  # the same cell twice
 # the first pair whose slots differ is equal in value: 2^3 = 0 mod F_6 = 8
 @example([(6, [3, 5])])
-@example([(299, [4, 8]), (300, [4, 8])])  # a held vector squared, at odd and even j
+@example([(299, [4, 8]), (300, [4, 8])])  # e = 4, then its multiple 8, at odd and even j
 # a period carried to its multiples: from e = 2 at even j, from e = 2 then e = 4 at odd j
 @example([(300, [2, 4, 6, 8])])
 @example([(299, [2, 4, 6, 8])])
@@ -216,7 +216,7 @@ def test_sign_classes_match_the_per_entry_fold():
 def test_scan_row_steps_sign_classes_to_cold_windows(j, monkeypatch):
     want = {e: _cold_trace(j, e) for e in range(1, 11)}
     monkeypatch.setattr(oracle, "_last_row", None)
-    # the second pass finds the row's vectors of e = 1, the first e and the last held
+    # the second pass finds the row, and the pair it holds, from the first
     for _ in range(2):
         for e in range(1, 11):
             assert minimal_period_bruteforce(j, e, j_max=j) == want[e], (j, e)
@@ -234,13 +234,14 @@ def test_row_starting_above_e1_takes_the_one_cold_path(monkeypatch):
 
 def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypatch):
     built = []
-    power_vector = oracle._power_vector
+    class_powers = oracle._class_powers
 
-    def counted(m, vectors, e):
-        built.append(e)
-        return power_vector(m, vectors, e)
+    def counted(m, values, e):
+        powers = class_powers(m, values, e)
+        built.append((m, values, e, powers))
+        return powers
 
-    monkeypatch.setattr(oracle, "_power_vector", counted)
+    monkeypatch.setattr(oracle, "_class_powers", counted)
     monkeypatch.setattr(oracle, "_last_row", None)
     for j in range(7, 41):
         built.clear()
@@ -248,10 +249,11 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
             minimal_period_bruteforce(j, e, j_max=40)
         # slots settle every odd e; classes settle e = 2 (mod 4) when j is odd;
         # the period of e = 4 (odd j) or e = 2 (even j) holds at its multiples
-        assert built == ([4] if j % 2 else [2]), j
-        m, vectors = oracle._last_row[1], oracle._last_row[7]
-        values = vectors[0][1]
-        for e, powers in vectors:
+        assert [e for _, _, e, _ in built] == ([4] if j % 2 else [2]), j
+        m = fib_exact(j)
+        values = _sign_classes_per_entry(m, sequence_prefix(j, 1, pisano_period(m)))[0]
+        for got_m, got_values, e, powers in built:
+            assert (got_m, got_values) == (m, values), (j, e)
             assert powers == [pow(c, e, m) for c in values], (j, e)
 
 
