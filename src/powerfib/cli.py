@@ -366,20 +366,6 @@ _RENDERERS = {
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("plain", "json", "csv"),
-        default="plain",
-        help="output format (csv applies to residue tables)",
-    )
-    common.add_argument(
-        "--j-max",
-        type=int,
-        default=DEFAULT_J_MAX,
-        help=f"oracle guard on j (default {DEFAULT_J_MAX})",
-    )
-
     parser = _Parser(
         prog="powerfib",
         description="Periods and residue tables of power Fibonacci sequences "
@@ -387,12 +373,23 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("period", parents=[common], help="closed-form minimal period")
+    def command(name: str, help: str, j_max: bool) -> _Parser:
+        # the formats it has a renderer for (json renders any record), and
+        # --j-max where the oracle runs
+        p = sub.add_parser(name, help=help)
+        formats = ("plain", "json", "csv") if name in _RENDERERS["csv"] else ("plain", "json")
+        p.add_argument("--format", choices=formats, default="plain", help="output format")
+        if j_max:
+            guard = "oracle guard on j (default %(default)s)"
+            p.add_argument("--j-max", type=int, default=DEFAULT_J_MAX, help=guard)
+        return p
+
+    p = command("period", "closed-form minimal period", j_max=True)
     p.add_argument("j", type=int)
     p.add_argument("e", type=int)
     p.add_argument("--verify", action="store_true", help="certify against the oracle")
 
-    p = sub.add_parser("table", parents=[common], help="full-period residue table")
+    p = command("table", "full-period residue table", j_max=False)
     p.add_argument("j", type=int)
     p.add_argument("e", type=int)
     p.add_argument(
@@ -401,11 +398,11 @@ def _build_parser() -> _Parser:
         help="label each entry with its closed-form formula (e in {1, 2})",
     )
 
-    p = sub.add_parser("oracle", parents=[common], help="brute-force period with evidence")
+    p = command("oracle", "brute-force period with evidence", j_max=True)
     p.add_argument("j", type=int)
     p.add_argument("e", type=int)
 
-    p = sub.add_parser("verify", parents=[common], help="exact identity sweeps")
+    p = command("verify", "exact identity sweeps", j_max=False)
     p.add_argument(
         "identities",
         nargs="*",
@@ -413,7 +410,7 @@ def _build_parser() -> _Parser:
         help="any of: " + ", ".join(VERIFY_SUITE) + ", all (default: all)",
     )
 
-    p = sub.add_parser("scan", parents=[common], help="closed form vs oracle over a grid")
+    p = command("scan", "closed form vs oracle over a grid", j_max=True)
     p.add_argument("j_range", help="like 4..22")
     p.add_argument("e_range", help="like 1..8")
 
@@ -426,8 +423,6 @@ _PARSER = _build_parser()
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        if args.format == "csv" and args.command not in _RENDERERS["csv"]:
-            raise _UsageError(f"--format csv applies to residue tables only, not '{args.command}'")
         # looked up by name on every call, so a rebound cmd_* takes effect
         code, record = globals()[f"cmd_{args.command}"](args)
         if args.format == "json":

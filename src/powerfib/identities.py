@@ -245,12 +245,11 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
     """
     if j < 4:
         raise OutOfDomainError(f"zero positions need j >= 4, got {j}")
-    # i_max is checked after the first e, as a single check always did
     for e in es:
         if e < 1:
             raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-        if i_max < 0:
-            raise OutOfDomainError(f"i_max must be nonnegative, got {i_max}")
+    if i_max < 0:
+        raise OutOfDomainError(f"i_max must be nonnegative, got {i_max}")
     m = fib_exact(j)
     residues = []
     a, b = 0, 1

@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powerfib
 import powerfib.cli as cli
@@ -849,6 +854,89 @@ def test_subcommands_are_the_five_deterministic_ones(capsys):
 def test_unknown_subcommand(capsys):
     assert run(capsys, "nope")[0] == 1
     assert run(capsys)[0] == 1
+
+
+# csv only where a residue table is printed, --j-max only where the oracle runs
+_OPTIONS = {
+    "period": ("{plain,json}", {"--j-max", "--verify"}),
+    "table": ("{plain,json,csv}", {"--annotate"}),
+    "oracle": ("{plain,json}", {"--j-max"}),
+    "verify": ("{plain,json}", set()),
+    "scan": ("{plain,json}", {"--j-max"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_each_subcommand_lists_exactly_its_options(capsys, command):
+    formats, options = _OPTIONS[command]
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == {"--help", "--format", *options}
+    assert set(re.findall(r"--format (\{.*?\})", text)) == {formats}
+
+
+def _no_command_runs(monkeypatch):
+    for command in _OPTIONS:
+        monkeypatch.setattr(cli, f"cmd_{command}", _no_work)
+
+
+@pytest.mark.parametrize("command", ["table 5 1 --j-max 3", "verify gcd --j-max 3"])
+def test_j_max_is_refused_where_no_oracle_runs(capsys, monkeypatch, command):
+    _no_command_runs(monkeypatch)
+    assert run(capsys, *command.split()) == (1, "", "error: unrecognized arguments: --j-max 3\n")
+
+
+@pytest.mark.parametrize("command", ["period 7 1", "oracle 6 2", "verify gcd", "scan 4..8 1..2"])
+def test_csv_is_refused_outside_table_before_any_work(capsys, monkeypatch, command):
+    _no_command_runs(monkeypatch)
+    rc, out, err = run(capsys, *command.split(), "--format", "csv")
+    assert (rc, out) == (1, "")
+    # one line; how argparse quotes the choices differs between versions
+    assert err.startswith("error: argument --format: invalid choice: 'csv'")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@st.composite
+def _requests(draw) -> list[str]:
+    """A subcommand with small j, e and ranges (j <= 30, e <= 6), then any
+    subset of --format, --j-max, --verify and --annotate in any order."""
+    command = draw(st.sampled_from(list(_OPTIONS)))
+    j, e = st.integers(-2, 30), st.integers(-1, 6)
+    if command == "scan":
+        argv = ["{}..{}".format(*sorted(draw(st.tuples(r, r)))) for r in (j, e)]
+    elif command == "verify":
+        argv = draw(st.lists(st.sampled_from([*identities.VERIFY_SUITE, "all", "bogus"]), max_size=2))
+    else:
+        argv = [str(draw(j)), str(draw(e))]
+    options = [
+        ("--format", draw(st.sampled_from(["plain", "json", "csv"]))),
+        ("--j-max", str(draw(st.integers(0, 30)))),
+        ("--verify",),
+        ("--annotate",),
+    ]
+    for option in draw(st.lists(st.sampled_from(options), unique=True)):
+        argv += option
+    return [command, *argv]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_requests())
+def test_any_request_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in out + err, argv
+    # the closed forms agree with the oracle and every identity holds on this
+    # small domain, so no request ends in a disagreement (2)
+    assert rc in (0, 1, 3), (argv, rc, out, err)
+    if rc:
+        assert out == "", argv
+        assert err.startswith(("error: ", "resource guard: ")), argv
+        assert err.count("\n") == 1 and err.endswith("\n"), argv
+    else:
+        assert err == "", argv
 
 
 def test_disagreement_exit_code_period(capsys, monkeypatch):

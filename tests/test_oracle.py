@@ -257,6 +257,27 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
             assert powers == [pow(c, e, m) for c in values], (j, e)
 
 
+def test_odd_exponents_build_power_vectors_only_at_j6(monkeypatch):
+    # at odd e a divisor d's first differing slots are at i = 0 (0 against
+    # F_d^e, when j does not divide d) or at i = 1 (1 against F_{j-1}^(qe) != 1,
+    # for d = qj), so a vector needs F_j | F_d^e with j not dividing d: a
+    # primitive prime of F_j forbids it for j not in {6, 12}, no one F_d holds
+    # both 2 and 3 of F_12, and F_3^e = 2^e is 0 mod F_6 = 8 from e = 3 on
+    built = []
+    class_powers = oracle._class_powers
+
+    def counted(m, values, e):
+        built.append((m, e))
+        return class_powers(m, values, e)
+
+    monkeypatch.setattr(oracle, "_class_powers", counted)
+    monkeypatch.setattr(oracle, "_last_row", None)
+    for j in range(3, 201):
+        for e in range(1, 42, 2):
+            minimal_period_bruteforce(j, e, j_max=200)
+    assert built == [(8, e) for e in range(3, 42, 2)]
+
+
 @given(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, max_size=8))
 @example(300, [4, 2, 8])  # an equal period leaves the pair alone
 @example(299, [8, 4, 2, 1])  # descending: nothing carries down, and the pair never grows
