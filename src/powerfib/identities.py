@@ -91,7 +91,8 @@ class VerificationReport(NamedTuple):
 
 class _Part(NamedTuple):
     """One claim's two sides over a row of cases: it holds at case i when
-    lhs[i] == rhs[i], or for a bound when lhs[i] < rhs[i]."""
+    lhs[i] == rhs[i], or for a bound when lhs[i] < rhs[i].  A part whose sides
+    are the same at every case may hold just case 0, which stands for all."""
 
     lhs: Sequence[int]
     rhs: Sequence[int]
@@ -195,7 +196,7 @@ def _square_lemma_row(
 ) -> tuple[_Part, ...]:
     """The four parts at (k, alpha) for alpha in alphas, in
     SquareLemmaVerdict's order, with squares[i] = F_i^2; each congruence's
-    sides are reduced."""
+    sides are reduced, and each bound, which reads no alpha, is one case."""
     lo, hi = alphas[0], alphas[-1] + 1
     f_2k, f_2k1 = fs[2 * k], fs[2 * k + 1]
     # F_{k-alpha}^2 for alpha = lo, lo + 1, ...
@@ -204,9 +205,9 @@ def _square_lemma_row(
     up = squares[k + lo : k + hi + 1]
     names = SquareLemmaVerdict._fields
     return (
-        _Part([squares[k]] * (hi - lo), [f_2k] * (hi - lo), names[0], bound=True),
+        _Part([squares[k]], [f_2k], names[0], bound=True),
         _Part([x % f_2k for x in up[:-1]], [x % f_2k for x in down], names[1]),
-        _Part([squares[k + 1]] * (hi - lo), [f_2k1] * (hi - lo), names[2], bound=True),
+        _Part([squares[k + 1]], [f_2k1], names[2], bound=True),
         _Part([x % f_2k1 for x in up[1:]], [-x % f_2k1 for x in down], names[3]),
     )
 
@@ -426,7 +427,8 @@ def _equation_sweep(
     """Check rows in order, each given as its cases (tuples of the
     parameters called names) and its parts.  An equation that holds over a
     row costs one list comparison; only a failing case is named, in its
-    counterexample, with the first of its parts that fails."""
+    counterexample, with the first of its parts that fails.  A row has as
+    many cases as its longest part."""
     count = 0
     for cases, parts in rows:
         failures = [(i, part) for part in parts if (i := _first_failure(part)) is not None]
@@ -435,7 +437,7 @@ def _equation_sweep(
             case = next(itertools.islice(cases, i, None))
             found = Counterexample(dict(zip(names, case)), part.lhs[i], part.rhs[i], part.name)
             return VerificationReport(name, domain, count + i + 1, COUNTEREXAMPLE, found)
-        count += len(parts[0].lhs)
+        count += max(len(part.lhs) for part in parts)
     return VerificationReport(name, domain, count, ALL_PASS)
 
 

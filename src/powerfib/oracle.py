@@ -15,10 +15,11 @@ compared on these keys first: slots at odd e, classes at even e.  Only the
 first pair whose keys differ is powered; if its two values differ, that index
 is the witness, and only if they are equal is the vector [c^e mod F_j] built,
 one pow per class, and compared from there on; the vector serves that call
-alone.  The oracle remembers the row of its last j for a call at any e: F_j,
-the Pisano period p0, the class values, each entry's slot and class, the
-divisors of p0 and one held pair (e', P): the smallest minimal period P found
-so far, at e'.  For any sequence, x_{i+P}^e' = x_i^e' raised to the power
+alone.  The oracle keeps the row of its last j, by lru_cache(maxsize=1), for
+a call at any e: F_j, the Pisano period p0, the class values, each entry's
+slot and class, the divisors of p0 and one held pair (e', P): the smallest
+minimal period P found so far, at e'; powerfib.oracle._row.cache_clear()
+frees it.  For any sequence, x_{i+P}^e' = x_i^e' raised to the power
 e / e' gives period P at every multiple e of e', so there the scan takes
 d = P as holding without comparing: every smaller divisor is still compared,
 and the trace is the cold one.
@@ -26,6 +27,7 @@ and the trace is the cold one.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress, count, islice, repeat
 from math import isqrt
 from operator import ne
@@ -35,17 +37,6 @@ from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact
 
 DEFAULT_J_MAX = 25
-
-# (j, m, p0, values, bases, slots, classes, divisors, held) of the last row,
-# with bases = _signed(m, values) and held = (e', P): P is a period at every
-# multiple of e'.  held starts as (1, p0) and is replaced only by a strictly
-# smaller minimal period.  Read once and replaced whole, never changed, so
-# another thread can at worst rebuild a row or hold a larger period, never
-# read a half-made one.
-_last_row: (
-    tuple[int, int, int, list[int], list[int], list[int], list[int], list[int], tuple[int, int]] | None
-) = None
-
 
 def pisano_period(m: int) -> int:
     """Smallest k >= 1 with (F_k, F_{k+1}) = (0, 1) mod m, by stepping pairs."""
@@ -143,6 +134,19 @@ def _class_powers(m: int, values: list[int], e: int) -> list[int]:
     return list(map(pow, values, repeat(e), repeat(m)))
 
 
+@lru_cache(maxsize=1)
+def _row(j: int) -> tuple:
+    """(m, p0, values, bases, slots, classes, divisors, held) of row j: m = F_j,
+    bases = _signed(m, values), so bases[key] is the e = 1 entry of a slot or
+    the value of a class, and held = [(e', P)], P a period at every multiple
+    of e'.  held[0] starts as (1, p0); a call replaces it whole, and only by a
+    strictly smaller minimal period, so a thread can at worst keep a larger one."""
+    m = fib_exact(j)
+    p0 = pisano_period(m)
+    values, slots, classes = _sign_classes(m, sequence_prefix(j, 1, p0))
+    return m, p0, values, _signed(m, values), slots, classes, _divisors(p0), [(1, p0)]
+
+
 def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
     """Minimal period of (F_i^e mod F_j) with divisor-by-divisor evidence.
 
@@ -164,18 +168,11 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
     if j > j_max:
         raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
-    global _last_row
-    row = _last_row
-    if row is None or row[0] != j:
-        m = fib_exact(j)
-        p0 = pisano_period(m)
-        values, slots, classes = _sign_classes(m, sequence_prefix(j, 1, p0))
-        row = (j, m, p0, values, _signed(m, values), slots, classes, _divisors(p0), (1, p0))
-    # bases[key] is the e = 1 entry of a slot, or the value of a class
-    _, m, p0, values, bases, slots, classes, divisors, held = row
+    m, p0, values, bases, slots, classes, divisors, held = _row(j)
     keys = slots if e % 2 else classes
     # raising x_{i+P}^e' = x_i^e' to the power e / e' gives period P at e
-    carried = held[1] if e % held[0] == 0 else p0
+    e1, P = held[0]
+    carried = P if e % e1 == 0 else p0
     read = None  # an entry's e-th power by its key, once the vector for e is built
     checked: list[DivisorCheck] = []
     power_period = p0
@@ -196,9 +193,8 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
             power_period = d
             break
         checked.append(DivisorCheck(d, "fails", i))
-    if power_period < held[1]:
-        row = row[:8] + ((e, power_period),)
-    _last_row = row
+    if power_period < P:
+        held[0] = (e, power_period)
     return OracleTrace(
         modulus=m,
         pisano=p0,

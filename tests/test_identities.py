@@ -345,9 +345,11 @@ def sweep_rows(row_name: str, sweep, *args) -> list[tuple[tuple, tuple]]:
 
 
 def case_sides(parts, i: int, length: int) -> list[tuple]:
-    """Each part's name and sides at case i of a row of length cases."""
-    assert all(len(part.lhs) == len(part.rhs) == length for part in parts)
-    return [(part.name, part.lhs[i], part.rhs[i]) for part in parts]
+    """Each part's name and sides at case i of a row of length cases; a part
+    of one case, such as a square-lemma bound, has its sides at every case."""
+    assert all(len(part.lhs) == len(part.rhs) in (1, length) for part in parts)
+    return [(part.name, part.lhs[min(i, len(part.lhs) - 1)], part.rhs[min(i, len(part.rhs) - 1)])
+            for part in parts]
 
 
 def pair_below(lo: int, hi: int):
@@ -610,7 +612,7 @@ def test_zero_positions_domain():
         check_zero_positions(7, 0, 10)
     with pytest.raises(OutOfDomainError, match="i_max must be nonnegative, got -1"):
         check_zero_positions(7, 1, -1)
-    # checked in this order: j, then each e followed by i_max
+    # checked in this order: j, then every e, then i_max
     with pytest.raises(OutOfDomainError, match="need j >= 4, got 3"):
         check_zero_positions(3, 0, -1)
     with pytest.raises(OutOfDomainError, match="at least 1, got 0"):

@@ -213,19 +213,19 @@ def test_sign_classes_match_the_per_entry_fold():
 # F_297 and F_300 are even, F_299 odd; j = 6 and 12 have no primitive prime,
 # and 799, 800 are the `certify` workload's largest rows
 @pytest.mark.parametrize("j", [4, 5, 6, 12, 297, 299, 300, 799, 800])
-def test_scan_row_steps_sign_classes_to_cold_windows(j, monkeypatch):
+def test_scan_row_steps_sign_classes_to_cold_windows(j):
     want = {e: _cold_trace(j, e) for e in range(1, 11)}
-    monkeypatch.setattr(oracle, "_last_row", None)
+    oracle._row.cache_clear()
     # the second pass finds the row, and the pair it holds, from the first
     for _ in range(2):
         for e in range(1, 11):
             assert minimal_period_bruteforce(j, e, j_max=j) == want[e], (j, e)
 
 
-def test_row_starting_above_e1_takes_the_one_cold_path(monkeypatch):
+def test_row_starting_above_e1_takes_the_one_cold_path():
     # a row's first call finds its classes from the e = 1 walk, at e = 5 as
     # at e = 1; later calls reuse them
-    monkeypatch.setattr(oracle, "_last_row", None)
+    oracle._row.cache_clear()
     for e in range(5, 11):
         assert minimal_period_bruteforce(299, e, j_max=299) == _cold_trace(299, e), e
     for e in range(5, 11):
@@ -242,7 +242,7 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
         return powers
 
     monkeypatch.setattr(oracle, "_class_powers", counted)
-    monkeypatch.setattr(oracle, "_last_row", None)
+    oracle._row.cache_clear()
     for j in range(7, 41):
         built.clear()
         for e in range(1, 9):
@@ -271,7 +271,7 @@ def test_odd_exponents_build_power_vectors_only_at_j6(monkeypatch):
         return class_powers(m, values, e)
 
     monkeypatch.setattr(oracle, "_class_powers", counted)
-    monkeypatch.setattr(oracle, "_last_row", None)
+    oracle._row.cache_clear()
     for j in range(3, 201):
         for e in range(1, 42, 2):
             minimal_period_bruteforce(j, e, j_max=200)
@@ -283,14 +283,36 @@ def test_odd_exponents_build_power_vectors_only_at_j6(monkeypatch):
 @example(299, [8, 4, 2, 1])  # descending: nothing carries down, and the pair never grows
 @example(6, [2, 4, 12, 6])
 def test_row_holds_one_pair_replaced_only_by_a_smaller_period(j, es):
-    oracle._last_row = None
+    oracle._row.cache_clear()
     held = (1, pisano_period(fib_exact(j)))
     for e in es:
         period = _cold_trace(j, e).power_period
         assert minimal_period_bruteforce(j, e, j_max=j).power_period == period, (j, e)
         if period < held[1]:
             held = (e, period)
-        assert oracle._last_row[8] == held, (j, es, e)
+        assert oracle._row(j)[7][0] == held, (j, es, e)
+
+
+def test_one_row_is_kept_and_refused_calls_leave_it_alone():
+    oracle._row.cache_clear()
+    minimal_period_bruteforce(20, 3)
+    minimal_period_bruteforce(21, 3)
+    # the row of 21 replaced the row of 20: one row's memory at most
+    kept = oracle._row.cache_info()
+    assert (kept.misses, kept.currsize) == (2, 1)
+    # the domain checks and the guard run before any row is built or read
+    with pytest.raises(ResourceGuardError):
+        minimal_period_bruteforce(22, 3, j_max=21)
+    with pytest.raises(OutOfDomainError):
+        minimal_period_bruteforce(21, 0)
+    with pytest.raises(OutOfDomainError):
+        minimal_period_bruteforce(2, 3)
+    assert oracle._row.cache_info() == kept
+    oracle._row.cache_clear()
+    assert oracle._row.cache_info().currsize == 0
+    assert minimal_period_bruteforce(21, 4) == _cold_trace(21, 4)
+    fresh = oracle._row.cache_info()
+    assert (fresh.hits, fresh.misses, fresh.currsize) == (0, 1, 1)
 
 
 def test_threads_sharing_the_remembered_window_get_cold_traces():
@@ -335,7 +357,7 @@ def test_scan_builds_one_window_per_row(monkeypatch, capsys):
     for name in calls:
         monkeypatch.setattr(oracle, name, counted(name))
     # a remembered row serves any exponent, so start with none
-    monkeypatch.setattr(oracle, "_last_row", None)
+    oracle._row.cache_clear()
     # a row starting at e = 1 and a row starting above it
     for e_range, cells in (("1..8", 32), ("5..8", 16)):
         for name in calls:
