@@ -16,18 +16,19 @@ first pair whose keys differ is powered; if its two values differ, that index
 is the witness, and only if they are equal is the vector [c^e mod F_j] built,
 one pow per class, and compared from there on; the vector serves that call
 alone.  The oracle keeps the row of its last j, by lru_cache(maxsize=1), for
-a call at any e: F_j, the Pisano period p0, the class values, each entry's
-slot and class, the divisors of p0 and one held pair (e', P): the smallest
-minimal period P found so far, at e'; powerfib.oracle._row.cache_clear()
-frees it.  For any sequence, x_{i+P}^e' = x_i^e' raised to the power
-e / e' gives period P at every multiple e of e', so there the scan takes
-d = P as holding without comparing: every smaller divisor is still compared,
-and the trace is the cold one.
+a call at any e: F_j, the Pisano period p0, each class value once, each
+entry's slot and class, the divisors of p0 and one held pair (e', P): the
+smallest minimal period P found so far, at e'.  A negative slot's entry,
+F_j - c, is computed only where it is read; the row holds 19.9 MiB at
+j = 20000, and powerfib.oracle._row.cache_clear() frees it.  Raising
+x_{i+P}^e' = x_i^e' to the power e / e' gives period P at every multiple e
+of e', so there the scan takes d = P as holding without comparing: every
+smaller divisor is still compared, and the trace is the cold one.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count, islice, repeat
 from math import isqrt
 from operator import ne
@@ -125,9 +126,9 @@ def _sign_classes(m: int, residues: list[int]) -> tuple[list[int], list[int], li
     return list(seen), slots, classes
 
 
-def _signed(m: int, powers: list[int]) -> list[int]:
-    """powers, then their negations mod m reversed: slot ~k reads -powers[k] from the end."""
-    return powers + [m - p if p else 0 for p in reversed(powers)]
+def _slot(m: int, vector: list[int], k: int) -> int:
+    """vector[k] for a slot k >= 0; a slot ~c < 0 reads -vector[c] mod m."""
+    return vector[k] if k >= 0 else -vector[~k] % m
 
 
 def _class_powers(m: int, values: list[int], e: int) -> list[int]:
@@ -136,15 +137,15 @@ def _class_powers(m: int, values: list[int], e: int) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _row(j: int) -> tuple:
-    """(m, p0, values, bases, slots, classes, divisors, held) of row j: m = F_j,
-    bases = _signed(m, values), so bases[key] is the e = 1 entry of a slot or
-    the value of a class, and held = [(e', P)], P a period at every multiple
-    of e'.  held[0] starts as (1, p0); a call replaces it whole, and only by a
-    strictly smaller minimal period, so a thread can at worst keep a larger one."""
+    """(m, p0, values, slots, classes, divisors, held) of row j: m = F_j, each
+    class value once (_slot reads a negative slot as F_j - c where it is read),
+    and held = [(e', P)], P a period at every multiple of e'.  held[0] starts as
+    (1, p0); a call replaces it whole, and only by a strictly smaller minimal
+    period, so a thread can at worst keep a larger one."""
     m = fib_exact(j)
     p0 = pisano_period(m)
     values, slots, classes = _sign_classes(m, sequence_prefix(j, 1, p0))
-    return m, p0, values, _signed(m, values), slots, classes, _divisors(p0), [(1, p0)]
+    return m, p0, values, slots, classes, _divisors(p0), [(1, p0)]
 
 
 def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
@@ -168,7 +169,7 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
     if j > j_max:
         raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
-    m, p0, values, bases, slots, classes, divisors, held = _row(j)
+    m, p0, values, slots, classes, divisors, held = _row(j)
     keys = slots if e % 2 else classes
     # raising x_{i+P}^e' = x_i^e' to the power e / e' gives period P at e
     e1, P = held[0]
@@ -182,9 +183,11 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
             compress(count(), map(ne, keys, islice(keys, d, None))), None
         )
         if i is not None:
-            if read is None and pow(bases[keys[i]], e, m) == pow(bases[keys[i + d]], e, m):
+            if read is None and pow(_slot(m, values, keys[i]), e, m) == pow(
+                _slot(m, values, keys[i + d]), e, m
+            ):
                 powers = _class_powers(m, values, e)
-                read = (_signed(m, powers) if e % 2 else powers).__getitem__
+                read = partial(_slot, m, powers) if e % 2 else powers.__getitem__
             if read is not None:
                 pairs = map(ne, map(read, keys[i:]), map(read, keys[i + d :]))
                 i = next(compress(count(i), pairs), None)
@@ -195,9 +198,4 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         checked.append(DivisorCheck(d, "fails", i))
     if power_period < P:
         held[0] = (e, power_period)
-    return OracleTrace(
-        modulus=m,
-        pisano=p0,
-        power_period=power_period,
-        checked_divisors=tuple(checked),
-    )
+    return OracleTrace(m, p0, power_period, tuple(checked))
