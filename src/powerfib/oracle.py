@@ -1,9 +1,11 @@
 """Brute-force certification of periods, sharing no logic with the closed forms.
 
-The window comes from single-step pair iteration and every divisor of the
-Pisano period is scanned in turn, with a witness recorded for each that
-fails; no step reads a closed form, so a disagreement with the closed-form
-route points at a real mathematical problem rather than shared code.
+The window comes from single-step pair iteration: one walk per row, stopped
+where (F_i, F_{i+1}) mod F_j is (0, 1) again, so its length is the Pisano
+period p0.  Every divisor of p0 is scanned in turn, with a witness recorded
+for each that fails; no step reads a closed form, so a disagreement with the
+closed-form route points at a real mathematical problem rather than shared
+code.
 
 F_i^e mod F_j depends only on F_i mod F_j, and (F_j - x)^e = (-1)^e x^e, so
 the window entries fall into classes: the distinct c = min(x, F_j - x) over
@@ -11,19 +13,21 @@ the e = 1 window x = F_i mod F_j.  Which index falls in which class, and how
 many classes there are, is found by walking that window, not assumed.  Each
 entry has a slot, its class and sign.  Entries with equal slots are equal at
 every e, and entries with equal classes at every even e, so a divisor d is
-compared on these keys first: slots at odd e, classes at even e.  Only the
-first pair whose keys differ is powered; if its two values differ, that index
-is the witness, and only if they are equal is the vector [c^e mod F_j] built,
-one pow per class, and compared from there on; the vector serves that call
-alone.  The oracle keeps the row of its last j, by lru_cache(maxsize=1), for
-a call at any e: F_j, the Pisano period p0, each class value once, each
-entry's slot and class, the divisors of p0 and one held pair (e', P): the
-smallest minimal period P found so far, at e'.  A negative slot's entry,
-F_j - c, is computed only where it is read; the row holds 19.9 MiB at
-j = 20000, and powerfib.oracle._row.cache_clear() frees it.  Raising
-x_{i+P}^e' = x_i^e' to the power e / e' gives period P at every multiple e
-of e', so there the scan takes d = P as holding without comparing: every
-smaller divisor is still compared, and the trace is the cold one.
+compared on these keys first: slots at odd e, classes at even e.  The keys
+depend on e only through its parity, so the row keeps, per parity, the first
+index where each scanned divisor's keys differ.  Only that pair is powered;
+if its two values differ, that index is the witness, and only if they are
+equal is the vector [c^e mod F_j] built, one pow per class, and compared from
+there on; the vector serves that call alone.  The oracle keeps the row of its
+last j, by lru_cache(maxsize=1), for a call at any e: F_j, p0, each class
+value once, each entry's slot and class, the divisors of p0, those first
+indexes and one held pair (e', P): the smallest minimal period P found so
+far, at e'.  A negative slot's entry, F_j - c, is computed only where it is
+read; the row holds 19.9 MiB at j = 20000, and
+powerfib.oracle._row.cache_clear() frees it.  Raising x_{i+P}^e' = x_i^e' to
+the power e / e' gives period P at every multiple e of e', so there the scan
+takes d = P as holding without comparing: every smaller divisor is still
+compared, and the trace is the cold one.
 """
 
 from __future__ import annotations
@@ -53,24 +57,27 @@ def pisano_period(m: int) -> int:
             return k
 
 
-def sequence_prefix(j: int, e: int, n: int) -> list[int]:
-    """First n terms of (F_i^e mod F_j), by single-step iteration."""
+def sequence_prefix(j: int, e: int, n: int | None = None) -> list[int]:
+    """First n terms of (F_i^e mod F_j), by single-step iteration; without n,
+    one Pisano period of F_j: up to where (F_i, F_{i+1}) mod F_j is (0, 1) again."""
     if j < 3:
         raise InvalidModulusError(
             f"modulus F_{j} is below 2; base cases are handled by period_closed_form"
         )
     if e < 1:
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-    if n < 1:
+    if n is not None and n < 1:
         raise OutOfDomainError(f"prefix length must be at least 1, got {n}")
     m = fib_exact(j)
     out = []
     a, b = 0, 1
-    for _ in range(n):
+    for _ in count() if n is None else range(n):
         out.append(a)
         a, b = b, a + b
         if b >= m:
             b -= m
+        if a == 0 and b == 1 and n is None:
+            break
     # F_i mod F_j is already its own first power
     return out if e == 1 else list(map(pow, out, repeat(e), repeat(m)))
 
@@ -137,15 +144,19 @@ def _class_powers(m: int, values: list[int], e: int) -> list[int]:
 
 @lru_cache(maxsize=1)
 def _row(j: int) -> tuple:
-    """(m, p0, values, slots, classes, divisors, held) of row j: m = F_j, each
-    class value once (_slot reads a negative slot as F_j - c where it is read),
-    and held = [(e', P)], P a period at every multiple of e'.  held[0] starts as
-    (1, p0); a call replaces it whole, and only by a strictly smaller minimal
-    period, so a thread can at worst keep a larger one."""
+    """(m, p0, values, slots, classes, divisors, firsts, held) of row j: m = F_j,
+    p0 the length of its one e = 1 walk, each class value once (_slot reads a
+    negative slot as F_j - c where it is read), firsts[e % 2] a dict from each
+    divisor d scanned at that parity to the first i with keys[i] != keys[i + d],
+    or None (threads that fill one entry write the same value), and held =
+    [(e', P)], P a period at every multiple of e'.  held[0] starts as (1, p0); a
+    call replaces it whole, and only by a strictly smaller minimal period, so a
+    thread can at worst keep a larger one."""
     m = fib_exact(j)
-    p0 = pisano_period(m)
-    values, slots, classes = _sign_classes(m, sequence_prefix(j, 1, p0))
-    return m, p0, values, slots, classes, _divisors(p0), [(1, p0)]
+    window = sequence_prefix(j, 1)
+    p0 = len(window)
+    values, slots, classes = _sign_classes(m, window)
+    return m, p0, values, slots, classes, _divisors(p0), ({}, {}), [(1, p0)]
 
 
 def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
@@ -169,8 +180,9 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
     if j > j_max:
         raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
-    m, p0, values, slots, classes, divisors, held = _row(j)
+    m, p0, values, slots, classes, divisors, firsts, held = _row(j)
     keys = slots if e % 2 else classes
+    first = firsts[e % 2]
     # raising x_{i+P}^e' = x_i^e' to the power e / e' gives period P at e
     e1, P = held[0]
     carried = P if e % e1 == 0 else p0
@@ -178,10 +190,10 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in divisors:
-        # every pair before the first whose keys differ is equal at e
-        i = None if d == carried else next(
-            compress(count(), map(ne, keys, islice(keys, d, None))), None
-        )
+        if d != carried and d not in first:
+            # every pair before the first whose keys differ is equal at e
+            first[d] = next(compress(count(), map(ne, keys, islice(keys, d, None))), None)
+        i = None if d == carried else first[d]
         if i is not None:
             if read is None and pow(_slot(m, values, keys[i]), e, m) == pow(
                 _slot(m, values, keys[i + d]), e, m

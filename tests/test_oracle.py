@@ -59,6 +59,17 @@ def test_sequence_prefix_domain():
         sequence_prefix(6, 0, 5)
     with pytest.raises(OutOfDomainError):
         sequence_prefix(6, 1, 0)
+    with pytest.raises(OutOfDomainError):
+        sequence_prefix(6, 1, -1)
+
+
+def test_sequence_prefix_without_n_walks_one_pisano_period():
+    for j in range(3, 401):
+        assert len(sequence_prefix(j, 1)) == pisano_period(fib_exact(j)), j
+    for j in range(3, 121):
+        p0 = pisano_period(fib_exact(j))
+        for e in (2, 5):
+            assert sequence_prefix(j, e) == sequence_prefix(j, e, p0), (j, e)
 
 
 def test_sequence_prefix_agrees_with_fast_doubling():
@@ -418,10 +429,9 @@ def test_scan_builds_one_window_per_row(monkeypatch, capsys):
             calls[name].clear()
         assert cli.main(["scan", "20..23", e_range, "--j-max", "25"]) == 0
         assert capsys.readouterr().out.endswith(f"cells={cells} disagreements=0\n")
-        assert len(calls["pisano_period"]) == 4, e_range
-        # one e = 1 walk per row, whatever exponent the row starts at
-        walks = [(j, e) for j, e, _ in calls["sequence_prefix"]]
-        assert walks == [(j, 1) for j in range(20, 24)], e_range
+        assert calls["pisano_period"] == [], e_range
+        # one e = 1 walk of one Pisano period per row, whatever exponent the row starts at
+        assert calls["sequence_prefix"] == [(j, 1) for j in range(20, 24)], e_range
 
 
 def _powerfib_imports(source: str) -> set[str]:
