@@ -53,7 +53,7 @@ TABLE_MAX_DIGITS = 2 * 10**7
 
 # log10(phi) = 0.208987640249978733769..., times 10^20 and rounded up
 _DIGITS_PER_INDEX = 20898764024997873377
-# the oracle's digit limit where printing has none; Python 3.10 has no limit
+# the oracle's digit limit where printing has none; Python before 3.10.7 has no limit
 _DEFAULT_MAX_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 

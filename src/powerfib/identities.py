@@ -9,7 +9,6 @@ results into reports that carry a genuine counterexample when one exists.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -240,9 +239,8 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
     F_i mod F_j is walked once, and F_j stripped once by each distinct
     residue x (_strip): x^e vanishes exactly when e >= rounds and the rest
     is 1; a rest above 1 holds a prime no power of x has.  So a row depends
-    on e only through which of the finite rounds are at most e, and is
-    built once per distinct set of them: every other e, of any size,
-    reuses it.
+    on e only through the set of residues that vanish at e, and is built
+    once per distinct set: every other e, of any size, reuses it.
     """
     if j < 4:
         raise OutOfDomainError(f"zero positions need j >= 4, got {j}")
@@ -260,17 +258,15 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
     # the least e at which x^e vanishes, for each residue x with one
     strips = {x: _strip(m, x) for x in set(residues)}
     vanish = {x: rounds for x, (rest, rounds) in strips.items() if rest == 1}
-    rounds = sorted(set(vanish.values()))
     divides = bytearray(i_max + 1)
     divides[::j] = b"\1" * (i_max // j + 1)
     divides = bytes(divides)
-    rows = {}  # how many of rounds are <= e -> that e's parts
+    rows = {}  # the residues that vanish at e -> that e's parts
     for e in es:
-        key = bisect.bisect_right(rounds, e)
-        if key not in rows:
-            zeros = {x for x, least in vanish.items() if least <= e}
-            rows[key] = (_Part(bytes(map(zeros.__contains__, residues)), divides),)
-        yield zip(itertools.repeat(j), itertools.repeat(e), range(i_max + 1)), rows[key]
+        zeros = frozenset(x for x, least in vanish.items() if least <= e)
+        if zeros not in rows:
+            rows[zeros] = (_Part(bytes(map(zeros.__contains__, residues)), divides),)
+        yield zip(itertools.repeat(j), itertools.repeat(e), range(i_max + 1)), rows[zeros]
 
 
 def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:

@@ -1,11 +1,11 @@
 """Closed-form residue tables covering one full minimal period.
 
-Every table, whatever its exponent, is gathered from the exponent 1 slot
-list and the powers of exact small Fibonacci values F_0 .. F_{j//2}, never
-by iterating the recurrence modulo F_j.  That keeps it independent of the
-modular iteration in `oracle`, which certifies it.  The paper's closed
-forms for e = 1 and e = 2 survive as the formula labels of
-`case_breakdown`.
+Every table, whatever its exponent, is built by `residues_general` from
+the exponent 1 slot list and the powers of exact small Fibonacci values
+F_0 .. F_{j//2}, never by iterating the recurrence modulo F_j.  That
+keeps it independent of the modular iteration in `oracle`, which
+certifies it.  The paper's closed forms for e = 1 and e = 2 survive as
+the formula labels of `case_breakdown`.
 """
 
 from __future__ import annotations
@@ -90,9 +90,33 @@ def _e2_labels(j: int) -> Iterator[str]:
             yield f"rho[{2 * j - i}]"
 
 
-def _powered_e1_table(j: int, e: int) -> ResidueTable:
-    # rho_i = +-F_k mod F_j at e = 1 gives F_i^e = (+-1)^e F_k^e mod F_j,
-    # so one period needs only the j + 1 powers F_0^e .. F_j^e
+def residues_e1(j: int) -> ResidueTable:
+    """Exponent 1 table for j >= 4: period 2j for even j, 4j for odd j."""
+    return residues_general(j, 1)
+
+
+def residues_e2(j: int) -> ResidueTable:
+    """Exponent 2 table for j >= 4: period j for even j, 2j for odd j."""
+    return residues_general(j, 2)
+
+
+def residues_general(j: int, e: int) -> ResidueTable:
+    """Any exponent e >= 1, from the exponent 1 closed form: the one
+    builder of every table, residues_e1 and residues_e2 included.
+
+    Every e = 1 entry is +-F_k mod F_j for some k <= j, so each entry here
+    is F_k^e mod F_j, negated when the e = 1 entry is and e is odd: the
+    whole period takes only the j + 1 powers of exact small Fibonacci
+    values.  Only the even powers F_k^(e - e % 2) for k <= j // 2 are taken:
+    d'Ocagne's and Cassini's identities give F_{j-k}^2 = (-1)^j F_k^2 mod
+    F_j, so F_{j-k}^e is that even power up to a sign, times the exact
+    F_{j-k} at odd e, as F_k^e is it times F_k.  Exponent 2 is no special
+    case: the paper's formulas for it are only the labels of
+    case_breakdown.  The length comes from period_closed_form, which
+    divides the e = 1 period; neither the length nor the entries come from
+    the oracle, so its modular iteration and minimality scan stay an
+    independent second route.
+    """
     _require_j(j)
     period = period_closed_form(j, e).period
     fs = fib_prefix(j + 1)
@@ -117,35 +141,6 @@ def _powered_e1_table(j: int, e: int) -> ResidueTable:
     negated = [m - p if p else 0 for p in powers] if e % 2 == 1 else powers
     res = tuple(map((powers + negated).__getitem__, _e1_slots(j)[:period]))
     return ResidueTable(j=j, e=e, modulus=m, period=period, residues=res)
-
-
-def residues_e1(j: int) -> ResidueTable:
-    """Exponent 1 table for j >= 4: period 2j for even j, 4j for odd j."""
-    return _powered_e1_table(j, 1)
-
-
-def residues_e2(j: int) -> ResidueTable:
-    """Exponent 2 table for j >= 4: period j for even j, 2j for odd j."""
-    return _powered_e1_table(j, 2)
-
-
-def residues_general(j: int, e: int) -> ResidueTable:
-    """Any exponent e >= 1, from the exponent 1 closed form.
-
-    Every e = 1 entry is +-F_k mod F_j for some k <= j, so each entry here
-    is F_k^e mod F_j, negated when the e = 1 entry is and e is odd: the
-    whole period takes only the j + 1 powers of exact small Fibonacci
-    values.  Only the even powers F_k^(e - e % 2) for k <= j // 2 are taken:
-    d'Ocagne's and Cassini's identities give F_{j-k}^2 = (-1)^j F_k^2 mod
-    F_j, so F_{j-k}^e is that even power up to a sign, times the exact
-    F_{j-k} at odd e, as F_k^e is it times F_k.  Exponent 2 is no special
-    case: the paper's formulas for it are only the labels of
-    case_breakdown.  The length comes from period_closed_form, which
-    divides the e = 1 period; neither the length nor the entries come from
-    the oracle, so its modular iteration and minimality scan stay an
-    independent second route.
-    """
-    return _powered_e1_table(j, e)
 
 
 def case_breakdown(j: int, e: int) -> tuple[str, ...]:

@@ -674,6 +674,18 @@ def test_zero_witnesses_with_gaps_and_out_of_order(monkeypatch, es):
     assert plain == [{1: 8, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
 
 
+def test_zero_rows_build_one_row_per_vanishing_set(monkeypatch):
+    # mod 32 in place of F_8 = 21: F_6 = 8 vanishes from e = 2, F_3 = 2 from
+    # e = 5, so seven exponents need only three rows: e = 1, e in 2..4, e >= 5
+    monkeypatch.setattr(identities, "fib_exact", lambda n: 32 if n == 8 else fib_exact(n))
+    built = []
+    part = identities._Part
+    monkeypatch.setattr(identities, "_Part", lambda *args: built.append(args) or part(*args))
+    rows = [row for _, row in identities._zero_rows(8, [1, 2, 3, 4, 5, 6, 10**18], 40)]
+    assert len(built) == 3
+    assert rows[1] is rows[2] is rows[3] and rows[4] is rows[5] is rows[6]
+
+
 @settings(max_examples=200)
 @given(
     st.integers(4, 40),
