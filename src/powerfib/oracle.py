@@ -16,14 +16,21 @@ every e, and entries with equal classes at every even e, so a divisor d is
 compared on these keys first: slots at odd e, classes at even e.  The keys
 depend on e only through its parity, so the row keeps, per parity, the first
 index where each scanned divisor's keys differ.  Only that pair is powered;
-if its two values differ, that index is the witness, and only if they are
-equal is the vector [c^e mod F_j] built, one pow per class, and compared from
-there on; the vector serves that call alone.  The oracle keeps the row of its
-last j, by lru_cache(maxsize=1), for a call at any e: F_j, p0, each class
-value once, each entry's slot and class, the divisors of p0, those first
-indexes and one held pair (e', P): the smallest minimal period P found so
-far, at e'.  A negative slot's entry, F_j - c, is computed only where it is
-read; the row holds 19.9 MiB at j = 20000, and
+if its two values differ, that index is the witness.  If they are equal at
+an even e, the scan goes on from there on square keys: c^2 mod F_j at e = 2
+(mod 4), and c^2 mod F_j up to sign at e = 0 (mod 4), since equal squares
+are equal at every even e and squares equal up to sign at every e divisible
+by 4.  The squares cost one pow per class, whatever e is, and the row keeps
+the first index where each divisor's square keys differ, one memo per
+keying.  Only the pair found there is powered.  The vector [c^e mod F_j] is
+built, one pow per class, and compared from there on, only where the last
+pair powered is equal: the slots' pair at odd e, the square keys' pair at
+even e; the squares and the vector serve that call alone.  The oracle keeps
+the row of its last j, by lru_cache(maxsize=1), for a call at any e: F_j,
+p0, each class value once, each entry's slot and class, the divisors of p0,
+those first indexes and one held pair (e', P): the smallest minimal period P
+found so far, at e'.  A negative slot's entry, F_j - c, is computed only
+where it is read; the row holds 19.9 MiB at j = 20000, and
 powerfib.oracle._row.cache_clear() frees it.  Raising x_{i+P}^e' = x_i^e' to
 the power e / e' gives period P at every multiple e of e', so there the scan
 takes d = P as holding without comparing: every smaller divisor is still
@@ -36,7 +43,7 @@ from functools import lru_cache, partial
 from itertools import compress, count, islice, repeat
 from math import isqrt
 from operator import ne
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact
@@ -142,21 +149,45 @@ def _class_powers(m: int, values: list[int], e: int) -> list[int]:
     return list(map(pow, values, repeat(e), repeat(m)))
 
 
+def _first_unequal(
+    keys: list[int], d: int, i: int = 0, read: Callable[[int], int] | None = None
+) -> int | None:
+    """The first n >= i with keys[n] != keys[n + d], read by read if given, or None."""
+    left, right = islice(keys, i, None), islice(keys, i + d, None)
+    if read is not None:
+        left, right = map(read, left), map(read, right)
+    return next(compress(count(i), map(ne, left, right)), None)
+
+
+def _powers_equal(m: int, values: list[int], keys: list[int], i: int, d: int, e: int) -> bool:
+    """Whether entries i and i + d, read by their keys, are equal at e."""
+    return pow(_slot(m, values, keys[i]), e, m) == pow(_slot(m, values, keys[i + d]), e, m)
+
+
+def _square_keys(m: int, values: list[int], e: int) -> list[int]:
+    """Each class's square key at even e: its value's square s mod m where
+    e = 2 (mod 4), and s up to sign, min(s, m - s), where 4 | e."""
+    squares = _class_powers(m, values, 2)
+    return squares if e % 4 else [min(s, m - s) for s in squares]
+
+
 @lru_cache(maxsize=1)
 def _row(j: int) -> tuple:
     """(m, p0, values, slots, classes, divisors, firsts, held) of row j: m = F_j,
     p0 the length of its one e = 1 walk, each class value once (_slot reads a
     negative slot as F_j - c where it is read), firsts[e % 2] a dict from each
     divisor d scanned at that parity to the first i with keys[i] != keys[i + d],
-    or None (threads that fill one entry write the same value), and held =
-    [(e', P)], P a period at every multiple of e'.  held[0] starts as (1, p0); a
-    call replaces it whole, and only by a strictly smaller minimal period, so a
-    thread can at worst keep a larger one."""
+    or None, and firsts[2 + e % 4 // 2] the same for the square keys at an even
+    e (threads that fill one entry write the same value), and held = [(e', P)],
+    P a period at every multiple of e'.  held[0] starts as (1, p0); a call
+    replaces it whole, and only by a strictly smaller minimal period, so a
+    thread can at worst keep a larger one.  The row keeps no squares or powers:
+    those serve one call."""
     m = fib_exact(j)
     window = sequence_prefix(j, 1)
     p0 = len(window)
     values, slots, classes = _sign_classes(m, window)
-    return m, p0, values, slots, classes, _divisors(p0), ({}, {}), [(1, p0)]
+    return m, p0, values, slots, classes, _divisors(p0), ({}, {}, {}, {}), [(1, p0)]
 
 
 def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
@@ -183,26 +214,35 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
     m, p0, values, slots, classes, divisors, firsts, held = _row(j)
     keys = slots if e % 2 else classes
     first = firsts[e % 2]
+    square_first = firsts[2 + e % 4 // 2]
     # raising x_{i+P}^e' = x_i^e' to the power e / e' gives period P at e
     e1, P = held[0]
     carried = P if e % e1 == 0 else p0
+    squares = None  # each class's square key at even e, once keys leave a check open
     read = None  # an entry's e-th power by its key, once the vector for e is built
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in divisors:
         if d != carried and d not in first:
             # every pair before the first whose keys differ is equal at e
-            first[d] = next(compress(count(), map(ne, keys, islice(keys, d, None))), None)
+            first[d] = _first_unequal(keys, d)
         i = None if d == carried else first[d]
-        if i is not None:
-            if read is None and pow(_slot(m, values, keys[i]), e, m) == pow(
-                _slot(m, values, keys[i + d]), e, m
-            ):
+        if i is not None and read is None and _powers_equal(m, values, keys, i, d, e):
+            if e % 2 == 0:
+                # equal squares are equal at every even e, and equal up to
+                # sign at every e divisible by 4, so the keys' first unequal
+                # pair is equal at e and the squares are scanned from it
+                if d not in square_first:
+                    if squares is None:
+                        squares = _square_keys(m, values, e)
+                    square_first[d] = _first_unequal(classes, d, i, squares.__getitem__)
+                i = square_first[d]
+            # at even e the pair whose square keys differ is powered first
+            if i is not None and (e % 2 or _powers_equal(m, values, keys, i, d, e)):
                 powers = _class_powers(m, values, e)
                 read = partial(_slot, m, powers) if e % 2 else powers.__getitem__
-            if read is not None:
-                pairs = map(ne, map(read, keys[i:]), map(read, keys[i + d :]))
-                i = next(compress(count(i), pairs), None)
+        if read is not None and i is not None:
+            i = _first_unequal(keys, d, i, read)
         if i is None:
             checked.append(DivisorCheck(d, "holds"))
             power_period = d

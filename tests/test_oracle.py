@@ -247,7 +247,8 @@ def test_row_starting_above_e1_takes_the_one_cold_path():
         assert minimal_period_bruteforce(300, e, j_max=300) == _cold_trace(300, e), e
 
 
-def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypatch):
+def _count_class_powers(monkeypatch) -> list:
+    """Record (m, values, e, powers) of every _class_powers call from here on."""
     built = []
     class_powers = oracle._class_powers
 
@@ -257,19 +258,59 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
         return powers
 
     monkeypatch.setattr(oracle, "_class_powers", counted)
+    return built
+
+
+def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypatch):
+    built = _count_class_powers(monkeypatch)
     oracle._row.cache_clear()
     for j in range(7, 41):
         built.clear()
         for e in range(1, 9):
             minimal_period_bruteforce(j, e, j_max=40)
         # slots settle every odd e; classes settle e = 2 (mod 4) when j is odd;
-        # the period of e = 4 (odd j) or e = 2 (even j) holds at its multiples
-        assert [e for _, _, e, _ in built] == ([4] if j % 2 else [2]), j
+        # where they leave a check open, at e = 4 (odd j) or e = 2 (even j),
+        # the squares settle it, and that period holds at its multiples: the
+        # one call squares the classes, and no row builds an e-th power vector
+        assert [e for _, _, e, _ in built] == [2], j
         m = fib_exact(j)
         values = _sign_classes_per_entry(m, sequence_prefix(j, 1, pisano_period(m)))[0]
         for got_m, got_values, e, powers in built:
             assert (got_m, got_values) == (m, values), (j, e)
             assert powers == [pow(c, e, m) for c in values], (j, e)
+    # rows starting at a huge multiple of 4, with no period held from below:
+    # an odd j squares its classes at 4 | e; an even j, whose classes leave
+    # checks open at both even residues mod 4, squares them once per keying
+    oracle._row.cache_clear()
+    for j in range(7, 201):
+        built.clear()
+        for e in range(10**18, 10**18 + 4):
+            minimal_period_bruteforce(j, e, j_max=200)
+        assert [e for _, _, e, _ in built] == ([2] if j % 2 else [2, 2]), j
+
+
+def test_square_keys_are_exact_at_e_2_mod_4_and_up_to_sign_at_4_divides_e(monkeypatch):
+    # mod 65, 14^2 = 1 and 57^2 = -1: the window [1, 1, 14, 57] has equal
+    # classes only where its values are equal, squares equal up to sign
+    # everywhere, and squares equal exactly except at 57
+    m, window = 65, [1, 1, 14, 57]
+    built = _count_class_powers(monkeypatch)
+    for e, want in (
+        (2, [DivisorCheck(1, "fails", 2), DivisorCheck(2, "fails", 1), DivisorCheck(4, "holds")]),
+        (4, [DivisorCheck(1, "holds")]),
+    ):
+        # a fresh row per exponent, the oracle's own layout for a window of period 4
+        values, slots, classes = oracle._sign_classes(m, window)
+        row = (m, 4, values, slots, classes, [1, 2, 4], ({}, {}, {}, {}), [(1, 4)])
+        monkeypatch.setattr(oracle, "_row", lambda j: row)
+        built.clear()
+        trace = minimal_period_bruteforce(3, e)
+        assert trace == OracleTrace(m, 4, want[-1].d, tuple(want)), e
+        powered = [pow(x, e, m) for x in window]
+        for c in want[:-1]:
+            assert powered[c.witness_index] != powered[c.witness_index + c.d], (e, c)
+        # the squares settle every check: no e-th power vector is built
+        assert [got for _, _, got, _ in built] == [2], e
 
 
 def test_odd_exponents_build_power_vectors_only_at_j6(monkeypatch):
@@ -278,19 +319,12 @@ def test_odd_exponents_build_power_vectors_only_at_j6(monkeypatch):
     # for d = qj), so a vector needs F_j | F_d^e with j not dividing d: a
     # primitive prime of F_j forbids it for j not in {6, 12}, no one F_d holds
     # both 2 and 3 of F_12, and F_3^e = 2^e is 0 mod F_6 = 8 from e = 3 on
-    built = []
-    class_powers = oracle._class_powers
-
-    def counted(m, values, e):
-        built.append((m, e))
-        return class_powers(m, values, e)
-
-    monkeypatch.setattr(oracle, "_class_powers", counted)
+    built = _count_class_powers(monkeypatch)
     oracle._row.cache_clear()
     for j in range(3, 201):
         for e in range(1, 42, 2):
             minimal_period_bruteforce(j, e, j_max=200)
-    assert built == [(8, e) for e in range(3, 42, 2)]
+    assert [(m, e) for m, _, e, _ in built] == [(8, e) for e in range(3, 42, 2)]
 
 
 @given(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, max_size=8))
@@ -352,6 +386,21 @@ def test_row_keeps_each_class_value_once():
     tracemalloc.start()
     try:
         p0 = minimal_period_bruteforce(j, 1, j_max=j).pisano
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 0.6 * p0 * sys.getsizeof(fib_exact(j))
+
+
+def test_row_keeps_no_squares_or_powers_after_calls_at_every_residue_mod_4():
+    # each call's squares and e-th powers serve that call alone: after e in
+    # 1..8 a row holds what a cold e = 1 row holds, within the same bound
+    j = 5000
+    oracle._row.cache_clear()
+    tracemalloc.start()
+    try:
+        for e in range(1, 9):
+            p0 = minimal_period_bruteforce(j, e, j_max=j).pisano
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
