@@ -1,0 +1,80 @@
+"""Certify the closed forms against the oracle on every grid CI checks.
+
+Run from the repository root, with no arguments:
+
+    PYTHONPATH=src python tools/certify.py
+
+CLAIMS is the one list of certification grids.  A claim is a name, the
+work to run and the exact line that work must print last.  Each claim
+runs in this process after the oracle's cached row is cleared, so every
+grid starts as cold as it would in a process of its own.  One line per
+claim goes to stdout: its name, the line its work printed, ok or
+MISMATCH, and its seconds.  The exit status is 1 if any claim mismatched.
+"""
+
+import contextlib
+import io
+import sys
+import time
+
+from powerfib import cli, oracle
+from powerfib.residue_tables import residues_general
+
+
+def _scan(argv: str, expected: str) -> tuple:
+    """A claim on `powerfib scan <argv>`, whose last stdout line must be expected."""
+
+    def run() -> str:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main(["scan", *argv.split()])
+        return (out.getvalue().splitlines() or [""])[-1]
+
+    return f"scan {argv}", run, expected
+
+
+def _tables() -> str:
+    """Compare every table for j in 4..400, e in 1..8 with the oracle's window."""
+    tables = [residues_general(j, e) for j in range(4, 401) for e in range(1, 9)]
+    bad = sum(list(t.residues) != oracle.sequence_prefix(t.j, t.e, t.period) for t in tables)
+    return f"tables={len(tables)} mismatches={bad}"
+
+
+CLAIMS = [
+    _scan("3..1000 1..10 --j-max 1000", "cells=9980 disagreements=0"),
+    # the same rows started above e = 1
+    _scan("3..1000 2..11 --j-max 1000", "cells=9980 disagreements=0"),
+    # each row serves 50 or 100 calls and carries its held period to many multiples
+    _scan("3..200 1..50 --j-max 200", "cells=9900 disagreements=0"),
+    _scan("3..100 1..100 --j-max 100", "cells=9800 disagreements=0"),
+    # rows that start above every exponent the certify benchmark reaches
+    _scan("3..300 12..21 --j-max 300", "cells=2980 disagreements=0"),
+    # the rows above those, as far as table goes
+    _scan("1001..2000 1..8 --j-max 2000", "cells=8000 disagreements=0"),
+    _scan("2001..3000 1..8 --j-max 3000", "cells=8000 disagreements=0"),
+    # one row near the widest modulus the oracle's guards admit
+    _scan("20000..20000 1..8 --j-max 20000", "cells=8 disagreements=0"),
+    # rows starting at a huge multiple of 4, so even exponents are decided on square keys
+    _scan(
+        "3..1000 1000000000000000000..1000000000000000003 --j-max 1000",
+        "cells=3992 disagreements=0",
+    ),
+    ("tables 4..400 1..8", _tables, "tables=3176 mismatches=0"),
+]
+
+
+def main(claims: list = CLAIMS) -> int:
+    failed = False
+    for name, run, expected in claims:
+        oracle._row.cache_clear()
+        start = time.perf_counter()
+        line = run()
+        seconds = time.perf_counter() - start
+        verdict = "ok" if line == expected else "MISMATCH"
+        failed |= verdict != "ok"
+        print(f"{name} | {line} | {verdict} | {seconds:.2f} s", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
