@@ -22,7 +22,7 @@ _PUBLIC = {
         "check_square_lemma", "check_zero_positions", "primitive_prime_divisor",
     ),
     "oracle": (
-        "DEFAULT_J_MAX", "DivisorCheck", "OracleTrace",
+        "DivisorCheck", "OracleTrace",
         "minimal_period_bruteforce", "pisano_period", "sequence_prefix",
     ),
     "periodicity": ("PeriodResult", "period_closed_form"),

@@ -36,7 +36,7 @@ import sys
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from .fibcore import fib_exact
 from .identities import ALL_PASS, NOT_APPLICABLE, VERIFY_SUITE
-from .oracle import DEFAULT_J_MAX, minimal_period_bruteforce
+from .oracle import OracleTrace, minimal_period_bruteforce
 from .periodicity import period_closed_form
 from .residue_tables import case_breakdown, residues_general
 
@@ -45,6 +45,8 @@ EXIT_USAGE = 1
 EXIT_DISAGREEMENT = 2
 EXIT_GUARD = 3
 
+# --j-max's default: the largest j of an oracle row
+J_MAX = 25
 # the most (j, e) cells one scan checks; admits `scan 3..1000 1..10` (9980)
 SCAN_MAX_CELLS = 10_000
 # the most residue digits one table holds, estimated as its period times the
@@ -126,6 +128,17 @@ def _require_oracle_row(j: int) -> None:
         )
 
 
+def _oracle_trace(args) -> OracleTrace:
+    """The oracle's trace once the two digit guards, then --j-max, admit
+    args.j; a j or e outside the oracle's domain skips them for its domain error."""
+    if args.j >= 3 and args.e >= 1:
+        _require_printable_fib(args.j)
+        _require_oracle_row(args.j)
+        if args.j > args.j_max:
+            raise ResourceGuardError(f"j={args.j} exceeds the oracle guard j_max={args.j_max}")
+    return minimal_period_bruteforce(args.j, args.e)
+
+
 # ------------------------------------------------------------------- period
 
 
@@ -149,9 +162,7 @@ def cmd_period(args) -> tuple[int, dict]:
             "agreement": None,
             "note": "oracle skipped: modulus F_j is below 2 (base case)",
         }
-    _require_printable_fib(args.j)
-    _require_oracle_row(args.j)
-    trace = minimal_period_bruteforce(args.j, args.e, j_max=args.j_max)
+    trace = _oracle_trace(args)
     agreement = trace.power_period == result.period
     return EXIT_OK if agreement else EXIT_DISAGREEMENT, {
         "closed_form": closed,
@@ -242,12 +253,7 @@ def _table_csv(rec: dict) -> list[str]:
 
 
 def cmd_oracle(args) -> tuple[int, dict]:
-    # the oracle itself rejects a j or e outside its domain before any work,
-    # so a bad request is a domain error whatever the size of F_j
-    if args.j >= 3 and args.e >= 1:
-        _require_printable_fib(args.j)
-        _require_oracle_row(args.j)
-    return EXIT_OK, minimal_period_bruteforce(args.j, args.e, j_max=args.j_max).to_record()
+    return EXIT_OK, _oracle_trace(args).to_record()
 
 
 def _oracle_plain(rec: dict) -> list[str]:
@@ -329,7 +335,7 @@ def cmd_scan(args) -> tuple[int, dict]:
     for j in range(j_lo, j_hi + 1):
         for e in range(e_lo, e_hi + 1):
             closed = period_closed_form(j, e).period
-            oracle = minimal_period_bruteforce(j, e, j_max=args.j_max).power_period
+            oracle = minimal_period_bruteforce(j, e).power_period
             cells.append(
                 {"j": j, "e": e, "closed_form": closed, "oracle": oracle, "agree": closed == oracle}
             )
@@ -381,7 +387,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="plain", help="output format")
         if j_max:
             guard = "oracle guard on j (default %(default)s)"
-            p.add_argument("--j-max", type=int, default=DEFAULT_J_MAX, help=guard)
+            p.add_argument("--j-max", type=int, default=J_MAX, help=guard)
         return p
 
     p = command("period", "closed-form minimal period", j_max=True)

@@ -45,15 +45,13 @@ from math import isqrt
 from operator import ne
 from typing import Callable, NamedTuple
 
-from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
-from .fibcore import fib_exact
+from .errors import InvalidModulusError, OutOfDomainError
+from .fibcore import _require_modulus, fib_exact
 
-DEFAULT_J_MAX = 25
 
 def pisano_period(m: int) -> int:
     """Smallest k >= 1 with (F_k, F_{k+1}) = (0, 1) mod m, by stepping pairs."""
-    if m < 2:
-        raise InvalidModulusError(f"modulus must be at least 2, got {m}")
+    _require_modulus(m)
     a, b = 0, 1
     for k in count(1):
         # a + b < 2m, so one subtraction reduces it
@@ -190,7 +188,7 @@ def _row(j: int) -> tuple:
     return m, p0, values, slots, classes, _divisors(p0), ({}, {}, {}, {}), [(1, p0)]
 
 
-def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> OracleTrace:
+def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
     """Minimal period of (F_i^e mod F_j) with divisor-by-divisor evidence.
 
     The Pisano period p0 of F_j is always a period of the power sequence,
@@ -209,8 +207,6 @@ def minimal_period_bruteforce(j: int, e: int, j_max: int = DEFAULT_J_MAX) -> Ora
         )
     if e < 1:
         raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-    if j > j_max:
-        raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
     m, p0, values, slots, classes, divisors, firsts, held = _row(j)
     keys = slots if e % 2 else classes
     first = firsts[e % 2]

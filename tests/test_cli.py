@@ -576,7 +576,7 @@ def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
     monkeypatch.setattr(
         cli,
         "minimal_period_bruteforce",
-        lambda j, e, j_max: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
+        lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
     )
     rc, out, _ = run(capsys, "scan", "3..1000", "1..10", "--j-max", "1000")
     assert (rc, out.splitlines()[-1]) == (0, "cells=9980 disagreements=0")
@@ -724,13 +724,27 @@ def test_huge_j_oracle_row_is_refused_before_any_work(
         assert err == _oracle_row_message(_HUGE_J, 4300)
 
 
+def test_j_max_is_checked_after_both_digit_guards(capsys, monkeypatch, digit_limit):
+    # at the default --j-max, a huge j is refused by the row's digit bound
+    for name in ("fib_exact", "minimal_period_bruteforce"):
+        monkeypatch.setattr(cli, name, _no_work)
+    sys.set_int_max_str_digits(0)
+    for command in (f"oracle {_HUGE_J} 1", f"period {_HUGE_J} 1 --verify"):
+        assert run(capsys, *command.split()) == (3, "", _oracle_row_message(_HUGE_J, 4300))
+    assert run(capsys, "oracle", "30", "1") == (
+        3,
+        "",
+        "resource guard: j=30 exceeds the oracle guard j_max=25\n",
+    )
+
+
 def test_oracle_row_guard_admits_every_printable_modulus(capsys, monkeypatch, digit_limit):
     # F_20577 has 4300 digits and a bound of 4301; F_20581 has 4301 digits
     # and the same bound, the first to exceed it is F_20582's, 4302
     monkeypatch.setattr(
         cli,
         "minimal_period_bruteforce",
-        lambda j, e, j_max: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
+        lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
     )
     for limit in (4300, 0):
         sys.set_int_max_str_digits(limit)

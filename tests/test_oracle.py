@@ -14,10 +14,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powerfib import cli, oracle
-from powerfib.errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
+from powerfib.errors import InvalidModulusError, OutOfDomainError
 from powerfib.fibcore import fib_exact, fib_mod, pow_mod
 from powerfib.oracle import (
-    DEFAULT_J_MAX,
     DivisorCheck,
     OracleTrace,
     minimal_period_bruteforce,
@@ -120,23 +119,21 @@ def test_trace_invariants_on_grid():
 
 
 def test_guard_and_domain():
-    with pytest.raises(ResourceGuardError):
-        minimal_period_bruteforce(DEFAULT_J_MAX + 1, 1)
     with pytest.raises(OutOfDomainError):
         minimal_period_bruteforce(2, 1)
     with pytest.raises(OutOfDomainError):
         minimal_period_bruteforce(6, 0)
-    # a bad exponent is a domain error before the guard looks at j
-    for j in (DEFAULT_J_MAX + 1, 10**400):
+    # a bad exponent is a domain error whatever the size of j
+    for j in (26, 10**400):
         for e in (0, -1):
             with pytest.raises(OutOfDomainError, match=f"exponent must be at least 1, got {e}"):
                 minimal_period_bruteforce(j, e)
 
 
 def test_guard_and_domain_with_that_j_remembered():
-    minimal_period_bruteforce(30, 1, j_max=30)
-    with pytest.raises(ResourceGuardError):
-        minimal_period_bruteforce(30, 2)
+    minimal_period_bruteforce(30, 1)
+    with pytest.raises(OutOfDomainError):
+        minimal_period_bruteforce(30, 0)
     minimal_period_bruteforce(6, 1)
     with pytest.raises(OutOfDomainError):
         minimal_period_bruteforce(6, 0)
@@ -145,8 +142,8 @@ def test_guard_and_domain_with_that_j_remembered():
 
 
 def test_guard_is_configurable():
-    trace = minimal_period_bruteforce(26, 1, j_max=30)
-    assert trace.power_period == 52
+    # only the command line's --j-max bounds j
+    assert minimal_period_bruteforce(26, 1).power_period == 52
 
 
 def test_to_record_shape():
@@ -195,7 +192,7 @@ _runs = st.tuples(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, m
 def test_remembered_window_gives_the_cold_trace(runs):
     for j, es in runs:
         for e in es:
-            assert minimal_period_bruteforce(j, e, j_max=j) == _cold_trace(j, e), (j, e)
+            assert minimal_period_bruteforce(j, e) == _cold_trace(j, e), (j, e)
 
 
 def _sign_classes_per_entry(
@@ -234,7 +231,7 @@ def test_scan_row_steps_sign_classes_to_cold_windows(j):
     # the second pass finds the row, and the pair it holds, from the first
     for _ in range(2):
         for e in range(1, 11):
-            assert minimal_period_bruteforce(j, e, j_max=j) == want[e], (j, e)
+            assert minimal_period_bruteforce(j, e) == want[e], (j, e)
 
 
 def test_row_starting_above_e1_takes_the_one_cold_path():
@@ -242,9 +239,9 @@ def test_row_starting_above_e1_takes_the_one_cold_path():
     # at e = 1; later calls reuse them
     oracle._row.cache_clear()
     for e in range(5, 11):
-        assert minimal_period_bruteforce(299, e, j_max=299) == _cold_trace(299, e), e
+        assert minimal_period_bruteforce(299, e) == _cold_trace(299, e), e
     for e in range(5, 11):
-        assert minimal_period_bruteforce(300, e, j_max=300) == _cold_trace(300, e), e
+        assert minimal_period_bruteforce(300, e) == _cold_trace(300, e), e
 
 
 def _count_class_powers(monkeypatch) -> list:
@@ -267,7 +264,7 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
     for j in range(7, 41):
         built.clear()
         for e in range(1, 9):
-            minimal_period_bruteforce(j, e, j_max=40)
+            minimal_period_bruteforce(j, e)
         # slots settle every odd e; classes settle e = 2 (mod 4) when j is odd;
         # where they leave a check open, at e = 4 (odd j) or e = 2 (even j),
         # the squares settle it, and that period holds at its multiples: the
@@ -285,7 +282,7 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
     for j in range(7, 201):
         built.clear()
         for e in range(10**18, 10**18 + 4):
-            minimal_period_bruteforce(j, e, j_max=200)
+            minimal_period_bruteforce(j, e)
         assert [e for _, _, e, _ in built] == ([2] if j % 2 else [2, 2]), j
 
 
@@ -323,7 +320,7 @@ def test_odd_exponents_build_power_vectors_only_at_j6(monkeypatch):
     oracle._row.cache_clear()
     for j in range(3, 201):
         for e in range(1, 42, 2):
-            minimal_period_bruteforce(j, e, j_max=200)
+            minimal_period_bruteforce(j, e)
     assert [(m, e) for m, _, e, _ in built] == [(8, e) for e in range(3, 42, 2)]
 
 
@@ -336,7 +333,7 @@ def test_row_holds_one_pair_replaced_only_by_a_smaller_period(j, es):
     held = (1, pisano_period(fib_exact(j)))
     for e in es:
         period = _cold_trace(j, e).power_period
-        assert minimal_period_bruteforce(j, e, j_max=j).power_period == period, (j, e)
+        assert minimal_period_bruteforce(j, e).power_period == period, (j, e)
         if period < held[1]:
             held = (e, period)
         assert oracle._row(j)[-1][0] == held, (j, es, e)
@@ -374,7 +371,7 @@ def test_traces_keep_their_digest(cells, digest):
     oracle._row.cache_clear()
     sha = hashlib.sha1()
     for j, e in cells:
-        sha.update(json.dumps(minimal_period_bruteforce(j, e, j_max=300).to_record()).encode())
+        sha.update(json.dumps(minimal_period_bruteforce(j, e).to_record()).encode())
     assert sha.hexdigest() == digest
 
 
@@ -385,7 +382,7 @@ def test_row_keeps_each_class_value_once():
     oracle._row.cache_clear()
     tracemalloc.start()
     try:
-        p0 = minimal_period_bruteforce(j, 1, j_max=j).pisano
+        p0 = minimal_period_bruteforce(j, 1).pisano
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -400,23 +397,23 @@ def test_row_keeps_no_squares_or_powers_after_calls_at_every_residue_mod_4():
     tracemalloc.start()
     try:
         for e in range(1, 9):
-            p0 = minimal_period_bruteforce(j, e, j_max=j).pisano
+            p0 = minimal_period_bruteforce(j, e).pisano
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert held <= 0.6 * p0 * sys.getsizeof(fib_exact(j))
 
 
-def test_one_row_is_kept_and_refused_calls_leave_it_alone():
+def test_one_row_is_kept_and_refused_calls_leave_it_alone(capsys):
     oracle._row.cache_clear()
     minimal_period_bruteforce(20, 3)
     minimal_period_bruteforce(21, 3)
     # the row of 21 replaced the row of 20: one row's memory at most
     kept = oracle._row.cache_info()
     assert (kept.misses, kept.currsize) == (2, 1)
-    # the domain checks and the guard run before any row is built or read
-    with pytest.raises(ResourceGuardError):
-        minimal_period_bruteforce(22, 3, j_max=21)
+    # the domain checks, and the command line's guard, run before any row is built or read
+    assert cli.main(["oracle", "22", "3", "--j-max", "21"]) == 3
+    assert capsys.readouterr().err == "resource guard: j=22 exceeds the oracle guard j_max=21\n"
     with pytest.raises(OutOfDomainError):
         minimal_period_bruteforce(21, 0)
     with pytest.raises(OutOfDomainError):

@@ -138,7 +138,7 @@ def test_agrees_with_bruteforce_on_small_grid():
 @example(6, 3)
 @example(200, 50)
 def test_agrees_with_bruteforce_on_wide_grid(j, e):
-    brute = minimal_period_bruteforce(j, e, j_max=200).power_period
+    brute = minimal_period_bruteforce(j, e).power_period
     assert period_closed_form(j, e).period == brute
 
 

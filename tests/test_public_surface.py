@@ -40,7 +40,6 @@ PUBLIC_NAMES = {
         "primitive_prime_divisor",
     ],
     "oracle": [
-        "DEFAULT_J_MAX",
         "DivisorCheck",
         "OracleTrace",
         "minimal_period_bruteforce",
