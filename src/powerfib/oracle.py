@@ -20,17 +20,16 @@ if its two values differ, that index is the witness.  If they are equal at
 an even e, the scan goes on from there on square keys: c^2 mod F_j at e = 2
 (mod 4), and c^2 mod F_j up to sign at e = 0 (mod 4), since equal squares
 are equal at every even e and squares equal up to sign at every e divisible
-by 4.  The squares cost one pow per class, whatever e is, and the row keeps
-the first index where each divisor's square keys differ, one memo per
-keying.  Only the pair found there is powered.  The vector [c^e mod F_j] is
+by 4.  The squares cost one pow per class, whatever e is.  Only the pair
+where the square keys first differ is powered.  The vector [c^e mod F_j] is
 built, one pow per class, and compared from there on, only where the last
 pair powered is equal: the slots' pair at odd e, the square keys' pair at
-even e; the squares and the vector serve that call alone.  The oracle keeps
-the row of its last j, by lru_cache(maxsize=1), for a call at any e: F_j,
-p0, each class value once, each entry's slot and class, the divisors of p0,
-those first indexes and one held pair (e', P): the smallest minimal period P
-found so far, at e'.  A negative slot's entry, F_j - c, is computed only
-where it is read; the row holds 19.9 MiB at j = 20000, and
+even e; the squares, like the vector, serve that call alone.  The oracle
+keeps the row of its last j, by lru_cache(maxsize=1), for a call at any e:
+F_j, p0, each class value once, each entry's slot and class, the divisors
+of p0, the per-parity first indexes and one held pair (e', P): the smallest
+minimal period P found so far, at e'.  A negative slot's entry, F_j - c,
+is computed only where it is read; the row holds 19.9 MiB at j = 20000, and
 powerfib.oracle._row.cache_clear() frees it.  Raising x_{i+P}^e' = x_i^e' to
 the power e / e' gives period P at every multiple e of e', so there the scan
 takes d = P as holding without comparing: every smaller divisor is still
@@ -175,17 +174,16 @@ def _row(j: int) -> tuple:
     p0 the length of its one e = 1 walk, each class value once (_slot reads a
     negative slot as F_j - c where it is read), firsts[e % 2] a dict from each
     divisor d scanned at that parity to the first i with keys[i] != keys[i + d],
-    or None, and firsts[2 + e % 4 // 2] the same for the square keys at an even
-    e (threads that fill one entry write the same value), and held = [(e', P)],
-    P a period at every multiple of e'.  held[0] starts as (1, p0); a call
-    replaces it whole, and only by a strictly smaller minimal period, so a
-    thread can at worst keep a larger one.  The row keeps no squares or powers:
-    those serve one call."""
+    or None (threads that fill one entry write the same value), and held =
+    [(e', P)], P a period at every multiple of e'.  held[0] starts as (1, p0);
+    a call replaces it whole, and only by a strictly smaller minimal period,
+    so a thread can at worst keep a larger one.  The row keeps no squares or
+    powers: those serve one call."""
     m = fib_exact(j)
     window = sequence_prefix(j, 1)
     p0 = len(window)
     values, slots, classes = _sign_classes(m, window)
-    return m, p0, values, slots, classes, _divisors(p0), ({}, {}, {}, {}), [(1, p0)]
+    return m, p0, values, slots, classes, _divisors(p0), ({}, {}), [(1, p0)]
 
 
 def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
@@ -210,7 +208,6 @@ def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
     m, p0, values, slots, classes, divisors, firsts, held = _row(j)
     keys = slots if e % 2 else classes
     first = firsts[e % 2]
-    square_first = firsts[2 + e % 4 // 2]
     # raising x_{i+P}^e' = x_i^e' to the power e / e' gives period P at e
     e1, P = held[0]
     carried = P if e % e1 == 0 else p0
@@ -228,11 +225,9 @@ def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
                 # equal squares are equal at every even e, and equal up to
                 # sign at every e divisible by 4, so the keys' first unequal
                 # pair is equal at e and the squares are scanned from it
-                if d not in square_first:
-                    if squares is None:
-                        squares = _square_keys(m, values, e)
-                    square_first[d] = _first_unequal(classes, d, i, squares.__getitem__)
-                i = square_first[d]
+                if squares is None:
+                    squares = _square_keys(m, values, e)
+                i = _first_unequal(classes, d, i, squares.__getitem__)
             # at even e the pair whose square keys differ is powered first
             if i is not None and (e % 2 or _powers_equal(m, values, keys, i, d, e)):
                 powers = _class_powers(m, values, e)

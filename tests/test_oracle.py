@@ -118,7 +118,7 @@ def test_trace_invariants_on_grid():
                     assert c.d == trace.power_period
 
 
-def test_guard_and_domain():
+def test_domain_errors():
     with pytest.raises(OutOfDomainError):
         minimal_period_bruteforce(2, 1)
     with pytest.raises(OutOfDomainError):
@@ -130,7 +130,7 @@ def test_guard_and_domain():
                 minimal_period_bruteforce(j, e)
 
 
-def test_guard_and_domain_with_that_j_remembered():
+def test_domain_errors_with_that_j_remembered():
     minimal_period_bruteforce(30, 1)
     with pytest.raises(OutOfDomainError):
         minimal_period_bruteforce(30, 0)
@@ -141,7 +141,7 @@ def test_guard_and_domain_with_that_j_remembered():
         minimal_period_bruteforce(6, -1)
 
 
-def test_guard_is_configurable():
+def test_oracle_takes_any_j():
     # only the command line's --j-max bounds j
     assert minimal_period_bruteforce(26, 1).power_period == 52
 
@@ -284,6 +284,14 @@ def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypat
         for e in range(10**18, 10**18 + 4):
             minimal_period_bruteforce(j, e)
         assert [e for _, _, e, _ in built] == ([2] if j % 2 else [2, 2]), j
+    # descending exponents, so no held period carries to a later even e:
+    # the row keeps no squares, so a call may square again, but only once
+    oracle._row.cache_clear()
+    for j in range(7, 41):
+        for e in range(12, 0, -1):
+            built.clear()
+            minimal_period_bruteforce(j, e)
+            assert [e for _, _, e, _ in built] in ([], [2]), (j, e)
 
 
 def test_square_keys_are_exact_at_e_2_mod_4_and_up_to_sign_at_4_divides_e(monkeypatch):
@@ -298,7 +306,7 @@ def test_square_keys_are_exact_at_e_2_mod_4_and_up_to_sign_at_4_divides_e(monkey
     ):
         # a fresh row per exponent, the oracle's own layout for a window of period 4
         values, slots, classes = oracle._sign_classes(m, window)
-        row = (m, 4, values, slots, classes, [1, 2, 4], ({}, {}, {}, {}), [(1, 4)])
+        row = (m, 4, values, slots, classes, [1, 2, 4], ({}, {}), [(1, 4)])
         monkeypatch.setattr(oracle, "_row", lambda j: row)
         built.clear()
         trace = minimal_period_bruteforce(3, e)
