@@ -20,14 +20,14 @@ if its two values differ, that index is the witness.  If they are equal at
 an even e, the scan goes on from there on square keys: c^2 mod F_j at e = 2
 (mod 4), and c^2 mod F_j up to sign at e = 0 (mod 4), since equal squares
 are equal at every even e and squares equal up to sign at every e divisible
-by 4.  The squares cost one pow per class, whatever e is.  Only the pair
-where the square keys first differ is powered.  The vector [c^e mod F_j] is
-built, one pow per class, and compared from there on, only where the last
-pair powered is equal: the slots' pair at odd e, the square keys' pair at
-even e; the squares, like the vector, serve that call alone.  The oracle
-keeps the row of its last j, by lru_cache(maxsize=1), for a call at any e:
-F_j, p0, each class value once, each entry's slot and class, the divisors
-of p0, the per-parity first indexes and one held pair (e', P): the smallest
+by 4.  The squares cost one product per class, whatever e is, and serve
+that call alone.  Only the pair where the square keys first differ is
+powered.  Where the last pair powered is equal (the slots' pair at odd e,
+the square keys' pair at even e), the oracle compares each entry's e-th
+power from that index on, read through the entry's key.  The oracle keeps
+the row of its last j, by lru_cache(maxsize=1), for a call at any e: F_j,
+p0, each class value once, each entry's slot and class, the divisors of
+p0, the per-parity first indexes and one held pair (e', P): the smallest
 minimal period P found so far, at e'.  A negative slot's entry, F_j - c,
 is computed only where it is read; the row holds 19.9 MiB at j = 20000, and
 powerfib.oracle._row.cache_clear() frees it.  Raising x_{i+P}^e' = x_i^e' to
@@ -38,7 +38,7 @@ compared, and the trace is the cold one.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import compress, count, islice, repeat
 from math import isqrt
 from operator import ne
@@ -137,15 +137,6 @@ def _sign_classes(m: int, residues: list[int]) -> tuple[list[int], list[int], li
     return list(seen), slots, classes
 
 
-def _slot(m: int, vector: list[int], k: int) -> int:
-    """vector[k] for a slot k >= 0; a slot ~c < 0 reads -vector[c] mod m."""
-    return vector[k] if k >= 0 else -vector[~k] % m
-
-
-def _class_powers(m: int, values: list[int], e: int) -> list[int]:
-    return list(map(pow, values, repeat(e), repeat(m)))
-
-
 def _first_unequal(
     keys: list[int], d: int, i: int = 0, read: Callable[[int], int] | None = None
 ) -> int | None:
@@ -156,23 +147,18 @@ def _first_unequal(
     return next(compress(count(i), map(ne, left, right)), None)
 
 
-def _powers_equal(m: int, values: list[int], keys: list[int], i: int, d: int, e: int) -> bool:
-    """Whether entries i and i + d, read by their keys, are equal at e."""
-    return pow(_slot(m, values, keys[i]), e, m) == pow(_slot(m, values, keys[i + d]), e, m)
-
-
 def _square_keys(m: int, values: list[int], e: int) -> list[int]:
     """Each class's square key at even e: its value's square s mod m where
     e = 2 (mod 4), and s up to sign, min(s, m - s), where 4 | e."""
-    squares = _class_powers(m, values, 2)
+    squares = [c * c % m for c in values]
     return squares if e % 4 else [min(s, m - s) for s in squares]
 
 
 @lru_cache(maxsize=1)
 def _row(j: int) -> tuple:
     """(m, p0, values, slots, classes, divisors, firsts, held) of row j: m = F_j,
-    p0 the length of its one e = 1 walk, each class value once (_slot reads a
-    negative slot as F_j - c where it is read), firsts[e % 2] a dict from each
+    p0 the length of its one e = 1 walk, each class value once (a negative
+    slot is read as F_j - c where it is read), firsts[e % 2] a dict from each
     divisor d scanned at that parity to the first i with keys[i] != keys[i + d],
     or None (threads that fill one entry write the same value), and held =
     [(e', P)], P a period at every multiple of e'.  held[0] starts as (1, p0);
@@ -212,7 +198,11 @@ def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
     e1, P = held[0]
     carried = P if e % e1 == 0 else p0
     squares = None  # each class's square key at even e, once keys leave a check open
-    read = None  # an entry's e-th power by its key, once the vector for e is built
+
+    def power(k: int) -> int:
+        """The e-th power mod m of the entry whose slot or class is k."""
+        return pow(values[k] if k >= 0 else m - values[~k], e, m)
+
     checked: list[DivisorCheck] = []
     power_period = p0
     for d in divisors:
@@ -220,7 +210,7 @@ def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
             # every pair before the first whose keys differ is equal at e
             first[d] = _first_unequal(keys, d)
         i = None if d == carried else first[d]
-        if i is not None and read is None and _powers_equal(m, values, keys, i, d, e):
+        if i is not None and power(keys[i]) == power(keys[i + d]):
             if e % 2 == 0:
                 # equal squares are equal at every even e, and equal up to
                 # sign at every e divisible by 4, so the keys' first unequal
@@ -228,12 +218,10 @@ def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
                 if squares is None:
                     squares = _square_keys(m, values, e)
                 i = _first_unequal(classes, d, i, squares.__getitem__)
-            # at even e the pair whose square keys differ is powered first
-            if i is not None and (e % 2 or _powers_equal(m, values, keys, i, d, e)):
-                powers = _class_powers(m, values, e)
-                read = partial(_slot, m, powers) if e % 2 else powers.__getitem__
-        if read is not None and i is not None:
-            i = _first_unequal(keys, d, i, read)
+            # at even e the pair whose square keys differ is powered first;
+            # where the last pair powered is equal, the powers are scanned
+            if i is not None and (e % 2 or power(keys[i]) == power(keys[i + d])):
+                i = _first_unequal(keys, d, i, power)
         if i is None:
             checked.append(DivisorCheck(d, "holds"))
             power_period = d

@@ -19,7 +19,7 @@ import powerfib.identities as identities
 from powerfib.cli import main
 from powerfib.errors import ResourceGuardError
 from powerfib.fibcore import fib_exact, fib_prefix
-from powerfib.identities import ALL_PASS, COUNTEREXAMPLE, Counterexample, VerificationReport
+from powerfib.identities import COUNTEREXAMPLE, Counterexample, VerificationReport
 from powerfib.oracle import OracleTrace, minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult
 from powerfib.residue_tables import residues_general

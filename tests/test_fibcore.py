@@ -3,7 +3,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powerfib.errors import InvalidModulusError, OutOfDomainError

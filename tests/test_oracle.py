@@ -244,54 +244,87 @@ def test_row_starting_above_e1_takes_the_one_cold_path():
         assert minimal_period_bruteforce(300, e) == _cold_trace(300, e), e
 
 
-def _count_class_powers(monkeypatch) -> list:
-    """Record (m, values, e, powers) of every _class_powers call from here on."""
-    built = []
-    class_powers = oracle._class_powers
+def _count_squares_and_scans(monkeypatch) -> tuple[list, list]:
+    """Record (m, values, e, keys) of every _square_keys call from here on,
+    and (d, i) of every exact scan: a _first_unequal call whose reader is
+    the call's power."""
+    squared, scanned = [], []
+    square_keys, first_unequal = oracle._square_keys, oracle._first_unequal
 
-    def counted(m, values, e):
-        powers = class_powers(m, values, e)
-        built.append((m, values, e, powers))
-        return powers
+    def counted_squares(m, values, e):
+        keys = square_keys(m, values, e)
+        squared.append((m, values, e, keys))
+        return keys
 
-    monkeypatch.setattr(oracle, "_class_powers", counted)
-    return built
+    def counted_scan(keys, d, i=0, read=None):
+        if getattr(read, "__name__", None) == "power":
+            scanned.append((d, i))
+        return first_unequal(keys, d, i, read)
+
+    monkeypatch.setattr(oracle, "_square_keys", counted_squares)
+    monkeypatch.setattr(oracle, "_first_unequal", counted_scan)
+    return squared, scanned
 
 
-def test_a_row_builds_power_vectors_only_where_keys_leave_a_check_open(monkeypatch):
-    built = _count_class_powers(monkeypatch)
+def test_a_row_squares_once_and_scans_no_exact_powers(monkeypatch):
+    squared, scanned = _count_squares_and_scans(monkeypatch)
     oracle._row.cache_clear()
     for j in range(7, 41):
-        built.clear()
+        squared.clear()
         for e in range(1, 9):
             minimal_period_bruteforce(j, e)
         # slots settle every odd e; classes settle e = 2 (mod 4) when j is odd;
         # where they leave a check open, at e = 4 (odd j) or e = 2 (even j),
         # the squares settle it, and that period holds at its multiples: the
-        # one call squares the classes, and no row builds an e-th power vector
-        assert [e for _, _, e, _ in built] == [2], j
+        # one call squares the classes, and no call scans exact powers
+        assert [e for _, _, e, _ in squared] == [4 if j % 2 else 2], j
         m = fib_exact(j)
         values = _sign_classes_per_entry(m, sequence_prefix(j, 1, pisano_period(m)))[0]
-        for got_m, got_values, e, powers in built:
+        for got_m, got_values, e, keys in squared:
             assert (got_m, got_values) == (m, values), (j, e)
-            assert powers == [pow(c, e, m) for c in values], (j, e)
+            squares = [c * c % m for c in values]
+            assert keys == (squares if e % 4 else [min(s, m - s) for s in squares]), (j, e)
+    assert scanned == []
     # rows starting at a huge multiple of 4, with no period held from below:
     # an odd j squares its classes at 4 | e; an even j, whose classes leave
     # checks open at both even residues mod 4, squares them once per keying
     oracle._row.cache_clear()
     for j in range(7, 201):
-        built.clear()
+        squared.clear()
         for e in range(10**18, 10**18 + 4):
             minimal_period_bruteforce(j, e)
-        assert [e for _, _, e, _ in built] == ([2] if j % 2 else [2, 2]), j
+        assert len(squared) == (1 if j % 2 else 2), j
     # descending exponents, so no held period carries to a later even e:
     # the row keeps no squares, so a call may square again, but only once
     oracle._row.cache_clear()
     for j in range(7, 41):
         for e in range(12, 0, -1):
-            built.clear()
+            squared.clear()
             minimal_period_bruteforce(j, e)
-            assert [e for _, _, e, _ in built] in ([], [2]), (j, e)
+            assert len(squared) <= 1, (j, e)
+    assert scanned == []
+
+
+def _hand_built_row(monkeypatch, m: int, window: list[int]) -> None:
+    """Serve the oracle's own row layout for window, a period-p0 window mod m."""
+    p0 = len(window)
+    values, slots, classes = oracle._sign_classes(m, window)
+    row = (m, p0, values, slots, classes, oracle._divisors(p0), ({}, {}), [(1, p0)])
+    monkeypatch.setattr(oracle, "_row", lambda j: row)
+
+
+def _direct_scan(m: int, window: list[int], e: int) -> OracleTrace:
+    """Each divisor d of len(window) compared on [x^e mod m], the first
+    i < p0 - d with unequal entries its witness, up to the first that holds."""
+    p0, powered = len(window), [pow(x, e, m) for x in window]
+    checked = []
+    for d in (d for d in range(1, p0 + 1) if p0 % d == 0):
+        i = next((i for i in range(p0 - d) if powered[i] != powered[i + d]), None)
+        if i is None:
+            checked.append(DivisorCheck(d, "holds"))
+            return OracleTrace(m, p0, d, tuple(checked))
+        checked.append(DivisorCheck(d, "fails", i))
+    raise AssertionError("p0 always holds")
 
 
 def test_square_keys_are_exact_at_e_2_mod_4_and_up_to_sign_at_4_divides_e(monkeypatch):
@@ -299,37 +332,67 @@ def test_square_keys_are_exact_at_e_2_mod_4_and_up_to_sign_at_4_divides_e(monkey
     # classes only where its values are equal, squares equal up to sign
     # everywhere, and squares equal exactly except at 57
     m, window = 65, [1, 1, 14, 57]
-    built = _count_class_powers(monkeypatch)
+    squared, scanned = _count_squares_and_scans(monkeypatch)
     for e, want in (
         (2, [DivisorCheck(1, "fails", 2), DivisorCheck(2, "fails", 1), DivisorCheck(4, "holds")]),
         (4, [DivisorCheck(1, "holds")]),
     ):
         # a fresh row per exponent, the oracle's own layout for a window of period 4
-        values, slots, classes = oracle._sign_classes(m, window)
-        row = (m, 4, values, slots, classes, [1, 2, 4], ({}, {}), [(1, 4)])
-        monkeypatch.setattr(oracle, "_row", lambda j: row)
-        built.clear()
+        _hand_built_row(monkeypatch, m, window)
+        squared.clear()
         trace = minimal_period_bruteforce(3, e)
         assert trace == OracleTrace(m, 4, want[-1].d, tuple(want)), e
         powered = [pow(x, e, m) for x in window]
         for c in want[:-1]:
             assert powered[c.witness_index] != powered[c.witness_index + c.d], (e, c)
-        # the squares settle every check: no e-th power vector is built
-        assert [got for _, _, got, _ in built] == [2], e
+        # the squares settle every check: the call squares once, and scans
+        # no exact powers
+        assert [got for _, _, got, _ in squared] == [e], e
+    assert scanned == []
 
 
-def test_odd_exponents_build_power_vectors_only_at_j6(monkeypatch):
+@pytest.mark.parametrize(
+    "m, window, e, want",
+    [
+        # odd e, with negative slots: each 10 is -4 mod 14, and the first
+        # differing slots' pair, (6, 10) at d = 2, is equal at e = 3
+        (14, [6, 5, 10, 10, 1, 10], 3, [(1, 0), (2, 1), (3, 1), 6]),
+        # the square keys differ, 12^2 = 14 against 10^2 = 22 mod 26, but
+        # the sixth powers are equal, 14^3 = 22^3 = 14 mod 26
+        (26, [12, 10, 16, 23], 6, [(1, 2), (2, 1), 4]),
+        (39, [22, 17, 7, 27, 22, 7], 4, [(1, 2), (2, 1), (3, 0), 6]),
+    ],
+    ids=["mod14-odd-e", "mod26-squares-differ", "mod39"],
+)
+def test_exact_scan_on_hand_built_rows_away_from_j6(monkeypatch, m, window, e, want):
+    _, scanned = _count_squares_and_scans(monkeypatch)
+    _hand_built_row(monkeypatch, m, window)
+    trace = minimal_period_bruteforce(3, e)
+    checks = [DivisorCheck(d, "fails", i) for d, i in want[:-1]]
+    checks.append(DivisorCheck(want[-1], "holds"))
+    assert trace == OracleTrace(m, len(window), want[-1], tuple(checks))
+    assert trace == _direct_scan(m, window, e)
+    # the keys and, at even e, the squares leave a check open that only the
+    # e-th powers settle
+    assert scanned
+
+
+def test_odd_exponents_scan_exact_powers_only_at_j6(monkeypatch):
     # at odd e a divisor d's first differing slots are at i = 0 (0 against
     # F_d^e, when j does not divide d) or at i = 1 (1 against F_{j-1}^(qe) != 1,
-    # for d = qj), so a vector needs F_j | F_d^e with j not dividing d: a
+    # for d = qj), so an exact scan needs F_j | F_d^e with j not dividing d: a
     # primitive prime of F_j forbids it for j not in {6, 12}, no one F_d holds
     # both 2 and 3 of F_12, and F_3^e = 2^e is 0 mod F_6 = 8 from e = 3 on
-    built = _count_class_powers(monkeypatch)
+    _, scanned = _count_squares_and_scans(monkeypatch)
     oracle._row.cache_clear()
+    reached = []
     for j in range(3, 201):
         for e in range(1, 42, 2):
+            scanned.clear()
             minimal_period_bruteforce(j, e)
-    assert [(m, e) for m, _, e, _ in built] == [(8, e) for e in range(3, 42, 2)]
+            if scanned:
+                reached.append((j, e))
+    assert reached == [(6, e) for e in range(3, 42, 2)]
 
 
 @given(st.integers(3, 40), st.lists(st.integers(1, 40), min_size=1, max_size=8))
@@ -359,7 +422,9 @@ def _shuffled_rows() -> list[tuple[int, int]]:
 
 
 # SHA-1 over json.dumps(trace.to_record()) of each call in order, taken with
-# the oracle of commit 89c33ac, before its row dropped the negated class values
+# the oracle of commit 89c33ac, before its row dropped the negated class
+# values; the huge-e grid's with that of commit 657e690, before the oracle
+# dropped its per-call e-th power vector
 @pytest.mark.parametrize(
     "cells, digest",
     [
@@ -372,8 +437,12 @@ def _shuffled_rows() -> list[tuple[int, int]]:
             "9f779fb6e1b100fb9a074502cc120a112c6e7095",
         ),
         (_shuffled_rows(), "28991a7efd0d1b508c0b0397b0f478c4e6dc3c04"),
+        (
+            [(j, e) for j in range(3, 201) for e in range(10**18, 10**18 + 4)],
+            "9568d164bccb4684991eadf8d8ee0b418a8a4f84",
+        ),
     ],
-    ids=["ascending", "descending", "shuffled"],
+    ids=["ascending", "descending", "shuffled", "huge-e"],
 )
 def test_traces_keep_their_digest(cells, digest):
     oracle._row.cache_clear()
