@@ -55,8 +55,6 @@ TABLE_MAX_DIGITS = 2 * 10**7
 
 # log10(phi) = 0.208987640249978733769..., times 10^20 and rounded up
 _DIGITS_PER_INDEX = 20898764024997873377
-# the oracle's digit limit where printing has none; Python before 3.10.7 has no limit
-_DEFAULT_MAX_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 
 class _UsageError(Exception):
@@ -92,19 +90,14 @@ def _fib_digit_bound(j: int) -> int:
     return (j - 1) * _DIGITS_PER_INDEX // 10**20 + 1
 
 
-def _max_str_digits() -> int:
-    """The widest integer Python converts to a string; 0 means no limit."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _require_printable_fib(j: int) -> None:
     """Raise ResourceGuardError if F_j has more decimal digits than Python
-    converts to a string (`_max_str_digits()`).
+    converts to a string (`sys.get_int_max_str_digits()`, 0 for no limit).
 
     Only a digit bound of limit + 1 needs the exact F_j; from j = 10^20 on,
     F_j has over 10^19 digits, beyond any limit Python accepts.
     """
-    limit = _max_str_digits()
+    limit = sys.get_int_max_str_digits()
     digits = _fib_digit_bound(j)
     if not limit or digits <= limit:
         return
@@ -120,7 +113,7 @@ def _require_oracle_row(j: int) -> None:
     more digits than the printing limit, or than Python's default limit
     where printing has none.  Under a limit, every F_j that prints passes.
     """
-    limit = _max_str_digits() or _DEFAULT_MAX_STR_DIGITS
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     if _fib_digit_bound(j) > limit + 1:
         raise ResourceGuardError(
             f"F_{j} has more than {limit} decimal digits, the widest modulus the "
@@ -148,7 +141,7 @@ def cmd_period(args) -> tuple[int, dict]:
     if not args.verify:
         # a period of 4j may be one digit wider than j; under --verify F_j
         # must print, so j and its period are far narrower than the limit
-        limit = _max_str_digits()
+        limit = sys.get_int_max_str_digits()
         if limit and result.period is not None and result.period >= 10**limit:
             raise ResourceGuardError(
                 f"the period has more than {limit} decimal digits, "

@@ -4,13 +4,18 @@ A walk that never meets its start state again, such as a Pisano walk that
 keeps F_j instead of reducing it to 0, loops forever.  This turns that hang
 into a failed run within TEST_SECONDS: faulthandler writes every thread's
 stack to stderr, the hung line among them, and exits with status 1.
+
+The `certify` fixture is `tools/certify.py` loaded as a module, for the
+tests that read its claims and its label evaluator.
 """
 
 from __future__ import annotations
 
 import faulthandler
+import importlib.util
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +44,12 @@ def pytest_runtest_call(item):
         return (yield)
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def certify():
+    path = Path(__file__).resolve().parents[1] / "tools" / "certify.py"
+    spec = importlib.util.spec_from_file_location("certify", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -383,8 +383,6 @@ def test_table_general_exponent(capsys):
 @pytest.fixture
 def digit_limit():
     """Python's default limit on printing an integer: 4300 decimal digits."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no limit on printing an integer")
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     yield 4300
@@ -595,11 +593,10 @@ def _table_guard_message(period, digits):
 def test_table_size_guard_rejects_before_any_work(capsys, monkeypatch):
     for name in _TABLE_BUILDERS:
         monkeypatch.setattr(cli, name, _no_work)
-    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    saved = sys.get_int_max_str_digits()
     try:
         # with no digit limit, only this guard bounds the output
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         for command, period, digits in (
             ("table 8001 1 --format csv", 32004, 1672),
             ("table 8001 2 --annotate", 16002, 1672),
@@ -608,8 +605,7 @@ def test_table_size_guard_rejects_before_any_work(capsys, monkeypatch):
         ):
             assert run(capsys, *command.split()) == (3, "", _table_guard_message(period, digits))
     finally:
-        if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(saved)
+        sys.set_int_max_str_digits(saved)
 
 
 def test_table_size_guard_admits_its_limit(capsys, monkeypatch):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 
 import pytest
 from hypothesis import example, given
@@ -194,32 +193,17 @@ def test_case_breakdown_aligns_with_tables():
     )
 
 
-_LABEL = re.compile(r"(Fj-)?F\[(\d+)\](\^2)?|rho\[(\d+)\]|0")
-
-
-def _label_value(label: str, fs: list[int], residues: tuple[int, ...]) -> int:
-    """The exact value a case_breakdown label names, read from F_0..F_j."""
-    match = _LABEL.fullmatch(label)
-    assert match, label
-    complement, k, squared, rho = match.groups()
-    if rho is not None:
-        return residues[int(rho)]
-    if k is None:
-        return 0
-    value = fs[int(k)] ** (2 if squared else 1)
-    return fs[-1] - value if complement else value
-
-
-def test_case_breakdown_labels_evaluate_to_their_entries():
+def test_case_breakdown_labels_evaluate_to_their_entries(certify):
     # the e = 2 labels are the paper's own formulas, checked here against
-    # the powered table, up to the largest moduli the tables benchmark builds
+    # the powered table, up to the largest moduli the tables benchmark builds;
+    # tools/certify.py checks them against the oracle's window
     for j in (*range(4, 61), 399, 400, 401, 1999, 2000):
         fs = fib_prefix(j + 1)
         for e, table in ((1, residues_e1(j)), (2, residues_e2(j))):
             labels = case_breakdown(j, e)
             assert len(labels) == table.period, (j, e)
             for i, label in enumerate(labels):
-                value = _label_value(label, fs, table.residues)
+                value = certify._label_value(label, fs, table.residues)
                 assert value == table.residues[i], (j, e, i, label)
 
 

@@ -1,9 +1,11 @@
-"""The package is declared for Python 3.10 and up, and the workflow's 3.10
-leg runs `tools/certify.py` too, so both must parse as 3.10 syntax.  This
-checks grammar only, not behaviour under 3.10.  Every source, the tests
-too, imports only names it reads."""
+"""The package is declared for Python 3.10.7 and up, the first release
+with a limit on printing an integer, and reads that limit from `sys` with
+no fallback.  The workflow's 3.10 leg runs `tools/certify.py` too, so both
+must parse as 3.10 syntax.  This checks grammar only, not behaviour under
+3.10.  Every source, the tests too, imports only names it reads."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +20,26 @@ def test_sources_parse_as_python_3_10():
     assert (ROOT / "tools" / "certify.py") in TOOL_SOURCES
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_python_floor_has_the_digit_limit():
+    # read as text: Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r"^requires-python = .*$", pyproject, flags=re.MULTILINE) == [
+        'requires-python = ">=3.10.7"'
+    ]
+    probes = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE_SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr")
+        and node.args
+        and ast.unparse(node.args[0]).partition(".")[0] == "sys"
+    ]
+    # the limits exist on every Python that installs the package
+    assert probes == []
 
 
 def _unused_imports(source: str, is_package_init: bool = False) -> list[str]:

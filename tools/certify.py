@@ -14,11 +14,14 @@ MISMATCH, and its seconds.  The exit status is 1 if any claim mismatched.
 
 import contextlib
 import io
+import re
 import sys
 import time
 
 from powerfib import cli, oracle
-from powerfib.residue_tables import residues_general
+from powerfib.fibcore import fib_prefix
+from powerfib.periodicity import period_closed_form
+from powerfib.residue_tables import case_breakdown, residues_general
 
 
 def _scan(argv: str, expected: str) -> tuple:
@@ -38,6 +41,42 @@ def _tables() -> str:
     tables = [residues_general(j, e) for j in range(4, 401) for e in range(1, 9)]
     bad = sum(list(t.residues) != oracle.sequence_prefix(t.j, t.e, t.period) for t in tables)
     return f"tables={len(tables)} mismatches={bad}"
+
+
+_LABEL = re.compile(r"(Fj-)?F\[(\d+)\](\^2)?|rho\[(\d+)\]|0")
+
+
+def _label_value(label: str, fs: list[int], window: list[int]) -> int | None:
+    """The exact value a case_breakdown label names, unreduced: read from
+    fs = F_0..F_j, or for rho[k] from entry k of the window it is handed.
+    None for a label of no known form."""
+    match = _LABEL.fullmatch(label)
+    if match is None:
+        return None
+    complement, k, squared, rho = match.groups()
+    if rho is not None:
+        return window[int(rho)]
+    if k is None:
+        return 0
+    value = fs[int(k)] ** (2 if squared else 1)
+    return fs[-1] - value if complement else value
+
+
+def _labels() -> str:
+    """Compare the value of every e in {1, 2} label for j in 4..1000 with the
+    oracle's window over the closed-form period; a row of the wrong length
+    or with one entry off is a mismatch."""
+    rows = bad = 0
+    for j in range(4, 1001):
+        fs = fib_prefix(j + 1)
+        for e in (1, 2):
+            window = oracle.sequence_prefix(j, e, period_closed_form(j, e).period)
+            labels = case_breakdown(j, e)
+            rows += 1
+            bad += len(labels) != len(window) or any(
+                _label_value(label, fs, window) != r for label, r in zip(labels, window)
+            )
+    return f"labels={rows} mismatches={bad}"
 
 
 CLAIMS = [
@@ -60,6 +99,8 @@ CLAIMS = [
         "cells=3992 disagreements=0",
     ),
     ("tables 4..400 1..8", _tables, "tables=3176 mismatches=0"),
+    # the paper's e = 1 and e = 2 residue formulas, each label's exact value
+    ("labels 4..1000 1..2", _labels, "labels=1994 mismatches=0"),
 ]
 
 
