@@ -20,14 +20,13 @@ one line to stderr.  Python refuses to print an integer wider than
 that wide trips the resource guard before any work, whatever the size of
 j, and so does a `period` answer that wide, a `scan` over more than
 `SCAN_MAX_CELLS` (j, e) cells or a `table` estimated at more than
-`TABLE_MAX_DIGITS` digits.  An oracle row,
+`TABLE_MAX_DIGITS` digits, each estimate times the 64-bit words of its
+largest exponent, since a power squares once per bit.  An oracle row,
 in `oracle`, `period --verify` or `scan`, also trips it when F_j surely
 has more digits than that limit, or, where printing has no limit, than
 Python's default one: nothing else bounds the oracle's work, since
 `--j-max` takes any value.
 """
-
-from __future__ import annotations
 
 import argparse
 import os
@@ -47,10 +46,12 @@ EXIT_GUARD = 3
 
 # --j-max's default: the largest j of an oracle row
 J_MAX = 25
-# the most (j, e) cells one scan checks; admits `scan 3..1000 1..10` (9980)
+# the most (j, e) cells one scan checks, times the 64-bit words of its
+# largest e; admits `scan 3..1000 1..10` (9980)
 SCAN_MAX_CELLS = 10_000
 # the most residue digits one table holds, estimated as its period times the
-# digits of F_j; admits every table up to j = 2000 (at most 7996 x 418)
+# digits of F_j, times the 64-bit words of e; admits every table up to
+# j = 2000 at e < 2^64 (at most 7996 x 418)
 TABLE_MAX_DIGITS = 2 * 10**7
 
 # log10(phi) = 0.208987640249978733769..., times 10^20 and rounded up
@@ -88,6 +89,13 @@ def _fib_digit_bound(j: int) -> int:
     phi^(j-2) <= F_j <= phi^(j-1), and log10 phi is rounded up by < 10^-21.
     """
     return (j - 1) * _DIGITS_PER_INDEX // 10**20 + 1
+
+
+def _exponent_words(e: int) -> tuple[int, str]:
+    """The 64-bit words of e >= 1, a factor of the table and scan estimates,
+    and the factor as a guard message names it: not at all below 2^64."""
+    words = -(-e.bit_length() // 64)
+    return words, f" x {words} 64-bit words of e" if words > 1 else ""
 
 
 def _require_printable_fib(j: int) -> None:
@@ -212,9 +220,10 @@ def cmd_table(args) -> tuple[int, dict]:
     # every residue is below F_j, so it has at most `digits` digits; the
     # message shows the factors, as the scan guard does
     digits = _fib_digit_bound(args.j)
-    if period * digits > TABLE_MAX_DIGITS:
+    words, factor = _exponent_words(args.e)
+    if period * digits * words > TABLE_MAX_DIGITS:
         raise ResourceGuardError(
-            f"table has {period} residues x {digits} digits, more than the limit of "
+            f"table has {period} residues x {digits} digits{factor}, more than the limit of "
             f"{TABLE_MAX_DIGITS} digits; choose a smaller j"
         )
 
@@ -319,9 +328,10 @@ def cmd_scan(args) -> tuple[int, dict]:
     _require_oracle_row(j_hi)
     # the message shows the factors: their product may be too wide to print
     j_count, e_count = j_hi - j_lo + 1, e_hi - e_lo + 1
-    if j_count * e_count > SCAN_MAX_CELLS:
+    words, factor = _exponent_words(e_hi)
+    if j_count * e_count * words > SCAN_MAX_CELLS:
         raise ResourceGuardError(
-            f"scan range has {j_count} x {e_count} cells, more than the limit of "
+            f"scan range has {j_count} x {e_count} cells{factor}, more than the limit of "
             f"{SCAN_MAX_CELLS}; narrow the j or e range"
         )
     cells = []

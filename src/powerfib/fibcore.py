@@ -5,8 +5,6 @@ step by step on exact integers, fib_pair_mod uses fast doubling modulo m.
 Keeping them independent lets each one certify the other.
 """
 
-from __future__ import annotations
-
 from .errors import InvalidModulusError, OutOfDomainError
 
 

@@ -7,8 +7,6 @@ divisors of F_j.  Every check is exact integer arithmetic; sweeps aggregate
 results into reports that carry a genuine counterexample when one exists.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random

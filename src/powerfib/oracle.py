@@ -36,8 +36,6 @@ takes d = P as holding without comparing: every smaller divisor is still
 compared, and the trace is the cold one.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import compress, count, islice, repeat
 from math import isqrt

@@ -1,7 +1,5 @@
 """Closed-form minimal periods of the sequences (F_i^e mod F_j)_{i>=0}."""
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .errors import OutOfDomainError

@@ -8,8 +8,6 @@ certifies it.  The paper's closed forms for e = 1 and e = 2 survive as
 the formula labels of `case_breakdown`.
 """
 
-from __future__ import annotations
-
 from typing import Iterator, NamedTuple
 
 from .errors import OutOfDomainError

@@ -9,8 +9,6 @@ The `certify` fixture is `tools/certify.py` loaded as a module, for the
 tests that read its claims and its label evaluator.
 """
 
-from __future__ import annotations
-
 import faulthandler
 import importlib.util
 import os

@@ -583,9 +583,9 @@ def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
     assert run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS + 1}")[0] == 3
 
 
-def _table_guard_message(period, digits):
+def _table_guard_message(period, digits, factor=""):
     return (
-        f"resource guard: table has {period} residues x {digits} digits, more than the "
+        f"resource guard: table has {period} residues x {digits} digits{factor}, more than the "
         f"limit of {cli.TABLE_MAX_DIGITS} digits; choose a smaller j\n"
     )
 
@@ -637,6 +637,81 @@ def test_table_builds_one_table_whatever_the_exponent(capsys, monkeypatch, e):
     rc, out, err = run(capsys, "table", "9", str(e))
     assert (rc, err, calls) == (0, "", [(9, e)])
     assert out.startswith(f"# j=9 e={e} modulus=34 ")
+
+
+# 4300 digits, the most Python prints by default; 14281 bits, so 224 words
+_HUGE_E = 10**4299 + 1
+
+
+def test_size_guards_count_the_exponent_words(capsys, monkeypatch):
+    # each power squares once per bit of e, so the table and scan estimates
+    # scale with e's 64-bit words, and the message names them from two on
+    for name in ("minimal_period_bruteforce", *_TABLE_BUILDERS):
+        monkeypatch.setattr(cli, name, _no_work)
+    for j, e, period, digits, words in (
+        (2000, _HUGE_E, 4000, 418, 224),
+        (2000, 2**1024 - 1, 4000, 418, 16),
+        (5000, 2**64 + 1, 10000, 1045, 2),
+    ):
+        assert run(capsys, "table", str(j), str(e)) == (
+            3,
+            "",
+            _table_guard_message(period, digits, f" x {words} 64-bit words of e"),
+        )
+    for j_range, e_lo, e_hi, cells in (
+        ("3..100", _HUGE_E - 1, _HUGE_E + 8, "98 x 10 cells x 224"),
+        ("3..3", 2**64 - 5000, 2**64, "1 x 5001 cells x 2"),
+    ):
+        assert run(capsys, "scan", j_range, f"{e_lo}..{e_hi}", "--j-max", "100") == (
+            3,
+            "",
+            f"resource guard: scan range has {cells} 64-bit words of e, more than the "
+            f"limit of {cli.SCAN_MAX_CELLS}; narrow the j or e range\n",
+        )
+
+
+def test_size_guards_admit_one_word_exponents_and_wide_small_tables(capsys, monkeypatch):
+    # stub builders, so admitted requests cost nothing
+    monkeypatch.setattr(
+        cli, "residues_general", lambda j, e: SimpleNamespace(to_record=lambda: {"residues": []})
+    )
+    monkeypatch.setattr(
+        cli,
+        "minimal_period_bruteforce",
+        lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
+    )
+    # one word up to 2^64 - 1, so 10000 x 1045 passes there and fails at
+    # 2^64 + 1; 4000 x 418 x 4 and 800 x 84 x 224 stay under the limit
+    for j, e in ((5000, 2**64 - 1), (2000, 2**256 - 1), (400, _HUGE_E)):
+        assert run(capsys, "table", str(j), str(e), "--format", "csv") == (0, "i,rho\n", "")
+    rc, out, _ = run(capsys, "scan", "3..3", f"{2**64 - 5000}..{2**64 - 1}")
+    assert (rc, out.splitlines()[-1]) == (0, "cells=5000 disagreements=0")
+
+
+@pytest.mark.parametrize(
+    ("command", "code", "first_line"),
+    [
+        (f"period 9 {_HUGE_E}", 0, f"period(j=9, e={_HUGE_E}) = 36  [ODD_ODD]"),
+        (f"period 9 {_HUGE_E} --verify", 0, f"period(j=9, e={_HUGE_E}) = 36  [ODD_ODD]"),
+        (f"oracle 9 {_HUGE_E}", 0, "modulus=34 pisano=36 power_period=36"),
+        (f"table 9 {_HUGE_E}", 0, f"# j=9 e={_HUGE_E} modulus=34 period=36"),
+        (f"scan 4..6 {_HUGE_E}..{_HUGE_E}", 0, f"j=4 e={_HUGE_E} closed=8 oracle=8 agree=yes"),
+        (f"table 2000 {_HUGE_E}", 3, None),
+        (f"scan 3..100 {_HUGE_E - 1}..{_HUGE_E + 8} --j-max 100", 3, None),
+    ],
+    ids=["period", "period-verify", "oracle", "table", "scan", "table-guard", "scan-guard"],
+)
+def test_every_subcommand_takes_a_4300_digit_exponent(capsys, command, code, first_line):
+    # E is odd, so each answer's period at j = 9 is 36, as at e = 1
+    assert cli.period_closed_form(9, _HUGE_E).period == 36
+    rc, out, err = run(capsys, *command.split())
+    assert rc == code
+    if first_line is None:
+        assert out == ""
+        assert err.startswith("resource guard: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+        assert out.splitlines()[0] == first_line
 
 
 _HUGE_J = 10**400

@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 import contextlib
 import math
 import tracemalloc

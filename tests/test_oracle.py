@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 import ast
 import hashlib
 import json

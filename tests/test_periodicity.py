@@ -1,5 +1,3 @@
-from __future__ import annotations
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st

@@ -6,8 +6,6 @@ writes must equal the rest of the block, where a line `...` stands for any
 run of lines.
 """
 
-from __future__ import annotations
-
 import doctest
 import re
 import shlex

@@ -2,7 +2,9 @@
 with a limit on printing an integer, and reads that limit from `sys` with
 no fallback.  The workflow's 3.10 leg runs `tools/certify.py` too, so both
 must parse as 3.10 syntax.  This checks grammar only, not behaviour under
-3.10.  Every source, the tests too, imports only names it reads."""
+3.10.  Every source, the tests too, imports only names it reads, and none
+imports from `__future__`: on that floor annotations are evaluated as
+written."""
 
 import ast
 import re
@@ -44,8 +46,7 @@ def test_python_floor_has_the_digit_limit():
 
 def _unused_imports(source: str, is_package_init: bool = False) -> list[str]:
     """Names that source imports and never reads; a package __init__.py
-    re-exports the names it lists as strings, and __future__ imports bind
-    nothing to read."""
+    re-exports the names it lists as strings."""
     tree = ast.parse(source)
     imported: dict[str, int] = {}
     read: set[str] = set()
@@ -53,7 +54,7 @@ def _unused_imports(source: str, is_package_init: bool = False) -> list[str]:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -64,7 +65,9 @@ def _unused_imports(source: str, is_package_init: bool = False) -> list[str]:
 
 
 def test_unused_imports_are_found():
-    assert _unused_imports("from __future__ import annotations\nimport os\nos.sep") == []
+    assert _unused_imports("from __future__ import annotations\nimport os\nos.sep") == [
+        "annotations (line 1)"
+    ]
     assert _unused_imports("import os.path\nfrom a import b as c\nb") == [
         "os (line 1)",
         "c (line 2)",
