@@ -15,17 +15,14 @@ for csv's usage errors): json prints the record as one line, plain and csv
 pass it to the subcommand's renderer in `_RENDERERS`, which returns the
 output lines.  Either way `main` writes the whole text
 with a single `sys.stdout.write`; a failure writes nothing to stdout and
-one line to stderr.  Python refuses to print an integer wider than
-`sys.get_int_max_str_digits()` digits, so a request whose modulus F_j is
-that wide trips the resource guard before any work, whatever the size of
-j, and so does a `period` answer that wide, a `scan` over more than
-`SCAN_MAX_CELLS` (j, e) cells or a `table` estimated at more than
-`TABLE_MAX_DIGITS` digits, each estimate times the 64-bit words of its
-largest exponent, since a power squares once per bit.  An oracle row,
-in `oracle`, `period --verify` or `scan`, also trips it when F_j surely
-has more digits than that limit, or, where printing has no limit, than
-Python's default one: nothing else bounds the oracle's work, since
-`--j-max` takes any value.
+one line to stderr.  The resource guard trips before any work, whatever
+the size of j, on a modulus F_j wider than Python prints
+(`sys.get_int_max_str_digits()`, or its default where printing has no
+limit), then on an oracle row past `--j-max`, a `period` answer too wide
+to print, a `scan` over more than `SCAN_MAX_CELLS` (j, e) cells or a
+`table` estimated at more than `TABLE_MAX_DIGITS` digits, each estimate
+times the 64-bit words of its largest exponent, since a power squares
+once per bit.
 """
 
 import argparse
@@ -69,6 +66,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _shown(text: str) -> str:
+    """text quoted for a one-line message; past 50 characters, its first 20,
+    '...' and its length, so an error line stays short whatever the input."""
+    if len(text) <= 50:
+        return repr(text)
+    return f"{text[:20] + '...'!r} ({len(text)} characters)"
+
+
+def _integer(text: str) -> int:
+    """The argparse type of j, e and --j-max: int, with a bounded echo."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """'4..22' as (4, 22); a bare '4' as (4, 4)."""
     try:
@@ -78,9 +91,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise _UsageError(f"range must look like 'a..b' or 'a', got {text!r}") from None
+        raise _UsageError(f"range must look like 'a..b' or 'a', got {_shown(text)}") from None
     if lo > hi:
-        raise _UsageError(f"empty range {text!r}")
+        raise _UsageError(f"empty range {_shown(text)}")
     return lo, hi
 
 
@@ -98,45 +111,34 @@ def _exponent_words(e: int) -> tuple[int, str]:
     return words, f" x {words} 64-bit words of e" if words > 1 else ""
 
 
-def _require_printable_fib(j: int) -> None:
+def _require_modulus(j: int) -> None:
     """Raise ResourceGuardError if F_j has more decimal digits than Python
-    converts to a string (`sys.get_int_max_str_digits()`, 0 for no limit).
-
-    Only a digit bound of limit + 1 needs the exact F_j; from j = 10^20 on,
-    F_j has over 10^19 digits, beyond any limit Python accepts.
-    """
-    limit = sys.get_int_max_str_digits()
-    digits = _fib_digit_bound(j)
-    if not limit or digits <= limit:
-        return
-    if digits > limit + 1 or fib_exact(j) >= 10**limit:
-        raise ResourceGuardError(
-            f"F_{j} has more than {limit} decimal digits, "
-            "the most this Python prints (sys.set_int_max_str_digits)"
-        )
-
-
-def _require_oracle_row(j: int) -> None:
-    """Raise ResourceGuardError if the digit bound alone shows that F_j has
-    more digits than the printing limit, or than Python's default limit
-    where printing has none.  Under a limit, every F_j that prints passes.
+    prints, or than its default limit where printing has none: the widest
+    modulus any subcommand takes.  Only a digit bound of limit + 1 needs the
+    exact F_j, so a j of any size is refused without computing F_j.
     """
     limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if _fib_digit_bound(j) > limit + 1:
+    digits = _fib_digit_bound(j)
+    if digits > limit + 1 or (digits == limit + 1 and fib_exact(j) >= 10**limit):
         raise ResourceGuardError(
-            f"F_{j} has more than {limit} decimal digits, the widest modulus the "
-            "oracle takes; raise PYTHONINTMAXSTRDIGITS to allow it"
+            f"F_{j} has more than {limit} decimal digits, the widest modulus "
+            "powerfib takes; raise PYTHONINTMAXSTRDIGITS to allow it"
         )
+
+
+def _require_oracle_row(j: int, j_max: int) -> None:
+    """Raise ResourceGuardError unless the modulus F_j is admitted and j is
+    at most --j-max, checked in that order."""
+    _require_modulus(j)
+    if j > j_max:
+        raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
 
 
 def _oracle_trace(args) -> OracleTrace:
-    """The oracle's trace once the two digit guards, then --j-max, admit
-    args.j; a j or e outside the oracle's domain skips them for its domain error."""
+    """The oracle's trace once its row is admitted; a j or e outside the
+    oracle's domain skips the guards for its domain error."""
     if args.j >= 3 and args.e >= 1:
-        _require_printable_fib(args.j)
-        _require_oracle_row(args.j)
-        if args.j > args.j_max:
-            raise ResourceGuardError(f"j={args.j} exceeds the oracle guard j_max={args.j_max}")
+        _require_oracle_row(args.j, args.j_max)
     return minimal_period_bruteforce(args.j, args.e)
 
 
@@ -148,7 +150,7 @@ def cmd_period(args) -> tuple[int, dict]:
     closed = result.to_record()
     if not args.verify:
         # a period of 4j may be one digit wider than j; under --verify F_j
-        # must print, so j and its period are far narrower than the limit
+        # must be admitted, so j and its period are far narrower than the limit
         limit = sys.get_int_max_str_digits()
         if limit and result.period is not None and result.period >= 10**limit:
             raise ResourceGuardError(
@@ -216,7 +218,7 @@ def cmd_table(args) -> tuple[int, dict]:
 
     if args.annotate and args.e > 2:
         raise _UsageError("--annotate needs e in {1, 2}; no per-entry closed form beyond")
-    _require_printable_fib(args.j)
+    _require_modulus(args.j)
     # every residue is below F_j, so it has at most `digits` digits; the
     # message shows the factors, as the scan guard does
     digits = _fib_digit_bound(args.j)
@@ -320,12 +322,7 @@ def cmd_scan(args) -> tuple[int, dict]:
         raise _UsageError(f"scan needs j >= 3 (the oracle's domain), got {j_lo}")
     if e_lo < 1:
         raise _UsageError(f"scan needs e >= 1, got {e_lo}")
-    if j_hi > args.j_max:
-        raise ResourceGuardError(
-            f"scan range reaches j={j_hi}, beyond the oracle guard "
-            f"j_max={args.j_max}; raise --j-max to allow it"
-        )
-    _require_oracle_row(j_hi)
+    _require_oracle_row(j_hi, args.j_max)
     # the message shows the factors: their product may be too wide to print
     j_count, e_count = j_hi - j_lo + 1, e_hi - e_lo + 1
     words, factor = _exponent_words(e_hi)
@@ -390,17 +387,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="plain", help="output format")
         if j_max:
             guard = "oracle guard on j (default %(default)s)"
-            p.add_argument("--j-max", type=int, default=J_MAX, help=guard)
+            p.add_argument("--j-max", type=_integer, default=J_MAX, help=guard)
         return p
 
     p = command("period", "closed-form minimal period", j_max=True)
-    p.add_argument("j", type=int)
-    p.add_argument("e", type=int)
+    p.add_argument("j", type=_integer)
+    p.add_argument("e", type=_integer)
     p.add_argument("--verify", action="store_true", help="certify against the oracle")
 
     p = command("table", "full-period residue table", j_max=False)
-    p.add_argument("j", type=int)
-    p.add_argument("e", type=int)
+    p.add_argument("j", type=_integer)
+    p.add_argument("e", type=_integer)
     p.add_argument(
         "--annotate",
         action="store_true",
@@ -408,8 +405,8 @@ def _build_parser() -> _Parser:
     )
 
     p = command("oracle", "brute-force period with evidence", j_max=True)
-    p.add_argument("j", type=int)
-    p.add_argument("e", type=int)
+    p.add_argument("j", type=_integer)
+    p.add_argument("e", type=_integer)
 
     p = command("verify", "exact identity sweeps", j_max=False)
     p.add_argument(

@@ -389,6 +389,13 @@ def digit_limit():
     sys.set_int_max_str_digits(saved)
 
 
+def _modulus_message(j):
+    return (
+        f"resource guard: F_{j} has more than 4300 decimal digits, the widest modulus "
+        "powerfib takes; raise PYTHONINTMAXSTRDIGITS to allow it\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -399,12 +406,7 @@ def digit_limit():
 )
 def test_modulus_too_wide_to_print_trips_guard(capsys, digit_limit, command):
     # F_20578 has 4301 digits
-    rc, out, err = run(capsys, *command.split())
-    assert (rc, out) == (3, "")
-    assert err == (
-        "resource guard: F_20578 has more than 4300 decimal digits, "
-        "the most this Python prints (sys.set_int_max_str_digits)\n"
-    )
+    assert run(capsys, *command.split()) == (3, "", _modulus_message(20578))
 
 
 def test_widest_printable_modulus_runs(capsys, digit_limit):
@@ -438,11 +440,12 @@ def test_digit_guard_is_exact_near_the_limit(digit_limit):
     for j, f in enumerate(fib_prefix(3100)):
         if f >= 10**640:
             with pytest.raises(ResourceGuardError):
-                cli._require_printable_fib(j)
+                cli._require_modulus(j)
         else:
-            cli._require_printable_fib(j)
-    sys.set_int_max_str_digits(0)  # no limit
-    cli._require_printable_fib(10**6)
+            cli._require_modulus(j)
+    sys.set_int_max_str_digits(0)  # no limit: Python's default one applies
+    with pytest.raises(ResourceGuardError):
+        cli._require_modulus(10**6)
 
 
 def test_digit_bound_is_the_digits_or_one_more():
@@ -550,9 +553,11 @@ def test_scan_single_point_range(capsys):
 
 
 def test_scan_guard(capsys):
-    rc, _, err = run(capsys, "scan", "4..26", "1..1")
-    assert rc == 3
-    assert "j_max=25" in err
+    assert run(capsys, "scan", "4..26", "1..1") == (
+        3,
+        "",
+        "resource guard: j=26 exceeds the oracle guard j_max=25\n",
+    )
     rc, out, _ = run(capsys, "scan", "25..26", "1..1", "--j-max", "26")
     assert rc == 0
 
@@ -595,13 +600,14 @@ def test_table_size_guard_rejects_before_any_work(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, _no_work)
     saved = sys.get_int_max_str_digits()
     try:
-        # with no digit limit, only this guard bounds the output
+        # with no digit limit too, this guard bounds every table whose
+        # modulus is admitted, up to the widest, F_20577
         sys.set_int_max_str_digits(0)
         for command, period, digits in (
             ("table 8001 1 --format csv", 32004, 1672),
             ("table 8001 2 --annotate", 16002, 1672),
             ("table 20001 3 --format json", 80004, 4180),
-            ("table 1000000 4", 1000000, 208988),
+            ("table 20577 4", 20577, 4301),
         ):
             assert run(capsys, *command.split()) == (3, "", _table_guard_message(period, digits))
     finally:
@@ -723,26 +729,13 @@ _HUGE_J = 10**400
     ids=["oracle", "table", "period"],
 )
 def test_huge_j_trips_digit_guard(capsys, monkeypatch, digit_limit, command):
-    # refused from the digit bound alone: neither F_j nor the answer is built
+    # refused from the digit bound alone: neither F_j nor the answer is built,
+    # and with no limit on printing, Python's default one applies
     for name in ("fib_exact", "minimal_period_bruteforce", *_TABLE_BUILDERS):
         monkeypatch.setattr(cli, name, _no_work)
-    assert run(capsys, *command.split()) == (
-        3,
-        "",
-        f"resource guard: F_{_HUGE_J} has more than 4300 decimal digits, "
-        "the most this Python prints (sys.set_int_max_str_digits)\n",
-    )
-
-
-def test_huge_j_trips_table_guard_with_no_digit_limit(capsys, monkeypatch, digit_limit):
-    for name in ("fib_exact", *_TABLE_BUILDERS):
-        monkeypatch.setattr(cli, name, _no_work)
-    sys.set_int_max_str_digits(0)  # no limit: only the table guard bounds the output
-    assert run(capsys, "table", str(_HUGE_J), "1") == (
-        3,
-        "",
-        _table_guard_message(2 * _HUGE_J, cli._fib_digit_bound(_HUGE_J)),
-    )
+    for limit in (4300, 0):
+        sys.set_int_max_str_digits(limit)
+        assert run(capsys, *command.split()) == (3, "", _modulus_message(_HUGE_J))
 
 
 @pytest.mark.parametrize(
@@ -770,13 +763,6 @@ _ORACLE_ROWS = {
 }
 
 
-def _oracle_row_message(j, limit):
-    return (
-        f"resource guard: F_{j} has more than {limit} decimal digits, the widest modulus "
-        "the oracle takes; raise PYTHONINTMAXSTRDIGITS to allow it\n"
-    )
-
-
 @pytest.mark.parametrize("command", list(_ORACLE_ROWS))
 @pytest.mark.parametrize("max_str_digits", [4300, 0], ids=["limit", "no-limit"])
 def test_huge_j_oracle_row_is_refused_before_any_work(
@@ -786,52 +772,50 @@ def test_huge_j_oracle_row_is_refused_before_any_work(
     for name in ("fib_exact", "minimal_period_bruteforce"):
         monkeypatch.setattr(cli, name, _no_work)
     sys.set_int_max_str_digits(max_str_digits)
-    rc, out, err = run(capsys, *_ORACLE_ROWS[command].split())
-    assert (rc, out) == (3, "")
-    if max_str_digits and command != "scan":
-        # the printing guard comes first where F_j would be printed
-        assert err.startswith(f"resource guard: F_{_HUGE_J} has more than 4300 decimal digits, ")
-    else:
-        assert err == _oracle_row_message(_HUGE_J, 4300)
+    assert run(capsys, *_ORACLE_ROWS[command].split()) == (3, "", _modulus_message(_HUGE_J))
 
 
-def test_j_max_is_checked_after_both_digit_guards(capsys, monkeypatch, digit_limit):
-    # at the default --j-max, a huge j is refused by the row's digit bound
+def test_j_max_is_checked_after_the_modulus(capsys, monkeypatch, digit_limit):
+    # at the default --j-max, a huge j is refused by its modulus, in scan too
     for name in ("fib_exact", "minimal_period_bruteforce"):
         monkeypatch.setattr(cli, name, _no_work)
-    sys.set_int_max_str_digits(0)
-    for command in (f"oracle {_HUGE_J} 1", f"period {_HUGE_J} 1 --verify"):
-        assert run(capsys, *command.split()) == (3, "", _oracle_row_message(_HUGE_J, 4300))
-    assert run(capsys, "oracle", "30", "1") == (
-        3,
-        "",
-        "resource guard: j=30 exceeds the oracle guard j_max=25\n",
-    )
+    for limit in (4300, 0):
+        sys.set_int_max_str_digits(limit)
+        for command in (f"oracle {_HUGE_J} 1", f"period {_HUGE_J} 1 --verify", "scan 30000..30000 1..1"):
+            j = command.split()[1].partition("..")[0]
+            assert run(capsys, *command.split()) == (3, "", _modulus_message(j))
+        for command in ("oracle 30 1", "period 30 1 --verify", "scan 3..30 1..1"):
+            assert run(capsys, *command.split()) == (
+                3,
+                "",
+                "resource guard: j=30 exceeds the oracle guard j_max=25\n",
+            )
 
 
-def test_oracle_row_guard_admits_every_printable_modulus(capsys, monkeypatch, digit_limit):
-    # F_20577 has 4300 digits and a bound of 4301; F_20581 has 4301 digits
-    # and the same bound, the first to exceed it is F_20582's, 4302
+@pytest.mark.parametrize("max_str_digits", [4300, 0], ids=["limit", "no-limit"])
+@pytest.mark.parametrize(
+    "command",
+    ["table J 1", "oracle J 1 --j-max J", "period J 1 --verify --j-max J", "scan J..J 1 --j-max J"],
+    ids=["table", "oracle", "period", "scan"],
+)
+def test_modulus_rule_at_its_edge(capsys, monkeypatch, digit_limit, command, max_str_digits):
+    # F_20577 has 4300 digits and F_20578 has 4301, while the digit bound of
+    # each is 4301: only the exact F_j tells them apart, whatever the limit
     monkeypatch.setattr(
         cli,
         "minimal_period_bruteforce",
         lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
     )
-    for limit in (4300, 0):
-        sys.set_int_max_str_digits(limit)
-        assert run(capsys, "scan", "20577..20581", "1", "--j-max", "20581")[0] == 0
-        assert run(capsys, "scan", "20582", "1", "--j-max", "20582") == (
-            3,
-            "",
-            _oracle_row_message(20582, 4300),
-        )
-    sys.set_int_max_str_digits(0)
-    assert run(capsys, "oracle", "20581", "1", "--j-max", "20581")[0] == 0
-    assert run(capsys, "period", "20582", "1", "--verify", "--j-max", "20582") == (
-        3,
-        "",
-        _oracle_row_message(20582, 4300),
-    )
+    for name in _TABLE_BUILDERS:
+        monkeypatch.setattr(cli, name, _no_work)
+    sys.set_int_max_str_digits(max_str_digits)
+    rc, out, err = run(capsys, *command.replace("J", "20577").split())
+    if command.startswith("table"):
+        # admitted by the modulus rule; its 82308 residues then trip the size guard
+        assert (rc, out, err) == (3, "", _table_guard_message(82308, 4301))
+    else:
+        assert (rc, err) == (0, "")
+    assert run(capsys, *command.replace("J", "20578").split()) == (3, "", _modulus_message(20578))
 
 
 # sha256 of the stdout of the largest tables the benchmark builds, in each
@@ -871,6 +855,38 @@ def test_benchmark_sized_table_bytes(capsys, command):
     rc, out, err = run(capsys, *command.split())
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[command]
+
+
+# 4301 digits, one more than int() converts by default
+_TOO_LONG = "1" + "0" * 4300
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["period 9 E", "table E 1", "oracle 9 E", "scan 4..5 1..E", "scan E..E 1", "oracle 9 1 --j-max E"],
+)
+def test_too_long_integers_are_echoed_in_short(capsys, digit_limit, command):
+    rc, out, err = run(capsys, *command.replace("E", _TOO_LONG).split())
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) < 200
+    assert "...' (" in err
+
+
+def test_usage_errors_echo_50_characters_whole(capsys):
+    assert run(capsys, "period", "9", "x") == (1, "", "error: argument e: invalid int value: 'x'\n")
+    text = "x" * 50
+    assert run(capsys, "table", text, "1") == (1, "", f"error: argument j: invalid int value: '{text}'\n")
+    assert run(capsys, "table", text + "x", "1") == (
+        1,
+        "",
+        "error: argument j: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...' (51 characters)\n",
+    )
+    assert run(capsys, "scan", f"4..{text}", "1") == (
+        1,
+        "",
+        "error: range must look like 'a..b' or 'a', got '4..xxxxxxxxxxxxxxxxx...' (53 characters)\n",
+    )
 
 
 def test_scan_usage_errors(capsys):
@@ -1020,6 +1036,7 @@ def test_any_request_exits_with_a_documented_code(argv):
         assert out == "", argv
         assert err.startswith(("error: ", "resource guard: ")), argv
         assert err.count("\n") == 1 and err.endswith("\n"), argv
+        assert len(err) < 200, argv
     else:
         assert err == "", argv
 

@@ -91,8 +91,10 @@ CLAIMS = [
     # the rows above those, as far as table goes
     _scan("1001..2000 1..8 --j-max 2000", "cells=8000 disagreements=0"),
     _scan("2001..3000 1..8 --j-max 3000", "cells=8000 disagreements=0"),
-    # one row near the widest modulus the oracle's guards admit
+    # an even row near the widest modulus, and the widest itself: F_20577,
+    # 4300 digits, the last one the modulus rule admits, and odd
     _scan("20000..20000 1..8 --j-max 20000", "cells=8 disagreements=0"),
+    _scan("20577..20577 1..8 --j-max 20577", "cells=8 disagreements=0"),
     # rows starting at a huge multiple of 4, so even exponents are decided on square keys
     _scan(
         "3..1000 1000000000000000000..1000000000000000003 --j-max 1000",
