@@ -15,8 +15,10 @@ for csv's usage errors): json prints the record as one line, plain and csv
 pass it to the subcommand's renderer in `_RENDERERS`, which returns the
 output lines.  Either way `main` writes the whole text
 with a single `sys.stdout.write`; a failure writes nothing to stdout and
-one line to stderr.  The resource guard trips before any work, whatever
-the size of j, on a modulus F_j wider than Python prints
+one line to stderr, where any run of more than 50 characters without
+whitespace or quote shows as its first 20 and its length.  The resource
+guard trips before any work, whatever the size of j, on a modulus F_j
+wider than Python prints
 (`sys.get_int_max_str_digits()`, or its default where printing has no
 limit), then on an oracle row past `--j-max`, a `period` answer too wide
 to print, a `scan` over more than `SCAN_MAX_CELLS` (j, e) cells or a
@@ -27,6 +29,7 @@ once per bit.
 
 import argparse
 import os
+import re
 import sys
 
 from .errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
@@ -66,22 +69,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _shown(text: str) -> str:
-    """text quoted for a one-line message; past 50 characters, its first 20,
-    '...' and its length, so an error line stays short whatever the input."""
-    if len(text) <= 50:
-        return repr(text)
-    return f"{text[:20] + '...'!r} ({len(text)} characters)"
-
-
-def _integer(text: str) -> int:
-    """The argparse type of j, e and --j-max: int, with a bounded echo."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     """'4..22' as (4, 22); a bare '4' as (4, 4)."""
     try:
@@ -91,9 +78,9 @@ def _parse_range(text: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise _UsageError(f"range must look like 'a..b' or 'a', got {_shown(text)}") from None
+        raise _UsageError(f"range must look like 'a..b' or 'a', got {text!r}") from None
     if lo > hi:
-        raise _UsageError(f"empty range {_shown(text)}")
+        raise _UsageError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -387,17 +374,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="plain", help="output format")
         if j_max:
             guard = "oracle guard on j (default %(default)s)"
-            p.add_argument("--j-max", type=_integer, default=J_MAX, help=guard)
+            p.add_argument("--j-max", type=int, default=J_MAX, help=guard)
         return p
 
     p = command("period", "closed-form minimal period", j_max=True)
-    p.add_argument("j", type=_integer)
-    p.add_argument("e", type=_integer)
+    p.add_argument("j", type=int)
+    p.add_argument("e", type=int)
     p.add_argument("--verify", action="store_true", help="certify against the oracle")
 
     p = command("table", "full-period residue table", j_max=False)
-    p.add_argument("j", type=_integer)
-    p.add_argument("e", type=_integer)
+    p.add_argument("j", type=int)
+    p.add_argument("e", type=int)
     p.add_argument(
         "--annotate",
         action="store_true",
@@ -405,8 +392,8 @@ def _build_parser() -> _Parser:
     )
 
     p = command("oracle", "brute-force period with evidence", j_max=True)
-    p.add_argument("j", type=_integer)
-    p.add_argument("e", type=_integer)
+    p.add_argument("j", type=int)
+    p.add_argument("e", type=int)
 
     p = command("verify", "exact identity sweeps", j_max=False)
     p.add_argument(
@@ -424,6 +411,17 @@ def _build_parser() -> _Parser:
 
 
 _PARSER = _build_parser()
+
+
+def _bounded(line: str) -> str:
+    """line with each run of more than 50 characters holding no whitespace
+    and no quote cut to its first 20, '...' and, after its closing quote if
+    it was quoted, its length: a stderr line stays short whatever the input."""
+    return re.sub(
+        r"('?)([^\s']{51,})\1",
+        lambda run: f"{run[1]}{run[2][:20]}...{run[1]} ({len(run[2])} characters)",
+        line,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -449,10 +447,10 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_OK
     except (_UsageError, OutOfDomainError, InvalidModulusError) as err:
-        sys.stderr.write(f"error: {err}\n")
+        sys.stderr.write(_bounded(f"error: {err}\n"))
         return EXIT_USAGE
     except ResourceGuardError as err:
-        sys.stderr.write(f"resource guard: {err}\n")
+        sys.stderr.write(_bounded(f"resource guard: {err}\n"))
         return EXIT_GUARD
 
 

@@ -158,11 +158,11 @@ def _row(j: int) -> tuple:
     p0 the length of its one e = 1 walk, each class value once (a negative
     slot is read as F_j - c where it is read), firsts[e % 2] a dict from each
     divisor d scanned at that parity to the first i with keys[i] != keys[i + d],
-    or None (threads that fill one entry write the same value), and held =
-    [(e', P)], P a period at every multiple of e'.  held[0] starts as (1, p0);
-    a call replaces it whole, and only by a strictly smaller minimal period,
-    so a thread can at worst keep a larger one.  The row keeps no squares or
-    powers: those serve one call."""
+    or None (filled by the first call that scans d at that parity, and never
+    rewritten), and held = [(e', P)], P a period at every multiple of e'.
+    held[0] starts as (1, p0); a call replaces it whole, and only by a
+    strictly smaller minimal period, so it holds the smallest one found.
+    The row keeps no squares or powers: those serve one call."""
     m = fib_exact(j)
     window = sequence_prefix(j, 1)
     p0 = len(window)

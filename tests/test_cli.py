@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -390,8 +391,12 @@ def digit_limit():
 
 
 def _modulus_message(j):
+    # past 50 characters, F_j is shown as its first 20, '...' and its length
+    name = f"F_{j}"
+    if len(name) > 50:
+        name = f"{name[:20]}... ({len(name)} characters)"
     return (
-        f"resource guard: F_{j} has more than 4300 decimal digits, the widest modulus "
+        f"resource guard: {name} has more than 4300 decimal digits, the widest modulus "
         "powerfib takes; raise PYTHONINTMAXSTRDIGITS to allow it\n"
     )
 
@@ -873,6 +878,34 @@ def test_too_long_integers_are_echoed_in_short(capsys, digit_limit, command):
     assert "...' (" in err
 
 
+# 5000 characters, and 10**4299, whose 4300 digits int() still converts
+_LONG_TEXT = "x" * 5000
+_LONG_N = "1" + "0" * 4299
+
+
+@pytest.mark.parametrize(
+    ("command", "code"),
+    [
+        ("X", 1),
+        ("period 9 5 X", 1),
+        ("verify X", 1),
+        ("table 10 --format X 1", 1),
+        ("period -N 1", 1),
+        ("oracle N 1", 3),
+        ("scan 4..5 X", 1),
+        ("period 9 NN", 1),
+    ],
+)
+def test_every_failure_shortens_a_long_run(capsys, digit_limit, command, code):
+    # argparse's errors, the library's domain errors and the guard lines alike
+    rc, out, err = run(capsys, *command.replace("X", _LONG_TEXT).replace("N", _LONG_N).split())
+    assert (rc, out) == (code, "")
+    assert err.startswith(("error: ", "resource guard: ")), err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 200
+    assert " characters)" in err
+
+
 def test_usage_errors_echo_50_characters_whole(capsys):
     assert run(capsys, "period", "9", "x") == (1, "", "error: argument e: invalid int value: 'x'\n")
     text = "x" * 50
@@ -1001,7 +1034,8 @@ def test_csv_is_refused_outside_table_before_any_work(capsys, monkeypatch, comma
 @st.composite
 def _requests(draw) -> list[str]:
     """A subcommand with small j, e and ranges (j <= 30, e <= 6), then any
-    subset of --format, --j-max, --verify and --annotate in any order."""
+    subset of --format, --j-max, --verify and --annotate in any order, and
+    maybe one 5000-character token of a letter or digit at any position."""
     command = draw(st.sampled_from(list(_OPTIONS)))
     j, e = st.integers(-2, 30), st.integers(-1, 6)
     if command == "scan":
@@ -1018,7 +1052,11 @@ def _requests(draw) -> list[str]:
     ]
     for option in draw(st.lists(st.sampled_from(options), unique=True)):
         argv += option
-    return [command, *argv]
+    argv = [command, *argv]
+    token = draw(st.none() | st.sampled_from(string.ascii_letters + string.digits))
+    if token is not None:
+        argv.insert(draw(st.integers(0, len(argv))), token * 5000)
+    return argv
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,7 @@ import sys
 import time
 
 from powerfib import cli, oracle
-from powerfib.fibcore import fib_prefix
+from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.periodicity import period_closed_form
 from powerfib.residue_tables import case_breakdown, residues_general
 
@@ -79,6 +79,21 @@ def _labels() -> str:
     return f"labels={rows} mismatches={bad}"
 
 
+def _bounds() -> str:
+    """Check every e in {1, 2} table entry for j in 4..1000 against
+    [0, F_j - 1], and count the entries equal to F_j - 1: the abstract's
+    bound 0 <= rho_i < F_j - 1 leaves those out."""
+    tables = bad = top = 0
+    for j in range(4, 1001):
+        m = fib_exact(j)
+        for e in (1, 2):
+            residues = residues_general(j, e).residues
+            tables += 1
+            bad += sum(not 0 <= r < m for r in residues)
+            top += residues.count(m - 1)
+    return f"bounds={tables} mismatches={bad} top={top}"
+
+
 CLAIMS = [
     _scan("3..1000 1..10 --j-max 1000", "cells=9980 disagreements=0"),
     # the same rows started above e = 1
@@ -103,6 +118,8 @@ CLAIMS = [
     ("tables 4..400 1..8", _tables, "tables=3176 mismatches=0"),
     # the paper's e = 1 and e = 2 residue formulas, each label's exact value
     ("labels 4..1000 1..2", _labels, "labels=1994 mismatches=0"),
+    # the abstract's residue bound, with its erratum: F_j - 1 is itself a residue
+    ("bounds 4..1000 1..2", _bounds, "bounds=1994 mismatches=0 top=4485"),
 ]
 
 
