@@ -16,7 +16,8 @@ pass it to the subcommand's renderer in `_RENDERERS`, which returns the
 output lines.  Either way `main` writes the whole text
 with a single `sys.stdout.write`; a failure writes nothing to stdout and
 one line to stderr, where any run of more than 50 characters without
-whitespace or quote shows as its first 20 and its length.  The resource
+whitespace or quote shows as its first 20 and its length, and a line
+still past 180 characters as its first 150 and its length.  The resource
 guard trips before any work, whatever the size of j, on a modulus F_j
 wider than Python prints
 (`sys.get_int_max_str_digits()`, or its default where printing has no
@@ -71,12 +72,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_range(text: str) -> tuple[int, int]:
     """'4..22' as (4, 22); a bare '4' as (4, 4)."""
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError:
         raise _UsageError(f"range must look like 'a..b' or 'a', got {text!r}") from None
     if lo > hi:
@@ -414,14 +412,17 @@ _PARSER = _build_parser()
 
 
 def _bounded(line: str) -> str:
-    """line with each run of more than 50 characters holding no whitespace
-    and no quote cut to its first 20, '...' and, after its closing quote if
-    it was quoted, its length: a stderr line stays short whatever the input."""
-    return re.sub(
-        r"('?)([^\s']{51,})\1",
-        lambda run: f"{run[1]}{run[2][:20]}...{run[1]} ({len(run[2])} characters)",
-        line,
-    )
+    """line with each run of more than 50 characters free of whitespace and
+    of quotes but its own cut to its first 20, '...' and its length as printed
+    (after its quotes), then, if still over 180, to its first 150 likewise."""
+
+    def cut(run: re.Match) -> str:
+        quote = run[0][0] if run.lastindex < 3 else ""
+        text = run[run.lastindex]
+        return f"{quote}{text[:20]}...{quote} ({len(text)} characters)"
+
+    line = re.sub(r"""'([^\s']{51,})'|"([^\s"]{51,})"|([^\s'"]{51,})""", cut, line)
+    return line if len(line) <= 180 else f"{line[:150]}... ({len(line)} characters)"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -447,10 +448,10 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return EXIT_OK
     except (_UsageError, OutOfDomainError, InvalidModulusError) as err:
-        sys.stderr.write(_bounded(f"error: {err}\n"))
+        sys.stderr.write(_bounded(f"error: {err}") + "\n")
         return EXIT_USAGE
     except ResourceGuardError as err:
-        sys.stderr.write(_bounded(f"resource guard: {err}\n"))
+        sys.stderr.write(_bounded(f"resource guard: {err}") + "\n")
         return EXIT_GUARD
 
 

@@ -878,9 +878,9 @@ def test_too_long_integers_are_echoed_in_short(capsys, digit_limit, command):
     assert "...' (" in err
 
 
-# 5000 characters, and 10**4299, whose 4300 digits int() still converts
-_LONG_TEXT = "x" * 5000
-_LONG_N = "1" + "0" * 4299
+# X: 5000 characters; N: 10**4299, whose 4300 digits int() still converts;
+# S and Q: 4999 and 5000 characters in runs of one, split by spaces or quotes
+_LONG = {"X": "x" * 5000, "N": "1" + "0" * 4299, "S": " ".join("x" * 2500), "Q": "x'" * 2500}
 
 
 @pytest.mark.parametrize(
@@ -894,11 +894,16 @@ _LONG_N = "1" + "0" * 4299
         ("oracle N 1", 3),
         ("scan 4..5 X", 1),
         ("period 9 NN", 1),
+        ("period 9 S", 1),
+        ("period 9 Q", 1),
+        ("scan 4..S 1", 1),
+        pytest.param("period 9 5" + " x" * 2500, 1, id="period 9 5 x*2500-1"),
     ],
 )
 def test_every_failure_shortens_a_long_run(capsys, digit_limit, command, code):
     # argparse's errors, the library's domain errors and the guard lines alike
-    rc, out, err = run(capsys, *command.replace("X", _LONG_TEXT).replace("N", _LONG_N).split())
+    argv = [re.sub("[XNSQ]", lambda name: _LONG[name[0]], arg) for arg in command.split()]
+    rc, out, err = run(capsys, *argv)
     assert (rc, out) == (code, "")
     assert err.startswith(("error: ", "resource guard: ")), err
     assert err.count("\n") == 1 and err.endswith("\n")
@@ -920,6 +925,22 @@ def test_usage_errors_echo_50_characters_whole(capsys):
         "",
         "error: range must look like 'a..b' or 'a', got '4..xxxxxxxxxxxxxxxxx...' (53 characters)\n",
     )
+
+
+def test_a_long_line_is_cut_to_its_head_and_length(capsys):
+    # a run opening with a quote of the other kind keeps both quotes
+    assert run(capsys, "period", "9", "'" + "x" * 60) == (
+        1,
+        "",
+        "error: argument e: invalid int value: \"'xxxxxxxxxxxxxxxxxxx...\" (61 characters)\n",
+    )
+    # runs of one character: the line is kept to 180 characters, past that
+    # cut to its first 150, '...' and its own length
+    for text in ("x " * 70, "x " * 70 + "x", _LONG["S"]):
+        line = f"error: argument e: invalid int value: '{text}'"
+        shown = line if len(line) <= 180 else f"{line[:150]}... ({len(line)} characters)"
+        assert run(capsys, "period", "9", text) == (1, "", shown + "\n")
+    assert len("error: argument e: invalid int value: '" + "x " * 70 + "'") == 180
 
 
 def test_scan_usage_errors(capsys):
@@ -1035,7 +1056,8 @@ def test_csv_is_refused_outside_table_before_any_work(capsys, monkeypatch, comma
 def _requests(draw) -> list[str]:
     """A subcommand with small j, e and ranges (j <= 30, e <= 6), then any
     subset of --format, --j-max, --verify and --annotate in any order, and
-    maybe one 5000-character token of a letter or digit at any position."""
+    maybe one 5000-character token at any position, one to three letters,
+    digits, spaces or quotes repeated."""
     command = draw(st.sampled_from(list(_OPTIONS)))
     j, e = st.integers(-2, 30), st.integers(-1, 6)
     if command == "scan":
@@ -1053,9 +1075,10 @@ def _requests(draw) -> list[str]:
     for option in draw(st.lists(st.sampled_from(options), unique=True)):
         argv += option
     argv = [command, *argv]
-    token = draw(st.none() | st.sampled_from(string.ascii_letters + string.digits))
-    if token is not None:
-        argv.insert(draw(st.integers(0, len(argv))), token * 5000)
+    chars = string.ascii_letters + string.digits + " '\""
+    unit = draw(st.none() | st.text(chars, min_size=1, max_size=3))
+    if unit is not None:
+        argv.insert(draw(st.integers(0, len(argv))), (unit * 5000)[:5000])
     return argv
 
 
