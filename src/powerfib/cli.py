@@ -2,10 +2,10 @@
 
 Subcommands: period, table, oracle, verify, scan.  Exit codes: 0 success
 or agreement, 1 usage, 2 mathematical disagreement, 3 resource guard.
-Output is deterministic byte for byte for identical invocations.  A reader
+Output is deterministic byte for byte for identical invocations, as the
+request tables of tests/test_cli.py pin, stderr lines included.  A reader
 that closes stdout early (`powerfib table 500 3 | head -1`) ends the run
-quietly with exit code 0: the output it took is complete, and the rest was
-not wanted.
+quietly with exit code 0: the output it took is complete.
 
 Each `cmd_*` function does the work and returns `(exit_code, record)`,
 where the record is the JSON document of its answer, built from the
@@ -15,8 +15,9 @@ for csv's usage errors): json prints the record as one line, plain and csv
 pass it to the subcommand's renderer in `_RENDERERS`, which returns the
 output lines.  Either way `main` writes the whole text
 with a single `sys.stdout.write`; a failure writes nothing to stdout and
-one line to stderr, where any run of more than 50 characters without
-whitespace or quote shows as its first 20 and its length, and a line
+one line to stderr, where a character that does not print shows as repr
+shows it (`\\n`, `\\t`, `\\x1b`), any run of more than 50 characters
+without whitespace or quote as its first 20 and its length, and a line
 still past 180 characters as its first 150 and its length.  The resource
 guard trips before any work, whatever the size of j, on a modulus F_j
 wider than Python prints
@@ -412,15 +413,17 @@ _PARSER = _build_parser()
 
 
 def _bounded(line: str) -> str:
-    """line with each run of more than 50 characters free of whitespace and
-    of quotes but its own cut to its first 20, '...' and its length as printed
-    (after its quotes), then, if still over 180, to its first 150 likewise."""
+    """line with each unprintable character shown as repr shows it (\\n), each
+    run of more than 50 characters free of whitespace and of quotes but its
+    own cut to its first 20, '...' and its length as printed (after its
+    quotes), then, if still over 180, to its first 150 likewise."""
 
     def cut(run: re.Match) -> str:
         quote = run[0][0] if run.lastindex < 3 else ""
         text = run[run.lastindex]
         return f"{quote}{text[:20]}...{quote} ({len(text)} characters)"
 
+    line = "".join(c if c.isprintable() else repr(c)[1:-1] for c in line)
     line = re.sub(r"""'([^\s']{51,})'|"([^\s"]{51,})"|([^\s'"]{51,})""", cut, line)
     return line if len(line) <= 180 else f"{line[:150]}... ({len(line)} characters)"
 

@@ -306,11 +306,11 @@ def _is_prime_u64(n: int) -> bool:
 
 
 def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int, bool]:
-    """Factors found below TRIAL_DIVISION_BOUND, the remaining cofactor, and
-    whether it is a prime below 2^64, which ends division early: no divisor
+    """Factors of n < 2^64 found below TRIAL_DIVISION_BOUND, the remaining
+    cofactor, and whether it is prime, which ends division early: no divisor
     is left for it to find, so the result is what a walk to the bound gives."""
     factors: list[tuple[int, int]] = []
-    prime = n < 2**64 and _is_prime_u64(n)
+    prime = _is_prime_u64(n)
     limit = min(TRIAL_DIVISION_BOUND, math.isqrt(n))
     # 2, 3, then 6k - 1 and 6k + 1
     wheel = zip(range(5, limit + 1, 6), range(7, limit + 3, 6))
@@ -320,7 +320,7 @@ def _trial_factor(n: int) -> tuple[list[tuple[int, int]], int, bool]:
         if n % p == 0:
             n, mult = _strip(n, p)
             factors.append((p, mult))
-            prime = n < 2**64 and _is_prime_u64(n)
+            prime = _is_prime_u64(n)
             limit = min(limit, math.isqrt(n))
     return factors, n, prime
 
@@ -339,7 +339,8 @@ class PrimitiveDivisorResult:
 def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     """Find the smallest primitive prime divisor of F_j, or report none.
 
-    F_j is factored by trial division; a leftover cofactor is accepted if a
+    F_j, below 2^64 for every j up to J_FACT_MAX (F_93 is the last), is
+    factored by trial division; a leftover cofactor is accepted if a
     deterministic 64-bit primality test confirms it prime, otherwise the
     factorization is out of reach and a resource guard fires carrying the
     partial trace.  The primitive primes are those of F_j's primitive part
@@ -354,11 +355,6 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     factors, cofactor, prime = _trial_factor(fs[j])
     if prime:
         factors.append((cofactor, 1))
-    elif cofactor >= 2**64:
-        raise ResourceGuardError(
-            f"cofactor of F_{j} exceeds 64 bits; cannot certify primality",
-            partial=tuple(factors),
-        )
     elif cofactor > 1:
         raise ResourceGuardError(
             f"cofactor {cofactor} of F_{j} is composite and beyond the "

