@@ -7,7 +7,7 @@
 - LONG: long arguments, each echoed on one short stderr line, exactly.
 A row names its test, `name` or `name[case]` for a case of test_name, as
 the suite named these tests before the tables; a test runs every row that
-bears its name, from any table.
+bears its name, from any table, and every row that _ALSO lends it.
 """
 
 import ast
@@ -597,6 +597,18 @@ LONG = [
 ]
 LONG = [row._replace(limits=(4300,)) for row in LONG]
 
+# where two tests pinned one request, one row holds it; the other test,
+# named here, runs that row too
+_ALSO = {
+    "exact_output[period 2 4 --verify --format json]": "period_verify_skips_oracle_below_domain",
+    "exact_output[period 9 5 --verify --format json]": "period_output_is_reproducible",
+    "exact_output[scan 4..6 1..2 --format json]": "scan_json",
+    "exact_output[verify zero_positions]": "verify_j6_evidence_line",
+    "csv_is_refused_outside_table_before_any_work[period 7 1]": "period_rejects_csv",
+    "widest_printable_modulus_runs": "modulus_rule_at_its_edge[oracle-limit]",
+    "modulus_too_wide_to_print_trips_guard[oracle 20578 1 --j-max 20578]": "modulus_rule_at_its_edge[oracle-limit]",
+}
+
 
 def _define_tests(*tables):
     """test_<name> for each row name, running every row of that name through
@@ -604,8 +616,9 @@ def _define_tests(*tables):
     by_test = {}
     for check, rows in tables:
         for row in rows:
-            name, _, case = row.test.partition("[")
-            by_test.setdefault(f"test_{name}", {}).setdefault(case[:-1], []).append((check, row))
+            for test in filter(None, (row.test, _ALSO.get(row.test))):
+                name, _, case = test.partition("[")
+                by_test.setdefault(f"test_{name}", {}).setdefault(case[:-1], []).append((check, row))
     for name, cases in by_test.items():
         if list(cases) == [""]:
 
