@@ -431,6 +431,9 @@ def _bounded(line: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
+        # every oracle row has j >= 3, so a smaller guard would refuse them all
+        if getattr(args, "j_max", J_MAX) < 3:
+            raise _UsageError(f"--j-max must be at least 3, got {args.j_max}")
         # looked up by name on every call, so a rebound cmd_* takes effect
         code, record = globals()[f"cmd_{args.command}"](args)
         if args.format == "json":

@@ -135,7 +135,10 @@ def _strip(n: int, x: int) -> tuple[int, int]:
 def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
     """gcd(F_n, F_m) against F_gcd(n, m) at each pair (n, m).  The law reads
     a few sparse indices, so the row walks the recurrence for just those."""
-    for n, m in pairs:
+    for pair in pairs:
+        if len(pair) != 2:
+            raise OutOfDomainError(f"a gcd pair needs two indices, got {tuple(pair)}")
+        n, m = pair
         if n < 0 or m < 0:
             raise OutOfDomainError(f"indices must be nonnegative, got ({n}, {m})")
         if n == 0 and m == 0:

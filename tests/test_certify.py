@@ -2,10 +2,14 @@
 fails on a claim whose line differs, and the workflow runs it in one step
 instead of spelling out grids of its own."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_runner_fails_on_a_line_one_cell_off(capsys, certify):
@@ -37,3 +41,21 @@ def test_the_workflow_certifies_only_through_the_manifest():
     assert sum("PYTHONINTMAXSTRDIGITS=0" in run for run in runs) == 1
     assert "python -m pytest -q benchmarks/tests" in runs
     assert text.count("python3 benchmarks/run.py --workload") == 3
+
+
+def test_any_argument_gets_the_usage_line_before_any_claim():
+    # the claims take about 30 s, so a run that started them times out
+    for argv in (["--help"], ["scan", "3..5"]):
+        proc = subprocess.run(
+            [sys.executable, "tools/certify.py", *argv],
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2,
+            "",
+            "usage: PYTHONPATH=src python tools/certify.py\n",
+        ), argv

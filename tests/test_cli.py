@@ -5,9 +5,9 @@
   function stubbed to fail, so each request is refused before any work;
 - ADMITTED: each guard's edge, on cheap stub builders;
 - LONG: long arguments, each echoed on one short stderr line, exactly.
-A row names its test, `name` or `name[case]` for a case of test_name, as
-the suite named these tests before the tables; a test runs every row that
-bears its name, from any table, and every row that _ALSO lends it.
+A row names its test, `name` or `name[case]` for a case of test_name, and
+tests/rows.py builds each test from every row that bears its name, from any
+table, and every row that _ALSO lends it.
 """
 
 import ast
@@ -38,6 +38,7 @@ from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import COUNTEREXAMPLE, Counterexample, VerificationReport
 from powerfib.oracle import OracleTrace, minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult
+from rows import define_tests
 
 
 def run(capsys, *argv):
@@ -492,6 +493,17 @@ REFUSED = [
         for case, limit, names in (("limit", 4300, ("period", "scan")), ("no-limit", 0, _EDGE_ROWS))
         for name in names
     ),
+    # every oracle row has j >= 3, so a smaller --j-max is a bad option value
+    # wherever it is taken, --verify or not
+    *(
+        Row("j_max_below_3_is_a_usage_error", argv, 1, err=f"error: --j-max must be at least 3, got {j_max}\n")
+        for argv, j_max in (
+            ("oracle 5 1 --j-max -3", -3),
+            ("period 5 1 --j-max -3", -3),
+            ("period 5 1 --verify --j-max 0", 0),
+            ("scan 3..5 1..2 --j-max 2", 2),
+        )
+    ),
     *(
         Row(f"j_max_is_refused_where_no_oracle_runs[{argv}]", argv, 1, err="error: unrecognized arguments: --j-max 3\n")
         for argv in ("table 5 1 --j-max 3", "verify gcd --j-max 3")
@@ -525,6 +537,7 @@ ADMITTED = [
             (f"scan 3..3 {2**64 - 5000}..{2**64 - 1}", "cells=5000 disagreements=0"),
         )
     ),
+    Row("j_max_below_3_is_a_usage_error", "oracle 3 1 --j-max 3", 0, "modulus=0 pisano=0 power_period=3"),
     # the real oracle answers `oracle 20577 1` at 4300 digits, in REQUESTS
     *(
         Row(f"modulus_rule_at_its_edge[{name}-{case}]", _EDGE_ROWS[name].replace("J", "20577"), 0, line, limits=(limit,))
@@ -610,35 +623,12 @@ _ALSO = {
 }
 
 
-def _define_tests(*tables):
-    """test_<name> for each row name, running every row of that name through
-    its table's check; the rows named `name[case]` are case `case` of it."""
-    by_test = {}
-    for check, rows in tables:
-        for row in rows:
-            for test in filter(None, (row.test, _ALSO.get(row.test))):
-                name, _, case = test.partition("[")
-                by_test.setdefault(f"test_{name}", {}).setdefault(case[:-1], []).append((check, row))
-    for name, cases in by_test.items():
-        if list(cases) == [""]:
-
-            def test(capsys, work, rows=cases[""]):
-                for check, row in rows:
-                    check(capsys, work, row)
-
-        else:
-
-            @pytest.mark.parametrize("rows", list(cases.values()), ids=list(cases))
-            def test(capsys, work, rows):
-                for check, row in rows:
-                    check(capsys, work, row)
-
-        test.__name__ = test.__qualname__ = name
-        yield name, test
-
-
 globals().update(
-    _define_tests((_check_request, REQUESTS), (_check_refused, REFUSED), (_check_admitted, ADMITTED), (_check_refused, LONG))
+    define_tests(
+        [(_check_request, REQUESTS), (_check_refused, REFUSED), (_check_admitted, ADMITTED), (_check_refused, LONG)],
+        names=lambda row: filter(None, (row.test, _ALSO.get(row.test))),
+        fixtures=("capsys", "work"),
+    )
 )
 
 
@@ -653,7 +643,7 @@ def test_every_message_cli_raises_has_a_row():
                     continue  # _Parser.error passes argparse's message on
                 parts = text.values if isinstance(text, ast.JoinedStr) else [text]
                 messages.append(max((p.value for p in parts if isinstance(p, ast.Constant)), key=len))
-    assert len(messages) == 14  # so a walk that finds none cannot pass
+    assert len(messages) == 15  # so a walk that finds none cannot pass
     lines = [row.err for row in REQUESTS + REFUSED + LONG if isinstance(row.err, str)]
     assert [m for m in messages if not any(m in line for line in lines)] == []
 

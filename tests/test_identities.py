@@ -1,6 +1,19 @@
+"""The identity sweeps and primitive primes, in four tables of rows:
+- HOLDS: a sweep call, its exact cases_checked and pinned record entries;
+- BROKEN: the same, under one break (a patched fib_prefix or fib_exact
+  value, or one case's side shifted), with the exact Counterexample;
+- REFUSED: a call, and the exact type and message of the error it raises;
+- PRIMITIVE: j, the smallest primitive prime of F_j or None, and the pinned
+  factor traces.
+A row names its tests, split by spaces, and tests/rows.py builds each test
+from every row that bears its name, from any table.
+"""
+
 import contextlib
 import math
 import tracemalloc
+from operator import neg
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +40,236 @@ from powerfib.identities import (
     sweep_square_lemma,
     sweep_zero_positions,
 )
+from rows import define_tests
+
+
+class Sweep(NamedTuple):
+    test: str
+    sweep: Callable
+    args: tuple
+    cases: int
+    counterexample: Counterexample | None = None  # None: every case holds
+    record: dict = {}  # entries its to_record() must have
+    broken: tuple | None = None  # (name in identities, what it is patched to)
+
+
+class Refusal(NamedTuple):
+    test: str
+    call: Callable
+    args: tuple
+    message: str
+    error: type = OutOfDomainError
+    partial: tuple | None = None  # a ResourceGuardError's evidence
+
+
+class Prime(NamedTuple):
+    test: str
+    j: int
+    prime: int | None
+    trace: tuple | None = None
+
+
+def _check_sweep(row):
+    with pytest.MonkeyPatch.context() as patch:
+        if row.broken:
+            patch.setattr(identities, *row.broken)
+        report = row.sweep(*row.args)
+    verdict = ALL_PASS if row.counterexample is None else COUNTEREXAMPLE
+    assert (report.verdict, report.cases_checked, report.counterexample) == (verdict, row.cases, row.counterexample)
+    if row.counterexample is not None:
+        assert list(report.counterexample.inputs) == list(row.counterexample.inputs)
+    assert {key: report.to_record()[key] for key in row.record} == row.record
+
+
+def _check_refused(row):
+    with pytest.raises(row.error) as err:
+        row.call(*row.args)
+    assert (type(err.value), str(err.value), getattr(err.value, "partial", None)) == (row.error, row.message, row.partial)
+
+
+def _check_prime(row):
+    r = primitive_prime_divisor(row.j)
+    assert (r.primitive_prime, r.rank_of_apparition) == (row.prime, None if row.prime is None else row.j)
+    assert row.trace is None or r.factor_trace == row.trace
+
+
+def prefix_with(index: int, value: int) -> tuple:
+    """fib_prefix, patched to read F_index as value."""
+    return "fib_prefix", lambda count: [value if i == index else f for i, f in enumerate(fib_prefix(count))]
+
+
+def exact_with(index: int, value: int) -> tuple:
+    """fib_exact, patched to read F_index as value."""
+    return "fib_exact", lambda n: value if n == index else fib_exact(n)
+
+
+def shift_case(inputs: dict, change: Callable, side: str = "rhs") -> tuple:
+    """_equation_sweep, patched to apply change to one side of the one part
+    of the row that holds the case of these inputs, at that case."""
+    real = identities._equation_sweep
+
+    def broken(name, domain, names, rows):
+        def shifted():
+            for cases, (part,) in rows:
+                cases = [dict(zip(names, case)) for case in cases]
+                if inputs in cases:
+                    i = cases.index(inputs)
+                    getattr(part, side)[i] = change(getattr(part, side)[i])
+                yield map(dict.values, cases), (part,)
+
+        return real(name, domain, names, shifted())
+
+    return "_equation_sweep", broken
+
+
+HOLDS = [
+    # twice the largest domains the sweeps benchmark runs for addition,
+    # Catalan and the square lemma, the largest for the others; each report
+    # covers its domain's closed count of cases
+    Sweep("sweeps_all_pass", sweep_gcd, (), 200),
+    Sweep("sweeps_all_pass", sweep_addition, (400, 400), 400 * 401),
+    Sweep("sweeps_all_pass", sweep_catalan, (480,), 481 * 482 // 2),
+    Sweep("sweeps_all_pass", sweep_cassini, (600,), 600),
+    Sweep("sweeps_all_pass", sweep_square_lemma, (200,), 201 * 202 // 2 - 3),
+    # and, on twice the j range, every exponent to 60: 2181360 cases
+    *(
+        Sweep("sweeps_all_pass", sweep_zero_positions, (js, range(1, e_max + 1)), sum(e_max * (5 * j + 1) for j in js))
+        for js, e_max in (([j for j in range(4, 61) if j != 6], 10), ([j for j in range(4, 121) if j != 6], 60))
+    ),
+    Sweep("sweeps_all_pass", sweep_carmichael, (3, 72, (6, 12)), 70),
+    # gcd(F_10, F_15) = gcd(55, 610) = 5 = F_5
+    Sweep("gcd_identity_examples", sweep_gcd, ([(10, 15), (12, 8), (0, 9), (7, 7)],), 4),
+    Sweep("gcd_identity_small_grid", sweep_gcd, ([(n, m) for n in range(21) for m in range(21) if (n, m) != (0, 0)],),
+          21 * 21 - 1),
+    Sweep("catalan_full_small_domain", sweep_catalan, (80,), 81 * 82 // 2),
+    Sweep("cassini_full_range", sweep_cassini, (120,), 120),
+    Sweep("sweep_carmichael_with_true_exception_set", sweep_carmichael, (3, 40), 38),
+    Sweep("report_records", sweep_cassini, (10,), 10,
+          record={"identity": "cassini", "domain": "n in [1, 10]", "cases": 10, "verdict": "all_pass"}),
+]
+
+BROKEN = [
+    # F_7 = 14 breaks only the last part at (3, 0): 9 < 14, but F_4^2 = 9
+    # against -F_3^2 = -4 = 10 mod 14; three cases at k = 2, which read no
+    # further than F_5, come first
+    Sweep("square_lemma_sweep_reports_first_failing_part", sweep_square_lemma, (5,), 4,
+          Counterexample({"k": 3, "alpha": 0}, 9, 10, "congruence_odd_index"),
+          {"counterexample": {"inputs": {"k": 3, "alpha": 0}, "lhs": "9", "rhs": "10", "part": "congruence_odd_index"}},
+          prefix_with(7, 14)),
+    # F_4 = 1 breaks the bound F_2^2 < F_4 at k = 2 with both sides 1, which
+    # an equality test would read as a pass
+    Sweep("square_lemma_sweep_fails_a_bound_with_equal_sides", sweep_square_lemma, (2,), 1,
+          Counterexample({"k": 2, "alpha": 0}, 1, 1, "bound_even_index"), broken=prefix_with(4, 1)),
+    # F_3 = 3 breaks two parts at k = 2: congruence_even_index at alpha = 1
+    # (F_3^2 = 0 against F_1^2 = 1 mod 3), and bound_odd_index, a later part,
+    # at every alpha (F_3^2 = 9 against F_5 = 5); the first case wins
+    Sweep("square_lemma_sweep_reports_the_first_failing_case_then_part", sweep_square_lemma, (2,), 1,
+          Counterexample({"k": 2, "alpha": 0}, 9, 5, "bound_odd_index"), broken=prefix_with(3, 3)),
+    # n = 1 and n = 2 give six cases each, then m = 0, 1, 2 at n = 3: F_5 = 5
+    # against F_2 F_2 + F_3 F_3 = 5, pushed to 6
+    Sweep("addition_sweep_reports_failing_case", sweep_addition, (5, 5), 15, Counterexample({"n": 3, "m": 2}, 5, 6),
+          broken=shift_case({"n": 3, "m": 2}, lambda x: x + 1)),
+    # 1 + 2 + 3 + 4 cases for n < 4, then r = 0, 1, 2 at n = 4:
+    # F_4^2 - F_2 F_6 = 9 - 8 = 1 against (+1) F_2^2 = 1, negated
+    Sweep("catalan_sweep_reports_failing_case", sweep_catalan, (6,), 13, Counterexample({"n": 4, "r": 2}, 1, -1),
+          broken=shift_case({"n": 4, "r": 2}, neg)),
+    # a pair may come as any two-item sequence; its case keeps both names:
+    # gcd(F_9, F_6) = gcd(34, 8) = 2 against F_3 = 2, pushed to 3
+    Sweep("gcd_sweep_reports_failing_case", sweep_gcd, ([(4, 6), [0, 5], (9, 6), (12, 8)],), 3,
+          Counterexample({"n": 9, "m": 6}, 2, 3),
+          broken=shift_case({"n": 9, "m": 6}, lambda x: x + 1)),
+    # F_6^2 - F_5 F_7 = 64 - 65 = -1 against (-1)^5 = -1, negated
+    Sweep("cassini_sweep_reports_failing_case", sweep_cassini, (10,), 6, Counterexample({"n": 6}, -1, 1),
+          {"counterexample": {"inputs": {"n": 6}, "lhs": "-1", "rhs": "1"}},
+          shift_case({"n": 6}, neg)),
+    # j = 5 .. 9: no prime found at j = 9 (lhs 0), where one was demanded (rhs 1)
+    Sweep("carmichael_sweep_reports_failing_case", sweep_carmichael, (5, 20), 5, Counterexample({"j": 9}, 0, 1),
+          broken=shift_case({"j": 9}, lambda x: 0, "lhs")),
+    # insisting that 12 is the only exception is refuted at j = 6, after 3, 4, 5
+    Sweep("sweep_carmichael_narrow_exception_set_finds_j6 report_records", sweep_carmichael, (3, 40, (12,)), 4,
+          Counterexample({"j": 6}, 0, 1),
+          {"verdict": "counterexample", "counterexample": {"inputs": {"j": 6}, "lhs": "0", "rhs": "1"}}),
+    # mod 4 in place of F_4 = 3: F_3 = 2 squares to 0 at i = 3, and at i = 4
+    # F_4 = 3 does not vanish although 4 | 4.  Each (j, e) counts the indices
+    # its scan ran: i <= 5 j for j = 5 at e = 1 and 2, then i <= 4 for j = 4,
+    # whose scan stopped at its witness.  lhs: F_i vanished mod F_j; rhs: j | i
+    Sweep("zero_positions_sweep_counterexample", sweep_zero_positions, ([5, 4, 7], [1, 2]), 26 + 26 + 5,
+          Counterexample({"j": 4, "e": 1, "i": 4}, 0, 1), broken=exact_with(4, 4)),
+    Sweep("zero_positions_sweep_counterexample", sweep_zero_positions, ([4], [2]), 4,
+          Counterexample({"j": 4, "e": 2, "i": 3}, 1, 0), broken=exact_with(4, 4)),
+]
+
+REFUSED = [
+    Refusal("gcd_identity_rejects_zero_pair", sweep_gcd, ([(0, 0)],), "gcd(F_0, F_0) = gcd(0, 0) is undefined"),
+    Refusal("gcd_identity_rejects_zero_pair", sweep_gcd, ([(-1, 5)],), "indices must be nonnegative, got (-1, 5)"),
+    Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([(3,)],), "a gcd pair needs two indices, got (3,)"),
+    Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([(1, 2, 3)],), "a gcd pair needs two indices, got (1, 2, 3)"),
+    Refusal("square_lemma_domain", check_square_lemma, (1, 0), "k must be at least 2, got 1"),
+    Refusal("square_lemma_domain", check_square_lemma, (4, 5), "need 0 <= alpha <= k, got alpha=5, k=4"),
+    Refusal("square_lemma_domain", check_square_lemma, (4, -1), "need 0 <= alpha <= k, got alpha=-1, k=4"),
+    Refusal("zero_positions_domain", check_zero_positions, (3, 1, 10), "zero positions need j >= 4, got 3"),
+    Refusal("zero_positions_domain", check_zero_positions, (7, 0, 10), "exponent must be at least 1, got 0"),
+    Refusal("zero_positions_domain", check_zero_positions, (7, 1, -1), "i_max must be nonnegative, got -1"),
+    # checked in this order: j, then every e, then i_max
+    Refusal("zero_positions_domain", check_zero_positions, (3, 0, -1), "zero positions need j >= 4, got 3"),
+    Refusal("zero_positions_domain", check_zero_positions, (7, 0, -1), "exponent must be at least 1, got 0"),
+    # a sweep names its own argument, before any j or e is checked
+    Refusal("zero_positions_domain", sweep_zero_positions, ([5, 4], [1, 0], -1), "i_max_factor must be nonnegative, got -1"),
+    Refusal("zero_positions_domain", sweep_zero_positions, ([3], [0], -1), "i_max_factor must be nonnegative, got -1"),
+    Refusal("zero_positions_domain", sweep_zero_positions, ([5, 4], [1, 0]), "exponent must be at least 1, got 0"),
+    # each sweep names itself, sweep_<name>, and its empty domain
+    *(
+        Refusal(f"sweep_rejects_an_empty_domain[{case}]", sweep, args,
+                f"the {sweep.__name__[6:]} sweep needs at least one case, got {domain}")
+        for case, sweep, args, domain in (
+            ("addition", sweep_addition, (0, 0), "n in [1, 0], m in [0, 0]"),
+            ("addition_no_m", sweep_addition, (5, -1), "n in [1, 5], m in [0, -1]"),
+            ("catalan", sweep_catalan, (-1,), "0 <= r <= n <= -1"),
+            ("cassini", sweep_cassini, (0,), "n in [1, 0]"),
+            ("square_lemma", sweep_square_lemma, (1,), "k in [2, 1], alpha in [0, k]"),
+            ("gcd", sweep_gcd, ([],), "0 sampled index pairs"),
+            ("carmichael", sweep_carmichael, (10, 5), "j in [10, 5], expected exceptions [6, 12]"),
+        )
+    ),
+    Refusal("sweep_zero_positions_rejects_j6", sweep_zero_positions, ([4, 5, 6], [1]),
+            "j = 6 is excluded from the biconditional sweep"),
+    # the domain description needs the bounds of both ranges
+    Refusal("sweep_zero_positions_rejects_empty_j_values", sweep_zero_positions, ([], range(1, 6)),
+            "the zero-position sweep needs at least one j and one e"),
+    Refusal("sweep_zero_positions_rejects_empty_e_values", sweep_zero_positions, ([4], []),
+            "the zero-position sweep needs at least one j and one e"),
+    Refusal("sweep_carmichael_domain", sweep_carmichael, (2, 10), "primitive divisors need j >= 3, got 2"),
+    # F_73 splits into two primes above the trial bound; the guard carries
+    # the partial trace (empty: no small factors at all)
+    Refusal("primitive_prime_guards", primitive_prime_divisor, (73,),
+            "cofactor 806515533049393 of F_73 is composite and beyond the trial division bound 1000000",
+            ResourceGuardError, ()),
+    Refusal("primitive_prime_guards", primitive_prime_divisor, (81,), "j=81 exceeds the factorization guard j_fact_max=80",
+            ResourceGuardError),
+    Refusal("primitive_prime_guards", primitive_prime_divisor, (2,), "primitive divisors need j >= 3, got 2"),
+]
+
+# the smallest primitive prime of F_j for j in 3..40 (OEIS A001578)
+_SMALLEST_PRIMITIVE = [2, 3, 5, None, 13, 7, 17, 11, 89, None, 233, 29, 61, 47, 1597, 19, 37, 41, 421, 199, 28657,
+                       23, 3001, 521, 53, 281, 514229, 31, 557, 2207, 19801, 3571, 141961, 107, 73, 9349, 135721, 2161]
+# F_6 = 8 = 2^3 and 2 already divides F_3; F_12 = 144 = 2^4 * 3^2 with
+# 2 | F_3 and 3 | F_4: the two indexes at or above 3 with no primitive
+# prime divisor
+_TRACES = {6: ((2, 3),), 9: ((2, 1), (17, 1)), 12: ((2, 4), (3, 2))}
+_ALSO = dict.fromkeys((3, 9, 10), "primitive_prime_small_cases") | dict.fromkeys((6, 12), "primitive_prime_none_at_6_and_12")
+
+PRIMITIVE = [
+    *(
+        Prime(f"primitive_prime_sweep_truth {_ALSO.get(j, '')}", j, prime, _TRACES.get(j))
+        for j, prime in enumerate(_SMALLEST_PRIMITIVE, start=3)
+    ),
+    # frozen from a separate factorization run
+    *(Prime("primitive_prime_larger_indexes", j, prime) for j, prime in ((41, 2789), (50, 101), (60, 2521), (64, 1087), (80, 1601))),
+]
+
+globals().update(
+    define_tests([(_check_sweep, HOLDS), (_check_sweep, BROKEN), (_check_refused, REFUSED), (_check_prime, PRIMITIVE)])
+)
 
 
 def one_case_holds(parts) -> bool:
@@ -35,72 +278,47 @@ def one_case_holds(parts) -> bool:
     return all(part.lhs == part.rhs for part in parts)
 
 
-def gcd_holds(n: int, m: int) -> bool:
-    return one_case_holds(identities._gcd_row([(n, m)]))
+# each row evaluator's row of one case alone, read from the shortest prefix
+# the case needs
 
 
-def addition_holds(n: int, m: int) -> bool:
-    return one_case_holds(identities._addition_row(n, range(m, m + 1), fib_prefix(n + m + 2)))
+def addition_row(n: int, m: int):
+    return identities._addition_row(n, range(m, m + 1), fib_prefix(n + m + 2))
 
 
-def catalan_holds(n: int, r: int) -> bool:
+def catalan_row(n: int, r: int):
     fs = fib_prefix(n + r + 1)
-    signed_squares = identities._signed_squares(fs[: r + 1])
-    return one_case_holds(identities._catalan_row(n, range(r, r + 1), fs, signed_squares))
+    return identities._catalan_row(n, range(r, r + 1), fs, identities._signed_squares(fs))
 
 
-def test_gcd_identity_examples():
-    assert gcd_holds(10, 15)  # gcd(55, 610) = 5 = F_5
-    assert gcd_holds(12, 8)
-    assert gcd_holds(0, 9)
-    assert gcd_holds(7, 7)
+def cassini_row(n: int):
+    return identities._cassini_row(range(n, n + 1), fib_prefix(n + 2))
 
 
-def test_gcd_identity_small_grid():
-    pairs = [(n, m) for n in range(21) for m in range(21) if (n, m) != (0, 0)]
-    report = sweep_gcd(pairs)
-    assert report.verdict == ALL_PASS
-    assert report.cases_checked == 21 * 21 - 1
+def square_lemma_row(k: int, alpha: int):
+    fs = fib_prefix(2 * k + 2)
+    return identities._square_lemma_row(k, range(alpha, alpha + 1), fs, [f * f for f in fs])
 
 
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=300))
 def test_gcd_identity_sampled(n, m):
-    assert gcd_holds(n, m)
-
-
-def test_gcd_identity_rejects_zero_pair():
-    with pytest.raises(OutOfDomainError):
-        sweep_gcd([(0, 0)])
-    with pytest.raises(OutOfDomainError):
-        sweep_gcd([(-1, 5)])
+    assert sweep_gcd([(n, m)]).verdict == ALL_PASS
 
 
 def test_addition_examples():
-    assert addition_holds(7, 5)  # 144 = 8*5 + 13*8
-    assert addition_holds(1, 0)
+    assert one_case_holds(addition_row(7, 5))  # 144 = 8*5 + 13*8
+    assert one_case_holds(addition_row(1, 0))
 
 
 @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=200))
 def test_addition_sampled(n, m):
-    assert addition_holds(n, m)
+    assert one_case_holds(addition_row(n, m))
 
 
 def test_catalan_examples():
-    assert catalan_holds(6, 2)  # 64 - 3*21 = 1 = (+1) * F_2^2
-    assert catalan_holds(5, 5)
-    assert catalan_holds(9, 0)
-
-
-def test_catalan_full_small_domain():
-    report = sweep_catalan(80)
-    assert report.verdict == ALL_PASS
-    assert report.cases_checked == 81 * 82 // 2
-
-
-def test_cassini_full_range():
-    report = sweep_cassini(120)
-    assert report.verdict == ALL_PASS
-    assert report.cases_checked == 120
+    assert one_case_holds(catalan_row(6, 2))  # 64 - 3*21 = 1 = (+1) * F_2^2
+    assert one_case_holds(catalan_row(5, 5))
+    assert one_case_holds(catalan_row(9, 0))
 
 
 def test_square_lemma_hand_checked_case():
@@ -110,10 +328,13 @@ def test_square_lemma_hand_checked_case():
     assert verdict == (True, True, True, True)
 
 
-def test_square_lemma_boundary_alpha():
+def test_square_lemma_boundary_alpha(monkeypatch):
     # alpha = k touches F_0 = 0 and F_{2k+1} itself
     assert all(check_square_lemma(5, 5))
     assert all(check_square_lemma(2, 0))
+    # F_4 = 1, as in BROKEN's square_lemma_sweep_fails_a_bound_with_equal_sides
+    monkeypatch.setattr(identities, *prefix_with(4, 1))
+    assert not check_square_lemma(2, 0).bound_even_index
 
 
 def test_square_lemma_full_grid():
@@ -122,172 +343,19 @@ def test_square_lemma_full_grid():
             assert all(check_square_lemma(k, alpha)), (k, alpha)
 
 
-def prefix_with(index: int, value: int):
-    """fib_prefix with F_index replaced by value."""
-    real = identities.fib_prefix
-
-    def broken(count):
-        fs = real(count)
-        if index < count:
-            fs[index] = value
-        return fs
-
-    return broken
-
-
-def test_square_lemma_sweep_reports_first_failing_part(monkeypatch):
-    # F_7 = 14 breaks only the last part at (3, 0): 9 < 14, but
-    # F_4^2 = 9 against -F_3^2 = -4 = 10 mod 14
-    monkeypatch.setattr(identities, "fib_prefix", prefix_with(7, 14))
-    report = sweep_square_lemma(5)
-    assert report.verdict == COUNTEREXAMPLE
-    # three cases at k = 2, which read no further than F_5, then (3, 0)
-    assert report.cases_checked == 4
-    assert report.counterexample == Counterexample(
-        {"k": 3, "alpha": 0}, 9, 10, "congruence_odd_index"
-    )
-    assert report.to_record()["counterexample"] == {
-        "inputs": {"k": 3, "alpha": 0},
-        "lhs": "9",
-        "rhs": "10",
-        "part": "congruence_odd_index",
-    }
-
-
-def test_square_lemma_sweep_fails_a_bound_with_equal_sides(monkeypatch):
-    # F_4 = 1 breaks the bound F_2^2 < F_4 at k = 2 with both sides 1, which
-    # an equality test would read as a pass
-    monkeypatch.setattr(identities, "fib_prefix", prefix_with(4, 1))
-    assert not check_square_lemma(2, 0).bound_even_index
-    report = sweep_square_lemma(2)
-    assert report.verdict == COUNTEREXAMPLE
-    assert report.cases_checked == 1
-    assert report.counterexample == Counterexample({"k": 2, "alpha": 0}, 1, 1, "bound_even_index")
-
-
-def test_square_lemma_sweep_reports_the_first_failing_case_then_part(monkeypatch):
-    # F_3 = 3 breaks two parts at k = 2: congruence_even_index at alpha = 1
-    # (F_3^2 = 0 against F_1^2 = 1 mod 3), and bound_odd_index, a later part,
-    # at every alpha (F_3^2 = 9 against F_5 = 5); the first case wins
-    monkeypatch.setattr(identities, "fib_prefix", prefix_with(3, 3))
-    report = sweep_square_lemma(2)
-    assert report.cases_checked == 1
-    assert report.counterexample == Counterexample({"k": 2, "alpha": 0}, 9, 5, "bound_odd_index")
-
-
-def test_addition_sweep_reports_failing_case(monkeypatch):
-    real = identities._addition_row
-
-    def broken_at_3_2(n, ms, fs):
-        (part,) = real(n, ms, fs)
-        if n == 3 and 2 in ms:
-            part.rhs[ms.index(2)] += 1
-        return (part,)
-
-    monkeypatch.setattr(identities, "_addition_row", broken_at_3_2)
-    report = sweep_addition(5, 5)
-    assert report.verdict == COUNTEREXAMPLE
-    # n = 1 and n = 2 give six cases each, then m = 0, 1, 2 at n = 3
-    assert report.cases_checked == 15
-    # F_5 = 5 against F_2 F_2 + F_3 F_3 = 5, pushed to 6
-    assert report.counterexample == Counterexample({"n": 3, "m": 2}, 5, 6)
-    assert list(report.counterexample.inputs) == ["n", "m"]
-
-
-def test_catalan_sweep_reports_failing_case(monkeypatch):
-    real = identities._catalan_row
-
-    def broken_at_4_2(n, rs, fs, signed_squares):
-        (part,) = real(n, rs, fs, signed_squares)
-        if n == 4 and 2 in rs:
-            part.rhs[rs.index(2)] *= -1
-        return (part,)
-
-    monkeypatch.setattr(identities, "_catalan_row", broken_at_4_2)
-    report = sweep_catalan(6)
-    assert report.verdict == COUNTEREXAMPLE
-    # 1 + 2 + 3 + 4 cases for n < 4, then r = 0, 1, 2 at n = 4
-    assert report.cases_checked == 13
-    # F_4^2 - F_2 F_6 = 9 - 8 = 1 against (+1) F_2^2 = 1, negated
-    assert report.counterexample == Counterexample({"n": 4, "r": 2}, 1, -1)
-    assert list(report.counterexample.inputs) == ["n", "r"]
-
-
-def test_gcd_sweep_reports_failing_case(monkeypatch):
-    real = identities._gcd_row
-
-    def broken_at_9_6(pairs):
-        (part,) = real(pairs)
-        for i, pair in enumerate(pairs):
-            if tuple(pair) == (9, 6):
-                part.rhs[i] += 1
-        return (part,)
-
-    monkeypatch.setattr(identities, "_gcd_row", broken_at_9_6)
-    # a pair may come as any two-item sequence; its case keeps both names
-    report = sweep_gcd([(4, 6), [0, 5], (9, 6), (12, 8)])
-    assert report.verdict == COUNTEREXAMPLE
-    assert report.cases_checked == 3
-    # gcd(F_9, F_6) = gcd(34, 8) = 2 against F_3 = 2, pushed to 3
-    assert report.counterexample == Counterexample({"n": 9, "m": 6}, 2, 3)
-    assert list(report.counterexample.inputs) == ["n", "m"]
-
-
-def test_cassini_sweep_reports_failing_case(monkeypatch):
-    real = identities._cassini_row
-
-    def broken_at_6(ns, fs):
-        (part,) = real(ns, fs)
-        if 6 in ns:
-            part.rhs[ns.index(6)] *= -1
-        return (part,)
-
-    monkeypatch.setattr(identities, "_cassini_row", broken_at_6)
-    report = sweep_cassini(10)
-    assert report.verdict == COUNTEREXAMPLE
-    assert report.cases_checked == 6
-    # F_6^2 - F_5 F_7 = 64 - 65 = -1 against (-1)^5 = -1, negated
-    assert report.counterexample == Counterexample({"n": 6}, -1, 1)
-    assert report.to_record()["counterexample"] == {"inputs": {"n": 6}, "lhs": "-1", "rhs": "1"}
-
-
-def test_carmichael_sweep_reports_failing_case(monkeypatch):
-    real = identities._carmichael_rows
-
-    def none_at_9(j_lo, j_hi, exceptions):
-        for cases, (part,) in real(j_lo, j_hi, exceptions):
-            if cases == ((9,),):
-                part.lhs[0] = 0
-            yield cases, (part,)
-
-    monkeypatch.setattr(identities, "_carmichael_rows", none_at_9)
-    report = sweep_carmichael(5, 20)
-    assert report.verdict == COUNTEREXAMPLE
-    assert report.cases_checked == 5  # j = 5 .. 9
-    # no prime found at j = 9, where one was demanded
-    assert report.counterexample == Counterexample({"j": 9}, 0, 1)
-    assert list(report.counterexample.inputs) == ["j"]
-
-
 @contextlib.contextmanager
 def recording_fib_calls():
     """Count identities' fib_exact calls and keep each prefix fib_prefix builds."""
-    real_prefix, real_exact = identities.fib_prefix, identities.fib_exact
     calls = {"fib_exact": 0, "prefixes": []}
-
-    def prefix(count):
-        calls["prefixes"].append(real_prefix(count))
-        return calls["prefixes"][-1]
 
     def exact(n):
         calls["fib_exact"] += 1
-        return real_exact(n)
+        return fib_exact(n)
 
-    identities.fib_prefix, identities.fib_exact = prefix, exact
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(identities, "fib_prefix", lambda count: calls["prefixes"].append(fib_prefix(count)) or calls["prefixes"][-1])
+        patch.setattr(identities, "fib_exact", exact)
         yield calls
-    finally:
-        identities.fib_prefix, identities.fib_exact = real_prefix, real_exact
 
 
 @pytest.mark.parametrize(
@@ -350,69 +418,52 @@ def case_sides(parts, i: int, length: int) -> list[tuple]:
             for part in parts]
 
 
-def pair_below(lo: int, hi: int):
-    """Pairs (x, y) with lo <= x <= hi and 0 <= y <= x."""
-    return st.integers(lo, hi).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x)))
+def case_below(lo: int, hi: int):
+    """(x, y, slack) with lo <= x <= hi, 0 <= y <= x and 0 <= slack <= 10."""
+    return st.integers(lo, hi).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x), st.integers(0, 10)))
 
 
-# Each row evaluator must give a case the same sides in its sweep's row, read
-# from the sweep's prefix, as in a row of that case alone, read from the
-# shortest prefix the case needs; slack 0 puts the case on the corner of the
-# sweep's domain.
+def _reads_like_own(name, row_name, sweep, cases_at, strategy, own, examples, **options):
+    """test_<name>: a row evaluator gives a case the same sides in its sweep's
+    row as in its row alone.  own(*case) gives the sweep's arguments, the
+    number of the row the case falls in (whose argument cases_at lists its
+    cases) and, for each case checked, its index there and its row alone;
+    slack 0 puts the case on the corner of the sweep's domain."""
+
+    def test(case):
+        args, row, owns = own(*case)
+        row_args, parts = sweep_rows(row_name, sweep, *args)[row]
+        for i, own_parts in owns:
+            assert case_sides(parts, i, len(row_args[cases_at])) == case_sides(own_parts, 0, 1)
+
+    for case in examples:
+        test = example(case)(test)
+    test.__name__ = test.__qualname__ = f"test_{name}"
+    return test.__name__, settings(**options)(given(strategy)(test))
 
 
-@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10), st.integers(0, 10))
-@example(40, 40, 0, 0)
-def test_addition_reads_sweep_prefix_like_own(n, m, n_slack, m_slack):
-    rows = sweep_rows("_addition_row", sweep_addition, n + n_slack, m + m_slack)
-    ((_, ms, _), parts) = rows[n - 1]
-    own = identities._addition_row(n, range(m, m + 1), fib_prefix(n + m + 2))
-    assert case_sides(parts, m, len(ms)) == case_sides(own, 0, 1)
-
-
-@given(pair_below(0, 60), st.integers(0, 10))
-@example((60, 60), 0)
-@example((60, 0), 0)
-def test_catalan_reads_sweep_prefix_like_own(n_r, slack):
-    n, r = n_r
-    rows = sweep_rows("_catalan_row", sweep_catalan, n + slack)
-    ((_, rs, _, _), parts) = rows[n]
-    fs = fib_prefix(n + r + 1)
-    own = identities._catalan_row(n, range(r, r + 1), fs, identities._signed_squares(fs))
-    assert case_sides(parts, r, len(rs)) == case_sides(own, 0, 1)
-
-
-@given(st.integers(1, 120), st.integers(0, 10))
-@example(120, 0)
-def test_cassini_reads_sweep_prefix_like_own(n, slack):
-    (((ns, _), parts),) = sweep_rows("_cassini_row", sweep_cassini, n + slack)
-    own = identities._cassini_row(range(n, n + 1), fib_prefix(n + 2))
-    assert case_sides(parts, n - 1, len(ns)) == case_sides(own, 0, 1)
-
-
-@given(pair_below(2, 30), st.integers(0, 10))
-@example((30, 30), 0)
-@example((30, 0), 0)
-def test_square_lemma_reads_sweep_prefix_like_own(k_alpha, slack):
-    k, alpha = k_alpha
-    rows = sweep_rows("_square_lemma_row", sweep_square_lemma, k + slack)
-    ((_, alphas, _, _), parts) = rows[k - 2]
-    fs = fib_prefix(2 * k + 2)
-    own = identities._square_lemma_row(k, range(alpha, alpha + 1), fs, [f * f for f in fs])
-    assert case_sides(parts, alpha, len(alphas)) == case_sides(own, 0, 1)
-
-
-# indices past 10000, where a prefix would be megabytes; few examples, since
-# each one walks the recurrence that far once per pair
-@settings(max_examples=15, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 12_000), st.integers(1, 12_000)), min_size=1, max_size=3))
-@example([(12_000, 12_000)])
-@example([(0, 10_001), (10_001, 1)])
-@example([(12_000, 8_000), (9_000, 6_000)])
-def test_gcd_reads_sweep_values_like_own(pairs):
-    (((row_pairs,), parts),) = sweep_rows("_gcd_row", sweep_gcd, pairs)
-    for i, pair in enumerate(pairs):
-        assert case_sides(parts, i, len(row_pairs)) == case_sides(identities._gcd_row([pair]), 0, 1)
+globals().update(
+    [
+        _reads_like_own("addition_reads_sweep_prefix_like_own", "_addition_row", sweep_addition, 1,
+                        st.tuples(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10), st.integers(0, 10)),
+                        lambda n, m, dn, dm: ((n + dn, m + dm), n - 1, [(m, addition_row(n, m))]), [(40, 40, 0, 0)]),
+        _reads_like_own("catalan_reads_sweep_prefix_like_own", "_catalan_row", sweep_catalan, 1, case_below(0, 60),
+                        lambda n, r, slack: ((n + slack,), n, [(r, catalan_row(n, r))]), [(60, 60, 0), (60, 0, 0)]),
+        _reads_like_own("cassini_reads_sweep_prefix_like_own", "_cassini_row", sweep_cassini, 0,
+                        st.tuples(st.integers(1, 120), st.integers(0, 10)),
+                        lambda n, slack: ((n + slack,), 0, [(n - 1, cassini_row(n))]), [(120, 0)]),
+        _reads_like_own("square_lemma_reads_sweep_prefix_like_own", "_square_lemma_row", sweep_square_lemma, 1,
+                        case_below(2, 30), lambda k, alpha, slack: ((k + slack,), k - 2, [(alpha, square_lemma_row(k, alpha))]),
+                        [(30, 30, 0), (30, 0, 0)]),
+        # indices past 10000, where a prefix would be megabytes; few examples,
+        # since each one walks the recurrence that far once per pair
+        _reads_like_own("gcd_reads_sweep_values_like_own", "_gcd_row", sweep_gcd, 0,
+                        st.tuples(st.lists(st.tuples(st.integers(0, 12_000), st.integers(1, 12_000)), min_size=1, max_size=3)),
+                        lambda pairs: ((pairs,), 0, [(i, identities._gcd_row([pair])) for i, pair in enumerate(pairs)]),
+                        [([(12_000, 12_000)],), ([(0, 10_001), (10_001, 1)],), ([(12_000, 8_000), (9_000, 6_000)],)],
+                        max_examples=15, deadline=None),
+    ]
+)
 
 
 @given(st.integers(3, 90), st.integers(0, 90))
@@ -513,7 +564,7 @@ def test_row_sweeps_match_plain_loops_on_corrupted_prefixes(kind, data):
     delta = data.draw(st.integers(-2, 3) | st.integers(-1000, 1000), label="delta")
     value = max(1, fib_exact(index) + delta)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "fib_prefix", prefix_with(index, value))
+        patch.setattr(identities, *prefix_with(index, value))
         report = sweep(size)
         fs = identities.fib_prefix(length(size))
     expected = plain_report(plain(fs, size))
@@ -548,15 +599,6 @@ def test_gcd_row_sweep_matches_plain_loop_on_corrupted_values(pairs, index, delt
     assert report_fields(report) == plain_report(plain_gcd(fs, pairs))
 
 
-def test_square_lemma_domain():
-    with pytest.raises(OutOfDomainError):
-        check_square_lemma(1, 0)
-    with pytest.raises(OutOfDomainError):
-        check_square_lemma(4, 5)
-    with pytest.raises(OutOfDomainError):
-        check_square_lemma(4, -1)
-
-
 def test_zero_positions_pass_cases():
     assert check_zero_positions(12, 2, 60).verdict == ALL_PASS
     assert check_zero_positions(4, 1, 0).verdict == ALL_PASS
@@ -585,43 +627,11 @@ def test_zero_positions_j6_exclusion():
 
 
 def test_zero_positions_counterexample(monkeypatch):
-    # mod 4 in place of F_4 = 3: F_3 = 2 squares to 0 at i = 3, and at
-    # i = 4 F_4 = 3 does not vanish although 4 | 4
-    monkeypatch.setattr(identities, "fib_exact", lambda n: 4 if n == 4 else fib_exact(n))
+    # mod 4 in place of F_4 = 3, as in BROKEN's zero_positions_sweep_counterexample rows
+    monkeypatch.setattr(identities, *exact_with(4, 4))
     outcome = check_zero_positions(4, 2, 20)
     assert (outcome.verdict, outcome.witness) == (COUNTEREXAMPLE, 3)
     assert check_zero_positions(4, 1, 20).witness == 4
-
-    report = sweep_zero_positions([5, 4, 7], [1, 2])
-    assert report.verdict == COUNTEREXAMPLE
-    # each (j, e) counts the indices its scan ran: i <= 5 j for j = 5 at
-    # e = 1 and 2, then i <= 4 for j = 4, whose scan stopped at its witness
-    assert report.cases_checked == 26 + 26 + 5
-    # lhs: F_4 vanished mod F_j; rhs: j | i
-    assert report.counterexample == Counterexample({"j": 4, "e": 1, "i": 4}, 0, 1)
-    report = sweep_zero_positions([4], [2])
-    assert report.counterexample == Counterexample({"j": 4, "e": 2, "i": 3}, 1, 0)
-
-
-def test_zero_positions_domain():
-    with pytest.raises(OutOfDomainError):
-        check_zero_positions(3, 1, 10)
-    with pytest.raises(OutOfDomainError):
-        check_zero_positions(7, 0, 10)
-    with pytest.raises(OutOfDomainError, match="i_max must be nonnegative, got -1"):
-        check_zero_positions(7, 1, -1)
-    # checked in this order: j, then every e, then i_max
-    with pytest.raises(OutOfDomainError, match="need j >= 4, got 3"):
-        check_zero_positions(3, 0, -1)
-    with pytest.raises(OutOfDomainError, match="at least 1, got 0"):
-        check_zero_positions(7, 0, -1)
-    # a sweep names its own argument, before any j or e is checked
-    with pytest.raises(OutOfDomainError, match="i_max_factor must be nonnegative, got -1"):
-        sweep_zero_positions([5, 4], [1, 0], -1)
-    with pytest.raises(OutOfDomainError, match="i_max_factor must be nonnegative, got -1"):
-        sweep_zero_positions([3], [0], -1)
-    with pytest.raises(OutOfDomainError, match="at least 1, got 0"):
-        sweep_zero_positions([5, 4], [1, 0])
 
 
 def _plain_zero_witness(m: int, j: int, e: int, i_max: int) -> int | None:
@@ -649,33 +659,25 @@ def test_zero_witnesses_match_plain():
     assert zero_witnesses(6, range(1, 5), 30) == [None, None, 3, 3]
 
 
-@pytest.mark.parametrize(
-    "es",
-    [
-        [2, 5],
-        [3, 1, 2],
-        [5, 2],
-        [1, 2, 3, 5, 6],
-        [4, 4, 5],
-        [6, 5],
-        [10**18, 2],
-        [10**18 + 1, 5, 5],
-        [6, 5, 4, 3, 2, 1],
-    ],
-)
+# mod 32 in place of F_8 = 21: F_3 = 2 vanishes from e = 5, F_6 = 8 from
+# e = 2, so the witness at i <= 40 is 8 at e = 1, 6 at e = 2..4, 3 after:
+# finite rounds {1, 2, 5}, so three distinct rows.  The exponents come with
+# gaps, repeats and out of order, and the last three orders meet a row's key
+# first at an e next to another row's; each list is also an example of
+# test_zero_rows_built_once_per_key_match_plain
+_GAPPED_ES = [[2, 5], [3, 1, 2], [5, 2], [1, 2, 3, 5, 6], [4, 4, 5], [6, 5], [10**18, 2], [10**18 + 1, 5, 5],
+              [6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6], [5, 2, 1, 5, 2], [4, 10**18, 2, 1, 4]]
+
+
+@pytest.mark.parametrize("es", _GAPPED_ES)
 def test_zero_witnesses_with_gaps_and_out_of_order(monkeypatch, es):
-    # mod 32 in place of F_8 = 21: F_3 = 2 vanishes from e = 5, F_6 = 8 from
-    # e = 2, so the witness at i <= 40 is 8 at e = 1, 6 at e = 2..4, 3 after
-    monkeypatch.setattr(identities, "fib_exact", lambda n: 32 if n == 8 else fib_exact(n))
-    plain = [_plain_zero_witness(32, 8, e, 40) for e in es]
-    assert zero_witnesses(8, es, 40) == plain
-    assert plain == [{1: 8, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
+    monkeypatch.setattr(identities, *exact_with(8, 32))
+    assert zero_witnesses(8, es, 40) == [{1: 8, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
 
 
 def test_zero_rows_build_one_row_per_vanishing_set(monkeypatch):
-    # mod 32 in place of F_8 = 21: F_6 = 8 vanishes from e = 2, F_3 = 2 from
-    # e = 5, so seven exponents need only three rows: e = 1, e in 2..4, e >= 5
-    monkeypatch.setattr(identities, "fib_exact", lambda n: 32 if n == 8 else fib_exact(n))
+    # mod 32, as above: seven exponents need only three rows, e = 1, e in 2..4, e >= 5
+    monkeypatch.setattr(identities, *exact_with(8, 32))
     built = []
     part = identities._Part
     monkeypatch.setattr(identities, "_Part", lambda *args: built.append(args) or part(*args))
@@ -692,19 +694,16 @@ def test_zero_rows_build_one_row_per_vanishing_set(monkeypatch):
     st.sampled_from([None, 32]),
 )
 @example(6, [3, 2, 1, 3, 4], 30, None)
-# mod 32 in place of F_j has finite rounds {1, 2, 5}, so three distinct rows,
-# at e = 1, at e in 2..4 and from e = 5 on; each order meets a row's key first
-# at an e next to another row's
-@example(8, [1, 2, 3, 4, 5, 6], 40, 32)
-@example(8, [6, 5, 4, 3, 2, 1], 40, 32)
-@example(8, [5, 2, 1, 5, 2], 40, 32)
-@example(8, [4, 10**18, 2, 1, 4], 40, 32)
 def test_zero_rows_built_once_per_key_match_plain(j, es, i_max, modulus):
     m = fib_exact(j) if modulus is None else modulus
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(identities, "fib_exact", lambda n: m)
         witnesses = zero_witnesses(j, es, i_max)
     assert witnesses == [_plain_zero_witness(m, j, e, i_max) for e in es]
+
+
+for _es in _GAPPED_ES:
+    test_zero_rows_built_once_per_key_match_plain = example(8, _es, 40, 32)(test_zero_rows_built_once_per_key_match_plain)
 
 
 def test_sweep_zero_positions_computes_each_modulus_once():
@@ -715,39 +714,6 @@ def test_sweep_zero_positions_computes_each_modulus_once():
     assert calls["prefixes"] == []
 
 
-def test_primitive_prime_small_cases():
-    r = primitive_prime_divisor(3)
-    assert r.primitive_prime == 2 and r.rank_of_apparition == 3
-    r = primitive_prime_divisor(9)
-    assert r.primitive_prime == 17
-    assert r.factor_trace == ((2, 1), (17, 1))
-    r = primitive_prime_divisor(10)
-    assert r.primitive_prime == 11
-
-
-def test_primitive_prime_none_at_6_and_12():
-    # F_6 = 8 = 2^3 and 2 already divides F_3; F_12 = 144 = 2^4 * 3^2 with
-    # 2 | F_3 and 3 | F_4: the two indexes at or above 3 with no primitive
-    # prime divisor
-    r6 = primitive_prime_divisor(6)
-    assert r6.primitive_prime is None
-    assert r6.rank_of_apparition is None
-    assert r6.factor_trace == ((2, 3),)
-    r12 = primitive_prime_divisor(12)
-    assert r12.primitive_prime is None
-    assert r12.factor_trace == ((2, 4), (3, 2))
-
-
-def test_primitive_prime_sweep_truth():
-    for j in range(3, 41):
-        r = primitive_prime_divisor(j)
-        if j in (6, 12):
-            assert r.primitive_prime is None, j
-        else:
-            assert r.primitive_prime is not None, j
-            assert r.rank_of_apparition == j
-
-
 def test_factor_trace_multiplies_back():
     # up to the guard, so the trace of a prime cofactor that ends the
     # division early is checked too (F_79 = 157 * 92180471494753); F_73 is
@@ -756,28 +722,6 @@ def test_factor_trace_multiplies_back():
         r = primitive_prime_divisor(j)
         assert math.prod(p**mult for p, mult in r.factor_trace) == fib_exact(j), j
         assert list(r.factor_trace) == sorted(r.factor_trace)
-
-
-def test_primitive_prime_larger_indexes():
-    # frozen from a separate factorization run
-    expected = {41: 2789, 50: 101, 60: 2521, 64: 1087, 80: 1601}
-    for j, want in expected.items():
-        r = primitive_prime_divisor(j)
-        assert r.primitive_prime == want, j
-        assert r.rank_of_apparition == j
-
-
-def test_primitive_prime_guards():
-    # F_73 splits into two primes above the trial bound; the guard carries
-    # the partial trace (empty: no small factors at all)
-    with pytest.raises(ResourceGuardError) as err:
-        primitive_prime_divisor(73)
-    assert err.value.partial == ()
-    with pytest.raises(ResourceGuardError) as err:
-        primitive_prime_divisor(81)
-    assert str(err.value) == "j=81 exceeds the factorization guard j_fact_max=80"
-    with pytest.raises(OutOfDomainError):
-        primitive_prime_divisor(2)
     # every F_j factored is below 2^64, where the primality test is exact
     assert fib_exact(identities.J_FACT_MAX) < 2**64
 
@@ -878,45 +822,6 @@ def test_gcd_sample_is_reproducible():
     assert all(0 <= n <= 60 and 0 <= m <= 60 for n, m in a)
 
 
-def test_sweeps_all_pass():
-    # twice the largest domains the sweeps benchmark runs for addition,
-    # Catalan and the square lemma, the largest for the others; each report
-    # covers its domain's closed count of cases
-    js = [j for j in range(4, 61) if j != 6]
-    wide_js = [j for j in range(4, 121) if j != 6]
-    for report, cases in [
-        (sweep_gcd(), 200),
-        (sweep_addition(400, 400), 400 * 401),
-        (sweep_catalan(480), 481 * 482 // 2),
-        (sweep_cassini(600), 600),
-        (sweep_square_lemma(200), 201 * 202 // 2 - 3),
-        (sweep_zero_positions(js, range(1, 11)), sum(10 * (5 * j + 1) for j in js)),
-        # every exponent to 60 on twice the j range: 2181360 cases
-        (sweep_zero_positions(wide_js, range(1, 61)), sum(60 * (5 * j + 1) for j in wide_js)),
-        (sweep_carmichael(3, 72, expected_exceptions=(6, 12)), 70),
-    ]:
-        assert report.verdict == ALL_PASS, report
-        assert report.cases_checked == cases, report
-
-
-@pytest.mark.parametrize(
-    ("sweep", "args"),
-    [
-        (sweep_addition, (0, 0)),
-        (sweep_addition, (5, -1)),
-        (sweep_catalan, (-1,)),
-        (sweep_cassini, (0,)),
-        (sweep_square_lemma, (1,)),
-        (sweep_gcd, ([],)),
-        (sweep_carmichael, (10, 5)),
-    ],
-    ids=["addition", "addition_no_m", "catalan", "cassini", "square_lemma", "gcd", "carmichael"],
-)
-def test_sweep_rejects_an_empty_domain(sweep, args):
-    with pytest.raises(OutOfDomainError, match="sweep needs at least one case, got "):
-        sweep(*args)
-
-
 def test_sweep_zero_positions_domain_names_the_j_it_ran():
     report = sweep_zero_positions([4, 10], [1])
     assert report.domain_description == "j in {4, 10}, e in [1, 1], i <= 5*j"
@@ -967,39 +872,6 @@ def test_sweep_zero_positions_domain_text_matches_listing_the_range(js, es):
     assert report.domain_description == _listed_domain_text(js, es)
 
 
-def test_sweep_zero_positions_rejects_j6():
-    with pytest.raises(OutOfDomainError):
-        sweep_zero_positions([4, 5, 6], [1])
-
-
-def test_sweep_zero_positions_rejects_empty_j_values():
-    # the domain description needs the bounds of both ranges
-    with pytest.raises(OutOfDomainError, match="at least one j and one e"):
-        sweep_zero_positions([], range(1, 6))
-
-
-def test_sweep_zero_positions_rejects_empty_e_values():
-    with pytest.raises(OutOfDomainError, match="at least one j and one e"):
-        sweep_zero_positions([4], [])
-
-
-def test_sweep_carmichael_with_true_exception_set():
-    report = sweep_carmichael(3, 40)
-    assert report.verdict == ALL_PASS
-    assert report.cases_checked == 38
-
-
-def test_sweep_carmichael_narrow_exception_set_finds_j6():
-    # insisting that 12 is the only exception is refuted at j = 6
-    report = sweep_carmichael(3, 40, expected_exceptions=(12,))
-    assert report.verdict == COUNTEREXAMPLE
-    assert report.cases_checked == 4  # j = 3, 4, 5, 6
-    assert report.counterexample is not None
-    assert report.counterexample.inputs == {"j": 6}
-    assert report.counterexample.lhs == 0  # no prime found
-    assert report.counterexample.rhs == 1  # one was demanded
-
-
 def test_sweep_carmichael_never_factors(monkeypatch):
     def no_factoring(*args, **kwargs):
         raise AssertionError("the Carmichael sweep factored an F_j")
@@ -1009,11 +881,6 @@ def test_sweep_carmichael_never_factors(monkeypatch):
     report = sweep_carmichael(3, 72)
     assert report.verdict == ALL_PASS
     assert report.cases_checked == 70
-
-
-def test_sweep_carmichael_domain():
-    with pytest.raises(OutOfDomainError, match=r"^primitive divisors need j >= 3, got 2$"):
-        sweep_carmichael(2, 10)
 
 
 def _rank_of_apparition(q: int) -> int:
@@ -1053,20 +920,3 @@ def test_carmichael_exceptions_to_5000():
     fs = fib_prefix(5001)
     lacking = [j for j in range(3, 5001) if identities._primitive_part(j, fs[j], fs) == 1]
     assert lacking == [6, 12]
-
-
-def test_report_records():
-    rec = sweep_cassini(10).to_record()
-    assert rec == {
-        "identity": "cassini",
-        "domain": "n in [1, 10]",
-        "cases": 10,
-        "verdict": "all_pass",
-    }
-    rec = sweep_carmichael(3, 40, expected_exceptions=(12,)).to_record()
-    assert rec["verdict"] == "counterexample"
-    assert rec["counterexample"] == {
-        "inputs": {"j": 6},
-        "lhs": "0",
-        "rhs": "1",
-    }

@@ -1,4 +1,5 @@
 import ast
+import collections
 import hashlib
 import json
 import random
@@ -301,6 +302,26 @@ def test_a_row_squares_once_and_scans_no_exact_powers(monkeypatch):
             minimal_period_bruteforce(j, e)
             assert len(squared) <= 1, (j, e)
     assert scanned == []
+
+
+def test_each_parity_memo_entry_is_scanned_once(monkeypatch):
+    # a key scan with no reader, from i = 0, fills firsts[e % 2][d]; a later
+    # call at that parity reads the entry instead of scanning the keys again
+    scans = collections.Counter()
+    first_unequal = oracle._first_unequal
+
+    def counted_scan(keys, d, i=0, read=None):
+        if read is None and i == 0:
+            scans[id(keys), d] += 1
+        return first_unequal(keys, d, i, read)
+
+    monkeypatch.setattr(oracle, "_first_unequal", counted_scan)
+    for j in range(3, 80):
+        oracle._row.cache_clear()
+        scans.clear()
+        for e in [*range(1, 9), *range(8, 0, -1)]:
+            minimal_period_bruteforce(j, e)
+        assert max(scans.values(), default=0) <= 1, (j, scans.most_common(1))
 
 
 def _hand_built_row(monkeypatch, m: int, window: list[int]) -> None:

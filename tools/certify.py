@@ -1,6 +1,7 @@
 """Certify the closed forms against the oracle on every grid CI checks.
 
-Run from the repository root, with no arguments:
+Run from the repository root, with no arguments (given any, it prints
+its usage line to stderr and exits with status 2, running no claim):
 
     PYTHONPATH=src python tools/certify.py
 
@@ -137,4 +138,9 @@ def main(claims: list = CLAIMS) -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:]:
+        # it takes no arguments, so any, --help too, gets the docstring's usage line
+        usage = next(line.strip() for line in __doc__.splitlines() if line.startswith("    "))
+        print(f"usage: {usage}", file=sys.stderr)
+        sys.exit(2)
     sys.exit(main())
