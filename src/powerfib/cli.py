@@ -71,6 +71,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _OracleGuard(argparse.Action):
+    # every oracle row has j >= 3, so a smaller --j-max would refuse them all
+    def __call__(self, parser, namespace, j_max, option_string=None):
+        if j_max < 3:
+            raise _UsageError(f"--j-max must be at least 3, got {j_max}")
+        setattr(namespace, self.dest, j_max)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     """'4..22' as (4, 22); a bare '4' as (4, 4)."""
     lo_text, dots, hi_text = text.partition("..")
@@ -373,7 +381,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=formats, default="plain", help="output format")
         if j_max:
             guard = "oracle guard on j (default %(default)s)"
-            p.add_argument("--j-max", type=int, default=J_MAX, help=guard)
+            p.add_argument("--j-max", type=int, action=_OracleGuard, default=J_MAX, help=guard)
         return p
 
     p = command("period", "closed-form minimal period", j_max=True)
@@ -431,9 +439,6 @@ def _bounded(line: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        # every oracle row has j >= 3, so a smaller guard would refuse them all
-        if getattr(args, "j_max", J_MAX) < 3:
-            raise _UsageError(f"--j-max must be at least 3, got {args.j_max}")
         # looked up by name on every call, so a rebound cmd_* takes effect
         code, record = globals()[f"cmd_{args.command}"](args)
         if args.format == "json":

@@ -5,9 +5,9 @@
   function stubbed to fail, so each request is refused before any work;
 - ADMITTED: each guard's edge, on cheap stub builders;
 - LONG: long arguments, each echoed on one short stderr line, exactly.
-A row names its test, `name` or `name[case]` for a case of test_name, and
-tests/rows.py builds each test from every row that bears its name, from any
-table, and every row that _ALSO lends it.
+A row names its test, `name` or `name[case]` for a case of test_name, or a
+tuple of tests where two tests pinned one request, and tests/rows.py builds
+each test from every row that names it, from any table.
 """
 
 import ast
@@ -106,7 +106,7 @@ def work(monkeypatch):
 
 
 class Row(NamedTuple):
-    test: str
+    test: str | tuple
     argv: str  # split at single spaces; in an argument, each name of _LONG stands for its text
     code: int
     out: str = ""  # in ADMITTED, the answer's last line, or all of it if it ends in a newline
@@ -244,18 +244,19 @@ _WIDEST_ORACLE = f"modulus={fib_exact(20577)} pisano=82308 power_period=82308\n"
     + (20577, 27436, 41154)
 ) + "d=82308 holds\n"
 
-# exact bytes of one invocation per subcommand and accepted format
+# exact bytes of one invocation per subcommand and accepted format, then
+# any other test that runs it
 EXACT_OUTPUTS = [
     ("period 9 5", 0, "period(j=9, e=5) = 36  [ODD_ODD]\n"),
     ("period 9 5 --format json", 0, '{"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}\n'),
     ("period 9 5 --verify", 0, "period(j=9, e=5) = 36  [ODD_ODD]\noracle: pisano=36 power_period=36\nagreement: yes\n"),
     ("period 9 5 --verify --format json", 0,
      '{"closed_form": {"j": 9, "e": 5, "outcome": 36, "case_label": "ODD_ODD"}, '
-     f'"oracle": {_ORACLE_9_5}, "agreement": true}}\n'),
+     f'"oracle": {_ORACLE_9_5}, "agreement": true}}\n', "period_output_is_reproducible"),
     ("period 2 4 --verify", 0, "period(j=2, e=4) = 1  [J1_J2]\noracle skipped: modulus F_j is below 2 (base case)\n"),
     ("period 2 4 --verify --format json", 0,
      '{"closed_form": {"j": 2, "e": 4, "outcome": 1, "case_label": "J1_J2"}, "oracle": null, "agreement": null, '
-     '"note": "oracle skipped: modulus F_j is below 2 (base case)"}\n'),
+     '"note": "oracle skipped: modulus F_j is below 2 (base case)"}\n', "period_verify_skips_oracle_below_domain"),
     ("table 3 2", 0, "table(j=3, e=2): modulus F_3 = 2: the residues repeat the block [0, 1, 1]; the period is 3\n"),
     ("table 3 2 --format json", 0,
      '{"j": 3, "e": 2, "base_case": "modulus F_3 = 2: the residues repeat the block [0, 1, 1]; the period is 3"}\n'),
@@ -286,11 +287,11 @@ EXACT_OUTPUTS = [
      '{"j": 5, "e": 2, "closed_form": 10, "oracle": 10, "agree": true}, '
      '{"j": 6, "e": 1, "closed_form": 12, "oracle": 12, "agree": true}, '
      '{"j": 6, "e": 2, "closed_form": 6, "oracle": 6, "agree": true}], '
-     '"disagreements": 0}\n'),
+     '"disagreements": 0}\n', "scan_json"),
     ("verify zero_positions", 0,
      f"PASS zero_positions: cases=5030 ({_ZERO_POSITIONS_DOMAIN})\n"
      "N/A  zero_positions_j6_exclusion: cases=31 (j = 6, e = 3, i <= 30) witness=(j=6, e=3, i=3) lhs=1 rhs=0\n"
-     "failures: 0\n"),
+     "failures: 0\n", "verify_j6_evidence_line"),
     ("verify zero_positions --format json", 0,
      '{"reports": [{"identity": "zero_positions", '
      f'"domain": "{_ZERO_POSITIONS_DOMAIN}", "cases": 5030, "verdict": "all_pass"}}, '
@@ -302,7 +303,7 @@ EXACT_OUTPUTS = [
 ]
 
 REQUESTS = [
-    *(Row(f"exact_output[{argv}]", argv, code, out) for argv, code, out in EXACT_OUTPUTS),
+    *(Row((f"exact_output[{argv}]", *also), argv, code, out) for argv, code, out, *also in EXACT_OUTPUTS),
     # the trace that `period 9 5 --verify` embeds, in each format
     Row("oracle_plain_reports_divisors", "oracle 9 5", 0, _ORACLE_9),
     Row("oracle_json_matches_library", "oracle 9 5 --format json", 0, f"{_ORACLE_9_5}\n"),
@@ -346,7 +347,8 @@ REQUESTS = [
     Row("table_base_cases", "table 3 1 --format csv", 0, "i,rho\n0,0\n1,1\n2,1\n"),
     Row("table_general_exponent", "table 6 3", 0,
         "# j=6 e=3 modulus=8 period=12\n0 0\n1 1\n2 1\n3 0\n4 3\n5 5\n6 0\n7 5\n8 5\n9 0\n10 7\n11 1\n"),
-    Row("widest_printable_modulus_runs", "oracle 20577 1 --j-max 20577", 0, _WIDEST_ORACLE, limits=(4300,)),
+    Row(("widest_printable_modulus_runs", "modulus_rule_at_its_edge[oracle-limit]"), "oracle 20577 1 --j-max 20577", 0,
+        _WIDEST_ORACLE, limits=(4300,)),
     *(
         Row(f"every_subcommand_takes_a_4300_digit_exponent[{case}]", argv, 0, out)
         for case, argv, out in (
@@ -402,10 +404,15 @@ REFUSED = [
             ("table 0 1 --annotate --format csv", "--annotate applies to plain and json tables, not csv"),
         )
     ),
-    # F_20578 has 4301 digits
+    # F_20578 has 4301 digits; each request, then any other test that runs it
     *(
-        Row(f"modulus_too_wide_to_print_trips_guard[{argv}]", argv, 3, err=_modulus_message(20578), limits=(4300,))
-        for argv in ("table 20578 1", "oracle 20578 1 --j-max 20578", "period 20578 1 --verify --j-max 20578 --format json")
+        Row((f"modulus_too_wide_to_print_trips_guard[{argv}]", *also), argv, 3, err=_modulus_message(20578),
+            limits=(4300,))
+        for argv, *also in (
+            ("table 20578 1",),
+            ("oracle 20578 1 --j-max 20578", "modulus_rule_at_its_edge[oracle-limit]"),
+            ("period 20578 1 --verify --j-max 20578 --format json",),
+        )
     ),
     *(
         Row(f"period_too_wide_to_print_trips_guard[{fmt}]", f"period {'9' * 4300} 1 --format {fmt}", 3,
@@ -509,9 +516,9 @@ REFUSED = [
         for argv in ("table 5 1 --j-max 3", "verify gcd --j-max 3")
     ),
     *(
-        Row(f"csv_is_refused_outside_table_before_any_work[{argv}]", f"{argv} --format csv", 1,
+        Row((f"csv_is_refused_outside_table_before_any_work[{argv}]", *also), f"{argv} --format csv", 1,
             err=_invalid_choice("--format", "'csv'", "plain json"))
-        for argv in ("period 7 1", "oracle 6 2", "verify gcd", "scan 4..8 1..2")
+        for argv, *also in (("period 7 1", "period_rejects_csv"), ("oracle 6 2",), ("verify gcd",), ("scan 4..8 1..2",))
     ),
     Row("subcommands_are_the_five_deterministic_ones", "bench --modulus 144", 1,
         err=_invalid_choice("command", "'bench'", _COMMANDS)),
@@ -610,23 +617,9 @@ LONG = [
 ]
 LONG = [row._replace(limits=(4300,)) for row in LONG]
 
-# where two tests pinned one request, one row holds it; the other test,
-# named here, runs that row too
-_ALSO = {
-    "exact_output[period 2 4 --verify --format json]": "period_verify_skips_oracle_below_domain",
-    "exact_output[period 9 5 --verify --format json]": "period_output_is_reproducible",
-    "exact_output[scan 4..6 1..2 --format json]": "scan_json",
-    "exact_output[verify zero_positions]": "verify_j6_evidence_line",
-    "csv_is_refused_outside_table_before_any_work[period 7 1]": "period_rejects_csv",
-    "widest_printable_modulus_runs": "modulus_rule_at_its_edge[oracle-limit]",
-    "modulus_too_wide_to_print_trips_guard[oracle 20578 1 --j-max 20578]": "modulus_rule_at_its_edge[oracle-limit]",
-}
-
-
 globals().update(
     define_tests(
         [(_check_request, REQUESTS), (_check_refused, REFUSED), (_check_admitted, ADMITTED), (_check_refused, LONG)],
-        names=lambda row: filter(None, (row.test, _ALSO.get(row.test))),
         fixtures=("capsys", "work"),
     )
 )

@@ -1,12 +1,11 @@
 """The identity sweeps and primitive primes, in four tables of rows:
-- HOLDS: a sweep call, its exact cases_checked and pinned record entries;
-- BROKEN: the same, under one break (a patched fib_prefix or fib_exact
-  value, or one case's side shifted), with the exact Counterexample;
+- HOLDS: a sweep call, its exact cases_checked and, where pinned, record;
+- BROKEN: the same under one break (a patched Fibonacci value, or one case's
+  side shifted), with the exact Counterexample;
 - REFUSED: a call, and the exact type and message of the error it raises;
 - PRIMITIVE: j, the smallest primitive prime of F_j or None, and the pinned
   factor traces.
-A row names its tests, split by spaces, and tests/rows.py builds each test
-from every row that bears its name, from any table.
+A row names its test, or a tuple of tests; tests/rows.py builds the tests.
 """
 
 import contextlib
@@ -44,17 +43,17 @@ from rows import define_tests
 
 
 class Sweep(NamedTuple):
-    test: str
+    test: str | tuple
     sweep: Callable
     args: tuple
     cases: int
     counterexample: Counterexample | None = None  # None: every case holds
-    record: dict = {}  # entries its to_record() must have
+    record: dict | None = None  # its whole to_record(), where pinned
     broken: tuple | None = None  # (name in identities, what it is patched to)
 
 
 class Refusal(NamedTuple):
-    test: str
+    test: str | tuple
     call: Callable
     args: tuple
     message: str
@@ -63,7 +62,7 @@ class Refusal(NamedTuple):
 
 
 class Prime(NamedTuple):
-    test: str
+    test: str | tuple
     j: int
     prime: int | None
     trace: tuple | None = None
@@ -78,7 +77,7 @@ def _check_sweep(row):
     assert (report.verdict, report.cases_checked, report.counterexample) == (verdict, row.cases, row.counterexample)
     if row.counterexample is not None:
         assert list(report.counterexample.inputs) == list(row.counterexample.inputs)
-    assert {key: report.to_record()[key] for key in row.record} == row.record
+    assert row.record is None or report.to_record() == row.record
 
 
 def _check_refused(row):
@@ -154,7 +153,8 @@ BROKEN = [
     # further than F_5, come first
     Sweep("square_lemma_sweep_reports_first_failing_part", sweep_square_lemma, (5,), 4,
           Counterexample({"k": 3, "alpha": 0}, 9, 10, "congruence_odd_index"),
-          {"counterexample": {"inputs": {"k": 3, "alpha": 0}, "lhs": "9", "rhs": "10", "part": "congruence_odd_index"}},
+          {"identity": "square_lemma", "domain": "k in [2, 5], alpha in [0, k]", "cases": 4, "verdict": "counterexample",
+           "counterexample": {"inputs": {"k": 3, "alpha": 0}, "lhs": "9", "rhs": "10", "part": "congruence_odd_index"}},
           prefix_with(7, 14)),
     # F_4 = 1 breaks the bound F_2^2 < F_4 at k = 2 with both sides 1, which
     # an equality test would read as a pass
@@ -180,15 +180,17 @@ BROKEN = [
           broken=shift_case({"n": 9, "m": 6}, lambda x: x + 1)),
     # F_6^2 - F_5 F_7 = 64 - 65 = -1 against (-1)^5 = -1, negated
     Sweep("cassini_sweep_reports_failing_case", sweep_cassini, (10,), 6, Counterexample({"n": 6}, -1, 1),
-          {"counterexample": {"inputs": {"n": 6}, "lhs": "-1", "rhs": "1"}},
+          {"identity": "cassini", "domain": "n in [1, 10]", "cases": 6, "verdict": "counterexample",
+           "counterexample": {"inputs": {"n": 6}, "lhs": "-1", "rhs": "1"}},
           shift_case({"n": 6}, neg)),
     # j = 5 .. 9: no prime found at j = 9 (lhs 0), where one was demanded (rhs 1)
     Sweep("carmichael_sweep_reports_failing_case", sweep_carmichael, (5, 20), 5, Counterexample({"j": 9}, 0, 1),
           broken=shift_case({"j": 9}, lambda x: 0, "lhs")),
     # insisting that 12 is the only exception is refuted at j = 6, after 3, 4, 5
-    Sweep("sweep_carmichael_narrow_exception_set_finds_j6 report_records", sweep_carmichael, (3, 40, (12,)), 4,
+    Sweep(("sweep_carmichael_narrow_exception_set_finds_j6", "report_records"), sweep_carmichael, (3, 40, (12,)), 4,
           Counterexample({"j": 6}, 0, 1),
-          {"verdict": "counterexample", "counterexample": {"inputs": {"j": 6}, "lhs": "0", "rhs": "1"}}),
+          {"identity": "carmichael", "domain": "j in [3, 40], expected exceptions [12]", "cases": 4,
+           "verdict": "counterexample", "counterexample": {"inputs": {"j": 6}, "lhs": "0", "rhs": "1"}}),
     # mod 4 in place of F_4 = 3: F_3 = 2 squares to 0 at i = 3, and at i = 4
     # F_4 = 3 does not vanish although 4 | 4.  Each (j, e) counts the indices
     # its scan ran: i <= 5 j for j = 5 at e = 1 and 2, then i <= 4 for j = 4,
@@ -256,11 +258,11 @@ _SMALLEST_PRIMITIVE = [2, 3, 5, None, 13, 7, 17, 11, 89, None, 233, 29, 61, 47, 
 # 2 | F_3 and 3 | F_4: the two indexes at or above 3 with no primitive
 # prime divisor
 _TRACES = {6: ((2, 3),), 9: ((2, 1), (17, 1)), 12: ((2, 4), (3, 2))}
-_ALSO = dict.fromkeys((3, 9, 10), "primitive_prime_small_cases") | dict.fromkeys((6, 12), "primitive_prime_none_at_6_and_12")
+_ALSO = dict.fromkeys((3, 9, 10), ("primitive_prime_small_cases",)) | dict.fromkeys((6, 12), ("primitive_prime_none_at_6_and_12",))
 
 PRIMITIVE = [
     *(
-        Prime(f"primitive_prime_sweep_truth {_ALSO.get(j, '')}", j, prime, _TRACES.get(j))
+        Prime(("primitive_prime_sweep_truth", *_ALSO.get(j, ())), j, prime, _TRACES.get(j))
         for j, prime in enumerate(_SMALLEST_PRIMITIVE, start=3)
     ),
     # frozen from a separate factorization run
@@ -323,9 +325,7 @@ def test_catalan_examples():
 
 def test_square_lemma_hand_checked_case():
     # k=3, alpha=2: 4 < 8; 25 = 1 mod 8; 9 < 13; 64 = -1 mod 13
-    verdict = check_square_lemma(3, 2)
-    assert all(verdict)
-    assert verdict == (True, True, True, True)
+    assert check_square_lemma(3, 2) == (True, True, True, True)
 
 
 def test_square_lemma_boundary_alpha(monkeypatch):
@@ -418,52 +418,56 @@ def case_sides(parts, i: int, length: int) -> list[tuple]:
             for part in parts]
 
 
-def case_below(lo: int, hi: int):
-    """(x, y, slack) with lo <= x <= hi, 0 <= y <= x and 0 <= slack <= 10."""
-    return st.integers(lo, hi).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x), st.integers(0, 10)))
+def pair_below(lo: int, hi: int):
+    """Pairs (x, y) with lo <= x <= hi and 0 <= y <= x."""
+    return st.integers(lo, hi).flatmap(lambda x: st.tuples(st.just(x), st.integers(0, x)))
 
 
-def _reads_like_own(name, row_name, sweep, cases_at, strategy, own, examples, **options):
-    """test_<name>: a row evaluator gives a case the same sides in its sweep's
-    row as in its row alone.  own(*case) gives the sweep's arguments, the
-    number of the row the case falls in (whose argument cases_at lists its
-    cases) and, for each case checked, its index there and its row alone;
-    slack 0 puts the case on the corner of the sweep's domain."""
-
-    def test(case):
-        args, row, owns = own(*case)
-        row_args, parts = sweep_rows(row_name, sweep, *args)[row]
-        for i, own_parts in owns:
-            assert case_sides(parts, i, len(row_args[cases_at])) == case_sides(own_parts, 0, 1)
-
-    for case in examples:
-        test = example(case)(test)
-    test.__name__ = test.__qualname__ = f"test_{name}"
-    return test.__name__, settings(**options)(given(strategy)(test))
+# each row evaluator gives a case the same sides in its sweep's row as in its
+# row alone; slack 0 puts the case on the corner of the sweep's domain
+@given(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10), st.integers(0, 10))
+@example(40, 40, 0, 0)
+def test_addition_reads_sweep_prefix_like_own(n, m, n_slack, m_slack):
+    ((_, ms, _), parts) = sweep_rows("_addition_row", sweep_addition, n + n_slack, m + m_slack)[n - 1]
+    assert case_sides(parts, m, len(ms)) == case_sides(addition_row(n, m), 0, 1)
 
 
-globals().update(
-    [
-        _reads_like_own("addition_reads_sweep_prefix_like_own", "_addition_row", sweep_addition, 1,
-                        st.tuples(st.integers(1, 40), st.integers(0, 40), st.integers(0, 10), st.integers(0, 10)),
-                        lambda n, m, dn, dm: ((n + dn, m + dm), n - 1, [(m, addition_row(n, m))]), [(40, 40, 0, 0)]),
-        _reads_like_own("catalan_reads_sweep_prefix_like_own", "_catalan_row", sweep_catalan, 1, case_below(0, 60),
-                        lambda n, r, slack: ((n + slack,), n, [(r, catalan_row(n, r))]), [(60, 60, 0), (60, 0, 0)]),
-        _reads_like_own("cassini_reads_sweep_prefix_like_own", "_cassini_row", sweep_cassini, 0,
-                        st.tuples(st.integers(1, 120), st.integers(0, 10)),
-                        lambda n, slack: ((n + slack,), 0, [(n - 1, cassini_row(n))]), [(120, 0)]),
-        _reads_like_own("square_lemma_reads_sweep_prefix_like_own", "_square_lemma_row", sweep_square_lemma, 1,
-                        case_below(2, 30), lambda k, alpha, slack: ((k + slack,), k - 2, [(alpha, square_lemma_row(k, alpha))]),
-                        [(30, 30, 0), (30, 0, 0)]),
-        # indices past 10000, where a prefix would be megabytes; few examples,
-        # since each one walks the recurrence that far once per pair
-        _reads_like_own("gcd_reads_sweep_values_like_own", "_gcd_row", sweep_gcd, 0,
-                        st.tuples(st.lists(st.tuples(st.integers(0, 12_000), st.integers(1, 12_000)), min_size=1, max_size=3)),
-                        lambda pairs: ((pairs,), 0, [(i, identities._gcd_row([pair])) for i, pair in enumerate(pairs)]),
-                        [([(12_000, 12_000)],), ([(0, 10_001), (10_001, 1)],), ([(12_000, 8_000), (9_000, 6_000)],)],
-                        max_examples=15, deadline=None),
-    ]
-)
+@given(pair_below(0, 60), st.integers(0, 10))
+@example((60, 60), 0)
+@example((60, 0), 0)
+def test_catalan_reads_sweep_prefix_like_own(n_r, slack):
+    n, r = n_r
+    ((_, rs, _, _), parts) = sweep_rows("_catalan_row", sweep_catalan, n + slack)[n]
+    assert case_sides(parts, r, len(rs)) == case_sides(catalan_row(n, r), 0, 1)
+
+
+@given(st.integers(1, 120), st.integers(0, 10))
+@example(120, 0)
+def test_cassini_reads_sweep_prefix_like_own(n, slack):
+    (((ns, _), parts),) = sweep_rows("_cassini_row", sweep_cassini, n + slack)
+    assert case_sides(parts, n - 1, len(ns)) == case_sides(cassini_row(n), 0, 1)
+
+
+@given(pair_below(2, 30), st.integers(0, 10))
+@example((30, 30), 0)
+@example((30, 0), 0)
+def test_square_lemma_reads_sweep_prefix_like_own(k_alpha, slack):
+    k, alpha = k_alpha
+    ((_, alphas, _, _), parts) = sweep_rows("_square_lemma_row", sweep_square_lemma, k + slack)[k - 2]
+    assert case_sides(parts, alpha, len(alphas)) == case_sides(square_lemma_row(k, alpha), 0, 1)
+
+
+# indices past 10000, where a prefix would be megabytes; few examples, since
+# each one walks the recurrence that far once per pair
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12_000), st.integers(1, 12_000)), min_size=1, max_size=3))
+@example([(12_000, 12_000)])
+@example([(0, 10_001), (10_001, 1)])
+@example([(12_000, 8_000), (9_000, 6_000)])
+def test_gcd_reads_sweep_values_like_own(pairs):
+    (((row_pairs,), parts),) = sweep_rows("_gcd_row", sweep_gcd, pairs)
+    for i, pair in enumerate(pairs):
+        assert case_sides(parts, i, len(row_pairs)) == case_sides(identities._gcd_row([pair]), 0, 1)
 
 
 @given(st.integers(3, 90), st.integers(0, 90))
@@ -804,11 +808,7 @@ def test_trial_factor_matches_plain_trial_division():
     assert identities._trial_factor(fib_exact(18)) == ([(2, 3), (17, 1)], 19, True)
     # F_77: the cofactor after 13 and 89 is 988681 x 4832521, composite and
     # below 2^64, so an end that skips the primality test stops too soon
-    assert identities._trial_factor(fib_exact(77)) == (
-        [(13, 1), (89, 1), (988681, 1)],
-        4832521,
-        True,
-    )
+    assert identities._trial_factor(fib_exact(77)) == ([(13, 1), (89, 1), (988681, 1)], 4832521, True)
     # the prime cofactor of F_79 ends the division right after 157
     assert identities._trial_factor(fib_exact(79)) == ([(157, 1)], 92180471494753, True)
 

@@ -139,8 +139,7 @@ def main(claims: list = CLAIMS) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:]:
-        # it takes no arguments, so any, --help too, gets the docstring's usage line
-        usage = next(line.strip() for line in __doc__.splitlines() if line.startswith("    "))
-        print(f"usage: {usage}", file=sys.stderr)
+        # it takes no arguments, so any, --help too, gets the usage line
+        print("usage: PYTHONPATH=src python tools/certify.py", file=sys.stderr)
         sys.exit(2)
     sys.exit(main())
