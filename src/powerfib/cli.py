@@ -105,7 +105,7 @@ def _exponent_words(e: int) -> tuple[int, str]:
     return words, f" x {words} 64-bit words of e" if words > 1 else ""
 
 
-def _require_modulus(j: int) -> None:
+def _require_printable_modulus(j: int) -> None:
     """Raise ResourceGuardError if F_j has more decimal digits than Python
     prints, or than its default limit where printing has none: the widest
     modulus any subcommand takes.  Only a digit bound of limit + 1 needs the
@@ -123,7 +123,7 @@ def _require_modulus(j: int) -> None:
 def _require_oracle_row(j: int, j_max: int) -> None:
     """Raise ResourceGuardError unless the modulus F_j is admitted and j is
     at most --j-max, checked in that order."""
-    _require_modulus(j)
+    _require_printable_modulus(j)
     if j > j_max:
         raise ResourceGuardError(f"j={j} exceeds the oracle guard j_max={j_max}")
 
@@ -212,7 +212,7 @@ def cmd_table(args) -> tuple[int, dict]:
 
     if args.annotate and args.e > 2:
         raise _UsageError("--annotate needs e in {1, 2}; no per-entry closed form beyond")
-    _require_modulus(args.j)
+    _require_printable_modulus(args.j)
     # every residue is below F_j, so it has at most `digits` digits; the
     # message shows the factors, as the scan guard does
     digits = _fib_digit_bound(args.j)

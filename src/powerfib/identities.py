@@ -11,7 +11,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import ge, mul, ne, neg, sub
+from operator import ge, index, mul, ne, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError, ResourceGuardError
@@ -139,6 +139,10 @@ def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
         if len(pair) != 2:
             raise OutOfDomainError(f"a gcd pair needs two indices, got {tuple(pair)}")
         n, m = pair
+        try:
+            index(n), index(m)
+        except TypeError:
+            raise OutOfDomainError(f"a gcd pair needs integer indices, got {tuple(pair)}") from None
         if n < 0 or m < 0:
             raise OutOfDomainError(f"indices must be nonnegative, got ({n}, {m})")
         if n == 0 and m == 0:

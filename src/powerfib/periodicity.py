@@ -1,5 +1,6 @@
 """Closed-form minimal periods of the sequences (F_i^e mod F_j)_{i>=0}."""
 
+import operator
 from typing import NamedTuple
 
 from .errors import OutOfDomainError
@@ -23,6 +24,11 @@ class PeriodResult(NamedTuple):
 
 
 def _require_args(j: int, e: int) -> None:
+    for name, value in (("j", j), ("exponent", e)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise OutOfDomainError(f"{name} must be an integer, got {value!r}") from None
     if j < 0:
         raise OutOfDomainError(f"j must be nonnegative, got {j}")
     if e < 1:
@@ -30,7 +36,7 @@ def _require_args(j: int, e: int) -> None:
 
 
 def period_closed_form(j: int, e: int) -> PeriodResult:
-    """Minimal period by case dispatch, for any j >= 0 and e >= 1.
+    """Minimal period by case dispatch, for any integers j >= 0 and e >= 1.
 
     Case table:
       j = 0           not periodic (the values F_i^e grow without bound)

@@ -1,10 +1,46 @@
 """Tests built from tables of rows, for the test files that pin behaviour row
-by row.  A row's `test` names its test, or is a tuple naming each of its
-tests, each `name` or `name[case]` for case `case` of test_name, as the suite
-named these tests before the tables; a test runs every row that names it,
-from any table."""
+by row: test_cli.py, test_identities.py, test_fibcore.py,
+test_periodicity.py, test_residue_tables.py and test_oracle.py.  A row's
+`test` names its test, or is a tuple naming each of its tests, each `name`
+or `name[case]` for case `case` of test_name, as the suite named these tests
+before the tables; a test runs every row that names it, from any table.
+
+The two row kinds the library files share are here: a Call pins what a call
+returns, a Refusal the exact type and message of the error it raises."""
+
+from typing import Callable, NamedTuple
 
 import pytest
+
+from powerfib.errors import OutOfDomainError
+
+
+class Call(NamedTuple):
+    test: str | tuple
+    call: Callable
+    args: tuple
+    want: object
+    read: Callable | None = None  # the part of the result pinned; None: all of it
+
+
+class Refusal(NamedTuple):
+    test: str | tuple
+    call: Callable
+    args: tuple
+    message: str
+    error: type = OutOfDomainError
+    partial: tuple | None = None  # a ResourceGuardError's evidence
+
+
+def check_call(row):
+    got = row.call(*row.args)
+    assert (got if row.read is None else row.read(got)) == row.want
+
+
+def check_refused(row):
+    with pytest.raises(row.error) as err:
+        row.call(*row.args)
+    assert (type(err.value), str(err.value), getattr(err.value, "partial", None)) == (row.error, row.message, row.partial)
 
 
 def define_tests(tables, fixtures=()) -> dict:

@@ -663,12 +663,12 @@ def test_digit_guard_is_exact_near_the_limit():
     for j, f in enumerate(fib_prefix(3100)):
         if f >= 10**640:
             with pytest.raises(ResourceGuardError):
-                cli._require_modulus(j)
+                cli._require_printable_modulus(j)
         else:
-            cli._require_modulus(j)
+            cli._require_printable_modulus(j)
     sys.set_int_max_str_digits(0)  # no limit: Python's default one applies
     with pytest.raises(ResourceGuardError):
-        cli._require_modulus(10**6)
+        cli._require_printable_modulus(10**6)
 
 
 def test_digit_bound_is_the_digits_or_one_more():

@@ -1,10 +1,16 @@
+"""Exact and modular Fibonacci arithmetic.  Its examples and goldens are the
+rows of VALUES (a call and its exact result) and its refusals those of
+REFUSED (a call and the exact type and message of its error); the
+properties, the reference grid and the doubling-cost timing stay tests of
+their own.  tests/rows.py builds the tests from the rows.
+"""
+
 import time
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from powerfib.errors import InvalidModulusError, OutOfDomainError
+from powerfib.errors import InvalidModulusError
 from powerfib.fibcore import (
     fib_exact,
     fib_mod,
@@ -12,6 +18,7 @@ from powerfib.fibcore import (
     fib_prefix,
     pow_mod,
 )
+from rows import Call, Refusal, check_call, check_refused, define_tests
 
 
 def linear_pair(n: int, m: int) -> tuple[int, int]:
@@ -22,39 +29,48 @@ def linear_pair(n: int, m: int) -> tuple[int, int]:
     return a, b
 
 
-def test_fib_exact_small_values():
-    assert [fib_exact(n) for n in range(13)] == [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
-
-
-def test_fib_exact_f100():
+VALUES = [
+    *(
+        Call("fib_exact_small_values", fib_exact, (n,), f)
+        for n, f in enumerate([0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144])
+    ),
     # classic value, frozen from a separate step-by-step run
-    assert fib_exact(100) == 354224848179261915075
+    Call("fib_exact_f100", fib_exact, (100,), 354224848179261915075),
+    Call("fib_prefix_matches_fib_exact", fib_prefix, (50,), [fib_exact(n) for n in range(50)]),
+    Call("fib_prefix_matches_fib_exact", fib_prefix, (0,), []),
+    Call("fib_pair_mod_examples", fib_pair_mod, (0, 8), (0, 1)),
+    Call("fib_pair_mod_examples", fib_pair_mod, (7, 13), (0, 8)),
+    # frozen from the linear-iteration reference
+    Call("fib_pair_mod_examples", fib_pair_mod, (10**6, 144), (123, 13)),
+    # 196 is the Pisano period of 97, so the reference steps n mod 196 times;
+    # its residues lie in [0, 96]
+    *(Call("fibpair_residues_normalized", fib_pair_mod, (n, 97), linear_pair(n % 196, 97)) for n in (0, 1, 17, 10**9)),
+    Call("fib_mod_examples", fib_mod, (6, 8), 0),
+    Call("fib_mod_examples", fib_mod, (11, 8), 1),
+    Call("pow_mod_examples", pow_mod, (5, 2, 13), 12),
+    Call("pow_mod_examples", pow_mod, (3, 4, 8), 1),
+    Call("pow_mod_examples", pow_mod, (0, 0, 7), 1),
+]
 
+REFUSED = [
+    Refusal("fib_exact_rejects_negative_index", fib_exact, (-1,), "Fibonacci index must be nonnegative, got -1"),
+    Refusal("fib_prefix_matches_fib_exact", fib_prefix, (-3,), "count must be nonnegative, got -3"),
+    *(
+        Refusal("modulus_below_two_rejected", call, args, f"modulus must be at least 2, got {m}", InvalidModulusError)
+        for m in (1, 0, -5)
+        for call, args in ((fib_pair_mod, (10, m)), (fib_mod, (3, m)), (pow_mod, (2, 3, m)))
+    ),
+    Refusal("negative_index_rejected_mod", fib_pair_mod, (-4, 10), "Fibonacci index must be nonnegative, got -4"),
+    Refusal("pow_mod_rejects_negative_base_and_exponent", pow_mod, (-2, 3, 7), "base must be nonnegative, got -2"),
+    Refusal("pow_mod_rejects_negative_base_and_exponent", pow_mod, (2, -3, 7), "exponent must be nonnegative, got -3"),
+]
 
-def test_fib_exact_rejects_negative_index():
-    with pytest.raises(OutOfDomainError):
-        fib_exact(-1)
-
-
-def test_fib_prefix_matches_fib_exact():
-    fs = fib_prefix(50)
-    assert len(fs) == 50
-    assert fs == [fib_exact(n) for n in range(50)]
-    assert fib_prefix(0) == []
-    with pytest.raises(OutOfDomainError):
-        fib_prefix(-3)
+globals().update(define_tests([(check_call, VALUES), (check_refused, REFUSED)]))
 
 
 @given(st.integers(min_value=2, max_value=600))
 def test_fib_exact_recurrence(n):
     assert fib_exact(n) == fib_exact(n - 1) + fib_exact(n - 2)
-
-
-def test_fib_pair_mod_examples():
-    assert fib_pair_mod(0, 8) == (0, 1)
-    assert fib_pair_mod(7, 13) == (0, 8)
-    # frozen from the linear-iteration reference
-    assert fib_pair_mod(10**6, 144) == (123, 13)
 
 
 @given(st.integers(min_value=0, max_value=4000), st.integers(min_value=2, max_value=1000))
@@ -77,48 +93,9 @@ def test_fib_mod_matches_exact_for_wide_moduli(n, m):
     assert fib_mod(n, m) == fib_exact(n) % m
 
 
-def test_fib_mod_examples():
-    assert fib_mod(6, 8) == 0
-    assert fib_mod(11, 8) == 1
-
-
-def test_modulus_below_two_rejected():
-    for m in (1, 0, -5):
-        with pytest.raises(InvalidModulusError):
-            fib_pair_mod(10, m)
-        with pytest.raises(InvalidModulusError):
-            fib_mod(3, m)
-        with pytest.raises(InvalidModulusError):
-            pow_mod(2, 3, m)
-
-
-def test_negative_index_rejected_mod():
-    with pytest.raises(OutOfDomainError):
-        fib_pair_mod(-4, 10)
-
-
-def test_pow_mod_examples():
-    assert pow_mod(5, 2, 13) == 12
-    assert pow_mod(3, 4, 8) == 1
-    assert pow_mod(0, 0, 7) == 1
-
-
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=10**6))
 def test_pow_mod_zero_exponent_is_one(a, m):
     assert pow_mod(a, 0, m) == 1
-
-
-def test_pow_mod_rejects_negative_base_and_exponent():
-    with pytest.raises(OutOfDomainError):
-        pow_mod(-2, 3, 7)
-    with pytest.raises(OutOfDomainError):
-        pow_mod(2, -3, 7)
-
-
-def test_fibpair_residues_normalized():
-    for n in (0, 1, 17, 10**9):
-        f_n, f_n1 = fib_pair_mod(n, 97)
-        assert 0 <= f_n < 97 and 0 <= f_n1 < 97
 
 
 def _batch_seconds(n: int, m: int, calls: int = 2000) -> float:

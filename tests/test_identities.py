@@ -5,7 +5,8 @@
 - REFUSED: a call, and the exact type and message of the error it raises;
 - PRIMITIVE: j, the smallest primitive prime of F_j or None, and the pinned
   factor traces.
-A row names its test, or a tuple of tests; tests/rows.py builds the tests.
+A row names its test, or a tuple of tests; tests/rows.py holds the Refusal
+row kind and builds the tests.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powerfib.identities as identities
-from powerfib.errors import OutOfDomainError, ResourceGuardError
+from powerfib.errors import ResourceGuardError
 from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import (
     ALL_PASS,
@@ -39,7 +40,7 @@ from powerfib.identities import (
     sweep_square_lemma,
     sweep_zero_positions,
 )
-from rows import define_tests
+from rows import Refusal, check_refused, define_tests
 
 
 class Sweep(NamedTuple):
@@ -50,15 +51,6 @@ class Sweep(NamedTuple):
     counterexample: Counterexample | None = None  # None: every case holds
     record: dict | None = None  # its whole to_record(), where pinned
     broken: tuple | None = None  # (name in identities, what it is patched to)
-
-
-class Refusal(NamedTuple):
-    test: str | tuple
-    call: Callable
-    args: tuple
-    message: str
-    error: type = OutOfDomainError
-    partial: tuple | None = None  # a ResourceGuardError's evidence
 
 
 class Prime(NamedTuple):
@@ -78,12 +70,6 @@ def _check_sweep(row):
     if row.counterexample is not None:
         assert list(report.counterexample.inputs) == list(row.counterexample.inputs)
     assert row.record is None or report.to_record() == row.record
-
-
-def _check_refused(row):
-    with pytest.raises(row.error) as err:
-        row.call(*row.args)
-    assert (type(err.value), str(err.value), getattr(err.value, "partial", None)) == (row.error, row.message, row.partial)
 
 
 def _check_prime(row):
@@ -206,6 +192,9 @@ REFUSED = [
     Refusal("gcd_identity_rejects_zero_pair", sweep_gcd, ([(-1, 5)],), "indices must be nonnegative, got (-1, 5)"),
     Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([(3,)],), "a gcd pair needs two indices, got (3,)"),
     Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([(1, 2, 3)],), "a gcd pair needs two indices, got (1, 2, 3)"),
+    # checked before the signs: a string is not compared with 0
+    Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([(1.5, 2)],), "a gcd pair needs integer indices, got (1.5, 2)"),
+    Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([("3", 2)],), "a gcd pair needs integer indices, got ('3', 2)"),
     Refusal("square_lemma_domain", check_square_lemma, (1, 0), "k must be at least 2, got 1"),
     Refusal("square_lemma_domain", check_square_lemma, (4, 5), "need 0 <= alpha <= k, got alpha=5, k=4"),
     Refusal("square_lemma_domain", check_square_lemma, (4, -1), "need 0 <= alpha <= k, got alpha=-1, k=4"),
@@ -270,7 +259,7 @@ PRIMITIVE = [
 ]
 
 globals().update(
-    define_tests([(_check_sweep, HOLDS), (_check_sweep, BROKEN), (_check_refused, REFUSED), (_check_prime, PRIMITIVE)])
+    define_tests([(_check_sweep, HOLDS), (_check_sweep, BROKEN), (check_refused, REFUSED), (_check_prime, PRIMITIVE)])
 )
 
 

@@ -1,19 +1,30 @@
+"""The brute-force oracle.  Its examples are the rows of VALUES (a call and
+its exact result, or the part of it a row reads) and its refusals those of
+REFUSED (a call and the exact type and message of its error); tests/rows.py
+builds the tests from the rows.  The properties, the digests, the memory
+bounds and the tests that watch the oracle's row through monkeypatched
+helpers stay tests of their own, and so does the check that every message
+the four library modules raise has a refusal row.
+"""
+
 import ast
 import collections
 import hashlib
 import json
 import random
+import re
 import sys
 import threading
 import tracemalloc
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from powerfib import cli, oracle
-from powerfib.errors import InvalidModulusError, OutOfDomainError
+from powerfib import cli, fibcore, oracle, periodicity, residue_tables
+from powerfib.errors import InvalidModulusError
 from powerfib.fibcore import fib_exact, fib_mod, pow_mod
 from powerfib.oracle import (
     DivisorCheck,
@@ -23,42 +34,69 @@ from powerfib.oracle import (
     sequence_prefix,
 )
 from powerfib.periodicity import period_closed_form
+from rows import Call, Refusal, check_call, check_refused, define_tests
+from test_fibcore import REFUSED as FIBCORE_REFUSED
+from test_periodicity import REFUSED as PERIODICITY_REFUSED
+from test_residue_tables import REFUSED as RESIDUE_TABLES_REFUSED
 
 
-def test_pisano_examples():
-    assert pisano_period(2) == 3
-    assert pisano_period(8) == 12
-    assert pisano_period(13) == 28
+def _after_its_row(j: int, e: int) -> OracleTrace:
+    """The oracle at (j, e), called once the row of j is remembered."""
+    minimal_period_bruteforce(j, 1)
+    return minimal_period_bruteforce(j, e)
 
 
-def test_pisano_rejects_tiny_moduli():
-    for m in (1, 0, -2):
-        with pytest.raises(InvalidModulusError):
-            pisano_period(m)
+power_period = attrgetter("power_period")
+
+VALUES = [
+    Call("pisano_examples", pisano_period, (2,), 3),
+    Call("pisano_examples", pisano_period, (8,), 12),
+    Call("pisano_examples", pisano_period, (13,), 28),
+    Call("sequence_prefix_small", sequence_prefix, (6, 1, 13), [0, 1, 1, 2, 3, 5, 0, 5, 5, 2, 7, 1, 0]),
+    Call("sequence_prefix_small", sequence_prefix, (7, 2, 14), [0, 1, 1, 4, 9, 12, 12, 0, 12, 12, 9, 4, 1, 1]),
+    Call("sequence_prefix_small", sequence_prefix, (5, 4, 1), [0]),
+    # frozen from an independent stepped run
+    Call("sequence_prefix_small", sequence_prefix, (9, 5, 12), [0, 1, 1, 32, 5, 31, 26, 13, 21, 0, 21, 21]),
+    # F_6 = 8 and its Pisano period 12: each divisor below 6 fails at i = 0,
+    # 0 against F_d^2 mod 8, and 6 holds
+    Call(("minimal_period_examples", "trace_divisor_evidence", "to_record_shape"), minimal_period_bruteforce, (6, 2), {
+        "modulus": "8",
+        "pisano": 12,
+        "power_period": 6,
+        "checked_divisors": [
+            *({"d": d, "verdict": "fails", "witness_index": 0} for d in (1, 2, 3, 4)),
+            {"d": 6, "verdict": "holds"},
+        ],
+    }, OracleTrace.to_record),
+    Call("minimal_period_examples", minimal_period_bruteforce, (5, 1), 20, power_period),
+    Call("minimal_period_examples", minimal_period_bruteforce, (11, 6), 22, power_period),
+    # only the command line's --j-max bounds j
+    Call("oracle_takes_any_j", minimal_period_bruteforce, (26, 1), 52, power_period),
+]
+
+REFUSED = [
+    *(Refusal("pisano_rejects_tiny_moduli", pisano_period, (m,), f"modulus must be at least 2, got {m}", InvalidModulusError)
+      for m in (1, 0, -2)),
+    Refusal("sequence_prefix_domain", sequence_prefix, (2, 1, 5),
+            "modulus F_2 is below 2; base cases are handled by period_closed_form", InvalidModulusError),
+    Refusal("sequence_prefix_domain", sequence_prefix, (6, 0, 5), "exponent must be at least 1, got 0"),
+    Refusal("sequence_prefix_domain", sequence_prefix, (6, 1, 0), "prefix length must be at least 1, got 0"),
+    Refusal("sequence_prefix_domain", sequence_prefix, (6, 1, -1), "prefix length must be at least 1, got -1"),
+    Refusal("domain_errors", minimal_period_bruteforce, (2, 1), "the oracle needs j >= 3 (modulus at least 2), got j=2"),
+    Refusal("domain_errors", minimal_period_bruteforce, (6, 0), "exponent must be at least 1, got 0"),
+    # a bad exponent is a domain error whatever the size of j
+    *(Refusal("domain_errors", minimal_period_bruteforce, (j, e), f"exponent must be at least 1, got {e}")
+      for j in (26, 10**400) for e in (0, -1)),
+    *(Refusal("domain_errors_with_that_j_remembered", _after_its_row, (j, e), f"exponent must be at least 1, got {e}")
+      for j, e in ((30, 0), (6, 0), (6, -1))),
+]
+
+globals().update(define_tests([(check_call, VALUES), (check_refused, REFUSED)]))
 
 
 def test_pisano_of_fibonacci_moduli_matches_e1_period():
     for j in range(4, 23):
         assert pisano_period(fib_exact(j)) == period_closed_form(j, 1).period, j
-
-
-def test_sequence_prefix_small():
-    assert sequence_prefix(6, 1, 13) == [0, 1, 1, 2, 3, 5, 0, 5, 5, 2, 7, 1, 0]
-    assert sequence_prefix(7, 2, 14) == [0, 1, 1, 4, 9, 12, 12, 0, 12, 12, 9, 4, 1, 1]
-    assert sequence_prefix(5, 4, 1) == [0]
-    # frozen from an independent stepped run
-    assert sequence_prefix(9, 5, 12) == [0, 1, 1, 32, 5, 31, 26, 13, 21, 0, 21, 21]
-
-
-def test_sequence_prefix_domain():
-    with pytest.raises(InvalidModulusError):
-        sequence_prefix(2, 1, 5)
-    with pytest.raises(OutOfDomainError):
-        sequence_prefix(6, 0, 5)
-    with pytest.raises(OutOfDomainError):
-        sequence_prefix(6, 1, 0)
-    with pytest.raises(OutOfDomainError):
-        sequence_prefix(6, 1, -1)
 
 
 def test_sequence_prefix_without_n_walks_one_pisano_period():
@@ -76,24 +114,6 @@ def test_sequence_prefix_agrees_with_fast_doubling():
         prefix = sequence_prefix(j, e, 40)
         for i, value in enumerate(prefix):
             assert value == pow_mod(fib_mod(i, m), e, m), (j, e, i)
-
-
-def test_minimal_period_examples():
-    assert minimal_period_bruteforce(6, 2).power_period == 6
-    assert minimal_period_bruteforce(5, 1).power_period == 20
-    assert minimal_period_bruteforce(11, 6).power_period == 22
-
-
-def test_trace_divisor_evidence():
-    trace = minimal_period_bruteforce(6, 2)
-    assert trace.modulus == 8
-    assert trace.pisano == 12
-    checked = {c.d: c for c in trace.checked_divisors}
-    assert set(checked) == {1, 2, 3, 4, 6}
-    assert checked[6].verdict == "holds" and checked[6].witness_index is None
-    for d in (1, 2, 3, 4):
-        assert checked[d].verdict == "fails"
-        assert checked[d].witness_index is not None
 
 
 def test_trace_invariants_on_grid():
@@ -115,43 +135,6 @@ def test_trace_invariants_on_grid():
                     assert window[i] != window[(i + c.d) % trace.pisano], (j, e, c)
                 else:
                     assert c.d == trace.power_period
-
-
-def test_domain_errors():
-    with pytest.raises(OutOfDomainError):
-        minimal_period_bruteforce(2, 1)
-    with pytest.raises(OutOfDomainError):
-        minimal_period_bruteforce(6, 0)
-    # a bad exponent is a domain error whatever the size of j
-    for j in (26, 10**400):
-        for e in (0, -1):
-            with pytest.raises(OutOfDomainError, match=f"exponent must be at least 1, got {e}"):
-                minimal_period_bruteforce(j, e)
-
-
-def test_domain_errors_with_that_j_remembered():
-    minimal_period_bruteforce(30, 1)
-    with pytest.raises(OutOfDomainError):
-        minimal_period_bruteforce(30, 0)
-    minimal_period_bruteforce(6, 1)
-    with pytest.raises(OutOfDomainError):
-        minimal_period_bruteforce(6, 0)
-    with pytest.raises(OutOfDomainError):
-        minimal_period_bruteforce(6, -1)
-
-
-def test_oracle_takes_any_j():
-    # only the command line's --j-max bounds j
-    assert minimal_period_bruteforce(26, 1).power_period == 52
-
-
-def test_to_record_shape():
-    rec = minimal_period_bruteforce(6, 2).to_record()
-    assert rec["modulus"] == "8"
-    assert rec["pisano"] == 12
-    assert rec["power_period"] == 6
-    assert rec["checked_divisors"][0] == {"d": 1, "verdict": "fails", "witness_index": 0}
-    assert rec["checked_divisors"][-1] == {"d": 6, "verdict": "holds"}
 
 
 def _cold_trace(j: int, e: int) -> OracleTrace:
@@ -510,10 +493,8 @@ def test_one_row_is_kept_and_refused_calls_leave_it_alone(capsys):
     # the domain checks, and the command line's guard, run before any row is built or read
     assert cli.main(["oracle", "22", "3", "--j-max", "21"]) == 3
     assert capsys.readouterr().err == "resource guard: j=22 exceeds the oracle guard j_max=21\n"
-    with pytest.raises(OutOfDomainError):
-        minimal_period_bruteforce(21, 0)
-    with pytest.raises(OutOfDomainError):
-        minimal_period_bruteforce(2, 3)
+    check_refused(Refusal(None, minimal_period_bruteforce, (21, 0), "exponent must be at least 1, got 0"))
+    check_refused(Refusal(None, minimal_period_bruteforce, (2, 3), "the oracle needs j >= 3 (modulus at least 2), got j=2"))
     assert oracle._row.cache_info() == kept
     oracle._row.cache_clear()
     assert oracle._row.cache_info().currsize == 0
@@ -600,3 +581,19 @@ def test_oracle_borrows_no_closed_form_logic():
         "identities",
     }
     assert _powerfib_imports(Path(oracle.__file__).read_text()) == {"errors", "fibcore"}
+
+
+def test_every_message_the_library_raises_has_a_row():
+    # each message fibcore, oracle, periodicity and residue_tables raise, its
+    # formatted values read as any text, against every refusal row of their
+    # four test files: one word changed in a message leaves it without a row
+    patterns = []
+    for module in (fibcore, oracle, periodicity, residue_tables):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Raise):
+                text = node.exc.args[0]
+                parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+                patterns.append("".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts))
+    assert len(patterns) == 15  # so a walk that finds none cannot pass
+    rows = FIBCORE_REFUSED + PERIODICITY_REFUSED + RESIDUE_TABLES_REFUSED + REFUSED
+    assert [p for p in patterns if not any(re.fullmatch(p, row.message) for row in rows)] == []

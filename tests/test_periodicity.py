@@ -1,78 +1,103 @@
-import pytest
+"""The closed-form periods.  PERIODS pins period_closed_form(j, e) whole,
+period and case label, one row per cell, and REFUSED the exact type and
+message of each refusal; tests/rows.py builds the tests from the rows.  The
+sweeps over a grid and the agreement with the oracle stay tests of their own.
+"""
+
+from typing import NamedTuple
+
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from powerfib.errors import OutOfDomainError
 from powerfib.oracle import minimal_period_bruteforce
-from powerfib.periodicity import period_closed_form
-
-# (j, e) -> expected minimal period; the small ones check by hand, the
-# larger ones are frozen from the brute-force scan
-KNOWN_PERIODS = {
-    (1, 7): 1,
-    (2, 3): 1,
-    (3, 1): 3,
-    (3, 5): 3,
-    (4, 1): 8,
-    (5, 1): 20,
-    (6, 1): 12,
-    (7, 1): 28,
-    (6, 2): 6,
-    (6, 4): 3,
-    (6, 6): 3,
-    (6, 12): 3,
-    (9, 4): 9,
-    (9, 5): 36,
-    (9, 6): 18,
-    (11, 6): 22,
-    (12, 1): 24,
-    (12, 2): 12,
-    (12, 3): 24,
-    (12, 4): 12,
-    (13, 2): 26,
-}
+from powerfib.periodicity import PeriodResult, period_closed_form
+from rows import Call, Refusal, check_call, check_refused, define_tests
 
 
-def test_known_periods():
-    for (j, e), want in KNOWN_PERIODS.items():
-        assert period_closed_form(j, e).period == want, (j, e)
+class Period(NamedTuple):
+    test: str | tuple
+    j: int
+    e: int
+    period: int | None
+    label: str
 
 
-def test_not_periodic_only_at_j_zero():
-    assert period_closed_form(0, 2).period is None
-    for j in range(1, 60):
-        assert period_closed_form(j, 3).period is not None
+def _check_period(row):
+    assert period_closed_form(row.j, row.e) == (row.j, row.e, row.period, row.label)
 
 
-def test_case_labels():
-    assert period_closed_form(0, 1).case_label == "J0"
-    assert period_closed_form(1, 1).case_label == "J1_J2"
-    assert period_closed_form(2, 9).case_label == "J1_J2"
-    assert period_closed_form(3, 2).case_label == "J3"
-    assert period_closed_form(6, 5).case_label == "J6_ODD"
-    assert period_closed_form(6, 2).case_label == "J6_E2"
-    assert period_closed_form(6, 8).case_label == "J6_EVEN_GE4"
-    assert period_closed_form(8, 4).case_label == "EVEN_EVEN"
-    assert period_closed_form(8, 3).case_label == "EVEN_ODD"
-    assert period_closed_form(9, 4).case_label == "ODD_E0MOD4"
-    assert period_closed_form(9, 6).case_label == "ODD_E2MOD4"
-    assert period_closed_form(9, 7).case_label == "ODD_ODD"
+# the small periods check by hand, the larger ones are frozen from the
+# brute-force scan; a row named by divisibility_check_examples gives one of
+# the periods whose divisibility its comment states
+PERIODS = [
+    Period("case_labels", 0, 1, None, "J0"),
+    Period("not_periodic_only_at_j_zero", 0, 2, None, "J0"),
+    Period("case_labels", 1, 1, 1, "J1_J2"),
+    Period("known_periods", 1, 7, 1, "J1_J2"),
+    Period("case_labels", 2, 9, 1, "J1_J2"),
+    Period("known_periods", 2, 3, 1, "J1_J2"),
+    Period("known_periods", 3, 1, 3, "J3"),
+    Period("case_labels", 3, 2, 3, "J3"),
+    Period("known_periods", 3, 5, 3, "J3"),
+    Period("known_periods", 4, 1, 8, "EVEN_ODD"),
+    Period("known_periods", 5, 1, 20, "ODD_ODD"),
+    # 3 divides 12
+    Period(("known_periods", "divisibility_check_examples"), 6, 1, 12, "J6_ODD"),
+    Period("case_labels", 6, 5, 12, "J6_ODD"),
+    Period(("known_periods", "case_labels"), 6, 2, 6, "J6_E2"),
+    Period(("known_periods", "divisibility_check_examples"), 6, 4, 3, "J6_EVEN_GE4"),
+    Period("known_periods", 6, 6, 3, "J6_EVEN_GE4"),
+    Period("case_labels", 6, 8, 3, "J6_EVEN_GE4"),
+    Period("known_periods", 6, 12, 3, "J6_EVEN_GE4"),
+    # 14 divides 28
+    Period(("known_periods", "divisibility_check_examples"), 7, 1, 28, "ODD_ODD"),
+    Period("divisibility_check_examples", 7, 2, 14, "ODD_E2MOD4"),
+    Period("case_labels", 8, 3, 16, "EVEN_ODD"),
+    Period("case_labels", 8, 4, 8, "EVEN_EVEN"),
+    Period(("known_periods", "case_labels"), 9, 4, 9, "ODD_E0MOD4"),
+    Period("known_periods", 9, 5, 36, "ODD_ODD"),
+    Period(("known_periods", "case_labels"), 9, 6, 18, "ODD_E2MOD4"),
+    Period("case_labels", 9, 7, 36, "ODD_ODD"),
+    Period("known_periods", 11, 6, 22, "ODD_E2MOD4"),
+    # the modulus 144 = F_12 is special for primitive divisors but not here
+    Period(("known_periods", "j12_follows_the_generic_even_rule"), 12, 1, 24, "EVEN_ODD"),
+    Period(("known_periods", "j12_follows_the_generic_even_rule"), 12, 2, 12, "EVEN_EVEN"),
+    Period("known_periods", 12, 3, 24, "EVEN_ODD"),
+    Period("known_periods", 12, 4, 12, "EVEN_EVEN"),
+    Period("known_periods", 13, 2, 26, "ODD_E2MOD4"),
+    # an int subclass is an integer
+    Period("only_integers_are_admitted", 7, True, 28, "ODD_ODD"),
+]
+
+RECORDS = [
+    Call("to_record_shapes", period_closed_form, (7, 1), {"j": 7, "e": 1, "outcome": 28, "case_label": "ODD_ODD"},
+         PeriodResult.to_record),
+    Call("to_record_shapes", period_closed_form, (0, 5), {"j": 0, "e": 5, "outcome": "not_periodic", "case_label": "J0"},
+         PeriodResult.to_record),
+]
+
+REFUSED = [
+    Refusal("domain_errors", period_closed_form, (5, 0), "exponent must be at least 1, got 0"),
+    Refusal("domain_errors", period_closed_form, (-1, 2), "j must be nonnegative, got -1"),
+    Refusal("domain_errors", period_closed_form, (5, -2), "exponent must be at least 1, got -2"),
+    # both checked before either sign
+    Refusal("only_integers_are_admitted", period_closed_form, (5.5, 1), "j must be an integer, got 5.5"),
+    Refusal("only_integers_are_admitted", period_closed_form, (7, 1.5), "exponent must be an integer, got 1.5"),
+    Refusal("only_integers_are_admitted", period_closed_form, ("3", 1), "j must be an integer, got '3'"),
+    Refusal("only_integers_are_admitted", period_closed_form, (-1.5, 0), "j must be an integer, got -1.5"),
+    Refusal("only_integers_are_admitted", period_closed_form, (-1, 0.0), "exponent must be an integer, got 0.0"),
+]
+
+globals().update(
+    define_tests([(_check_period, PERIODS), (check_call, RECORDS), (check_refused, REFUSED)])
+)
 
 
 def test_dispatch_is_total_and_labeled():
-    labels = {
-        "J0",
-        "J1_J2",
-        "J3",
-        "J6_ODD",
-        "J6_E2",
-        "J6_EVEN_GE4",
-        "EVEN_EVEN",
-        "EVEN_ODD",
-        "ODD_E0MOD4",
-        "ODD_E2MOD4",
-        "ODD_ODD",
-    }
+    # every cell of the grid gets one of the labels the rows pin, and a
+    # period exactly where j > 0
+    labels = {row.label for row in PERIODS}
+    assert len(labels) == 11
     for j in range(0, 61):
         for e in range(1, 10):
             result = period_closed_form(j, e)
@@ -91,22 +116,6 @@ def test_emitted_periods_stay_in_allowed_set():
                 assert p in {1, 3, 6, 12, j, 2 * j, 4 * j}, (j, e, p)
 
 
-def test_j12_follows_the_generic_even_rule():
-    # the modulus 144 = F_12 is special for primitive divisors but not here
-    assert period_closed_form(12, 1).period == 24
-    assert period_closed_form(12, 2).period == 12
-    assert period_closed_form(12, 2).case_label == "EVEN_EVEN"
-
-
-def test_domain_errors():
-    with pytest.raises(OutOfDomainError):
-        period_closed_form(5, 0)
-    with pytest.raises(OutOfDomainError):
-        period_closed_form(-1, 2)
-    with pytest.raises(OutOfDomainError):
-        period_closed_form(5, -2)
-
-
 def test_divisibility_check_exhaustive():
     # raising the exponent can only coarsen the sequence: the period at
     # exponent q*e divides the period at exponent e
@@ -115,11 +124,6 @@ def test_divisibility_check_exhaustive():
             p_e = period_closed_form(j, e).period
             for q in range(1, 5):
                 assert p_e % period_closed_form(j, q * e).period == 0, (j, e, q)
-
-
-def test_divisibility_check_examples():
-    assert period_closed_form(7, 1).period % period_closed_form(7, 2).period == 0  # 14 divides 28
-    assert period_closed_form(6, 1).period % period_closed_form(6, 4).period == 0  # 3 divides 12
 
 
 def test_agrees_with_bruteforce_on_small_grid():
@@ -138,10 +142,3 @@ def test_agrees_with_bruteforce_on_small_grid():
 def test_agrees_with_bruteforce_on_wide_grid(j, e):
     brute = minimal_period_bruteforce(j, e).power_period
     assert period_closed_form(j, e).period == brute
-
-
-def test_to_record_shapes():
-    rec = period_closed_form(7, 1).to_record()
-    assert rec == {"j": 7, "e": 1, "outcome": 28, "case_label": "ODD_ODD"}
-    rec = period_closed_form(0, 5).to_record()
-    assert rec == {"j": 0, "e": 5, "outcome": "not_periodic", "case_label": "J0"}
