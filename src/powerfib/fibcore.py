@@ -5,22 +5,12 @@ step by step on exact integers, fib_pair_mod uses fast doubling modulo m.
 Keeping them independent lets each one certify the other.
 """
 
-from .errors import InvalidModulusError, OutOfDomainError
-
-
-def _require_index(n: int) -> None:
-    if n < 0:
-        raise OutOfDomainError(f"Fibonacci index must be nonnegative, got {n}")
-
-
-def _require_modulus(m: int) -> None:
-    if m < 2:
-        raise InvalidModulusError(f"modulus must be at least 2, got {m}")
+from .errors import InvalidModulusError, require_int
 
 
 def fib_exact(n: int) -> int:
     """F_n as an exact integer, by iterating the recurrence n times."""
-    _require_index(n)
+    n = require_int("Fibonacci index", n, 0)
     a, b = 0, 1
     for _ in range(n):
         a, b = b, a + b
@@ -29,8 +19,7 @@ def fib_exact(n: int) -> int:
 
 def fib_prefix(count: int) -> list[int]:
     """The first `count` Fibonacci numbers [F_0, ..., F_{count-1}], exact."""
-    if count < 0:
-        raise OutOfDomainError(f"count must be nonnegative, got {count}")
+    count = require_int("count", count, 0)
     out = []
     a, b = 0, 1
     for _ in range(count):
@@ -45,8 +34,8 @@ def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
     Uses F_{2k} = F_k (2 F_{k+1} - F_k) and F_{2k+1} = F_k^2 + F_{k+1}^2,
     so the cost is O(log n) multiplications however large n is.
     """
-    _require_modulus(m)
-    _require_index(n)
+    m = require_int("modulus", m, 2, InvalidModulusError)
+    n = require_int("Fibonacci index", n, 0)
     a, b = 0, 1  # (F_0, F_1)
     if n:
         for bit in bin(n)[2:]:
@@ -67,9 +56,5 @@ def fib_mod(n: int, m: int) -> int:
 
 def pow_mod(a: int, e: int, m: int) -> int:
     """a^e mod m for nonnegative a and e; a^0 is 1 mod m."""
-    _require_modulus(m)
-    if a < 0:
-        raise OutOfDomainError(f"base must be nonnegative, got {a}")
-    if e < 0:
-        raise OutOfDomainError(f"exponent must be nonnegative, got {e}")
-    return pow(a, e, m)
+    m = require_int("modulus", m, 2, InvalidModulusError)
+    return pow(require_int("base", a, 0), require_int("exponent", e, 0), m)

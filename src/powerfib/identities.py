@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import ge, index, mul, ne, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import OutOfDomainError, ResourceGuardError
+from .errors import OutOfDomainError, ResourceGuardError, require_int
 from .fibcore import fib_exact, fib_prefix
 
 ALL_PASS = "all_pass"
@@ -138,17 +138,16 @@ def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
     for pair in pairs:
         if len(pair) != 2:
             raise OutOfDomainError(f"a gcd pair needs two indices, got {tuple(pair)}")
-        n, m = pair
         try:
-            index(n), index(m)
+            index(pair[0]), index(pair[1])
         except TypeError:
             raise OutOfDomainError(f"a gcd pair needs integer indices, got {tuple(pair)}") from None
-        if n < 0 or m < 0:
-            raise OutOfDomainError(f"indices must be nonnegative, got ({n}, {m})")
-        if n == 0 and m == 0:
-            raise OutOfDomainError("gcd(F_0, F_0) = gcd(0, 0) is undefined")
     ns, ms = zip(*pairs)
+    # each side's least index is the one its floor refuses, if any is
+    require_int("n", min(ns), 0), require_int("m", min(ms), 0)
     gs = list(map(math.gcd, ns, ms))
+    if 0 in gs:  # gcd(n, m) = 0 only at n = m = 0
+        raise OutOfDomainError("gcd(F_0, F_0) = gcd(0, 0) is undefined")
     fs = _fib_values(itertools.chain(ns, ms, gs))
     lhs = list(map(math.gcd, map(fs.__getitem__, ns), map(fs.__getitem__, ms)))
     return (_Part(lhs, list(map(fs.__getitem__, gs))),)
@@ -218,9 +217,8 @@ def _square_lemma_row(
 
 def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
     """Exact check of all four parts, for k >= 2 and 0 <= alpha <= k."""
-    if k < 2:
-        raise OutOfDomainError(f"k must be at least 2, got {k}")
-    if alpha < 0 or alpha > k:
+    k, alpha = require_int("k", k, 2), require_int("alpha", alpha, 0)
+    if alpha > k:
         raise OutOfDomainError(f"need 0 <= alpha <= k, got alpha={alpha}, k={k}")
     fs = fib_prefix(2 * k + 2)
     parts = _square_lemma_row(k, range(alpha, alpha + 1), fs, list(map(mul, fs, fs)))
@@ -240,6 +238,7 @@ class ZeroPositionsOutcome(NamedTuple):
 def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable, tuple[_Part]]]:
     """One row per e of es, with cases (j, e, i) for i in [0, i_max]: bytes
     holding 1 where F_i^e = 0 mod F_j, against bytes holding 1 where j | i.
+    Its callers check j >= 4, each e >= 1 and i_max >= 0.
 
     F_i mod F_j is walked once, and F_j stripped once by each distinct
     residue x (_strip): x^e vanishes exactly when e >= rounds and the rest
@@ -247,13 +246,6 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
     on e only through the set of residues that vanish at e, and is built
     once per distinct set: every other e, of any size, reuses it.
     """
-    if j < 4:
-        raise OutOfDomainError(f"zero positions need j >= 4, got {j}")
-    for e in es:
-        if e < 1:
-            raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-    if i_max < 0:
-        raise OutOfDomainError(f"i_max must be nonnegative, got {i_max}")
     m = fib_exact(j)
     residues = []
     a, b = 0, 1
@@ -282,6 +274,8 @@ def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
     carrying the smallest in-range witness (None if i_max is too small to
     show one).
     """
+    j, e = require_int("j", j, 4), require_int("exponent", e, 1)
+    i_max = require_int("i_max", i_max, 0)
     ((_, (part,)),) = _zero_rows(j, (e,), i_max)
     witness = _first_failure(part)
     verdict = ALL_PASS if witness is None else COUNTEREXAMPLE
@@ -354,8 +348,7 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     (_primitive_part), so the first traced prime that divides it is the
     answer, with rank of apparition j.
     """
-    if j < 3:
-        raise OutOfDomainError(f"primitive divisors need j >= 3, got {j}")
+    j = require_int("j", j, 3)
     if j > J_FACT_MAX:
         raise ResourceGuardError(f"j={j} exceeds the factorization guard j_fact_max={J_FACT_MAX}")
     fs = fib_prefix(j + 1)
@@ -438,21 +431,17 @@ def _equation_sweep(
     return VerificationReport(name, domain, count, ALL_PASS)
 
 
-def _require_cases(name: str, domain: str, nonempty: bool) -> None:
-    if not nonempty:
-        raise OutOfDomainError(f"the {name} sweep needs at least one case, got {domain}")
-
-
 def sweep_gcd(pairs: Iterable[Sequence[int]] | None = None) -> VerificationReport:
     pairs = gcd_sample_pairs() if pairs is None else list(pairs)
     domain = f"{len(pairs)} sampled index pairs"
-    _require_cases("gcd", domain, bool(pairs))
+    if not pairs:
+        raise OutOfDomainError(f"the gcd sweep needs at least one case, got {domain}")
     return _equation_sweep("gcd", domain, ("n", "m"), [(pairs, _gcd_row(pairs))])
 
 
 def sweep_addition(n_max: int = 80, m_max: int = 80) -> VerificationReport:
+    n_max, m_max = require_int("n_max", n_max, 1), require_int("m_max", m_max, 0)
     domain = f"n in [1, {n_max}], m in [0, {m_max}]"
-    _require_cases("addition", domain, n_max >= 1 and m_max >= 0)
     fs = fib_prefix(n_max + m_max + 2)
     ms = range(m_max + 1)
     rows = ((zip(itertools.repeat(n), ms), _addition_row(n, ms, fs)) for n in range(1, n_max + 1))
@@ -460,8 +449,8 @@ def sweep_addition(n_max: int = 80, m_max: int = 80) -> VerificationReport:
 
 
 def sweep_catalan(n_max: int = 80) -> VerificationReport:
+    n_max = require_int("n_max", n_max, 0)
     domain = f"0 <= r <= n <= {n_max}"
-    _require_cases("catalan", domain, n_max >= 0)
     fs = fib_prefix(2 * n_max + 1)
     signed_squares = _signed_squares(fs[: n_max + 1])
     rows = (
@@ -473,16 +462,16 @@ def sweep_catalan(n_max: int = 80) -> VerificationReport:
 
 def sweep_cassini(n_max: int = 120) -> VerificationReport:
     # one row: every case's sides are 1 and -1
+    n_max = require_int("n_max", n_max, 1)
     domain = f"n in [1, {n_max}]"
-    _require_cases("cassini", domain, n_max >= 1)
     ns = range(1, n_max + 1)
     rows = [(zip(ns), _cassini_row(ns, fib_prefix(n_max + 2)))]
     return _equation_sweep("cassini", domain, ("n",), rows)
 
 
 def sweep_square_lemma(k_max: int = 30) -> VerificationReport:
+    k_max = require_int("k_max", k_max, 2)
     domain = f"k in [2, {k_max}], alpha in [0, k]"
-    _require_cases("square_lemma", domain, k_max >= 2)
     fs = fib_prefix(2 * k_max + 2)
     squares = list(map(mul, fs, fs))
     rows = (
@@ -499,14 +488,13 @@ def sweep_zero_positions(
 
     j = 6 must not be in j_values; it has its own not_applicable outcome.
     """
-    js = list(j_values)
-    es = list(e_values)
+    i_max_factor = require_int("i_max_factor", i_max_factor, 0)
+    js = [require_int("j", j, 4) for j in j_values]
+    es = [require_int("exponent", e, 1) for e in e_values]
     if not js or not es:
         raise OutOfDomainError("the zero-position sweep needs at least one j and one e")
     if 6 in js:
         raise OutOfDomainError("j = 6 is excluded from the biconditional sweep")
-    if i_max_factor < 0:
-        raise OutOfDomainError(f"i_max_factor must be nonnegative, got {i_max_factor}")
     lo, hi = min(js), max(js)
     if len(set(js)) == len(js) == hi - lo + 1 - (lo <= 6 <= hi):
         j_text = f"{{{lo}..{hi}}} minus 6"
@@ -535,11 +523,11 @@ def sweep_carmichael(
     no j is out of reach.  Each j is a row of its own, so the sweep stops
     at the first j that fails.
     """
-    exceptions = set(expected_exceptions)
+    j_lo, j_hi = require_int("j_lo", j_lo, 3), require_int("j_hi", j_hi, 3)
+    exceptions = {require_int("expected exception", j, 3) for j in expected_exceptions}
     domain = f"j in [{j_lo}, {j_hi}], expected exceptions {sorted(exceptions)}"
-    _require_cases("carmichael", domain, j_lo <= j_hi)
-    if j_lo < 3:
-        raise OutOfDomainError(f"primitive divisors need j >= 3, got {j_lo}")
+    if j_lo > j_hi:
+        raise OutOfDomainError(f"the carmichael sweep needs at least one case, got {domain}")
     return _equation_sweep("carmichael", domain, ("j",), _carmichael_rows(j_lo, j_hi, exceptions))
 
 

@@ -42,13 +42,13 @@ from math import isqrt
 from operator import ne
 from typing import Callable, NamedTuple
 
-from .errors import InvalidModulusError, OutOfDomainError
-from .fibcore import _require_modulus, fib_exact
+from .errors import InvalidModulusError, require_int
+from .fibcore import fib_exact
 
 
 def pisano_period(m: int) -> int:
     """Smallest k >= 1 with (F_k, F_{k+1}) = (0, 1) mod m, by stepping pairs."""
-    _require_modulus(m)
+    m = require_int("modulus", m, 2, InvalidModulusError)
     a, b = 0, 1
     for k in count(1):
         # a + b < 2m, so one subtraction reduces it
@@ -62,14 +62,11 @@ def pisano_period(m: int) -> int:
 def sequence_prefix(j: int, e: int, n: int | None = None) -> list[int]:
     """First n terms of (F_i^e mod F_j), by single-step iteration; without n,
     one Pisano period of F_j: up to where (F_i, F_{i+1}) mod F_j is (0, 1) again."""
-    if j < 3:
-        raise InvalidModulusError(
-            f"modulus F_{j} is below 2; base cases are handled by period_closed_form"
-        )
-    if e < 1:
-        raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-    if n is not None and n < 1:
-        raise OutOfDomainError(f"prefix length must be at least 1, got {n}")
+    # F_j is the modulus, below 2 at j < 3
+    j = require_int("j", j, 3, InvalidModulusError)
+    e = require_int("exponent", e, 1)
+    if n is not None:
+        n = require_int("prefix length", n, 1)
     m = fib_exact(j)
     out = []
     a, b = 0, 1
@@ -183,12 +180,7 @@ def minimal_period_bruteforce(j: int, e: int) -> OracleTrace:
     at every multiple e of e', so there d = P gets a "holds" verdict without
     comparing; each smaller divisor is compared as always.
     """
-    if j < 3:
-        raise OutOfDomainError(
-            f"the oracle needs j >= 3 (modulus at least 2), got j={j}"
-        )
-    if e < 1:
-        raise OutOfDomainError(f"exponent must be at least 1, got {e}")
+    j, e = require_int("j", j, 3), require_int("exponent", e, 1)
     m, p0, values, slots, classes, divisors, firsts, held = _row(j)
     keys = slots if e % 2 else classes
     first = firsts[e % 2]

@@ -1,9 +1,8 @@
 """Closed-form minimal periods of the sequences (F_i^e mod F_j)_{i>=0}."""
 
-import operator
 from typing import NamedTuple
 
-from .errors import OutOfDomainError
+from .errors import require_int
 
 
 class PeriodResult(NamedTuple):
@@ -23,18 +22,6 @@ class PeriodResult(NamedTuple):
         }
 
 
-def _require_args(j: int, e: int) -> None:
-    for name, value in (("j", j), ("exponent", e)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise OutOfDomainError(f"{name} must be an integer, got {value!r}") from None
-    if j < 0:
-        raise OutOfDomainError(f"j must be nonnegative, got {j}")
-    if e < 1:
-        raise OutOfDomainError(f"exponent must be at least 1, got {e}")
-
-
 def period_closed_form(j: int, e: int) -> PeriodResult:
     """Minimal period by case dispatch, for any integers j >= 0 and e >= 1.
 
@@ -46,7 +33,7 @@ def period_closed_form(j: int, e: int) -> PeriodResult:
       j even, j != 6  j for even e, 2j for odd e
       j odd, j >= 5   j for e = 0 mod 4, 2j for e = 2 mod 4, 4j for odd e
     """
-    _require_args(j, e)
+    j, e = require_int("j", j, 0), require_int("exponent", e, 1)
     if j == 0:
         return PeriodResult(j, e, None, "J0")
     if j in (1, 2):

@@ -10,7 +10,7 @@ the formula labels of `case_breakdown`.
 
 from typing import Iterator, NamedTuple
 
-from .errors import OutOfDomainError
+from .errors import OutOfDomainError, require_int
 from .fibcore import fib_prefix
 from .periodicity import period_closed_form
 
@@ -35,14 +35,6 @@ class ResidueTable(NamedTuple):
             "period": self.period,
             "residues": list(map(decimal.__getitem__, self.residues)),
         }
-
-
-def _require_j(j: int) -> None:
-    if j < 4:
-        raise OutOfDomainError(
-            f"closed-form tables need j >= 4; j={j} is a base case "
-            "(see period_closed_form)"
-        )
 
 
 def _e1_slots(j: int) -> list[int]:
@@ -115,7 +107,8 @@ def residues_general(j: int, e: int) -> ResidueTable:
     the oracle, so its modular iteration and minimality scan stay an
     independent second route.
     """
-    _require_j(j)
+    # j < 4 are period_closed_form's base cases, with no table of this form
+    j, e = require_int("j", j, 4), require_int("exponent", e, 1)
     period = period_closed_form(j, e).period
     fs = fib_prefix(j + 1)
     m = fs[j]
@@ -143,7 +136,7 @@ def residues_general(j: int, e: int) -> ResidueTable:
 
 def case_breakdown(j: int, e: int) -> tuple[str, ...]:
     """The formula label behind each table entry, for e in {1, 2} only."""
-    _require_j(j)
+    j, e = require_int("j", j, 4), require_int("exponent", e, 1)
     if e == 1:
         labels = [*(f"F[{k}]" for k in range(j)), "0", *(f"Fj-F[{k}]" for k in range(j + 1))]
         return tuple(map(labels.__getitem__, _e1_slots(j)))

@@ -8,6 +8,7 @@ before the tables; a test runs every row that names it, from any table.
 The two row kinds the library files share are here: a Call pins what a call
 returns, a Refusal the exact type and message of the error it raises."""
 
+import sys
 from typing import Callable, NamedTuple
 
 import pytest
@@ -30,6 +31,21 @@ class Refusal(NamedTuple):
     message: str
     error: type = OutOfDomainError
     partial: tuple | None = None  # a ResourceGuardError's evidence
+
+
+def printing_default_digits(call: Callable) -> Callable:
+    """call, run while Python prints integers of at most its default number
+    of digits (4300), whatever PYTHONINTMAXSTRDIGITS says."""
+
+    def limited(*args):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        try:
+            return call(*args)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    return limited
 
 
 def check_call(row):

@@ -36,7 +36,10 @@ def test_the_workflow_certifies_only_through_the_manifest():
     assert "powerfib scan" not in text
     assert "residues_general" not in text and "sequence_prefix" not in text
     runs = re.findall(r"^\s*run: (.*)$", text, flags=re.MULTILINE)
-    assert [run for run in runs if "tools/certify.py" in run] == ["PYTHONPATH=src python tools/certify.py"]
+    # once in the tier-1 matrix, once on the newest Python with no package installed
+    assert [run for run in runs if "tools/certify.py" in run] == ["PYTHONPATH=src python tools/certify.py"] * 2
+    newest = text.split("\n  certify-newest-python:\n")[1]
+    assert 'python-version: "3.13"' in newest and "pip install" not in newest
     # the steps that check other things stay
     assert sum("PYTHONINTMAXSTRDIGITS=0" in run for run in runs) == 1
     assert "python -m pytest -q benchmarks/tests" in runs

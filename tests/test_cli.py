@@ -467,7 +467,7 @@ REFUSED = [
             ("oracle-over-j-max", "oracle 30 0", "exponent must be at least 1, got 0"),
             ("oracle-huge-j", f"oracle {_HUGE_J} 0", "exponent must be at least 1, got 0"),
             ("oracle-huge-j-max", f"oracle {_HUGE_J} -2 --j-max {_HUGE_J}", "exponent must be at least 1, got -2"),
-            ("oracle-small-j", f"oracle 2 0 --j-max {_HUGE_J}", "the oracle needs j >= 3 (modulus at least 2), got j=2"),
+            ("oracle-small-j", f"oracle 2 0 --j-max {_HUGE_J}", "j must be at least 3, got 2"),
             ("period", "period 30 0 --verify", "exponent must be at least 1, got 0"),
             ("period-huge-j", f"period {_HUGE_J} 0 --verify", "exponent must be at least 1, got 0"),
         )

@@ -18,7 +18,7 @@ from powerfib.fibcore import (
     fib_prefix,
     pow_mod,
 )
-from rows import Call, Refusal, check_call, check_refused, define_tests
+from rows import Call, Refusal, check_call, check_refused, define_tests, printing_default_digits
 
 
 def linear_pair(n: int, m: int) -> tuple[int, int]:
@@ -63,6 +63,14 @@ REFUSED = [
     Refusal("negative_index_rejected_mod", fib_pair_mod, (-4, 10), "Fibonacci index must be nonnegative, got -4"),
     Refusal("pow_mod_rejects_negative_base_and_exponent", pow_mod, (-2, 3, 7), "base must be nonnegative, got -2"),
     Refusal("pow_mod_rejects_negative_base_and_exponent", pow_mod, (2, -3, 7), "exponent must be nonnegative, got -3"),
+    *(
+        Refusal("only_integers_are_admitted", call, (10, 2.5), "modulus must be an integer, got 2.5", InvalidModulusError)
+        for call in (fib_pair_mod, fib_mod)
+    ),
+    Refusal("only_integers_are_admitted", fib_exact, ("5",), "Fibonacci index must be an integer, got '5'"),
+    # 5001 digits, more than Python prints by default: named by its bits
+    Refusal("integers_too_wide_to_print_are_named", printing_default_digits(fib_exact), (-(10**5000),),
+            "Fibonacci index must be nonnegative, got a negative integer of 16610 bits"),
 ]
 
 globals().update(define_tests([(check_call, VALUES), (check_refused, REFUSED)]))

@@ -189,7 +189,8 @@ BROKEN = [
 
 REFUSED = [
     Refusal("gcd_identity_rejects_zero_pair", sweep_gcd, ([(0, 0)],), "gcd(F_0, F_0) = gcd(0, 0) is undefined"),
-    Refusal("gcd_identity_rejects_zero_pair", sweep_gcd, ([(-1, 5)],), "indices must be nonnegative, got (-1, 5)"),
+    Refusal("gcd_identity_rejects_zero_pair", sweep_gcd, ([(-1, 5)],), "n must be nonnegative, got -1"),
+    Refusal("gcd_identity_rejects_zero_pair", sweep_gcd, ([(1, 5), (True, -3)],), "m must be nonnegative, got -3"),
     Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([(3,)],), "a gcd pair needs two indices, got (3,)"),
     Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([(1, 2, 3)],), "a gcd pair needs two indices, got (1, 2, 3)"),
     # checked before the signs: a string is not compared with 0
@@ -197,29 +198,30 @@ REFUSED = [
     Refusal("gcd_rejects_a_malformed_pair", sweep_gcd, ([("3", 2)],), "a gcd pair needs integer indices, got ('3', 2)"),
     Refusal("square_lemma_domain", check_square_lemma, (1, 0), "k must be at least 2, got 1"),
     Refusal("square_lemma_domain", check_square_lemma, (4, 5), "need 0 <= alpha <= k, got alpha=5, k=4"),
-    Refusal("square_lemma_domain", check_square_lemma, (4, -1), "need 0 <= alpha <= k, got alpha=-1, k=4"),
-    Refusal("zero_positions_domain", check_zero_positions, (3, 1, 10), "zero positions need j >= 4, got 3"),
+    Refusal("square_lemma_domain", check_square_lemma, (4, -1), "alpha must be nonnegative, got -1"),
+    Refusal("zero_positions_domain", check_zero_positions, (3, 1, 10), "j must be at least 4, got 3"),
     Refusal("zero_positions_domain", check_zero_positions, (7, 0, 10), "exponent must be at least 1, got 0"),
     Refusal("zero_positions_domain", check_zero_positions, (7, 1, -1), "i_max must be nonnegative, got -1"),
     # checked in this order: j, then every e, then i_max
-    Refusal("zero_positions_domain", check_zero_positions, (3, 0, -1), "zero positions need j >= 4, got 3"),
+    Refusal("zero_positions_domain", check_zero_positions, (3, 0, -1), "j must be at least 4, got 3"),
     Refusal("zero_positions_domain", check_zero_positions, (7, 0, -1), "exponent must be at least 1, got 0"),
     # a sweep names its own argument, before any j or e is checked
     Refusal("zero_positions_domain", sweep_zero_positions, ([5, 4], [1, 0], -1), "i_max_factor must be nonnegative, got -1"),
     Refusal("zero_positions_domain", sweep_zero_positions, ([3], [0], -1), "i_max_factor must be nonnegative, got -1"),
     Refusal("zero_positions_domain", sweep_zero_positions, ([5, 4], [1, 0]), "exponent must be at least 1, got 0"),
-    # each sweep names itself, sweep_<name>, and its empty domain
+    # a bound that leaves a sweep no case is named; an empty gcd list, or a
+    # j_lo past j_hi, gets the sweep's name and its empty domain
     *(
-        Refusal(f"sweep_rejects_an_empty_domain[{case}]", sweep, args,
-                f"the {sweep.__name__[6:]} sweep needs at least one case, got {domain}")
-        for case, sweep, args, domain in (
-            ("addition", sweep_addition, (0, 0), "n in [1, 0], m in [0, 0]"),
-            ("addition_no_m", sweep_addition, (5, -1), "n in [1, 5], m in [0, -1]"),
-            ("catalan", sweep_catalan, (-1,), "0 <= r <= n <= -1"),
-            ("cassini", sweep_cassini, (0,), "n in [1, 0]"),
-            ("square_lemma", sweep_square_lemma, (1,), "k in [2, 1], alpha in [0, k]"),
-            ("gcd", sweep_gcd, ([],), "0 sampled index pairs"),
-            ("carmichael", sweep_carmichael, (10, 5), "j in [10, 5], expected exceptions [6, 12]"),
+        Refusal(f"sweep_rejects_an_empty_domain[{case}]", sweep, args, message)
+        for case, sweep, args, message in (
+            ("addition", sweep_addition, (0, 0), "n_max must be at least 1, got 0"),
+            ("addition_no_m", sweep_addition, (5, -1), "m_max must be nonnegative, got -1"),
+            ("catalan", sweep_catalan, (-1,), "n_max must be nonnegative, got -1"),
+            ("cassini", sweep_cassini, (0,), "n_max must be at least 1, got 0"),
+            ("square_lemma", sweep_square_lemma, (1,), "k_max must be at least 2, got 1"),
+            ("gcd", sweep_gcd, ([],), "the gcd sweep needs at least one case, got 0 sampled index pairs"),
+            ("carmichael", sweep_carmichael, (10, 5),
+             "the carmichael sweep needs at least one case, got j in [10, 5], expected exceptions [6, 12]"),
         )
     ),
     Refusal("sweep_zero_positions_rejects_j6", sweep_zero_positions, ([4, 5, 6], [1]),
@@ -229,7 +231,12 @@ REFUSED = [
             "the zero-position sweep needs at least one j and one e"),
     Refusal("sweep_zero_positions_rejects_empty_e_values", sweep_zero_positions, ([4], []),
             "the zero-position sweep needs at least one j and one e"),
-    Refusal("sweep_carmichael_domain", sweep_carmichael, (2, 10), "primitive divisors need j >= 3, got 2"),
+    Refusal("sweep_carmichael_domain", sweep_carmichael, (2, 10), "j_lo must be at least 3, got 2"),
+    # no j below 3 is swept, so an exception there is a mistake
+    Refusal("sweep_carmichael_domain", sweep_carmichael, (3, 20, (2, 6, 12)), "expected exception must be at least 3, got 2"),
+    Refusal("only_integers_are_admitted", sweep_carmichael, (3.0, 10), "j_lo must be an integer, got 3.0"),
+    Refusal("only_integers_are_admitted", sweep_carmichael, (3, 20, ("6", 12)), "expected exception must be an integer, got '6'"),
+    Refusal("only_integers_are_admitted", check_zero_positions, (7, 2.0, 20), "exponent must be an integer, got 2.0"),
     # F_73 splits into two primes above the trial bound; the guard carries
     # the partial trace (empty: no small factors at all)
     Refusal("primitive_prime_guards", primitive_prime_divisor, (73,),
@@ -237,7 +244,7 @@ REFUSED = [
             ResourceGuardError, ()),
     Refusal("primitive_prime_guards", primitive_prime_divisor, (81,), "j=81 exceeds the factorization guard j_fact_max=80",
             ResourceGuardError),
-    Refusal("primitive_prime_guards", primitive_prime_divisor, (2,), "primitive divisors need j >= 3, got 2"),
+    Refusal("primitive_prime_guards", primitive_prime_divisor, (2,), "j must be at least 3, got 2"),
 ]
 
 # the smallest primitive prime of F_j for j in 3..40 (OEIS A001578)

@@ -4,7 +4,7 @@ REFUSED (a call and the exact type and message of its error); tests/rows.py
 builds the tests from the rows.  The properties, the digests, the memory
 bounds and the tests that watch the oracle's row through monkeypatched
 helpers stay tests of their own, and so does the check that every message
-the four library modules raise has a refusal row.
+the library modules raise has a refusal row.
 """
 
 import ast
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from powerfib import cli, fibcore, oracle, periodicity, residue_tables
+from powerfib import cli, errors, fibcore, identities, oracle, periodicity, residue_tables
 from powerfib.errors import InvalidModulusError
 from powerfib.fibcore import fib_exact, fib_mod, pow_mod
 from powerfib.oracle import (
@@ -34,8 +34,9 @@ from powerfib.oracle import (
     sequence_prefix,
 )
 from powerfib.periodicity import period_closed_form
-from rows import Call, Refusal, check_call, check_refused, define_tests
+from rows import Call, Refusal, check_call, check_refused, define_tests, printing_default_digits
 from test_fibcore import REFUSED as FIBCORE_REFUSED
+from test_identities import REFUSED as IDENTITIES_REFUSED
 from test_periodicity import REFUSED as PERIODICITY_REFUSED
 from test_residue_tables import REFUSED as RESIDUE_TABLES_REFUSED
 
@@ -77,12 +78,17 @@ VALUES = [
 REFUSED = [
     *(Refusal("pisano_rejects_tiny_moduli", pisano_period, (m,), f"modulus must be at least 2, got {m}", InvalidModulusError)
       for m in (1, 0, -2)),
-    Refusal("sequence_prefix_domain", sequence_prefix, (2, 1, 5),
-            "modulus F_2 is below 2; base cases are handled by period_closed_form", InvalidModulusError),
+    Refusal("only_integers_are_admitted", pisano_period, (2.5,), "modulus must be an integer, got 2.5", InvalidModulusError),
+    Refusal("only_integers_are_admitted", minimal_period_bruteforce, (7, 1.0), "exponent must be an integer, got 1.0"),
+    # 5001 digits, more than Python prints by default: named by its bits
+    Refusal("integers_too_wide_to_print_are_named", printing_default_digits(minimal_period_bruteforce),
+            (7, -(10**5000)),
+            "exponent must be at least 1, got a negative integer of 16610 bits"),
+    Refusal("sequence_prefix_domain", sequence_prefix, (2, 1, 5), "j must be at least 3, got 2", InvalidModulusError),
     Refusal("sequence_prefix_domain", sequence_prefix, (6, 0, 5), "exponent must be at least 1, got 0"),
     Refusal("sequence_prefix_domain", sequence_prefix, (6, 1, 0), "prefix length must be at least 1, got 0"),
     Refusal("sequence_prefix_domain", sequence_prefix, (6, 1, -1), "prefix length must be at least 1, got -1"),
-    Refusal("domain_errors", minimal_period_bruteforce, (2, 1), "the oracle needs j >= 3 (modulus at least 2), got j=2"),
+    Refusal("domain_errors", minimal_period_bruteforce, (2, 1), "j must be at least 3, got 2"),
     Refusal("domain_errors", minimal_period_bruteforce, (6, 0), "exponent must be at least 1, got 0"),
     # a bad exponent is a domain error whatever the size of j
     *(Refusal("domain_errors", minimal_period_bruteforce, (j, e), f"exponent must be at least 1, got {e}")
@@ -494,7 +500,7 @@ def test_one_row_is_kept_and_refused_calls_leave_it_alone(capsys):
     assert cli.main(["oracle", "22", "3", "--j-max", "21"]) == 3
     assert capsys.readouterr().err == "resource guard: j=22 exceeds the oracle guard j_max=21\n"
     check_refused(Refusal(None, minimal_period_bruteforce, (21, 0), "exponent must be at least 1, got 0"))
-    check_refused(Refusal(None, minimal_period_bruteforce, (2, 3), "the oracle needs j >= 3 (modulus at least 2), got j=2"))
+    check_refused(Refusal(None, minimal_period_bruteforce, (2, 3), "j must be at least 3, got 2"))
     assert oracle._row.cache_info() == kept
     oracle._row.cache_clear()
     assert oracle._row.cache_info().currsize == 0
@@ -584,16 +590,17 @@ def test_oracle_borrows_no_closed_form_logic():
 
 
 def test_every_message_the_library_raises_has_a_row():
-    # each message fibcore, oracle, periodicity and residue_tables raise, its
-    # formatted values read as any text, against every refusal row of their
-    # four test files: one word changed in a message leaves it without a row
+    # each message errors, fibcore, oracle, periodicity, residue_tables and
+    # identities raise, its formatted values read as any text, against every
+    # refusal row of their five test files: one word changed in a message
+    # leaves it without a row
     patterns = []
-    for module in (fibcore, oracle, periodicity, residue_tables):
+    for module in (errors, fibcore, oracle, periodicity, residue_tables, identities):
         for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
             if isinstance(node, ast.Raise):
                 text = node.exc.args[0]
                 parts = text.values if isinstance(text, ast.JoinedStr) else [text]
                 patterns.append("".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts))
-    assert len(patterns) == 15  # so a walk that finds none cannot pass
-    rows = FIBCORE_REFUSED + PERIODICITY_REFUSED + RESIDUE_TABLES_REFUSED + REFUSED
+    assert len(patterns) == 13  # so a walk that finds none cannot pass
+    rows = FIBCORE_REFUSED + PERIODICITY_REFUSED + RESIDUE_TABLES_REFUSED + IDENTITIES_REFUSED + REFUSED
     assert [p for p in patterns if not any(re.fullmatch(p, row.message) for row in rows)] == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from powerfib.oracle import minimal_period_bruteforce
 from powerfib.periodicity import PeriodResult, period_closed_form
-from rows import Call, Refusal, check_call, check_refused, define_tests
+from rows import Call, Refusal, check_call, check_refused, define_tests, printing_default_digits
 
 
 class Period(NamedTuple):
@@ -80,12 +80,16 @@ REFUSED = [
     Refusal("domain_errors", period_closed_form, (5, 0), "exponent must be at least 1, got 0"),
     Refusal("domain_errors", period_closed_form, (-1, 2), "j must be nonnegative, got -1"),
     Refusal("domain_errors", period_closed_form, (5, -2), "exponent must be at least 1, got -2"),
-    # both checked before either sign
     Refusal("only_integers_are_admitted", period_closed_form, (5.5, 1), "j must be an integer, got 5.5"),
     Refusal("only_integers_are_admitted", period_closed_form, (7, 1.5), "exponent must be an integer, got 1.5"),
     Refusal("only_integers_are_admitted", period_closed_form, ("3", 1), "j must be an integer, got '3'"),
     Refusal("only_integers_are_admitted", period_closed_form, (-1.5, 0), "j must be an integer, got -1.5"),
-    Refusal("only_integers_are_admitted", period_closed_form, (-1, 0.0), "exponent must be an integer, got 0.0"),
+    # each argument in turn: j is refused before e is read
+    Refusal("only_integers_are_admitted", period_closed_form, (-1, 0.0), "j must be nonnegative, got -1"),
+    Refusal("only_integers_are_admitted", period_closed_form, (1, 0.0), "exponent must be an integer, got 0.0"),
+    # 5001 digits, more than Python prints by default: named by its bits
+    Refusal("integers_too_wide_to_print_are_named", printing_default_digits(period_closed_form), (-(10**5000), 1),
+            "j must be nonnegative, got a negative integer of 16610 bits"),
 ]
 
 globals().update(

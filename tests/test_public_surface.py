@@ -1,18 +1,24 @@
 """The package's public names, written out with their home modules so that a
 change to them is deliberate; what each import loads; that the result types
-are immutable; and the names the benchmark's tracer binds."""
+are immutable; that every public callable keeps the integer contract; and
+the names the benchmark's tracer binds."""
 
 import ast
 import dataclasses
 import importlib.util
+import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import powerfib
+from powerfib.errors import InvalidModulusError, OutOfDomainError, ResourceGuardError
 from powerfib.identities import (
     NOT_APPLICABLE,
     VERIFY_SUITE,
@@ -149,6 +155,67 @@ def test_verify_j6_exclusion_is_still_a_report():
     assert type(plain) is type(excluded) is VerificationReport
     assert excluded.identity_name == "zero_positions_j6_exclusion"
     assert (excluded.verdict, excluded.cases_checked) == (NOT_APPLICABLE, 31)
+
+
+def _arg(valid: st.SearchStrategy, wide: bool = False) -> st.SearchStrategy:
+    """One argument: from valid, from [0, 10**30] where wide (where the cost
+    is logarithmic in it), or a value the integer contract converts (bool)
+    or refuses (a float, a string, None, a negative integer)."""
+    return st.one_of(
+        valid,
+        *([st.integers(0, 10**30)] if wide else []),
+        st.booleans(),
+        st.integers(-5, 50).map(float),
+        st.floats(),
+        st.just("7"),
+        st.none(),
+        st.integers(-(10**30), -1),
+    )
+
+
+# each public callable's arguments; no draw starts a walk linear in a large value
+CONTRACT_ARGUMENTS = {
+    "fib_exact": (_arg(st.integers(0, 60)),),
+    "fib_prefix": (_arg(st.integers(0, 60)),),
+    "fib_pair_mod": (_arg(st.integers(0, 60), wide=True), _arg(st.integers(2, 100))),
+    "fib_mod": (_arg(st.integers(0, 60), wide=True), _arg(st.integers(2, 100))),
+    "pow_mod": (_arg(st.integers(0, 60), wide=True), _arg(st.integers(0, 60), wide=True), _arg(st.integers(2, 100))),
+    "pisano_period": (_arg(st.integers(2, 100)),),
+    # None is sequence_prefix's own default: one Pisano period
+    "sequence_prefix": (_arg(st.integers(3, 15)), _arg(st.integers(1, 10)), _arg(st.integers(1, 30))),
+    "minimal_period_bruteforce": (_arg(st.integers(3, 15)), _arg(st.integers(1, 10))),
+    "period_closed_form": (_arg(st.integers(0, 60), wide=True), _arg(st.integers(1, 10), wide=True)),
+    "residues_e1": (_arg(st.integers(4, 20)),),
+    "residues_e2": (_arg(st.integers(4, 20)),),
+    "residues_general": (_arg(st.integers(4, 20)), _arg(st.integers(1, 10), wide=True)),
+    "case_breakdown": (_arg(st.integers(4, 20)), _arg(st.integers(1, 10), wide=True)),
+    "check_square_lemma": (_arg(st.integers(2, 20)), _arg(st.integers(0, 20))),
+    "check_zero_positions": (_arg(st.integers(4, 20)), _arg(st.integers(1, 10)), _arg(st.integers(0, 60))),
+    # up to 40 every F_j factors, so the guard never fires
+    "primitive_prime_divisor": (_arg(st.integers(3, 40)),),
+}
+
+
+def test_the_contract_draws_every_public_callable():
+    assert sorted(CONTRACT_ARGUMENTS) == [name for name in powerfib.__all__ if name[0].islower()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_every_public_callable_keeps_the_integer_contract(data):
+    # a call answers as it does with operator.index applied to every
+    # argument, or raises an error of powerfib.errors that names an argument
+    # the way the contract shows it: an integer's repr after operator.index
+    name = data.draw(st.sampled_from(sorted(CONTRACT_ARGUMENTS)))
+    args = data.draw(st.tuples(*CONTRACT_ARGUMENTS[name]))
+    call = getattr(powerfib, name)
+    try:
+        got = call(*args)
+    except (InvalidModulusError, OutOfDomainError, ResourceGuardError) as err:
+        shown = [repr(operator.index(a) if isinstance(a, int) else a) for a in args]
+        assert any(re.search(rf"(?<![\w.]){re.escape(s)}(?![\w.])", str(err)) for s in shown), (str(err), args)
+    else:
+        assert got == call(*(a if a is None else operator.index(a) for a in args))
 
 
 def test_every_name_the_tracer_binds_exists():

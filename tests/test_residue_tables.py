@@ -94,8 +94,7 @@ STEPPED = [
 
 REFUSED = [
     *(
-        Refusal("base_cases_rejected", call, args,
-                f"closed-form tables need j >= 4; j={j} is a base case (see period_closed_form)")
+        Refusal("base_cases_rejected", call, args, f"j must be at least 4, got {j}")
         for j in (3, 2, 1, 0, -1)
         for call, args in ((residues_e1, (j,)), (residues_e2, (j,)), (residues_general, (j, 2)), (case_breakdown, (j, 1)))
     ),
@@ -103,6 +102,7 @@ REFUSED = [
     Refusal("bad_exponent_rejected", case_breakdown, (7, 3), "per-entry formulas exist for exponents 1 and 2 only, got e=3"),
     Refusal("only_integers_are_admitted", residues_general, (5.5, 1), "j must be an integer, got 5.5"),
     Refusal("only_integers_are_admitted", residues_general, (7, 1.5), "exponent must be an integer, got 1.5"),
+    Refusal("only_integers_are_admitted", case_breakdown, (7, 1.0), "exponent must be an integer, got 1.0"),
 ]
 
 globals().update(
