@@ -129,9 +129,10 @@ def _require_oracle_row(j: int, j_max: int) -> None:
 
 
 def _oracle_trace(args) -> OracleTrace:
-    """The oracle's trace once its row is admitted; a j or e outside the
-    oracle's domain skips the guards for its domain error."""
-    if args.j >= 3 and args.e >= 1:
+    """The oracle's trace once its row is admitted.  No j trips a guard before
+    the oracle's own floor; an e below 1 skips them, so `oracle 30 0` is a
+    domain error before --j-max is checked."""
+    if args.e >= 1:
         _require_oracle_row(args.j, args.j_max)
     return minimal_period_bruteforce(args.j, args.e)
 

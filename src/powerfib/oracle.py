@@ -1,11 +1,11 @@
 """Brute-force certification of periods, sharing no logic with the closed forms.
 
-The window comes from single-step pair iteration: one walk per row, stopped
-where (F_i, F_{i+1}) mod F_j is (0, 1) again, so its length is the Pisano
-period p0.  Every divisor of p0 is scanned in turn, with a witness recorded
-for each that fails; no step reads a closed form, so a disagreement with the
-closed-form route points at a real mathematical problem rather than shared
-code.
+One walk, _walk(m), steps (F_i, F_{i+1}) mod m from (0, 1) until it is (0, 1)
+again: one Pisano period of m, for m >= 2 (below that the pair never returns).
+pisano_period counts it; the window of row j lists it at m = F_j, of length p0.
+Every divisor of p0 is scanned in turn, with a witness recorded for each that
+fails; no step reads a closed form, so a disagreement with the closed-form
+route points at a real mathematical problem rather than shared code.
 
 F_i^e mod F_j depends only on F_i mod F_j, and (F_j - x)^e = (-1)^e x^e, so
 the window entries fall into classes: the distinct c = min(x, F_j - x) over
@@ -37,26 +37,32 @@ compared, and the trace is the cold one.
 """
 
 from functools import lru_cache
-from itertools import compress, count, islice, repeat
+from itertools import compress, count, cycle, islice, repeat
 from math import isqrt
 from operator import ne
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidModulusError, require_int
 from .fibcore import fib_exact
 
 
-def pisano_period(m: int) -> int:
-    """Smallest k >= 1 with (F_k, F_{k+1}) = (0, 1) mod m, by stepping pairs."""
-    m = require_int("modulus", m, 2, InvalidModulusError)
+def _walk(m: int) -> Iterator[int]:
+    """F_i mod m over one Pisano period of m >= 2 (see the module docstring)."""
     a, b = 0, 1
-    for k in count(1):
+    while True:
+        yield a
         # a + b < 2m, so one subtraction reduces it
         a, b = b, a + b
         if b >= m:
             b -= m
         if a == 0 and b == 1:
-            return k
+            return
+
+
+def pisano_period(m: int) -> int:
+    """Smallest k >= 1 with (F_k, F_{k+1}) = (0, 1) mod m, by stepping pairs."""
+    m = require_int("modulus", m, 2, InvalidModulusError)
+    return sum(1 for _ in _walk(m))
 
 
 def sequence_prefix(j: int, e: int, n: int | None = None) -> list[int]:
@@ -68,15 +74,8 @@ def sequence_prefix(j: int, e: int, n: int | None = None) -> list[int]:
     if n is not None:
         n = require_int("prefix length", n, 1)
     m = fib_exact(j)
-    out = []
-    a, b = 0, 1
-    for _ in count() if n is None else range(n):
-        out.append(a)
-        a, b = b, a + b
-        if b >= m:
-            b -= m
-        if a == 0 and b == 1 and n is None:
-            break
+    # the window is purely periodic, so n terms repeat the one walk
+    out = list(_walk(m) if n is None else islice(cycle(_walk(m)), n))
     # F_i mod F_j is already its own first power
     return out if e == 1 else list(map(pow, out, repeat(e), repeat(m)))
 
@@ -103,12 +102,9 @@ class OracleTrace(NamedTuple):
     checked_divisors: tuple[DivisorCheck, ...]
 
     def to_record(self) -> dict:
-        checks = []
-        for c in self.checked_divisors:
-            entry: dict = {"d": c.d, "verdict": c.verdict}
-            if c.witness_index is not None:
-                entry["witness_index"] = c.witness_index
-            checks.append(entry)
+        checks = [
+            {k: v for k, v in c._asdict().items() if v is not None} for c in self.checked_divisors
+        ]
         return {
             "modulus": str(self.modulus),
             "pisano": self.pisano,

@@ -101,8 +101,20 @@ globals().update(define_tests([(check_call, VALUES), (check_refused, REFUSED)]))
 
 
 def test_pisano_of_fibonacci_moduli_matches_e1_period():
-    for j in range(4, 23):
+    for j in range(4, 401):
         assert pisano_period(fib_exact(j)) == period_closed_form(j, 1).period, j
+
+
+def test_pisano_period_holds_no_window():
+    # a list of the walk at F_5000 peaks at 3.3 MB; counting it holds one pair
+    m = fib_exact(5000)
+    tracemalloc.start()
+    try:
+        assert pisano_period(m) == 10000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_sequence_prefix_without_n_walks_one_pisano_period():
