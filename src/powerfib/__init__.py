@@ -18,8 +18,7 @@ _PUBLIC = {
     "fibcore": ("fib_exact", "fib_mod", "fib_pair_mod", "fib_prefix", "pow_mod"),
     "identities": (
         "Counterexample", "PrimitiveDivisorResult", "SquareLemmaVerdict",
-        "VerificationReport", "ZeroPositionsOutcome",
-        "check_square_lemma", "check_zero_positions", "primitive_prime_divisor",
+        "VerificationReport", "check_square_lemma", "primitive_prime_divisor",
     ),
     "oracle": (
         "DivisorCheck", "OracleTrace",

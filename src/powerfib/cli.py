@@ -465,7 +465,3 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceGuardError as err:
         sys.stderr.write(_bounded(f"resource guard: {err}") + "\n")
         return EXIT_GUARD
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

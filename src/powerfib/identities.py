@@ -77,8 +77,8 @@ class VerificationReport(NamedTuple):
 # sweep checks that its domain is not empty, builds its values once for the
 # whole domain and hands _equation_sweep one row at a time, which compares
 # each part with one sequence comparison and looks at single cases only in
-# a row that fails.  check_square_lemma and check_zero_positions check their
-# domain and read a row of their own with _first_failure.
+# a row that fails.  check_square_lemma checks its domain and reads a row
+# of its own with _first_failure.
 #
 # Every divisibility fact is decided by _strip(n, x), which divides n by
 # gcd(n, x) until it is 1.  Where p^a || n and p^b || x, k rounds leave
@@ -225,16 +225,6 @@ def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
     return SquareLemmaVerdict(*(_first_failure(part) is None for part in parts))
 
 
-class ZeroPositionsOutcome(NamedTuple):
-    """Result of testing F_i^e = 0 mod F_j exactly when j divides i."""
-
-    j: int
-    e: int
-    i_max: int
-    verdict: str  # all_pass, counterexample, or not_applicable (j = 6)
-    witness: int | None = None  # smallest index where the two sides differ
-
-
 def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable, tuple[_Part]]]:
     """One row per e of es, with cases (j, e, i) for i in [0, i_max]: bytes
     holding 1 where F_i^e = 0 mod F_j, against bytes holding 1 where j | i.
@@ -264,22 +254,6 @@ def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable
         if zeros not in rows:
             rows[zeros] = (_Part(bytes(map(zeros.__contains__, residues)), divides),)
         yield zip(itertools.repeat(j), itertools.repeat(e), range(i_max + 1)), rows[zeros]
-
-
-def check_zero_positions(j: int, e: int, i_max: int) -> ZeroPositionsOutcome:
-    """Scan i in [0, i_max] for the zero-position biconditional.
-
-    j = 6 sits outside the claim: F_6 = 2^3 while F_3 = 2, so high enough
-    powers of F_3 already vanish mod F_6.  It gets a not_applicable verdict
-    carrying the smallest in-range witness (None if i_max is too small to
-    show one).
-    """
-    j, e = require_int("j", j, 4), require_int("exponent", e, 1)
-    i_max = require_int("i_max", i_max, 0)
-    ((_, (part,)),) = _zero_rows(j, (e,), i_max)
-    witness = _first_failure(part)
-    verdict = ALL_PASS if witness is None else COUNTEREXAMPLE
-    return ZeroPositionsOutcome(j, e, i_max, NOT_APPLICABLE if j == 6 else verdict, witness)
 
 
 # ------------------------------------------------- primitive prime divisors
@@ -486,7 +460,8 @@ def sweep_zero_positions(
 ) -> VerificationReport:
     """Zero-position biconditional over a (j, e) grid, scanning i <= factor*j.
 
-    j = 6 must not be in j_values; it has its own not_applicable outcome.
+    j = 6 must not be in j_values; VERIFY_SUITE reports it apart, as
+    not_applicable.
     """
     i_max_factor = require_int("i_max_factor", i_max_factor, 0)
     js = [require_int("j", j, 4) for j in j_values]

@@ -16,7 +16,7 @@ import time
 from powerfib.fibcore import fib_exact, fib_mod
 from powerfib.identities import (
     ALL_PASS,
-    check_zero_positions,
+    VERIFY_SUITE,
     primitive_prime_divisor,
     sweep_addition,
     sweep_cassini,
@@ -167,14 +167,14 @@ def test_criterion_6_primitive_prime_sweep():
 
 def test_criterion_7_zero_positions():
     start = time.perf_counter()
-    ok = True
-    for j in range(4, 21):
-        if j == 6:
-            continue
-        for e in range(1, 6):
-            ok = ok and check_zero_positions(j, e, 5 * j).verdict == "all_pass"
-    j6 = check_zero_positions(6, 3, 15)
-    ok = ok and j6.verdict == "not_applicable" and j6.witness == 3
+    # every (j, e, i) with j in 4..20 but 6, e in 1..5 and i <= 5j, which is
+    # 5 (5j + 1) cases per j, then j = 6 apart: F_3^3 = 8 vanishes mod
+    # F_6 = 8 though 6 does not divide 3
+    sweep, j6 = VERIFY_SUITE["zero_positions"]()
+    ok = (sweep.verdict, sweep.cases_checked, sweep.domain_description) == (
+        "all_pass", 5030, "j in {4..20} minus 6, e in [1, 5], i <= 5*j"
+    )
+    ok = ok and j6.verdict == "not_applicable" and j6.counterexample.inputs == {"j": 6, "e": 3, "i": 3}
     elapsed = time.perf_counter() - start
     _report(7, ok, elapsed, 10, "F_i^e = 0 mod F_j iff j | i (j != 6), with the j=6 witness")
     assert ok

@@ -25,11 +25,9 @@ from powerfib.fibcore import fib_exact, fib_prefix
 from powerfib.identities import (
     ALL_PASS,
     COUNTEREXAMPLE,
-    NOT_APPLICABLE,
     Counterexample,
     _is_prime_u64,
     check_square_lemma,
-    check_zero_positions,
     gcd_sample_pairs,
     primitive_prime_divisor,
     sweep_addition,
@@ -122,6 +120,11 @@ HOLDS = [
         for js, e_max in (([j for j in range(4, 61) if j != 6], 10), ([j for j in range(4, 121) if j != 6], 60))
     ),
     Sweep("sweeps_all_pass", sweep_carmichael, (3, 72, (6, 12)), 70),
+    Sweep("zero_positions_pass_cases", sweep_zero_positions, ([12], [2]), 61),
+    Sweep("zero_positions_pass_cases", sweep_zero_positions, ([4], [1], 0), 1),
+    # any e costs one comparison per index: a walk stepping up from e = 1
+    # would not return
+    Sweep("zero_positions_pass_cases", sweep_zero_positions, ([7], [10**18]), 36),
     # gcd(F_10, F_15) = gcd(55, 610) = 5 = F_5
     Sweep("gcd_identity_examples", sweep_gcd, ([(10, 15), (12, 8), (0, 9), (7, 7)],), 4),
     Sweep("gcd_identity_small_grid", sweep_gcd, ([(n, m) for n in range(21) for m in range(21) if (n, m) != (0, 0)],),
@@ -199,13 +202,9 @@ REFUSED = [
     Refusal("square_lemma_domain", check_square_lemma, (1, 0), "k must be at least 2, got 1"),
     Refusal("square_lemma_domain", check_square_lemma, (4, 5), "need 0 <= alpha <= k, got alpha=5, k=4"),
     Refusal("square_lemma_domain", check_square_lemma, (4, -1), "alpha must be nonnegative, got -1"),
-    Refusal("zero_positions_domain", check_zero_positions, (3, 1, 10), "j must be at least 4, got 3"),
-    Refusal("zero_positions_domain", check_zero_positions, (7, 0, 10), "exponent must be at least 1, got 0"),
-    Refusal("zero_positions_domain", check_zero_positions, (7, 1, -1), "i_max must be nonnegative, got -1"),
-    # checked in this order: j, then every e, then i_max
-    Refusal("zero_positions_domain", check_zero_positions, (3, 0, -1), "j must be at least 4, got 3"),
-    Refusal("zero_positions_domain", check_zero_positions, (7, 0, -1), "exponent must be at least 1, got 0"),
-    # a sweep names its own argument, before any j or e is checked
+    Refusal("zero_positions_domain", sweep_zero_positions, ([3], [1]), "j must be at least 4, got 3"),
+    # checked in this order: i_max_factor, then every j, then every e
+    Refusal("zero_positions_domain", sweep_zero_positions, ([3], [0]), "j must be at least 4, got 3"),
     Refusal("zero_positions_domain", sweep_zero_positions, ([5, 4], [1, 0], -1), "i_max_factor must be nonnegative, got -1"),
     Refusal("zero_positions_domain", sweep_zero_positions, ([3], [0], -1), "i_max_factor must be nonnegative, got -1"),
     Refusal("zero_positions_domain", sweep_zero_positions, ([5, 4], [1, 0]), "exponent must be at least 1, got 0"),
@@ -236,7 +235,7 @@ REFUSED = [
     Refusal("sweep_carmichael_domain", sweep_carmichael, (3, 20, (2, 6, 12)), "expected exception must be at least 3, got 2"),
     Refusal("only_integers_are_admitted", sweep_carmichael, (3.0, 10), "j_lo must be an integer, got 3.0"),
     Refusal("only_integers_are_admitted", sweep_carmichael, (3, 20, ("6", 12)), "expected exception must be an integer, got '6'"),
-    Refusal("only_integers_are_admitted", check_zero_positions, (7, 2.0, 20), "exponent must be an integer, got 2.0"),
+    Refusal("only_integers_are_admitted", sweep_zero_positions, ([7], [2.0]), "exponent must be an integer, got 2.0"),
     # F_73 splits into two primes above the trial bound; the guard carries
     # the partial trace (empty: no small factors at all)
     Refusal("primitive_prime_guards", primitive_prime_divisor, (73,),
@@ -599,41 +598,6 @@ def test_gcd_row_sweep_matches_plain_loop_on_corrupted_values(pairs, index, delt
     assert report_fields(report) == plain_report(plain_gcd(fs, pairs))
 
 
-def test_zero_positions_pass_cases():
-    assert check_zero_positions(12, 2, 60).verdict == ALL_PASS
-    assert check_zero_positions(4, 1, 0).verdict == ALL_PASS
-    for j in range(4, 21):
-        if j == 6:
-            continue
-        for e in range(1, 6):
-            outcome = check_zero_positions(j, e, 5 * j)
-            assert outcome.verdict == ALL_PASS, (j, e)
-            assert outcome.witness is None
-    # any e costs one comparison per index: a walk stepping up from e = 1
-    # would not return
-    assert check_zero_positions(7, 10**18, 35).verdict == ALL_PASS
-
-
-def test_zero_positions_j6_exclusion():
-    # cubes of F_3 = 2 vanish mod F_6 = 8 long before index 6
-    outcome = check_zero_positions(6, 3, 12)
-    assert outcome.verdict == NOT_APPLICABLE
-    assert outcome.witness == 3
-    # squares never trip it; still reported as outside the claim
-    outcome = check_zero_positions(6, 2, 100)
-    assert outcome.verdict == NOT_APPLICABLE
-    assert outcome.witness is None
-    assert check_zero_positions(6, 10**18 + 1, 30).witness == 3
-
-
-def test_zero_positions_counterexample(monkeypatch):
-    # mod 4 in place of F_4 = 3, as in BROKEN's zero_positions_sweep_counterexample rows
-    monkeypatch.setattr(identities, *exact_with(4, 4))
-    outcome = check_zero_positions(4, 2, 20)
-    assert (outcome.verdict, outcome.witness) == (COUNTEREXAMPLE, 3)
-    assert check_zero_positions(4, 1, 20).witness == 4
-
-
 def _plain_zero_witness(m: int, j: int, e: int, i_max: int) -> int | None:
     """The first i <= i_max where F_i^e = 0 mod m and j | i disagree, by one
     pow per index."""
@@ -656,7 +620,7 @@ def test_zero_witnesses_match_plain():
         plain = [_plain_zero_witness(m, j, e, 5 * j) for e in range(1, 11)]
         assert zero_witnesses(j, range(1, 11), 5 * j) == plain, j
     # j = 6: F_3 = 2 cubed vanishes mod 8 from e = 3 on, squared never
-    assert zero_witnesses(6, range(1, 5), 30) == [None, None, 3, 3]
+    assert zero_witnesses(6, [1, 2, 3, 4, 10**18 + 1], 100) == [None, None, 3, 3, 3]
 
 
 # mod 32 in place of F_8 = 21: F_3 = 2 vanishes from e = 5, F_6 = 8 from

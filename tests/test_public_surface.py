@@ -25,7 +25,6 @@ from powerfib.identities import (
     Counterexample,
     VerificationReport,
     check_square_lemma,
-    check_zero_positions,
     primitive_prime_divisor,
 )
 from powerfib.oracle import minimal_period_bruteforce
@@ -40,9 +39,7 @@ PUBLIC_NAMES = {
         "PrimitiveDivisorResult",
         "SquareLemmaVerdict",
         "VerificationReport",
-        "ZeroPositionsOutcome",
         "check_square_lemma",
-        "check_zero_positions",
         "primitive_prime_divisor",
     ],
     "oracle": [
@@ -130,7 +127,6 @@ RESULTS = {
     "OracleTrace": minimal_period_bruteforce(5, 1),
     "Counterexample": Counterexample(inputs={"n": 1}, lhs=1, rhs=2),
     "VerificationReport": VERIFY_SUITE["cassini"]()[0],
-    "ZeroPositionsOutcome": check_zero_positions(5, 1, 10),
     "PrimitiveDivisorResult": primitive_prime_divisor(5),
     "SquareLemmaVerdict": check_square_lemma(2, 1),
 }
@@ -190,7 +186,6 @@ CONTRACT_ARGUMENTS = {
     "residues_general": (_arg(st.integers(4, 20)), _arg(st.integers(1, 10), wide=True)),
     "case_breakdown": (_arg(st.integers(4, 20)), _arg(st.integers(1, 10), wide=True)),
     "check_square_lemma": (_arg(st.integers(2, 20)), _arg(st.integers(0, 20))),
-    "check_zero_positions": (_arg(st.integers(4, 20)), _arg(st.integers(1, 10)), _arg(st.integers(0, 60))),
     # up to 40 every F_j factors, so the guard never fires
     "primitive_prime_divisor": (_arg(st.integers(3, 40)),),
 }
