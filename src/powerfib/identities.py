@@ -337,7 +337,7 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
         )
     # already ascending: trial division finds primes in order, and a prime
     # cofactor is larger than every prime tried
-    g = _primitive_part(j, fs[j], fs)
+    g = _primitive_part(j, fs)
     q = next((q for q, _ in factors if g % q == 0), None)
     return PrimitiveDivisorResult(
         j=j,
@@ -347,16 +347,16 @@ def primitive_prime_divisor(j: int) -> PrimitiveDivisorResult:
     )
 
 
-def _primitive_part(j: int, f_j: int, fs: list[int]) -> int:
-    """The part of F_j = f_j made of its primitive primes, those dividing no
-    F_i with 0 < i < j, from fs[i] = F_i for i <= j // 2, without factoring.
+def _primitive_part(j: int, fs: list[int]) -> int:
+    """The part of F_j made of its primitive primes, those dividing no F_i
+    with 0 < i < j, from fs[i] = F_i for i <= j, without factoring.
 
     A prime of F_j that is not primitive has a rank of apparition d < j that
     divides j, so by the gcd law it divides F_{j/q} for some prime q | j.
     Stripping from F_j every prime it shares with each such F_{j/q} leaves
     the primitive primes, to their full powers; 1 when there are none.
     """
-    g, n, q = f_j, j, 2
+    g, n, q = fs[j], j, 2
     # q walks the primes of j by trial division; once q * q > n, n is prime
     while n > 1:
         if q * q > n:
@@ -509,18 +509,12 @@ def sweep_carmichael(
 def _carmichael_rows(
     j_lo: int, j_hi: int, exceptions: set[int]
 ) -> Iterable[tuple[tuple[tuple[int]], tuple[_Part]]]:
-    """One row per j in [j_lo, j_hi]: whether F_j has a primitive prime (1
-    or 0) against whether j is outside exceptions.  A case reads F_j and
-    F_{j/q} for the primes q | j, so the prefix stops at F_{j_hi // 2} and
-    F_j itself is walked once, from the prefix's end or from F_{j_lo}."""
-    fs = fib_prefix(j_hi // 2 + 1)
-    j = min(j_lo, len(fs) - 1)
-    f_j, f_next = fs[j], fs[j] + fs[j - 1]
-    for j in range(j, j_hi + 1):
-        if j >= j_lo:
-            found = int(_primitive_part(j, f_j, fs) > 1)
-            yield ((j,),), (_Part([found], [int(j not in exceptions)]),)
-        f_j, f_next = f_next, f_j + f_next
+    """One row per j in [j_lo, j_hi], read from one prefix: whether F_j has
+    a primitive prime (1 or 0) against whether j is outside exceptions."""
+    fs = fib_prefix(j_hi + 1)
+    for j in range(j_lo, j_hi + 1):
+        found = int(_primitive_part(j, fs) > 1)
+        yield ((j,),), (_Part([found], [int(j not in exceptions)]),)
 
 
 # name -> that identity's reports, in the order `powerfib verify` runs them.

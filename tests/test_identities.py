@@ -470,15 +470,14 @@ def test_gcd_reads_sweep_values_like_own(pairs):
 @example(46, 0)
 @example(47, 0)
 @example(3, 87)
-def test_carmichael_reads_half_prefix_like_own(j_lo, width):
-    # F_j is walked from the end of the half prefix, or from F_{j_lo}
+def test_carmichael_reads_one_prefix_like_own(j_lo, width):
+    # every j reads F_j and its F_{j/q} from the one prefix up to F_{j_hi}
     j_hi = j_lo + width
     calls = sweep_rows("_primitive_part", sweep_carmichael, j_lo, j_hi)
     assert [args[0] for args, _ in calls] == list(range(j_lo, j_hi + 1))
-    for (j, f_j, fs), found in calls:
-        assert f_j == fib_exact(j)
-        assert fs == fib_prefix(j_hi // 2 + 1)
-        assert found == identities._primitive_part(j, f_j, fib_prefix(j // 2 + 1))
+    for (j, fs), found in calls:
+        assert fs == fib_prefix(j_hi + 1)
+        assert found == identities._primitive_part(j, fib_prefix(j + 1))
 
 
 # Every row sweep, with one prefix value corrupted, must report what a plain
@@ -869,14 +868,14 @@ def test_primitive_prime_test_agrees_with_factoring():
         if found is not None:
             assert ranks[found] == j, j
         assert all(rank < j for q, rank in ranks.items() if found is None or q < found), j
-        assert (identities._primitive_part(j, fs[j], fs) > 1) == (found is not None), j
+        assert (identities._primitive_part(j, fs) > 1) == (found is not None), j
     assert out_of_reach == [73]
-    assert identities._primitive_part(73, fs[73], fs) > 1
+    assert identities._primitive_part(73, fs) > 1
 
 
 def test_carmichael_exceptions_to_5000():
     # F_12 = 2^4 * 3^2 needs both q = 2 (F_6 = 2^3) and q = 3 (F_4 = 3),
     # and each stripped to every power, to come out with no primitive prime
     fs = fib_prefix(5001)
-    lacking = [j for j in range(3, 5001) if identities._primitive_part(j, fs[j], fs) == 1]
+    lacking = [j for j in range(3, 5001) if identities._primitive_part(j, fs) == 1]
     assert lacking == [6, 12]

@@ -16,6 +16,7 @@ import re
 import sys
 import threading
 import tracemalloc
+from math import gcd
 from operator import attrgetter
 from pathlib import Path
 
@@ -153,6 +154,33 @@ def test_trace_invariants_on_grid():
                     assert window[i] != window[(i + c.d) % trace.pisano], (j, e, c)
                 else:
                     assert c.d == trace.power_period
+
+
+def test_witnesses_are_the_ones_the_proof_predicts():
+    # README, "Why the case table holds for every j and e", step 5: for
+    # j >= 4, j != 6, index 0 refutes any d below the period that j does
+    # not divide (x_0 = 0, x_d != 0), and index 1 any that j divides
+    # (x_{1+d} = u^(e*d/j) != 1); r, the order of u = F_{j-1} mod F_j, is 2
+    # at even j and 4 at odd j (step 2), and the period is j*r/gcd(r, e)
+    failing = 0
+    for j in range(4, 801):
+        if j == 6:
+            continue
+        r = 2 if j % 2 == 0 else 4
+        for e in (*range(1, 9), 10**18 + 1, 10**18 + 2):
+            trace = minimal_period_bruteforce(j, e)
+            assert trace.power_period == j * r // gcd(r, e), (j, e)
+            for check in trace.checked_divisors:
+                if check.verdict == "fails":
+                    failing += 1
+                    assert check.witness_index == (1 if check.d % j == 0 else 0), (j, e, check)
+    assert failing == 88220
+    # j = 6 breaks the zero law: F_3^e = 2^e = 0 mod 8 from e = 3 on, so
+    # x_3 = x_0 and d = 3 is refuted at index 1
+    for e in (3, 5, 7, 10**18 + 1):
+        trace = minimal_period_bruteforce(6, e)
+        assert DivisorCheck(3, "fails", 1) in trace.checked_divisors, e
+        assert trace.power_period == 12, e
 
 
 def _cold_trace(j: int, e: int) -> OracleTrace:
