@@ -15,7 +15,7 @@ from operator import ge, index, mul, ne, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import OutOfDomainError, ResourceGuardError, require_int
-from .fibcore import fib_exact, fib_prefix
+from .fibcore import fib_prefix
 
 ALL_PASS = "all_pass"
 COUNTEREXAMPLE = "counterexample"
@@ -72,7 +72,7 @@ class VerificationReport(NamedTuple):
 # Carmichael's rows hold one j each.  The evaluator reads exact values from
 # fs (fs[i] = F_i) and returns the row's parts: each is the row's lhs and
 # rhs, one entry per case, as lists built in one pass over slices of fs,
-# or for zero positions, which walk F_i mod F_j, as bytes of 0s and 1s.  An
+# or for zero positions, which reduce fs by F_j, as bytes of 0s and 1s.  An
 # equation has one part; the square lemma has four, two of them bounds.  A
 # sweep checks that its domain is not empty, builds its values once for the
 # whole domain and hands _equation_sweep one row at a time, which compares
@@ -108,19 +108,6 @@ def _first_failure(part: _Part) -> int | None:
     return next(itertools.compress(itertools.count(), fails), None)
 
 
-def _fib_values(indices: Iterable[int]) -> dict[int, int]:
-    """{i: F_i} for each index asked for, from one walk of the recurrence up
-    to the largest, keeping only the values asked for."""
-    wanted = set(indices)
-    values = {}
-    a, b = 0, 1
-    for i in range(max(wanted, default=-1) + 1):
-        if i in wanted:
-            values[i] = a
-        a, b = b, a + b
-    return values
-
-
 def _strip(n: int, x: int) -> tuple[int, int]:
     """(rest, rounds): n | x^k exactly when rest == 1 and k >= rounds."""
     rounds, g = 0, math.gcd(n, x)
@@ -133,8 +120,8 @@ def _strip(n: int, x: int) -> tuple[int, int]:
 
 
 def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
-    """gcd(F_n, F_m) against F_gcd(n, m) at each pair (n, m).  The law reads
-    a few sparse indices, so the row walks the recurrence for just those."""
+    """gcd(F_n, F_m) against F_gcd(n, m) at each pair (n, m), read from one
+    prefix to the largest index: gcd(n, m) is at most max(n, m)."""
     for pair in pairs:
         if len(pair) != 2:
             raise OutOfDomainError(f"a gcd pair needs two indices, got {tuple(pair)}")
@@ -148,7 +135,7 @@ def _gcd_row(pairs: Sequence[Sequence[int]]) -> tuple[_Part]:
     gs = list(map(math.gcd, ns, ms))
     if 0 in gs:  # gcd(n, m) = 0 only at n = m = 0
         raise OutOfDomainError("gcd(F_0, F_0) = gcd(0, 0) is undefined")
-    fs = _fib_values(itertools.chain(ns, ms, gs))
+    fs = fib_prefix(max(ns + ms) + 1)
     lhs = list(map(math.gcd, map(fs.__getitem__, ns), map(fs.__getitem__, ms)))
     return (_Part(lhs, list(map(fs.__getitem__, gs))),)
 
@@ -225,23 +212,21 @@ def check_square_lemma(k: int, alpha: int) -> SquareLemmaVerdict:
     return SquareLemmaVerdict(*(_first_failure(part) is None for part in parts))
 
 
-def _zero_rows(j: int, es: Sequence[int], i_max: int) -> Iterable[tuple[Iterable, tuple[_Part]]]:
-    """One row per e of es, with cases (j, e, i) for i in [0, i_max]: bytes
-    holding 1 where F_i^e = 0 mod F_j, against bytes holding 1 where j | i.
-    Its callers check j >= 4, each e >= 1 and i_max >= 0.
+def _zero_rows(
+    j: int, es: Sequence[int], i_max: int, fs: list[int]
+) -> Iterable[tuple[Iterable, tuple[_Part]]]:
+    """One row per e of es, with cases (j, e, i) for i in [0, i_max], from
+    fs[i] = F_i for i <= max(j, i_max): bytes holding 1 where F_i^e = 0 mod
+    F_j, against 1 where j | i.  Its callers check j >= 4, e >= 1, i_max >= 0.
 
-    F_i mod F_j is walked once, and F_j stripped once by each distinct
+    F_i mod F_j is taken once per i, and F_j stripped once by each distinct
     residue x (_strip): x^e vanishes exactly when e >= rounds and the rest
     is 1; a rest above 1 holds a prime no power of x has.  So a row depends
     on e only through the set of residues that vanish at e, and is built
     once per distinct set: every other e, of any size, reuses it.
     """
-    m = fib_exact(j)
-    residues = []
-    a, b = 0, 1
-    for _ in range(i_max + 1):
-        residues.append(a)
-        a, b = b, (a + b) % m
+    m = fs[j]
+    residues = [f % m for f in fs[: i_max + 1]]
     # the least e at which x^e vanishes, for each residue x with one
     strips = {x: _strip(m, x) for x in set(residues)}
     vanish = {x: rounds for x, (rest, rounds) in strips.items() if rest == 1}
@@ -480,7 +465,8 @@ def sweep_zero_positions(
     else:
         e_text = "{" + ", ".join(map(str, es)) + "}"
     domain = f"j in {j_text}, e in {e_text}, i <= {i_max_factor}*j"
-    rows = itertools.chain.from_iterable(_zero_rows(j, es, i_max_factor * j) for j in js)
+    fs = fib_prefix(max(i_max_factor, 1) * hi + 1)
+    rows = itertools.chain.from_iterable(_zero_rows(j, es, i_max_factor * j, fs) for j in js)
     return _equation_sweep("zero_positions", domain, ("j", "e", "i"), rows)
 
 
@@ -533,7 +519,7 @@ VERIFY_SUITE: dict[str, Callable[[], list[VerificationReport]]] = {
             "zero_positions_j6_exclusion",
             "j = 6, e = 3, i <= 30",
             ("j", "e", "i"),
-            _zero_rows(6, (3,), 30),
+            _zero_rows(6, (3,), 30, fib_prefix(31)),
         )._replace(verdict=NOT_APPLICABLE, cases_checked=31),
     ],
     "carmichael": lambda: [sweep_carmichael()],

@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 # the slowest test, test_criterion_8_fast_doubling_certified_and_fast, takes
-# 1.6-2.5 s on a shared 2-CPU machine
-TEST_SECONDS = 120
+# 1.6-2.5 s on a shared 2-CPU machine: more than ten times that, yet a hang
+# costs half a minute, not two
+TEST_SECONDS = 30
 
 _stderr = None
 

@@ -10,8 +10,8 @@ row kind and builds the tests.
 """
 
 import contextlib
+import itertools
 import math
-import tracemalloc
 from operator import neg
 from typing import Callable, NamedTuple
 
@@ -79,11 +79,6 @@ def _check_prime(row):
 def prefix_with(index: int, value: int) -> tuple:
     """fib_prefix, patched to read F_index as value."""
     return "fib_prefix", lambda count: [value if i == index else f for i, f in enumerate(fib_prefix(count))]
-
-
-def exact_with(index: int, value: int) -> tuple:
-    """fib_exact, patched to read F_index as value."""
-    return "fib_exact", lambda n: value if n == index else fib_exact(n)
 
 
 def shift_case(inputs: dict, change: Callable, side: str = "rhs") -> tuple:
@@ -180,14 +175,16 @@ BROKEN = [
           Counterexample({"j": 6}, 0, 1),
           {"identity": "carmichael", "domain": "j in [3, 40], expected exceptions [12]", "cases": 4,
            "verdict": "counterexample", "counterexample": {"inputs": {"j": 6}, "lhs": "0", "rhs": "1"}}),
-    # mod 4 in place of F_4 = 3: F_3 = 2 squares to 0 at i = 3, and at i = 4
-    # F_4 = 3 does not vanish although 4 | 4.  Each (j, e) counts the indices
-    # its scan ran: i <= 5 j for j = 5 at e = 1 and 2, then i <= 4 for j = 4,
-    # whose scan stopped at its witness.  lhs: F_i vanished mod F_j; rhs: j | i
-    Sweep("zero_positions_sweep_counterexample", sweep_zero_positions, ([5, 4, 7], [1, 2]), 26 + 26 + 5,
-          Counterexample({"j": 4, "e": 1, "i": 4}, 0, 1), broken=exact_with(4, 4)),
+    # 4 in place of F_4 = 3, so j = 4 reads every F_i mod 4: F_6 = 8 vanishes
+    # at i = 6 although 4 does not divide 6, and F_3 = 2 squares to 0 at
+    # i = 3.  j = 5 reads 4 for F_4 as well, which is 4 mod 5 and, like 3,
+    # vanishes at no e.  Each (j, e) counts the indices its scan ran: i <= 5 j
+    # for j = 5 at e = 1 and 2, then i <= 6 for j = 4, whose scan stopped at
+    # its witness.  lhs: F_i vanished mod F_j; rhs: j | i
+    Sweep("zero_positions_sweep_counterexample", sweep_zero_positions, ([5, 4, 7], [1, 2]), 26 + 26 + 7,
+          Counterexample({"j": 4, "e": 1, "i": 6}, 1, 0), broken=prefix_with(4, 4)),
     Sweep("zero_positions_sweep_counterexample", sweep_zero_positions, ([4], [2]), 4,
-          Counterexample({"j": 4, "e": 2, "i": 3}, 1, 0), broken=exact_with(4, 4)),
+          Counterexample({"j": 4, "e": 2, "i": 3}, 1, 0), broken=prefix_with(4, 4)),
 ]
 
 REFUSED = [
@@ -340,17 +337,11 @@ def test_square_lemma_full_grid():
 
 @contextlib.contextmanager
 def recording_fib_calls():
-    """Count identities' fib_exact calls and keep each prefix fib_prefix builds."""
-    calls = {"fib_exact": 0, "prefixes": []}
-
-    def exact(n):
-        calls["fib_exact"] += 1
-        return fib_exact(n)
-
+    """Keep each prefix identities' fib_prefix builds, in order."""
+    prefixes = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "fib_prefix", lambda count: calls["prefixes"].append(fib_prefix(count)) or calls["prefixes"][-1])
-        patch.setattr(identities, "fib_exact", exact)
-        yield calls
+        patch.setattr(identities, "fib_prefix", lambda count: prefixes.append(fib_prefix(count)) or prefixes[-1])
+        yield prefixes
 
 
 @pytest.mark.parametrize(
@@ -365,28 +356,12 @@ def recording_fib_calls():
     ids=["addition", "catalan", "cassini", "square_lemma", "gcd"],
 )
 def test_each_sweep_builds_at_most_one_prefix(sweep, args):
-    with recording_fib_calls() as calls:
+    with recording_fib_calls() as prefixes:
         assert sweep(*args).verdict == ALL_PASS
-    assert len(calls["prefixes"]) <= 1
+    assert len(prefixes) <= 1
     if sweep is sweep_gcd:
-        assert calls["fib_exact"] == 0
-
-
-def test_gcd_on_a_large_index_builds_no_prefix():
-    # a prefix to F_50000 would hold about 125 MB; the values read, a few kB
-    for run in (
-        lambda: sweep_gcd([(50_000, 1)]).verdict == ALL_PASS,
-        lambda: sweep_gcd([(50_000, 3), (3, 50_000)]).verdict == ALL_PASS,
-    ):
-        with recording_fib_calls() as calls:
-            tracemalloc.start()
-            try:
-                assert run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert calls["prefixes"] == []
-        assert peak < 1_000_000
+        # exactly one, to the largest index of any pair: gcd(n, m) <= max(n, m)
+        assert [len(fs) for fs in prefixes] == [max(itertools.chain(*gcd_sample_pairs())) + 1]
 
 
 def sweep_rows(row_name: str, sweep, *args) -> list[tuple[tuple, tuple]]:
@@ -452,8 +427,8 @@ def test_square_lemma_reads_sweep_prefix_like_own(k_alpha, slack):
     assert case_sides(parts, alpha, len(alphas)) == case_sides(square_lemma_row(k, alpha), 0, 1)
 
 
-# indices past 10000, where a prefix would be megabytes; few examples, since
-# each one walks the recurrence that far once per pair
+# indices past 10000, where the prefix holds megabytes; few examples, since
+# each one builds a prefix that long once per pair
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 12_000), st.integers(1, 12_000)), min_size=1, max_size=3))
 @example([(12_000, 12_000)])
@@ -582,69 +557,68 @@ def plain_gcd(fs, pairs):
     st.integers(-2, 3),
 )
 def test_gcd_row_sweep_matches_plain_loop_on_corrupted_values(pairs, index, delta):
-    real = identities._fib_values
-
-    def corrupted(indices):
-        values = real(indices)
-        if index in values:
-            values[index] = max(1, values[index] + delta)
-        return values
-
+    value = max(1, fib_exact(index) + delta)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "_fib_values", corrupted)
+        patch.setattr(identities, *prefix_with(index, value))
         report = sweep_gcd(pairs)
-        fs = corrupted(range(16))
+        fs = identities.fib_prefix(16)
     assert report_fields(report) == plain_report(plain_gcd(fs, pairs))
 
 
-def _plain_zero_witness(m: int, j: int, e: int, i_max: int) -> int | None:
-    """The first i <= i_max where F_i^e = 0 mod m and j | i disagree, by one
-    pow per index."""
-    a, b = 0, 1
+def _plain_zero_witness(fs: list[int], j: int, e: int, i_max: int) -> int | None:
+    """The first i <= i_max where fs[i]^e = 0 mod fs[j] and j | i disagree,
+    by one pow per index."""
     for i in range(i_max + 1):
-        if (pow(a, e, m) == 0) != (i % j == 0):
+        if (pow(fs[i], e, fs[j]) == 0) != (i % j == 0):
             return i
-        a, b = b, (a + b) % m
     return None
 
 
-def zero_witnesses(j: int, es, i_max: int) -> list[int | None]:
+def zero_witnesses(j: int, es, i_max: int, fs: list[int]) -> list[int | None]:
     """The first failing i of each of _zero_rows' rows, one row per e."""
-    return [identities._first_failure(part) for _, (part,) in identities._zero_rows(j, es, i_max)]
+    return [identities._first_failure(part) for _, (part,) in identities._zero_rows(j, es, i_max, fs)]
 
 
 def test_zero_witnesses_match_plain():
     for j in [*range(4, 61), 6]:
-        m = fib_exact(j)
-        plain = [_plain_zero_witness(m, j, e, 5 * j) for e in range(1, 11)]
-        assert zero_witnesses(j, range(1, 11), 5 * j) == plain, j
+        fs = fib_prefix(5 * j + 1)
+        plain = [_plain_zero_witness(fs, j, e, 5 * j) for e in range(1, 11)]
+        assert zero_witnesses(j, range(1, 11), 5 * j, fs) == plain, j
     # j = 6: F_3 = 2 cubed vanishes mod 8 from e = 3 on, squared never
-    assert zero_witnesses(6, [1, 2, 3, 4, 10**18 + 1], 100) == [None, None, 3, 3, 3]
+    assert zero_witnesses(6, [1, 2, 3, 4, 10**18 + 1], 100, fib_prefix(101)) == [None, None, 3, 3, 3]
 
 
-# mod 32 in place of F_8 = 21: F_3 = 2 vanishes from e = 5, F_6 = 8 from
-# e = 2, so the witness at i <= 40 is 8 at e = 1, 6 at e = 2..4, 3 after:
-# finite rounds {1, 2, 5}, so three distinct rows.  The exponents come with
-# gaps, repeats and out of order, and the last three orders meet a row's key
-# first at an e next to another row's; each list is also an example of
+def mod_32_prefix() -> list[int]:
+    """F_0..F_40 with 32 in place of F_8 = 21."""
+    fs = fib_prefix(41)
+    fs[8] = 32
+    return fs
+
+
+# mod_32_prefix read at j = 8: every F_i is taken mod 32, and F_8 itself
+# reads 0.  F_24 = 46368 vanishes from e = 1, F_3 = 2 from e = 5 and
+# F_6 = 8 from e = 2, while F_16 = 987 = 27 mod 32 never does although
+# 8 | 16; so the witness at i <= 40 is 16 at e = 1, 6 at e = 2..4, 3 after:
+# finite rounds {1, 2, 5}, so three distinct rows, as _plain_zero_witness
+# finds on the same list.  The exponents come with gaps, repeats and out of
+# order, and the last three orders meet a row's key first at an e next to
+# another row's; each list is also an example of
 # test_zero_rows_built_once_per_key_match_plain
 _GAPPED_ES = [[2, 5], [3, 1, 2], [5, 2], [1, 2, 3, 5, 6], [4, 4, 5], [6, 5], [10**18, 2], [10**18 + 1, 5, 5],
               [6, 5, 4, 3, 2, 1], [1, 2, 3, 4, 5, 6], [5, 2, 1, 5, 2], [4, 10**18, 2, 1, 4]]
 
 
 @pytest.mark.parametrize("es", _GAPPED_ES)
-def test_zero_witnesses_with_gaps_and_out_of_order(monkeypatch, es):
-    monkeypatch.setattr(identities, *exact_with(8, 32))
-    assert zero_witnesses(8, es, 40) == [{1: 8, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
+def test_zero_witnesses_with_gaps_and_out_of_order(es):
+    assert zero_witnesses(8, es, 40, mod_32_prefix()) == [{1: 16, 2: 6, 3: 6, 4: 6}.get(e, 3) for e in es]
 
 
 def test_zero_rows_build_one_row_per_vanishing_set(monkeypatch):
     # mod 32, as above: seven exponents need only three rows, e = 1, e in 2..4, e >= 5
-    monkeypatch.setattr(identities, *exact_with(8, 32))
     built = []
     part = identities._Part
     monkeypatch.setattr(identities, "_Part", lambda *args: built.append(args) or part(*args))
-    rows = [row for _, row in identities._zero_rows(8, [1, 2, 3, 4, 5, 6, 10**18], 40)]
+    rows = [row for _, row in identities._zero_rows(8, [1, 2, 3, 4, 5, 6, 10**18], 40, mod_32_prefix())]
     assert len(built) == 3
     assert rows[1] is rows[2] is rows[3] and rows[4] is rows[5] is rows[6]
 
@@ -658,23 +632,22 @@ def test_zero_rows_build_one_row_per_vanishing_set(monkeypatch):
 )
 @example(6, [3, 2, 1, 3, 4], 30, None)
 def test_zero_rows_built_once_per_key_match_plain(j, es, i_max, modulus):
-    m = fib_exact(j) if modulus is None else modulus
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(identities, "fib_exact", lambda n: m)
-        witnesses = zero_witnesses(j, es, i_max)
-    assert witnesses == [_plain_zero_witness(m, j, e, i_max) for e in es]
+    fs = fib_prefix(max(j, i_max) + 1)
+    if modulus is not None:
+        fs[j] = modulus
+    assert zero_witnesses(j, es, i_max, fs) == [_plain_zero_witness(fs, j, e, i_max) for e in es]
 
 
 for _es in _GAPPED_ES:
     test_zero_rows_built_once_per_key_match_plain = example(8, _es, 40, 32)(test_zero_rows_built_once_per_key_match_plain)
 
 
-def test_sweep_zero_positions_computes_each_modulus_once():
+def test_sweep_zero_positions_reads_one_prefix():
+    # to F_100, at i <= 5 j for the largest j, shared by every j
     js = [j for j in range(4, 21) if j != 6]
-    with recording_fib_calls() as calls:
+    with recording_fib_calls() as prefixes:
         assert sweep_zero_positions(js, range(1, 6)).verdict == ALL_PASS
-    assert calls["fib_exact"] == len(js)
-    assert calls["prefixes"] == []
+    assert prefixes == [fib_prefix(101)]
 
 
 def test_factor_trace_multiplies_back():
